@@ -23,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import taylor
 from .errors import DomainError, SearchError, SingularityError
 from .intervals import Interval, IMatrix, IVector
+from .taylor import GUARD_RADIUS
 
 __all__ = [
     "MU_SUN_JUPITER",
@@ -51,10 +53,6 @@ MU_SUN_JUPITER = 0.0009537
 
 #: Jacobi constant of the Oterma-type energy level the bundled data lives on.
 JACOBI_OTERMA = 3.03
-
-#: Distances to a primary below this raise :class:`SingularityError`.
-GUARD_RADIUS = 1e-12
-
 
 @dataclass(frozen=True, slots=True)
 class Params:
@@ -132,8 +130,12 @@ def vector_field(params: Params, state) -> np.ndarray:
 
 def vector_field_jacobian(params: Params, state) -> np.ndarray:
     """Jacobian of :func:`vector_field` with respect to the state."""
-    x, y = float(state[0]), float(state[1])
-    oxx, oxy, oyy = potential_hessian(params, x, y)
+    return _jacobian(potential_hessian(params, float(state[0]), float(state[1])))
+
+
+def _jacobian(hessian) -> np.ndarray:
+    # state Jacobian from the potential Hessian (Omega_xx, Omega_xy, Omega_yy)
+    oxx, oxy, oyy = hessian
     return np.array(
         [
             [0.0, 0.0, 1.0, 0.0],
@@ -206,7 +208,9 @@ def libration_point(params: Params, index: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# Interval variants (same formulas over outward-rounded intervals).
+# Interval variants.  The field and its Jacobian come from the interval
+# Taylor kernel (taylor.iv_field), the one interval source for them; only
+# the potential itself, which the kernel never forms, is written here.
 # ----------------------------------------------------------------------
 
 
@@ -232,40 +236,11 @@ def effective_potential_iv(params: Params, x: Interval, y: Interval) -> Interval
 
 def vector_field_iv(params: Params, box: IVector) -> IVector:
     """Interval enclosure of the right-hand side over a state box."""
-    mu = params.mu
-    x, y, vx, vy = box.components
-    r1, r2 = _radii_iv(params, x, y)
-    k1 = (1.0 - mu) / (r1 * r1 * r1)
-    k2 = mu / (r2 * r2 * r2)
-    ox = x - k1 * (x + mu) - k2 * (x - (1.0 - mu))
-    oy = y - (k1 + k2) * y
-    return IVector.from_intervals(
-        [vx, vy, vy * 2.0 + ox, (-2.0) * vx + oy]
-    )
+    flo, fhi, _, _ = taylor.iv_field(box.lo, box.hi, params.mu, False)
+    return IVector(flo, fhi)
 
 
 def vector_field_jacobian_iv(params: Params, box: IVector) -> IMatrix:
     """Interval enclosure of the state Jacobian over a state box."""
-    mu = params.mu
-    x, y = box[0], box[1]
-    r1, r2 = _radii_iv(params, x, y)
-    d1 = x + mu
-    d2 = x - (1.0 - mu)
-    s1 = (1.0 - mu) / (r1 * r1 * r1)
-    s2 = mu / (r2 * r2 * r2)
-    w1 = (1.0 - mu) / (r1 * r1 * r1 * r1 * r1)
-    w2 = mu / (r2 * r2 * r2 * r2 * r2)
-    one = Interval.point(1.0)
-    oxx = one - (s1 - d1.sqr() * w1 * 3.0) - (s2 - d2.sqr() * w2 * 3.0)
-    oxy = (d1 * w1 + d2 * w2) * y * 3.0
-    oyy = one - (s1 - y.sqr() * w1 * 3.0) - (s2 - y.sqr() * w2 * 3.0)
-    zero = Interval.point(0.0)
-    rows = [
-        [zero, zero, one, zero],
-        [zero, zero, zero, one],
-        [oxx, oxy, zero, Interval.point(2.0)],
-        [oxy, oyy, Interval.point(-2.0), zero],
-    ]
-    lo = np.array([[e.lo for e in row] for row in rows])
-    hi = np.array([[e.hi for e in row] for row in rows])
-    return IMatrix(lo, hi)
+    _, _, hlo, hhi = taylor.iv_field(box.lo, box.hi, params.mu, True)
+    return IMatrix(_jacobian(hlo), _jacobian(hhi))

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import configparser
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Iterable
@@ -277,17 +276,6 @@ class _Tally:
         self.hull_ok = False
         self.all_outside = False
 
-    def merge(self, other: "_Tally") -> None:
-        self.margin = min(self.margin, other.margin)
-        self.stable = min(self.stable, other.stable)
-        self.cells += other.cells
-        self.hull_lo = min(self.hull_lo, other.hull_lo)
-        self.hull_hi = max(self.hull_hi, other.hull_hi)
-        self.outside_min = min(self.outside_min, other.outside_min)
-        self.all_outside = self.all_outside and other.all_outside
-        self.hull_ok = self.hull_ok and other.hull_ok
-        self.edge_mixed = self.edge_mixed or other.edge_mixed
-
 
 def _split_interval(iv: Interval, allow: bool) -> list[Interval]:
     return iv.split(2) if allow and iv.width > 0.0 else [iv]
@@ -397,8 +385,7 @@ def _refine_edge(map_fn, a_edge, b, tally, sb):
 
 def check_cover(map_fn: MapEnclosure, source: HSet, target: HSet,
                 grid: tuple[int, int] = (32, 2),
-                max_grid: tuple[int, int] = (512, 16),
-                workers: int = 1) -> CoverReport:
+                max_grid: tuple[int, int] = (512, 16)) -> CoverReport:
     """Verify that ``source`` f-covers ``target``.
 
     ``map_fn`` evaluates the map on cells of ``source`` given in
@@ -439,29 +426,16 @@ def check_cover(map_fn: MapEnclosure, source: HSet, target: HSet,
     b_pieces = Interval(-1.0, 1.0).split(nb)
 
     cells_undecided = False
-
-    def run_cell(ab):
-        a, b = ab
-        local = _Tally()
-        result = _refine_cell(map_fn, a, b, local, sa, sb)
-        return result, local
-
-    cells = [(a, b) for a in a_pieces for b in b_pieces]
-    for result, local in _map_maybe_parallel(run_cell, cells, workers):
-        tally.merge(local)
-        if result is None:
-            cells_undecided = True
+    for a in a_pieces:
+        for b in b_pieces:
+            if _refine_cell(map_fn, a, b, tally, sa, sb) is None:
+                cells_undecided = True
 
     edge_sides: dict[float, set] = {-1.0: set(), 1.0: set()}
     edges_undecided = False
     for a_edge in (-1.0, 1.0):
-        def run_edge(b, a_edge=a_edge):
-            local = _Tally()
-            side = _refine_edge(map_fn, a_edge, b, local, sb)
-            return side, local
-
-        for side, local in _map_maybe_parallel(run_edge, b_pieces, workers):
-            tally.merge(local)
+        for b in b_pieces:
+            side = _refine_edge(map_fn, a_edge, b, tally, sb)
             if side is None:
                 edges_undecided = True
             else:
@@ -516,14 +490,6 @@ def _log2_steps(start: int, stop: int) -> int:
     return steps
 
 
-def _map_maybe_parallel(fn, items, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, items)
-    else:
-        yield from map(fn, items)
-
-
 def _report(tally: _Tally, grid, outcome, margin, message) -> CoverReport:
     if not math.isfinite(margin):
         margin = 0.0
@@ -540,8 +506,7 @@ def _report(tally: _Tally, grid, outcome, margin, message) -> CoverReport:
 
 def check_backcover(inverse_map_fn: MapEnclosure, source: HSet, target: HSet,
                     grid: tuple[int, int] = (32, 2),
-                    max_grid: tuple[int, int] = (512, 16),
-                    workers: int = 1) -> CoverReport:
+                    max_grid: tuple[int, int] = (512, 16)) -> CoverReport:
     """Verify that ``source`` f-backcovers ``target``.
 
     Backcovering under ``f`` is covering under ``f^{-1}`` with the roles
@@ -551,7 +516,7 @@ def check_backcover(inverse_map_fn: MapEnclosure, source: HSet, target: HSet,
     enclosures in ``swap_uv(source)``-local coordinates.
     """
     return check_cover(
-        inverse_map_fn, swap_uv(target), swap_uv(source), grid, max_grid, workers
+        inverse_map_fn, swap_uv(target), swap_uv(source), grid, max_grid
     )
 
 

@@ -42,6 +42,7 @@ from .errors import (
     TangencyError,
 )
 from .intervals import IMatrix, Interval, IVector, gauss_solve, gauss_solve_mat
+from .intervals import _dn, _up
 
 __all__ = [
     "IntegratorConfig",
@@ -308,9 +309,8 @@ class LohnerFlow:
     @property
     def elapsed(self) -> Interval:
         """Tight interval for the exact elapsed time of committed steps."""
-        lo = math.nextafter(self.t + self._t_comp, -math.inf)
-        hi = math.nextafter(self.t + self._t_comp, math.inf)
-        return Interval(lo, hi)
+        t = self.t + self._t_comp
+        return Interval(_dn(t), _up(t))
 
     # -- stepping ---------------------------------------------------------
 

@@ -1,13 +1,17 @@
 """Outward-rounded interval arithmetic on IEEE-754 doubles.
 
-Rounding policy (uniform across the package, including the compiled
-integrator kernels): every elementary operation is evaluated in the default
-round-to-nearest mode and the result is then inflated outward by one
-``nextafter`` step per endpoint.  Because IEEE add/sub/mul/div/sqrt are
-correctly rounded, the computed value is within half an ulp of the exact
-one, so a single ulp step in each direction is a sound enclosure.  Additions
-and subtractions are sharpened with an exact residual (TwoSum): when the
-float result is exact no inflation is applied, which keeps small-integer
+Rounding policy, the one policy of the package: every elementary operation
+is evaluated once in round-to-nearest and each endpoint is then stepped
+outward by one ``nextafter``, unconditionally.  IEEE add/sub/mul/div/sqrt
+are correctly rounded, so that one step always encloses the exact result (a
+float test such as ``fl(r * r) <= a`` would itself round, so none is used).
+The scalar primitives ``_dn``, ``_up``, ``_iadd``, ``_isub``, ``_imul``,
+``_iscale``, ``_idiv``, ``_idivn`` and ``_isqrt_pos`` on ``(lo, hi)`` pairs
+are the only definition of the policy: the kernels of :mod:`pcr3bp.taylor`
+compile these same functions (each calls only :mod:`math`, so numba can),
+and :class:`Interval` mul, div, sqr and sqrt call them.  The one exception:
+:class:`Interval` add and sub are sharpened with an exact residual (TwoSum);
+when the float sum is exact no step is taken, which keeps small-integer
 arithmetic exact.
 
 Vectorized reductions (dots, matrix products) bound the accumulated
@@ -39,12 +43,82 @@ _INF = math.inf
 _U = 2.0 ** -53  # unit round-off for binary64
 
 
-def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+# -- scalar rounding primitives: (lo, hi) endpoint pairs in and out ------
 
 
-def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+def _dn(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _iadd(al, ah, bl, bh):
+    return math.nextafter(al + bl, -math.inf), math.nextafter(ah + bh, math.inf)
+
+
+def _isub(al, ah, bl, bh):
+    return math.nextafter(al - bh, -math.inf), math.nextafter(ah - bl, math.inf)
+
+
+def _imul(al, ah, bl, bh):
+    # the corner products, ordered pairwise by compare-and-swap, which is
+    # much cheaper than min()/max() in pure Python; a NaN corner (0 * inf)
+    # would slip past the comparisons, so it yields the whole line
+    p1 = al * bl
+    p2 = al * bh
+    p3 = ah * bl
+    p4 = ah * bh
+    if p1 != p1 or p2 != p2 or p3 != p3 or p4 != p4:
+        return -math.inf, math.inf
+    if p1 > p2:
+        p1, p2 = p2, p1
+    if p3 > p4:
+        p3, p4 = p4, p3
+    lo = p1 if p1 < p3 else p3
+    hi = p2 if p2 > p4 else p4
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _iscale(al, ah, c):
+    # multiply by an exact float scalar
+    p1 = al * c
+    p2 = ah * c
+    if p1 <= p2:
+        return math.nextafter(p1, -math.inf), math.nextafter(p2, math.inf)
+    return math.nextafter(p2, -math.inf), math.nextafter(p1, math.inf)
+
+
+def _idiv(al, ah, bl, bh):
+    # divide by an interval that excludes zero; corners as in _imul
+    q1 = al / bl
+    q2 = al / bh
+    q3 = ah / bl
+    q4 = ah / bh
+    if q1 != q1 or q2 != q2 or q3 != q3 or q4 != q4:
+        return -math.inf, math.inf
+    if q1 > q2:
+        q1, q2 = q2, q1
+    if q3 > q4:
+        q3, q4 = q4, q3
+    lo = q1 if q1 < q3 else q3
+    hi = q2 if q2 > q4 else q4
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _idivn(al, ah, n):
+    # divide by an exact positive float value
+    return math.nextafter(al / n, -math.inf), math.nextafter(ah / n, math.inf)
+
+
+def _isqrt_pos(al, ah):
+    # square root for 0 <= al <= ah; the lower end is clamped at 0
+    lo = math.nextafter(math.sqrt(al), -math.inf)
+    return max(lo, 0.0), math.nextafter(math.sqrt(ah), math.inf)
+
+
+# -- TwoSum-sharpened addition (Interval add/sub only) --------------------
 
 
 def _sum_residual(a: float, b: float, s: float) -> float:
@@ -56,8 +130,8 @@ def _sum_residual(a: float, b: float, s: float) -> float:
 def _add_down(a: float, b: float) -> float:
     s = a + b
     if not math.isfinite(s):
-        return _down(s) if s == _INF else s
-    return s if _sum_residual(a, b, s) >= 0.0 else _down(s)
+        return _dn(s) if s == _INF else s
+    return s if _sum_residual(a, b, s) >= 0.0 else _dn(s)
 
 
 def _add_up(a: float, b: float) -> float:
@@ -161,11 +235,7 @@ class Interval:
 
     def __mul__(self, other: "Interval | float") -> "Interval":
         o = _coerce(other)
-        p1 = self.lo * o.lo
-        p2 = self.lo * o.hi
-        p3 = self.hi * o.lo
-        p4 = self.hi * o.hi
-        return Interval(_down(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
+        return Interval(*_imul(self.lo, self.hi, o.lo, o.hi))
 
     __rmul__ = __mul__
 
@@ -173,41 +243,21 @@ class Interval:
         o = _coerce(other)
         if o.contains_zero():
             raise ZeroDivisionError(f"division by interval {o} containing zero")
-        q1 = self.lo / o.lo
-        q2 = self.lo / o.hi
-        q3 = self.hi / o.lo
-        q4 = self.hi / o.hi
-        return Interval(_down(min(q1, q2, q3, q4)), _up(max(q1, q2, q3, q4)))
+        return Interval(*_idiv(self.lo, self.hi, o.lo, o.hi))
 
     def __rtruediv__(self, other: float) -> "Interval":
         return _coerce(other) / self
 
     def sqr(self) -> "Interval":
         """Tight enclosure of x**2 (lower endpoint 0 when 0 is inside)."""
-        a = abs(self.lo)
-        b = abs(self.hi)
-        lo, hi = (min(a, b), max(a, b))
-        if self.contains_zero():
-            return Interval(0.0, _up(hi * hi))
-        return Interval(_down(lo * lo), _up(hi * hi))
+        lo, hi = _imul(self.lo, self.hi, self.lo, self.hi)
+        return Interval(max(lo, 0.0), hi)
 
-    def sqrt(self, clamp_negative: bool = False) -> "Interval":
-        """Enclosure of the square root.
-
-        A lower endpoint below zero raises unless ``clamp_negative`` is set,
-        in which case it is clamped to 0 (used for section-lift radicands
-        that graze zero).
-        """
-        lo = self.lo
-        if lo < 0.0:
-            if self.hi < 0.0 or not clamp_negative:
-                raise DomainError(f"sqrt of interval {self} below zero")
-            lo = 0.0
-        rlo = math.sqrt(lo)
-        rlo = rlo if rlo * rlo <= lo else _down(rlo)
-        rhi = math.sqrt(self.hi)
-        rhi = rhi if rhi * rhi >= self.hi else _up(rhi)
-        return Interval(max(rlo, 0.0), rhi)
+    def sqrt(self) -> "Interval":
+        """Enclosure of the square root; raises below zero."""
+        if self.lo < 0.0:
+            raise DomainError(f"sqrt of interval {self} below zero")
+        return Interval(*_isqrt_pos(self.lo, self.hi))
 
     def pow_int(self, n: int) -> "Interval":
         """Enclosure of x**n for a non-negative integer exponent."""

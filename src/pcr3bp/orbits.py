@@ -835,8 +835,7 @@ def rigorous_chain_verdict(params: Params, word: Sequence[str], *,
                            grid: tuple[int, int] = (32, 2),
                            max_grid: tuple[int, int] = (128, 8),
                            sets: Mapping[str, HSet] | None = None,
-                           cfg: IntegratorConfig | None = None,
-                           workers: int = 1) -> ChainVerdict:
+                           cfg: IntegratorConfig | None = None) -> ChainVerdict:
     """Run the interval covering checks behind a word's symbolic chain.
 
     Consecutive stages accumulate until a registered target set, giving
@@ -860,7 +859,7 @@ def rigorous_chain_verdict(params: Params, word: Sequence[str], *,
         target = resolve_stage_set(stage, sets)
         map_fn = section_map(params, pending, source, target, cfg=cfg)
         report = check_cover(map_fn, source, target,
-                             grid=grid, max_grid=max_grid, workers=workers)
+                             grid=grid, max_grid=max_grid)
         relations.append(RelationVerdict(
             source=source_name, target=target.name,
             tags=tuple(str(t) for t in pending), report=report,

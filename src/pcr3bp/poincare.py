@@ -181,30 +181,14 @@ def lift_tangent(params: Params, state: np.ndarray) -> np.ndarray:
 
 def lift_tangent_iv(params: Params, x: Interval, vx: Interval, vy: Interval) -> IMatrix:
     """Interval version of :func:`lift_tangent` over a section box."""
-    ox = _potential_gradient_x_iv(params, x)
-    zero = Interval.point(0.0)
-    one = Interval.point(1.0)
-    rows = [
-        [one, zero],
-        [zero, zero],
-        [zero, one],
-        [ox / vy, -vx / vy],
-    ]
-    lo = np.array([[iv.lo for iv in row] for row in rows])
-    hi = np.array([[iv.hi for iv in row] for row in rows])
-    return IMatrix(lo, hi)
-
-
-def _potential_gradient_x_iv(params: Params, x: Interval) -> Interval:
-    """Enclosure of ``Omega_x(x, 0)`` over an x-interval on the section."""
-    mu = params.mu
-    d1 = x + mu
-    d2 = x - (1.0 - mu)
-    r1sq = d1.sqr()
-    r2sq = d2.sqr()
-    r1 = r1sq.sqrt()
-    r2 = r2sq.sqrt()
-    return x - d1 * (1.0 - mu) / (r1sq * r1) - d2 * mu / (r2sq * r2)
+    # at rest on the section the field's vx' component is Omega_x(x, 0)
+    rest = IVector([x.lo, 0.0, 0.0, 0.0], [x.hi, 0.0, 0.0, 0.0])
+    gx = dynamics.vector_field_iv(params, rest)[2] / vy
+    gv = -vx / vy
+    return IMatrix(
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [gx.lo, gv.lo]],
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [gx.hi, gv.hi]],
+    )
 
 
 def project(state: np.ndarray, tol: float = 1e-9) -> SectionPoint:
@@ -420,26 +404,21 @@ class RigorousImage:
     dp: IMatrix | None
 
 
-def _cell_bounds(origin: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-                 a: Interval, b: Interval) -> tuple[Interval, Interval]:
-    """Axis-aligned (x, vx) bounds of ``{origin + alpha d1 + beta d2}``."""
-    x = origin[0] + a * float(d1[0]) + b * float(d2[0])
-    vx = origin[1] + a * float(d1[1]) + b * float(d2[1])
-    return x, vx
-
-
 def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
                  d2: np.ndarray, a: Interval, b: Interval, sign: int,
-                 track_jacobian: bool) -> LohnerSet:
+                 track_jacobian: bool) -> tuple[LohnerSet, IMatrix]:
     """Lohner set enclosing the energy lift of a section parallelogram.
 
     The support ``{origin + alpha d1 + beta d2 : alpha in a, beta in b}`` is
     lifted as a graph ``c + da T1 + db T2 + res e_vy`` over the lift tangent
     directions at the cell center, where ``res`` bounds the curvature of vy
     by a mean-value form.  This keeps both the parallelogram geometry and
-    the (x, vx) <-> vy correlation; nothing is boxed away.
+    the (x, vx) <-> vy correlation; nothing is boxed away.  Returns the set
+    and the interval lift tangent over the cell's (x, vx) bounds.
     """
-    x_iv, vx_iv = _cell_bounds(origin, d1, d2, a, b)
+    # axis-aligned (x, vx) bounds of the support
+    x_iv = origin[0] + a * float(d1[0]) + b * float(d2[0])
+    vx_iv = origin[1] + a * float(d1[1]) + b * float(d2[1])
     box4 = lift_iv(params, x_iv, vx_iv, sign)
     am, bm = a.mid, b.mid
     center2 = origin + am * d1 + bm * d2
@@ -462,7 +441,7 @@ def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
     direct = box4[3] - (Interval.point(center[3]) + lin)
     res = res.intersection(direct)
     r = IVector.from_intervals([da, db, Interval.point(0.0), res])
-    return LohnerSet.from_frame(center, frame, r, track_jacobian)
+    return LohnerSet.from_frame(center, frame, r, track_jacobian), grad
 
 
 def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
@@ -490,7 +469,8 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
             f"cell on section side {sign} is not in the domain "
             f"(sign {dom}) of the composite"
         )
-    lset = _lifted_cell(params, origin, d1, d2, a, b, dom, want_derivative)
+    lset, dt_cols = _lifted_cell(params, origin, d1, d2, a, b, dom,
+                                 want_derivative)
     crossings, jac = lohner_section_crossings(
         params, lset, signs, direction, cfg, want_jacobian=want_derivative
     )
@@ -499,19 +479,11 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
     if want_derivative:
         st = final.state
         f_q = dynamics.vector_field_iv(params, st)
-        vy = st[3]
         # rows (x, vx) of (I - f e_y^T / vy) in one go
-        row_x = [Interval.point(1.0), -f_q[0] / vy,
-                 Interval.point(0.0), Interval.point(0.0)]
-        row_vx = [Interval.point(0.0), -f_q[2] / vy,
-                  Interval.point(1.0), Interval.point(0.0)]
-        proj = IMatrix(
-            np.array([[iv.lo for iv in row_x], [iv.lo for iv in row_vx]]),
-            np.array([[iv.hi for iv in row_x], [iv.hi for iv in row_vx]]),
-        )
-        x_iv, vx_iv = _cell_bounds(origin, d1, d2, a, b)
-        vy0 = lift_iv(params, x_iv, vx_iv, dom)[3]
-        dt_cols = lift_tangent_iv(params, x_iv, vx_iv, vy0)
+        fx = -f_q[0] / st[3]
+        fv = -f_q[2] / st[3]
+        proj = IMatrix([[1.0, fx.lo, 0.0, 0.0], [0.0, fv.lo, 1.0, 0.0]],
+                       [[1.0, fx.hi, 0.0, 0.0], [0.0, fv.hi, 1.0, 0.0]])
         dp = (proj @ jac) @ dt_cols
     return RigorousImage(
         x=final.state[0], vx=final.state[2], state=final.state,

@@ -9,9 +9,15 @@ distances are series products, and the inverse-cube / inverse-fifth powers
 
 Each kernel exists in a float flavor (point integration) and an interval
 flavor (rigorous enclosures).  Interval flavors operate on (lo, hi) endpoint
-arrays with the same outward ``nextafter`` rounding policy as
-:mod:`pcr3bp.intervals`; sums are accumulated interval-by-interval so every
+arrays through the scalar rounding primitives of :mod:`pcr3bp.intervals`,
+which state the package's one rounding policy; this module defines no
+arithmetic of its own.  Sums are accumulated interval-by-interval so every
 elementary operation is individually rounded outward.
+
+The interval series' low-order terms (:func:`iv_field`) are the package's
+one interval source for the field and the potential Hessian.  Both kernels
+raise :class:`~pcr3bp.errors.SingularityError` within :data:`GUARD_RADIUS`
+of a primary.
 
 Kernels are numba-compiled when numba is importable (cached to disk), with a
 pure-Python fallback that is functionally identical but slow.
@@ -23,6 +29,9 @@ import math
 
 import numpy as np
 
+from . import intervals
+from .errors import SingularityError
+
 __all__ = [
     "point_coeffs",
     "point_var_coeffs",
@@ -32,6 +41,8 @@ __all__ = [
     "horner_var_point",
     "horner_iv",
     "horner_var_iv",
+    "iv_field",
+    "GUARD_RADIUS",
     "NUMBA_ENABLED",
 ]
 
@@ -48,79 +59,17 @@ except ImportError:  # pragma: no cover
 
     NUMBA_ENABLED = False
 
-_INF = math.inf
+#: Distances to a primary below this raise :class:`SingularityError`.
+GUARD_RADIUS = 1e-12
+_GUARD_SQ = GUARD_RADIUS * GUARD_RADIUS
 
-
-@_jit
-def _dn(x):
-    return math.nextafter(x, -_INF)
-
-
-@_jit
-def _up(x):
-    return math.nextafter(x, _INF)
-
-
-@_jit
-def _iadd(al, ah, bl, bh):
-    return _dn(al + bl), _up(ah + bh)
-
-
-@_jit
-def _isub(al, ah, bl, bh):
-    return _dn(al - bh), _up(ah - bl)
-
-
-@_jit
-def _imul(al, ah, bl, bh):
-    p1 = al * bl
-    p2 = al * bh
-    p3 = ah * bl
-    p4 = ah * bh
-    lo = min(min(p1, p2), min(p3, p4))
-    hi = max(max(p1, p2), max(p3, p4))
-    return _dn(lo), _up(hi)
-
-
-@_jit
-def _iscale(al, ah, c):
-    # multiply by an exact float scalar
-    p1 = al * c
-    p2 = ah * c
-    if p1 <= p2:
-        return _dn(p1), _up(p2)
-    return _dn(p2), _up(p1)
-
-
-@_jit
-def _idiv_pos(al, ah, bl, bh):
-    # divide by an interval with bl > 0
-    q1 = al / bl
-    q2 = al / bh
-    q3 = ah / bl
-    q4 = ah / bh
-    lo = min(min(q1, q2), min(q3, q4))
-    hi = max(max(q1, q2), max(q3, q4))
-    return _dn(lo), _up(hi)
-
-
-@_jit
-def _idivn(al, ah, n):
-    # divide by an exact positive integer value
-    return _dn(al / n), _up(ah / n)
-
-
-@_jit
-def _isqrt_pos(al, ah):
-    lo = math.sqrt(al)
-    if lo * lo > al:
-        lo = _dn(lo)
-    hi = math.sqrt(ah)
-    if hi * hi < ah:
-        hi = _up(hi)
-    if lo < 0.0:
-        lo = 0.0
-    return lo, hi
+_iadd = _jit(intervals._iadd)
+_isub = _jit(intervals._isub)
+_imul = _jit(intervals._imul)
+_iscale = _jit(intervals._iscale)
+_idiv = _jit(intervals._idiv)
+_idivn = _jit(intervals._idivn)
+_isqrt_pos = _jit(intervals._isqrt_pos)
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +81,9 @@ def _isqrt_pos(al, ah):
 def _pt_series(state, mu, n, want_hessian):
     """Taylor coefficients 0..n of the solution through ``state``.
 
-    Returns (c, oxx, oxy, oyy) where c has shape (n+1, 4); the potential
-    second-derivative series are filled only when ``want_hessian``.
+    Needs ``n >= 1``.  Returns (c, oxx, oxy, oyy) where c has shape
+    (n+1, 4); the potential second-derivative series are filled at orders
+    0..n-1 (all the variational recurrence reads) only when ``want_hessian``.
     """
     c = np.zeros((n + 1, 4))
     p1 = np.zeros(n + 1)
@@ -158,7 +108,7 @@ def _pt_series(state, mu, n, want_hessian):
     p1[0] = state[0] + mu
     p2[0] = state[0] - (1.0 - mu)
 
-    for k in range(n + 1):
+    for k in range(n):
         # squared-distance series coefficients at order k
         a1 = 0.0
         a2 = 0.0
@@ -174,8 +124,8 @@ def _pt_series(state, mu, n, want_hessian):
         q2[k] = a2 + ay
 
         if k == 0:
-            if q1[0] <= 1e-24 or q2[0] <= 1e-24:
-                raise ValueError("taylor kernel: state inside primary guard radius")
+            if q1[0] <= _GUARD_SQ or q2[0] <= _GUARD_SQ:
+                raise SingularityError("taylor kernel: state inside primary guard radius")
             r1 = math.sqrt(q1[0])
             r2 = math.sqrt(q2[0])
             s1[0] = 1.0 / (q1[0] * r1)
@@ -225,9 +175,6 @@ def _pt_series(state, mu, n, want_hessian):
             oxx[k] = unit - (1.0 - mu) * (s1[k] - 3.0 * g11) - mu * (s2[k] - 3.0 * g22)
             oxy[k] = 3.0 * (1.0 - mu) * gxy1 + 3.0 * mu * gxy2
             oyy[k] = unit - (1.0 - mu) * (s1[k] - 3.0 * gy1) - mu * (s2[k] - 3.0 * gy2)
-
-        if k == n:
-            break
 
         # accelerations at order k and the next state coefficients
         g1 = 0.0
@@ -322,7 +269,8 @@ def horner_var_point(vc, t):
 def _iv_series(xlo, xhi, mu, n, want_hessian):
     """Interval Taylor coefficients 0..n of solutions through the box.
 
-    Returns (clo, chi, oxxlo, oxxhi, oxylo, oxyhi, oyylo, oyyhi).
+    Needs ``n >= 1``.  Returns (clo, chi, oxxlo, oxxhi, oxylo, oxyhi, oyylo,
+    oyyhi); as in :func:`_pt_series` the Hessian series stop at order n-1.
     """
     clo = np.zeros((n + 1, 4))
     chi = np.zeros((n + 1, 4))
@@ -361,7 +309,7 @@ def _iv_series(xlo, xhi, mu, n, want_hessian):
     p1lo[0], p1hi[0] = _iadd(xlo[0], xhi[0], mu, mu)
     p2lo[0], p2hi[0] = _isub(xlo[0], xhi[0], 1.0 - mu, 1.0 - mu)
 
-    for k in range(n + 1):
+    for k in range(n):
         a1lo, a1hi = 0.0, 0.0
         a2lo, a2hi = 0.0, 0.0
         aylo, ayhi = 0.0, 0.0
@@ -372,14 +320,8 @@ def _iv_series(xlo, xhi, mu, n, want_hessian):
             a2lo, a2hi = _iadd(a2lo, a2hi, tl, th)
             tl, th = _imul(clo[i, 1], chi[i, 1], clo[k - i, 1], chi[k - i, 1])
             aylo, ayhi = _iadd(aylo, ayhi, tl, th)
-        # tighten the order-0 squares: they are true squares, never negative
-        if k == 0:
-            if a1lo < 0.0:
-                a1lo = 0.0
-            if a2lo < 0.0:
-                a2lo = 0.0
-            if aylo < 0.0:
-                aylo = 0.0
+        if k == 0:  # true squares, never negative
+            a1lo, a2lo, aylo = max(a1lo, 0.0), max(a2lo, 0.0), max(aylo, 0.0)
         p1sqlo[k], p1sqhi[k] = a1lo, a1hi
         p2sqlo[k], p2sqhi[k] = a2lo, a2hi
         ysqlo[k], ysqhi[k] = aylo, ayhi
@@ -387,16 +329,16 @@ def _iv_series(xlo, xhi, mu, n, want_hessian):
         q2lo[k], q2hi[k] = _iadd(a2lo, a2hi, aylo, ayhi)
 
         if k == 0:
-            if q1lo[0] <= 1e-24 or q2lo[0] <= 1e-24:
-                raise ValueError("taylor kernel: box reaches primary guard radius")
+            if q1lo[0] <= _GUARD_SQ or q2lo[0] <= _GUARD_SQ:
+                raise SingularityError("taylor kernel: box reaches primary guard radius")
             r1lo, r1hi = _isqrt_pos(q1lo[0], q1hi[0])
             r2lo, r2hi = _isqrt_pos(q2lo[0], q2hi[0])
             tl, th = _imul(q1lo[0], q1hi[0], r1lo, r1hi)
-            s1lo[0], s1hi[0] = _idiv_pos(1.0, 1.0, tl, th)
+            s1lo[0], s1hi[0] = _idiv(1.0, 1.0, tl, th)
             tl, th = _imul(q2lo[0], q2hi[0], r2lo, r2hi)
-            s2lo[0], s2hi[0] = _idiv_pos(1.0, 1.0, tl, th)
-            w1lo[0], w1hi[0] = _idiv_pos(s1lo[0], s1hi[0], q1lo[0], q1hi[0])
-            w2lo[0], w2hi[0] = _idiv_pos(s2lo[0], s2hi[0], q2lo[0], q2hi[0])
+            s2lo[0], s2hi[0] = _idiv(1.0, 1.0, tl, th)
+            w1lo[0], w1hi[0] = _idiv(s1lo[0], s1hi[0], q1lo[0], q1hi[0])
+            w2lo[0], w2hi[0] = _idiv(s2lo[0], s2hi[0], q2lo[0], q2hi[0])
         else:
             acc1lo, acc1hi = 0.0, 0.0
             acc2lo, acc2hi = 0.0, 0.0
@@ -418,11 +360,11 @@ def _iv_series(xlo, xhi, mu, n, want_hessian):
                 tl, th = _iscale(tl, th, cw)
                 accw2lo, accw2hi = _iadd(accw2lo, accw2hi, tl, th)
             dlo, dhi = _iscale(q1lo[0], q1hi[0], float(k))
-            s1lo[k], s1hi[k] = _idiv_pos(acc1lo, acc1hi, dlo, dhi)
-            w1lo[k], w1hi[k] = _idiv_pos(accw1lo, accw1hi, dlo, dhi)
+            s1lo[k], s1hi[k] = _idiv(acc1lo, acc1hi, dlo, dhi)
+            w1lo[k], w1hi[k] = _idiv(accw1lo, accw1hi, dlo, dhi)
             dlo, dhi = _iscale(q2lo[0], q2hi[0], float(k))
-            s2lo[k], s2hi[k] = _idiv_pos(acc2lo, acc2hi, dlo, dhi)
-            w2lo[k], w2hi[k] = _idiv_pos(accw2lo, accw2hi, dlo, dhi)
+            s2lo[k], s2hi[k] = _idiv(acc2lo, acc2hi, dlo, dhi)
+            w2lo[k], w2hi[k] = _idiv(accw2lo, accw2hi, dlo, dhi)
 
         if want_hessian:
             g11lo, g11hi = 0.0, 0.0
@@ -474,9 +416,6 @@ def _iv_series(xlo, xhi, mu, n, want_hessian):
             tl, th = _iscale(tl, th, mu)
             oyylo[k], oyyhi[k] = _isub(ulo, uhi, tl, th)
 
-        if k == n:
-            break
-
         g1lo, g1hi = 0.0, 0.0
         g2lo, g2hi = 0.0, 0.0
         h1lo, h1hi = 0.0, 0.0
@@ -518,6 +457,22 @@ def iv_coeffs(xlo, xhi, mu, n):
     """Interval Taylor coefficients (n+1, 4) over a state box."""
     clo, chi, _, _, _, _, _, _ = _iv_series(xlo, xhi, mu, n, False)
     return clo, chi
+
+
+@_jit
+def iv_field(xlo, xhi, mu, want_hessian):
+    """Enclosure of the field and the potential Hessian over a state box.
+
+    Reads the order-1 state terms and the order-0 Hessian terms of the
+    interval series.  Returns (flo, fhi, hlo, hhi); hlo/hhi hold
+    (Omega_xx, Omega_xy, Omega_yy) when ``want_hessian`` and zeros otherwise.
+    """
+    clo, chi, oxxlo, oxxhi, oxylo, oxyhi, oyylo, oyyhi = _iv_series(
+        xlo, xhi, mu, 1, want_hessian
+    )
+    hlo = np.array([oxxlo[0], oxylo[0], oyylo[0]])
+    hhi = np.array([oxxhi[0], oxyhi[0], oyyhi[0]])
+    return clo[1], chi[1], hlo, hhi
 
 
 @_jit

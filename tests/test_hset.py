@@ -11,6 +11,8 @@ import os
 import numpy as np
 import pytest
 
+from pcr3bp import taylor
+from pcr3bp.dynamics import MU_SUN_JUPITER
 from pcr3bp.errors import StructureError
 from pcr3bp.hset import (
     HSet,
@@ -285,16 +287,21 @@ def test_margin_positive_iff_verified():
         assert (rep.margin > 0.0) == rep.verified
 
 
-def test_cover_workers_agree_with_serial():
+def test_cover_leaves_kernel_singularity_undecided():
+    # the map runs the interval kernel on a box around the light primary
+    # for cells right of a = 1/2; the kernel's typed guard must turn
+    # those cells undecided instead of aborting the check
+    at_primary = np.array([1.0 - MU_SUN_JUPITER, 0.0, 0.1, 0.1])
+
     def f(a, b):
+        if a.hi > 0.5:
+            taylor.iv_coeffs(at_primary - 1e-3, at_primary + 1e-3,
+                             MU_SUN_JUPITER, 4)
         return a * 3.0, b * (1.0 / 3.0)
 
-    rep1 = check_cover(f, UNIT_N, UNIT_M, grid=(8, 4))
-    rep2 = check_cover(f, UNIT_N, UNIT_M, grid=(8, 4), workers=4)
-    assert rep1.outcome == rep2.outcome == "verified"
-    assert rep1.margin == rep2.margin
-    assert rep1.stable_clearance == rep2.stable_clearance
-    assert rep1.cells == rep2.cells
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(4, 1), max_grid=(4, 1))
+    assert rep.outcome == "inconclusive"
+    assert "undecided" in rep.message
 
 
 def test_adaptive_refinement_rescues_coarse_grid():

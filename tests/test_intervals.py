@@ -1,6 +1,7 @@
 """Interval arithmetic: exactness, containment, and linear algebra."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcr3bp import intervals
+from pcr3bp.errors import DomainError
 from pcr3bp.intervals import (
     IMatrix,
     Interval,
@@ -85,11 +88,9 @@ def test_sqrt_two_tight():
     assert ulps(r) <= 2.0
 
 
-def test_sqrt_negative_raises_and_clamps():
-    with pytest.raises(ValueError):
+def test_sqrt_negative_raises():
+    with pytest.raises(DomainError):
         Interval(-1.0, 4.0).sqrt()
-    r = Interval(-1.0, 4.0).sqrt(clamp_negative=True)
-    assert r.lo == 0.0 and r.hi >= 2.0
 
 
 def test_sqr_through_zero():
@@ -191,6 +192,122 @@ def test_inclusion_monotone(a, b, c, d):
     y = _make(c, d)
     assert (inner * y).is_subset(outer * y)
     assert (inner + y).is_subset(outer + y)
+
+
+# ----------------------------------------------------------------------
+# exact oracles: every result must contain the exact real result
+# ----------------------------------------------------------------------
+
+wide = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+nonneg = st.floats(min_value=0.0, max_value=1e100)
+away = st.floats(min_value=1e-100, max_value=1e100)
+sign = st.sampled_from([-1.0, 1.0])
+PINNED_SQRT = 1.4757107596075603e-06  # a float-checked sqrt missed its root
+
+
+def _pair(a: float, b: float) -> tuple[float, float]:
+    return min(a, b), max(a, b)
+
+
+def _encloses(lo: float, hi: float, values) -> bool:
+    return all(Fraction(lo) <= v <= Fraction(hi) for v in values)
+
+
+def _corners(op, xl, xh, yl, yh):
+    return [op(Fraction(u), Fraction(v)) for u in (xl, xh) for v in (yl, yh)]
+
+
+def _sqrt_encloses(lo: float, hi: float, al: float, ah: float) -> bool:
+    # lo <= sqrt(al) and sqrt(ah) <= hi, decided on exact squares
+    return 0.0 <= lo and Fraction(lo) ** 2 <= Fraction(al) \
+        and Fraction(ah) <= Fraction(hi) ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide)
+def test_outward_steps_exact(x):
+    assert Fraction(intervals._dn(x)) < Fraction(x) < Fraction(intervals._up(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide, wide, wide, wide)
+def test_add_sub_mul_primitives_exact(a, b, c, d):
+    xl, xh = _pair(a, b)
+    yl, yh = _pair(c, d)
+    add = _corners(lambda u, v: u + v, xl, xh, yl, yh)
+    sub = _corners(lambda u, v: u - v, xl, xh, yl, yh)
+    mul = _corners(lambda u, v: u * v, xl, xh, yl, yh)
+    assert _encloses(*intervals._iadd(xl, xh, yl, yh), add)
+    assert _encloses(*intervals._isub(xl, xh, yl, yh), sub)
+    assert _encloses(*intervals._imul(xl, xh, yl, yh), mul)
+    x, y = Interval(xl, xh), Interval(yl, yh)
+    assert _encloses((x + y).lo, (x + y).hi, add)
+    assert _encloses((x - y).lo, (x - y).hi, sub)
+    assert _encloses((x * y).lo, (x * y).hi, mul)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide, wide, away, away, sign)
+def test_div_primitive_exact(a, b, c, d, s):
+    xl, xh = _pair(a, b)
+    yl, yh = _pair(s * c, s * d)
+    quo = _corners(lambda u, v: u / v, xl, xh, yl, yh)
+    assert _encloses(*intervals._idiv(xl, xh, yl, yh), quo)
+    q = Interval(xl, xh) / Interval(yl, yh)
+    assert _encloses(q.lo, q.hi, quo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide, wide, wide, st.integers(min_value=1, max_value=10**6))
+def test_scale_and_divn_primitives_exact(a, b, c, n):
+    xl, xh = _pair(a, b)
+    ends = [Fraction(xl), Fraction(xh)]
+    assert _encloses(*intervals._iscale(xl, xh, c), [e * Fraction(c) for e in ends])
+    assert _encloses(*intervals._idivn(xl, xh, float(n)), [e / n for e in ends])
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide, wide)
+def test_sqr_exact(a, b):
+    x = Interval(*_pair(a, b))
+    sq = [Fraction(x.lo) ** 2, Fraction(x.hi) ** 2]
+    if x.contains_zero():
+        sq.append(Fraction(0))
+    r = x.sqr()
+    assert _encloses(r.lo, r.hi, sq)
+    assert r.lo >= 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonneg, nonneg)
+def test_sqrt_exact(a, b):
+    al, ah = _pair(a, b)
+    for lo, hi in ((al, ah), (al, al)):
+        assert _sqrt_encloses(*intervals._isqrt_pos(lo, hi), lo, hi)
+        r = Interval(lo, hi).sqrt()
+        assert _sqrt_encloses(r.lo, r.hi, lo, hi)
+
+
+def test_sqrt_pinned_point_encloses_root():
+    r = Interval.point(PINNED_SQRT).sqrt()
+    assert r.lo < r.hi
+    assert _sqrt_encloses(r.lo, r.hi, PINNED_SQRT, PINNED_SQRT)
+    assert _sqrt_encloses(*intervals._isqrt_pos(PINNED_SQRT, PINNED_SQRT),
+                          PINNED_SQRT, PINNED_SQRT)
+
+
+def test_undefined_corner_gives_whole_line():
+    # 0 * inf and inf / inf corners have no float value; the result must
+    # still enclose every real product / quotient of the operands
+    r = Interval(-math.inf, 1.0) * Interval(0.0, 1.0)
+    assert r.lo <= -2.5 and 0.5 <= r.hi
+    r = Interval(1.0, math.inf) / Interval(1.0, math.inf)
+    assert r.lo <= 1e-300 and 1e300 <= r.hi
+
+
+def test_sqrt_of_zero_clamps_at_zero():
+    assert intervals._isqrt_pos(0.0, 0.0)[0] == 0.0
+    assert Interval(0.0, 4.0).sqrt().lo == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from pcr3bp import dynamics, taylor
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
+from pcr3bp.errors import SingularityError
 
 P = Params(MU_SUN_JUPITER, JACOBI_OTERMA)
 RNG = np.random.default_rng(1123)
@@ -148,5 +149,7 @@ def test_interval_variational_contains_point_variational():
 
 def test_close_encounter_guard():
     at_primary = np.array([1.0 - P.mu, 0.0, 0.1, 0.1])
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularityError):
         taylor.point_coeffs(at_primary, P.mu, 8)
+    with pytest.raises(SingularityError):
+        taylor.iv_coeffs(at_primary - 1e-3, at_primary + 1e-3, P.mu, 8)
