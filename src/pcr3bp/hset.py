@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Callable, Iterable
 
@@ -222,6 +223,8 @@ class CoverReport:
     grid: tuple[int, int]
     cells: int
     message: str
+    #: exceptions the map raised, counted by type name
+    errors: dict[str, int] = field(default_factory=dict)
 
     @property
     def verified(self) -> bool:
@@ -255,6 +258,7 @@ class _Tally:
     all_outside: bool = True
     hull_ok: bool = True
     edge_mixed: bool = False
+    errors: Counter = field(default_factory=Counter)
 
     def note_stable(self, clearance: float) -> None:
         self.stable = min(self.stable, clearance)
@@ -281,18 +285,20 @@ def _split_interval(iv: Interval, allow: bool) -> list[Interval]:
     return iv.split(2) if allow and iv.width > 0.0 else [iv]
 
 
-def _eval_cell(map_fn: MapEnclosure, a: Interval, b: Interval):
+def _eval_cell(map_fn: MapEnclosure, a: Interval, b: Interval, tally: _Tally):
     """Classify one cell against the bar-avoidance condition.
 
     A cell is certified when its image avoids the closed bars
     ``{|a'| <= 1, |b'| >= 1}``: either ``b'`` lies strictly inside
     ``(-1, 1)`` or ``a'`` lies strictly beyond one unstable edge.
     Returns ``(verdict, a_img, b_img)`` with verdict ``ok`` or
-    ``undecided``; the images are None when the map evaluation failed.
+    ``undecided``; the images are None when the map evaluation failed,
+    and the failure is counted in ``tally.errors``.
     """
     try:
         a_img, b_img = map_fn(a, b)
-    except PCR3BPError:
+    except PCR3BPError as exc:
+        tally.errors[type(exc).__name__] += 1
         return "undecided", None, None
     strip = min(1.0 - b_img.hi, b_img.lo + 1.0)
     side = max(a_img.lo - 1.0, -1.0 - a_img.hi)
@@ -301,16 +307,19 @@ def _eval_cell(map_fn: MapEnclosure, a: Interval, b: Interval):
     return "undecided", a_img, b_img
 
 
-def _eval_edge_piece(map_fn: MapEnclosure, a_edge: float, b: Interval):
+def _eval_edge_piece(map_fn: MapEnclosure, a_edge: float, b: Interval,
+                     tally: _Tally):
     """Classify one exit-edge piece against the unstable edges.
 
     Returns ``(side, clearance, a_img, b_img)`` with side ``minus``
     (strictly beyond a' = -1), ``plus`` (strictly beyond a' = +1) or
     ``undecided``; the stable coordinate is unconstrained on exit edges.
+    A failed map evaluation is counted in ``tally.errors``.
     """
     try:
         a_img, b_img = map_fn(Interval.point(a_edge), b)
-    except PCR3BPError:
+    except PCR3BPError as exc:
+        tally.errors[type(exc).__name__] += 1
         return "undecided", -math.inf, None, None
     if a_img.hi < -1.0:
         return "minus", -1.0 - a_img.hi, a_img, b_img
@@ -327,7 +336,7 @@ def _refine_cell(map_fn, a, b, tally, sa, sb):
     Returns True (certified) or None (undecided); every leaf enclosure
     feeds the falsification certificates either way.
     """
-    verdict, a_img, b_img = _eval_cell(map_fn, a, b)
+    verdict, a_img, b_img = _eval_cell(map_fn, a, b, tally)
     tally.cells += 1
     if verdict == "ok":
         tally.note_leaf(a_img, b_img)
@@ -359,7 +368,7 @@ def _refine_edge(map_fn, a_edge, b, tally, sb):
     connecting image may legally pass around the target through
     ``|b'| > 1``).
     """
-    side, clearance, a_img, b_img = _eval_edge_piece(map_fn, a_edge, b)
+    side, clearance, a_img, b_img = _eval_edge_piece(map_fn, a_edge, b, tally)
     tally.cells += 1
     if side in ("minus", "plus"):
         tally.note_margin(clearance)
@@ -490,10 +499,20 @@ def _log2_steps(start: int, stop: int) -> int:
     return steps
 
 
+def _errors_note(errors: Counter) -> str:
+    """Message suffix naming the map's exceptions, by type and count."""
+    if not errors:
+        return ""
+    counts = ", ".join(f"{name}: {n}" for name, n in sorted(errors.items()))
+    return f" (the map raised {counts})"
+
+
 def _report(tally: _Tally, grid, outcome, margin, message) -> CoverReport:
     if not math.isfinite(margin):
         margin = 0.0
     stable = tally.stable if tally.stable != math.inf else 0.0
+    if outcome == "inconclusive":
+        message += _errors_note(tally.errors)
     return CoverReport(
         outcome=outcome,
         margin=margin,
@@ -501,6 +520,7 @@ def _report(tally: _Tally, grid, outcome, margin, message) -> CoverReport:
         grid=grid,
         cells=tally.cells,
         message=message,
+        errors=dict(tally.errors),
     )
 
 
@@ -541,11 +561,13 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
     stable = math.inf
     sides = {-1.0: set(), 1.0: set()}
     count = 0
+    errors: Counter = Counter()
     for _ in range(n_inner):
         a, b = rng.uniform(-1.0, 1.0, size=2)
         try:
             a_img, b_img = point_map(float(a), float(b))
-        except PCR3BPError:
+        except PCR3BPError as exc:
+            errors[type(exc).__name__] += 1
             continue
         count += 1
         if abs(a_img) <= 1.0:
@@ -556,13 +578,14 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
                 "falsified", clearance,
                 stable if stable != math.inf else 0.0, (0, 0), count,
                 f"sampled point a={a:.3f} b={b:.3f} maps into a bar beside "
-                f"{target.name} (|a'| <= 1 with |b'| >= 1)",
+                f"{target.name} (|a'| <= 1 with |b'| >= 1)", dict(errors),
             )
     for a_edge in (-1.0, 1.0):
         for b in np.linspace(-1.0, 1.0, n_edge):
             try:
                 a_img, _ = point_map(a_edge, float(b))
-            except PCR3BPError:
+            except PCR3BPError as exc:
+                errors[type(exc).__name__] += 1
                 continue
             count += 1
             clearance = abs(a_img) - 1.0
@@ -572,7 +595,7 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
                     "falsified", clearance,
                     stable if stable != math.inf else 0.0, (0, 0), count,
                     "sampled exit-edge point falls short of the unstable "
-                    "edges",
+                    "edges", dict(errors),
                 )
             sides[a_edge].add(1.0 if a_img > 0 else -1.0)
     if any(len(v) > 1 for v in sides.values()) or (
@@ -580,13 +603,15 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
     ):
         return CoverReport(
             "falsified", -0.0, stable, (0, 0), count,
-            "sampled exit edges do not separate consistently",
+            "sampled exit edges do not separate consistently", dict(errors),
         )
     return CoverReport(
         "inconclusive", 0.0, stable if stable != math.inf else 0.0, (0, 0),
         count,
         f"{source.name} covering {target.name}: all {count} samples satisfy "
-        f"the covering inequalities (pointwise screen certifies nothing)",
+        f"the covering inequalities (pointwise screen certifies nothing)"
+        + _errors_note(errors),
+        dict(errors),
     )
 
 

@@ -5,19 +5,26 @@ is evaluated once in round-to-nearest and each endpoint is then stepped
 outward by one ``nextafter``, unconditionally.  IEEE add/sub/mul/div/sqrt
 are correctly rounded, so that one step always encloses the exact result (a
 float test such as ``fl(r * r) <= a`` would itself round, so none is used).
-The scalar primitives ``_dn``, ``_up``, ``_iadd``, ``_isub``, ``_imul``,
-``_iscale``, ``_idiv``, ``_idivn`` and ``_isqrt_pos`` on ``(lo, hi)`` pairs
-are the only definition of the policy: the kernels of :mod:`pcr3bp.taylor`
-compile these same functions (each calls only :mod:`math`, so numba can),
-and :class:`Interval` mul, div, sqr and sqrt call them.  The one exception:
-:class:`Interval` add and sub are sharpened with an exact residual (TwoSum);
-when the float sum is exact no step is taken, which keeps small-integer
-arithmetic exact.
+An undefined corner (0 * inf, inf / inf) gives the whole line, and an
+overflowed end is the infinity it rounds to.  The scalar primitives
+``_dn``, ``_up``, ``_iadd``, ``_isub``, ``_imul``, ``_iscale``, ``_idiv``,
+``_idivn`` and ``_isqrt_pos`` on ``(lo, hi)`` pairs define the policy: the
+order-0 terms and per-order combinations of the :mod:`pcr3bp.taylor`
+interval kernels call them (its Horner kernels compile them; each calls
+only :mod:`math`, so numba can), and :class:`Interval` mul, div, sqr and
+sqrt call them.  The one exception: :class:`Interval` add and sub are
+sharpened with an exact residual (TwoSum); when the float sum is exact no
+step is taken, which keeps small-integer arithmetic exact.
 
-Vectorized reductions (dots, matrix products) bound the accumulated
-round-off of a length-``n`` sum by ``n * u * sum|terms|`` plus one ulp,
-which dominates the classical ``(n-1)u/(1-(n-1)u)`` bound for the sizes
-used here.
+The array layer applies the same policy to (lo, hi) float64 array pairs,
+and it is the rounding core of the batched interval Taylor kernels as well
+as of :class:`IVector`/:class:`IMatrix`.  ``_prod_bounds`` is the array form
+of ``_imul``, end for end.  A sum is not rounded per addition:
+``_sum_down``/``_sum_up`` bound the accumulated round-off of a length-``n``
+float sum, in any summation order, by ``n * u * sum|terms|`` plus a tiny
+absolute term for underflow, then step outward once (an a-posteriori bound
+after Rump, "Fast and parallel interval arithmetic", BIT 39, 1999).  That
+bound dominates the classical ``(n-1)u/(1-(n-1)u)`` for every ``n`` used.
 """
 
 from __future__ import annotations
@@ -316,7 +323,6 @@ def hull(a: Interval, b: Interval) -> Interval:
 # Array layer: (lo, hi) float64 ndarray pairs with outward rounding.
 # ----------------------------------------------------------------------
 
-_EPS_TERMS = np.float64(_U)
 _ABS_TINY = np.float64(1e-300)
 
 
@@ -329,27 +335,39 @@ def _nd_up(a: np.ndarray) -> np.ndarray:
 
 
 def _sum_down(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Lower bound of the exact sum of ``terms`` along ``axis``.
+
+    The float sum plus the a-posteriori bound ``n * u * sum|terms|`` (plus
+    a tiny absolute term for underflow), stepped outward once.  An
+    overflowed or undefined sum (inf - inf) gives -inf, the lower end of
+    the whole line.
+    """
     s = terms.sum(axis=axis)
-    n = terms.shape[axis]
-    bound = n * _EPS_TERMS * np.abs(terms).sum(axis=axis) + _ABS_TINY
-    return _nd_down(s - bound)
+    bound = (terms.shape[axis] * _U) * np.abs(terms).sum(axis=axis) + _ABS_TINY
+    return np.fmax(_nd_down(s - bound), -np.inf)
 
 
 def _sum_up(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Upper bound of the exact sum, as :func:`_sum_down` (NaN gives +inf)."""
     s = terms.sum(axis=axis)
-    n = terms.shape[axis]
-    bound = n * _EPS_TERMS * np.abs(terms).sum(axis=axis) + _ABS_TINY
-    return _nd_up(s + bound)
+    bound = (terms.shape[axis] * _U) * np.abs(terms).sum(axis=axis) + _ABS_TINY
+    return np.fmin(_nd_up(s + bound), np.inf)
 
 
 def _prod_bounds(alo, ahi, blo, bhi):
+    """Outward (lo, hi) of the products of two interval arrays (broadcast).
+
+    The array form of :func:`_imul`: a NaN corner (0 * inf) propagates
+    through minimum/maximum and yields the whole line, and an overflowed
+    corner is already the infinity it rounds to.
+    """
     p1 = alo * blo
     p2 = alo * bhi
     p3 = ahi * blo
     p4 = ahi * bhi
     lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
     hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return _nd_down(lo), _nd_up(hi)
+    return np.fmax(_nd_down(lo), -np.inf), np.fmin(_nd_up(hi), np.inf)
 
 
 class IVector:

@@ -340,8 +340,6 @@ class SymmetricPeriodicOrbit:
     closure_residual: float
     terminal: SectionPoint
     stage_points: tuple[SectionPoint, ...]
-    located: bool = True
-    existence_certified: bool = False
 
     @property
     def period(self) -> float:
@@ -552,8 +550,6 @@ class SymmetricHomoclinicOrbit:
     n_tail: int
     tail_depth: int
     convergence_log: tuple[float, ...]
-    located: bool = True
-    existence_certified: bool = False
 
 
 class _TailCache:

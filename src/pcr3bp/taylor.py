@@ -1,26 +1,33 @@
 """Taylor coefficient kernels for the rotating-frame three-body field.
 
 The right-hand side is rational in ``x, y, vx, vy, r1^-1, r2^-1``, so Taylor
-coefficients of solutions satisfy closed convolution recurrences: squared
-distances are series products, and the inverse-cube / inverse-fifth powers
-``q^(-3/2)``, ``q^(-5/2)`` follow the classical power recurrence
+coefficients of solutions satisfy closed convolution recurrences (Jorba &
+Zou, Exp. Math. 14, 2005): squared distances are series products, and the
+inverse-cube / inverse-fifth powers ``q^(-3/2)``, ``q^(-5/2)`` follow the
+classical power recurrence
 
     s_m = (1 / (m q_0)) * sum_{j=1..m} ((alpha+1) j - m) q_j s_{m-j}.
 
 Each kernel exists in a float flavor (point integration) and an interval
-flavor (rigorous enclosures).  Interval flavors operate on (lo, hi) endpoint
-arrays through the scalar rounding primitives of :mod:`pcr3bp.intervals`,
-which state the package's one rounding policy; this module defines no
-arithmetic of its own.  Sums are accumulated interval-by-interval so every
-elementary operation is individually rounded outward.
+flavor (rigorous enclosures).  The interval flavors run on the outward
+rounding of :mod:`pcr3bp.intervals`, which states the package's one
+rounding policy; this module defines no arithmetic of its own.  Order 0,
+with its square roots and the guard check, uses the scalar primitives.
+Every later order is batched on the array layer: all its convolution terms
+are one vectorised interval product (``_prod_bounds``), and each sum is the
+float sum widened by one a-posteriori bound on its rounding error
+(``_sum_down``/``_sum_up``, after Rump, BIT 39, 1999) instead of a rounding
+per addition.  The handful of per-order combinations that are not sums use
+the scalar primitives.
 
 The interval series' low-order terms (:func:`iv_field`) are the package's
 one interval source for the field and the potential Hessian.  Both kernels
 raise :class:`~pcr3bp.errors.SingularityError` within :data:`GUARD_RADIUS`
 of a primary.
 
-Kernels are numba-compiled when numba is importable (cached to disk), with a
-pure-Python fallback that is functionally identical but slow.
+The point kernels and the interval Horner evaluations go through ``_jit``,
+which compiles them (cached to disk) when numba is importable and is the
+identity otherwise.  The interval series kernels are plain numpy.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import numpy as np
 
 from . import intervals
 from .errors import SingularityError
+from .intervals import _iadd, _idiv, _idivn, _imul, _iscale, _isqrt_pos, _isub
 
 __all__ = [
     "point_coeffs",
@@ -63,13 +71,9 @@ except ImportError:  # pragma: no cover
 GUARD_RADIUS = 1e-12
 _GUARD_SQ = GUARD_RADIUS * GUARD_RADIUS
 
-_iadd = _jit(intervals._iadd)
-_isub = _jit(intervals._isub)
-_imul = _jit(intervals._imul)
-_iscale = _jit(intervals._iscale)
-_idiv = _jit(intervals._idiv)
-_idivn = _jit(intervals._idivn)
-_isqrt_pos = _jit(intervals._isqrt_pos)
+# compiled copies of the shared primitives for the interval Horner kernels
+_hadd = _jit(intervals._iadd)
+_hmul = _jit(intervals._imul)
 
 
 # ----------------------------------------------------------------------
@@ -264,202 +268,222 @@ def horner_var_point(vc, t):
 # Interval kernels
 # ----------------------------------------------------------------------
 
+# Rows of the series array z of shape (2, _ROWS, n+1): lower ends in z[0],
+# upper ends in z[1], the order along the last axis.  p1 = x + mu and
+# p2 = x - (1 - mu) are the offsets from the primaries, q = p^2 + y^2 the
+# squared distances, s = q^(-3/2) and w = q^(-5/2).  From order 1 on, p1,
+# p2 and x share their terms.
+_P1, _P2, _Y, _P1SQ, _P2SQ, _YSQ, _P1Y, _P2Y, _Q1, _Q2, _S1, _S2, _W1, _W2 = range(14)
+_ROWS = 14
+_ZERO = (0.0, 0.0)
 
-@_jit
+# Row pairs (a, b) of the convolutions sum_i a_i b_(k-i).  The squares
+# give rows _P1SQ.._P2Y and the powers rows _S1.._W2, in this order; the
+# Hessian-free kernels take the first three squares and the first two powers.
+_SQUARES = [(_P1, _P1), (_P2, _P2), (_Y, _Y), (_P1, _Y), (_P2, _Y)]
+_POWERS = [(_Q1, _S1), (_Q2, _S2), (_Q1, _W1), (_Q2, _W2)]
+_POWER_ALPHA1 = np.array([-0.5, -0.5, -1.5, -1.5])  # alpha + 1 per power row
+_HESSIAN = [(_P1SQ, _W1), (_P2SQ, _W2), (_YSQ, _W1), (_YSQ, _W2), (_P1Y, _W1), (_P2Y, _W2)]
+_ACCELERATIONS = [(_P1, _S1), (_P2, _S2), (_Y, _S1), (_Y, _S2)]
+
+
+def _layout(want_hessian):
+    """(Hessian and acceleration pairs, square pairs, power pairs)."""
+    if want_hessian:
+        return _HESSIAN + _ACCELERATIONS, _SQUARES, _POWERS
+    return _ACCELERATIONS, _SQUARES[:3], _POWERS[:2]
+
+
+def _operands(n, want_hessian):
+    """Operands of the one batched convolution of each order 1..n-1.
+
+    The rows of the order-k batch are the order-k Hessian and acceleration
+    sums, then the order-(k+1) squares and powers less their terms in the
+    order-(k+1) coefficients, which are still zero in z:
+
+        sum_{i=0..k} a_i b_(k-i),   sum_{i=1..k} a_i b_(k+1-i),
+        sum_{j=1..k} ((alpha+1) j - k - 1) q_j s_(k+1-j).
+
+    Returns (a, b, w): flat indices into z.reshape(2, -1) of the a and b
+    operands (rows by terms), and (alpha+1) j for the power rows.  Order k
+    takes ``a[:, :k+1]``, ``b[:, k::-1]`` and the exact weights
+    ``w[:, :k+1] - (k+1)``.  So all rows read b_k..b_0; the order-k rows
+    read a_0..a_k, the order-(k+1) rows a_1..a_(k+1), whose last term is
+    still zero.
+    """
+    products, squares, powers = _layout(want_hessian)
+    pairs = products + squares + powers
+    shift = np.array([0] * len(products) + [1] * (len(squares) + len(powers)))
+    i = np.arange(n)
+    a = (np.array([p for p, _ in pairs]) * (n + 1) + shift)[:, None] + i
+    b = (np.array([q for _, q in pairs]) * (n + 1))[:, None] + i
+    w = _POWER_ALPHA1[:len(powers), None] * (i + 1.0)
+    return a, b, w
+
+
+def _convolve(z, ia, ib, weights):
+    """Enclosures (lo, hi) of the batch's sums, as lists of (lo, hi) pairs.
+
+    One interval product of the gathered operands and one summed bound
+    per end.  The weights of the last rows are exact and negative, so
+    scaling by them swaps the ends.
+    """
+    zf = z.reshape(2, -1)
+    a = zf[:, ia]
+    b = zf[:, ib]
+    lo, hi = intervals._prod_bounds(a[0], a[1], b[0], b[1])
+    m = len(weights)
+    lo[-m:], hi[-m:] = (intervals._nd_down(weights * hi[-m:]),
+                        intervals._nd_up(weights * lo[-m:]))
+    lo = intervals._sum_down(lo, -1).tolist()
+    hi = intervals._sum_up(hi, -1).tolist()
+    return list(zip(lo, hi))
+
+
+def _masses(mu):
+    # 1 - mu, 3 (1 - mu) and 3 mu are not floats; enclose them
+    m1 = _isub(1.0, 1.0, mu, mu)
+    return m1, _iscale(*m1, 3.0), _iscale(mu, mu, 3.0)
+
+
+def _square(a):
+    lo, hi = _imul(*a, *a)
+    return max(lo, 0.0), hi
+
+
+def _next_terms(k, g, s1, s2, ck, mu, masses, want_hessian):
+    """Order-k Hessian terms and order-(k+1) state terms, by scalar primitives.
+
+    ``g`` holds the order-k sums of the Hessian and acceleration pairs
+    (only the last four without the Hessian), ``s1``/``s2`` the order-k
+    powers and ``ck`` the order-k state terms, all as (lo, hi) pairs.
+    Returns ((Omega_xx, Omega_xy, Omega_yy) or None, next state terms).
+    """
+    m1, m1x3, mux3 = masses
+    g1, g2, h1, h2 = g[-4:]
+    ax = _iadd(*_iscale(*ck[3], 2.0), *ck[0])
+    ax = _isub(*ax, *_imul(*m1, *g1))
+    ax = _isub(*ax, *_iscale(*g2, mu))
+    ay = _iadd(*_iscale(*ck[2], -2.0), *ck[1])
+    ay = _isub(*ay, *_imul(*m1, *h1))
+    ay = _isub(*ay, *_iscale(*h2, mu))
+    kp = float(k + 1)
+    nxt = [_idivn(*ck[2], kp), _idivn(*ck[3], kp), _idivn(*ax, kp), _idivn(*ay, kp)]
+    if not want_hessian:
+        return None, nxt
+    # Omega_xx = 1 - (1-mu)(s1 - 3 p1^2 w1) - mu (s2 - 3 p2^2 w2), Omega_yy
+    # likewise with y^2, Omega_xy = 3 (1-mu) p1 y w1 + 3 mu p2 y w2; the 1
+    # only at order 0
+    unit = 1.0 if k == 0 else 0.0
+    diag = []
+    for ga, gb in ((g[0], g[1]), (g[2], g[3])):
+        t = _imul(*m1, *_isub(*s1, *_iscale(*ga, 3.0)))
+        u = _isub(unit, unit, *t)
+        t = _iscale(*_isub(*s2, *_iscale(*gb, 3.0)), mu)
+        diag.append(_isub(*u, *t))
+    oxy = _iadd(*_imul(*m1x3, *g[4]), *_imul(*mux3, *g[5]))
+    return (diag[0], oxy, diag[1]), nxt
+
+
+def _iv_order0(xlo, xhi, mu, masses, want_hessian):
+    """The order-0 series terms, by the scalar primitives.
+
+    Returns (terms, hessian, next): the order-0 (lo, hi) pairs of the
+    :data:`_ROWS` rows, then the results of :func:`_next_terms` at k = 0.
+    """
+    x = list(zip(xlo.tolist(), xhi.tolist()))
+    p1 = _iadd(*x[0], mu, mu)
+    p2 = _isub(*x[0], *masses[0])
+    y = x[1]
+    p1sq, p2sq, ysq = _square(p1), _square(p2), _square(y)
+    q1 = _iadd(*p1sq, *ysq)
+    q2 = _iadd(*p2sq, *ysq)
+    if q1[0] <= _GUARD_SQ or q2[0] <= _GUARD_SQ:
+        raise SingularityError("taylor kernel: box reaches primary guard radius")
+    s1 = _idiv(1.0, 1.0, *_imul(*q1, *_isqrt_pos(*q1)))
+    s2 = _idiv(1.0, 1.0, *_imul(*q2, *_isqrt_pos(*q2)))
+    terms = [p1, p2, y, p1sq, p2sq, ysq, _imul(*p1, *y), _imul(*p2, *y), q1, q2,
+             s1, s2, _idiv(*s1, *q1), _idiv(*s2, *q2)]
+    products = _layout(want_hessian)[0]
+    g = [_imul(*terms[a], *terms[b]) for a, b in products]
+    return (terms,) + _next_terms(0, g, s1, s2, x, mu, masses, want_hessian)
+
+
+def _order_terms(k, ck, t0, sq, pw, want_hessian):
+    """The order-k (k >= 1) series terms, by scalar primitives.
+
+    Completes the partial sums of the previous batch (``sq`` for the
+    squares, ``pw`` for the powers) with their terms in the order-k state
+    ``ck``: a_0 b_k + a_k b_0, and alpha k q_k s_0.  ``t0`` holds the
+    order-0 terms.
+    """
+    x, y = ck[0], ck[1]
+    p1sq = _iadd(*sq[0], *_iscale(*_imul(*t0[_P1], *x), 2.0))
+    p2sq = _iadd(*sq[1], *_iscale(*_imul(*t0[_P2], *x), 2.0))
+    ysq = _iadd(*sq[2], *_iscale(*_imul(*t0[_Y], *y), 2.0))
+    q1 = _iadd(*p1sq, *ysq)
+    q2 = _iadd(*p2sq, *ysq)
+    d1 = _iscale(*t0[_Q1], float(k))
+    d2 = _iscale(*t0[_Q2], float(k))
+    s1 = _idiv(*_iadd(*pw[0], *_iscale(*_imul(*q1, *t0[_S1]), -1.5 * k)), *d1)
+    s2 = _idiv(*_iadd(*pw[1], *_iscale(*_imul(*q2, *t0[_S2]), -1.5 * k)), *d2)
+    if not want_hessian:
+        return [x, x, y, p1sq, p2sq, ysq, _ZERO, _ZERO, q1, q2, s1, s2, _ZERO, _ZERO]
+    xy0 = _imul(*x, *t0[_Y])
+    p1y = _iadd(*_iadd(*sq[3], *_imul(*t0[_P1], *y)), *xy0)
+    p2y = _iadd(*_iadd(*sq[4], *_imul(*t0[_P2], *y)), *xy0)
+    w1 = _idiv(*_iadd(*pw[2], *_iscale(*_imul(*q1, *t0[_W1]), -2.5 * k)), *d1)
+    w2 = _idiv(*_iadd(*pw[3], *_iscale(*_imul(*q2, *t0[_W2]), -2.5 * k)), *d2)
+    return [x, x, y, p1sq, p2sq, ysq, p1y, p2y, q1, q2, s1, s2, w1, w2]
+
+
+def _ends(pairs):
+    """A nested list of (lo, hi) pairs as one (2, ...) endpoint array."""
+    return np.ascontiguousarray(np.moveaxis(np.array(pairs), -1, 0))
+
+
 def _iv_series(xlo, xhi, mu, n, want_hessian):
     """Interval Taylor coefficients 0..n of solutions through the box.
 
-    Needs ``n >= 1``.  Returns (clo, chi, oxxlo, oxxhi, oxylo, oxyhi, oyylo,
-    oyyhi); as in :func:`_pt_series` the Hessian series stop at order n-1.
+    Needs ``n >= 1``.  Returns (c, h): c of shape (2, n+1, 4) holds the
+    lower and upper ends of the state terms, h of shape (2, n, 3) those of
+    (Omega_xx, Omega_xy, Omega_yy) at orders 0..n-1, all the variational
+    recurrence reads (None without ``want_hessian``).
+
+    Order 0 runs on the scalar primitives.  Each later order k is one
+    batched convolution (:func:`_operands`) plus a fixed number of scalar
+    steps: completing the order-k squares and powers, and combining the
+    order-k sums into the Hessian and the order-(k+1) state terms.
     """
-    clo = np.zeros((n + 1, 4))
-    chi = np.zeros((n + 1, 4))
-    p1lo = np.zeros(n + 1)
-    p1hi = np.zeros(n + 1)
-    p2lo = np.zeros(n + 1)
-    p2hi = np.zeros(n + 1)
-    ysqlo = np.zeros(n + 1)
-    ysqhi = np.zeros(n + 1)
-    p1sqlo = np.zeros(n + 1)
-    p1sqhi = np.zeros(n + 1)
-    p2sqlo = np.zeros(n + 1)
-    p2sqhi = np.zeros(n + 1)
-    q1lo = np.zeros(n + 1)
-    q1hi = np.zeros(n + 1)
-    q2lo = np.zeros(n + 1)
-    q2hi = np.zeros(n + 1)
-    s1lo = np.zeros(n + 1)
-    s1hi = np.zeros(n + 1)
-    s2lo = np.zeros(n + 1)
-    s2hi = np.zeros(n + 1)
-    w1lo = np.zeros(n + 1)
-    w1hi = np.zeros(n + 1)
-    w2lo = np.zeros(n + 1)
-    w2hi = np.zeros(n + 1)
-    oxxlo = np.zeros(n + 1)
-    oxxhi = np.zeros(n + 1)
-    oxylo = np.zeros(n + 1)
-    oxyhi = np.zeros(n + 1)
-    oyylo = np.zeros(n + 1)
-    oyyhi = np.zeros(n + 1)
-
-    for j in range(4):
-        clo[0, j] = xlo[j]
-        chi[0, j] = xhi[j]
-    p1lo[0], p1hi[0] = _iadd(xlo[0], xhi[0], mu, mu)
-    p2lo[0], p2hi[0] = _isub(xlo[0], xhi[0], 1.0 - mu, 1.0 - mu)
-
-    for k in range(n):
-        a1lo, a1hi = 0.0, 0.0
-        a2lo, a2hi = 0.0, 0.0
-        aylo, ayhi = 0.0, 0.0
-        for i in range(k + 1):
-            tl, th = _imul(p1lo[i], p1hi[i], p1lo[k - i], p1hi[k - i])
-            a1lo, a1hi = _iadd(a1lo, a1hi, tl, th)
-            tl, th = _imul(p2lo[i], p2hi[i], p2lo[k - i], p2hi[k - i])
-            a2lo, a2hi = _iadd(a2lo, a2hi, tl, th)
-            tl, th = _imul(clo[i, 1], chi[i, 1], clo[k - i, 1], chi[k - i, 1])
-            aylo, ayhi = _iadd(aylo, ayhi, tl, th)
-        if k == 0:  # true squares, never negative
-            a1lo, a2lo, aylo = max(a1lo, 0.0), max(a2lo, 0.0), max(aylo, 0.0)
-        p1sqlo[k], p1sqhi[k] = a1lo, a1hi
-        p2sqlo[k], p2sqhi[k] = a2lo, a2hi
-        ysqlo[k], ysqhi[k] = aylo, ayhi
-        q1lo[k], q1hi[k] = _iadd(a1lo, a1hi, aylo, ayhi)
-        q2lo[k], q2hi[k] = _iadd(a2lo, a2hi, aylo, ayhi)
-
-        if k == 0:
-            if q1lo[0] <= _GUARD_SQ or q2lo[0] <= _GUARD_SQ:
-                raise SingularityError("taylor kernel: box reaches primary guard radius")
-            r1lo, r1hi = _isqrt_pos(q1lo[0], q1hi[0])
-            r2lo, r2hi = _isqrt_pos(q2lo[0], q2hi[0])
-            tl, th = _imul(q1lo[0], q1hi[0], r1lo, r1hi)
-            s1lo[0], s1hi[0] = _idiv(1.0, 1.0, tl, th)
-            tl, th = _imul(q2lo[0], q2hi[0], r2lo, r2hi)
-            s2lo[0], s2hi[0] = _idiv(1.0, 1.0, tl, th)
-            w1lo[0], w1hi[0] = _idiv(s1lo[0], s1hi[0], q1lo[0], q1hi[0])
-            w2lo[0], w2hi[0] = _idiv(s2lo[0], s2hi[0], q2lo[0], q2hi[0])
-        else:
-            acc1lo, acc1hi = 0.0, 0.0
-            acc2lo, acc2hi = 0.0, 0.0
-            accw1lo, accw1hi = 0.0, 0.0
-            accw2lo, accw2hi = 0.0, 0.0
-            for j in range(1, k + 1):
-                cs = -0.5 * j - k
-                cw = -1.5 * j - k
-                tl, th = _imul(q1lo[j], q1hi[j], s1lo[k - j], s1hi[k - j])
-                tl, th = _iscale(tl, th, cs)
-                acc1lo, acc1hi = _iadd(acc1lo, acc1hi, tl, th)
-                tl, th = _imul(q2lo[j], q2hi[j], s2lo[k - j], s2hi[k - j])
-                tl, th = _iscale(tl, th, cs)
-                acc2lo, acc2hi = _iadd(acc2lo, acc2hi, tl, th)
-                tl, th = _imul(q1lo[j], q1hi[j], w1lo[k - j], w1hi[k - j])
-                tl, th = _iscale(tl, th, cw)
-                accw1lo, accw1hi = _iadd(accw1lo, accw1hi, tl, th)
-                tl, th = _imul(q2lo[j], q2hi[j], w2lo[k - j], w2hi[k - j])
-                tl, th = _iscale(tl, th, cw)
-                accw2lo, accw2hi = _iadd(accw2lo, accw2hi, tl, th)
-            dlo, dhi = _iscale(q1lo[0], q1hi[0], float(k))
-            s1lo[k], s1hi[k] = _idiv(acc1lo, acc1hi, dlo, dhi)
-            w1lo[k], w1hi[k] = _idiv(accw1lo, accw1hi, dlo, dhi)
-            dlo, dhi = _iscale(q2lo[0], q2hi[0], float(k))
-            s2lo[k], s2hi[k] = _idiv(acc2lo, acc2hi, dlo, dhi)
-            w2lo[k], w2hi[k] = _idiv(accw2lo, accw2hi, dlo, dhi)
-
-        if want_hessian:
-            g11lo, g11hi = 0.0, 0.0
-            g22lo, g22hi = 0.0, 0.0
-            gy1lo, gy1hi = 0.0, 0.0
-            gy2lo, gy2hi = 0.0, 0.0
-            gxy1lo, gxy1hi = 0.0, 0.0
-            gxy2lo, gxy2hi = 0.0, 0.0
-            for i in range(k + 1):
-                tl, th = _imul(p1sqlo[i], p1sqhi[i], w1lo[k - i], w1hi[k - i])
-                g11lo, g11hi = _iadd(g11lo, g11hi, tl, th)
-                tl, th = _imul(p2sqlo[i], p2sqhi[i], w2lo[k - i], w2hi[k - i])
-                g22lo, g22hi = _iadd(g22lo, g22hi, tl, th)
-                tl, th = _imul(ysqlo[i], ysqhi[i], w1lo[k - i], w1hi[k - i])
-                gy1lo, gy1hi = _iadd(gy1lo, gy1hi, tl, th)
-                tl, th = _imul(ysqlo[i], ysqhi[i], w2lo[k - i], w2hi[k - i])
-                gy2lo, gy2hi = _iadd(gy2lo, gy2hi, tl, th)
-                py1lo, py1hi = 0.0, 0.0
-                py2lo, py2hi = 0.0, 0.0
-                for m in range(i + 1):
-                    tl, th = _imul(p1lo[m], p1hi[m], clo[i - m, 1], chi[i - m, 1])
-                    py1lo, py1hi = _iadd(py1lo, py1hi, tl, th)
-                    tl, th = _imul(p2lo[m], p2hi[m], clo[i - m, 1], chi[i - m, 1])
-                    py2lo, py2hi = _iadd(py2lo, py2hi, tl, th)
-                tl, th = _imul(py1lo, py1hi, w1lo[k - i], w1hi[k - i])
-                gxy1lo, gxy1hi = _iadd(gxy1lo, gxy1hi, tl, th)
-                tl, th = _imul(py2lo, py2hi, w2lo[k - i], w2hi[k - i])
-                gxy2lo, gxy2hi = _iadd(gxy2lo, gxy2hi, tl, th)
-            unit = 1.0 if k == 0 else 0.0
-            tl, th = _iscale(g11lo, g11hi, 3.0)
-            tl, th = _isub(s1lo[k], s1hi[k], tl, th)
-            tl, th = _iscale(tl, th, 1.0 - mu)
-            ulo, uhi = _isub(unit, unit, tl, th)
-            tl, th = _iscale(g22lo, g22hi, 3.0)
-            tl, th = _isub(s2lo[k], s2hi[k], tl, th)
-            tl, th = _iscale(tl, th, mu)
-            oxxlo[k], oxxhi[k] = _isub(ulo, uhi, tl, th)
-
-            tl, th = _iscale(gxy1lo, gxy1hi, 3.0 * (1.0 - mu))
-            t2l, t2h = _iscale(gxy2lo, gxy2hi, 3.0 * mu)
-            oxylo[k], oxyhi[k] = _iadd(tl, th, t2l, t2h)
-
-            tl, th = _iscale(gy1lo, gy1hi, 3.0)
-            tl, th = _isub(s1lo[k], s1hi[k], tl, th)
-            tl, th = _iscale(tl, th, 1.0 - mu)
-            ulo, uhi = _isub(unit, unit, tl, th)
-            tl, th = _iscale(gy2lo, gy2hi, 3.0)
-            tl, th = _isub(s2lo[k], s2hi[k], tl, th)
-            tl, th = _iscale(tl, th, mu)
-            oyylo[k], oyyhi[k] = _isub(ulo, uhi, tl, th)
-
-        g1lo, g1hi = 0.0, 0.0
-        g2lo, g2hi = 0.0, 0.0
-        h1lo, h1hi = 0.0, 0.0
-        h2lo, h2hi = 0.0, 0.0
-        for i in range(k + 1):
-            tl, th = _imul(p1lo[i], p1hi[i], s1lo[k - i], s1hi[k - i])
-            g1lo, g1hi = _iadd(g1lo, g1hi, tl, th)
-            tl, th = _imul(p2lo[i], p2hi[i], s2lo[k - i], s2hi[k - i])
-            g2lo, g2hi = _iadd(g2lo, g2hi, tl, th)
-            tl, th = _imul(clo[i, 1], chi[i, 1], s1lo[k - i], s1hi[k - i])
-            h1lo, h1hi = _iadd(h1lo, h1hi, tl, th)
-            tl, th = _imul(clo[i, 1], chi[i, 1], s2lo[k - i], s2hi[k - i])
-            h2lo, h2hi = _iadd(h2lo, h2hi, tl, th)
-        axlo, axhi = _iscale(clo[k, 3], chi[k, 3], 2.0)
-        axlo, axhi = _iadd(axlo, axhi, clo[k, 0], chi[k, 0])
-        tl, th = _iscale(g1lo, g1hi, 1.0 - mu)
-        axlo, axhi = _isub(axlo, axhi, tl, th)
-        tl, th = _iscale(g2lo, g2hi, mu)
-        axlo, axhi = _isub(axlo, axhi, tl, th)
-        aylo2, ayhi2 = _iscale(clo[k, 2], chi[k, 2], -2.0)
-        aylo2, ayhi2 = _iadd(aylo2, ayhi2, clo[k, 1], chi[k, 1])
-        tl, th = _iscale(h1lo, h1hi, 1.0 - mu)
-        aylo2, ayhi2 = _isub(aylo2, ayhi2, tl, th)
-        tl, th = _iscale(h2lo, h2hi, mu)
-        aylo2, ayhi2 = _isub(aylo2, ayhi2, tl, th)
-        kp = float(k + 1)
-        clo[k + 1, 0], chi[k + 1, 0] = _idivn(clo[k, 2], chi[k, 2], kp)
-        clo[k + 1, 1], chi[k + 1, 1] = _idivn(clo[k, 3], chi[k, 3], kp)
-        clo[k + 1, 2], chi[k + 1, 2] = _idivn(axlo, axhi, kp)
-        clo[k + 1, 3], chi[k + 1, 3] = _idivn(aylo2, ayhi2, kp)
-        p1lo[k + 1], p1hi[k + 1] = clo[k + 1, 0], chi[k + 1, 0]
-        p2lo[k + 1], p2hi[k + 1] = clo[k + 1, 0], chi[k + 1, 0]
-
-    return clo, chi, oxxlo, oxxhi, oxylo, oxyhi, oyylo, oyyhi
+    masses = _masses(mu)
+    t0, hk, nxt = _iv_order0(xlo, xhi, mu, masses, want_hessian)
+    z = np.zeros((2, _ROWS, n + 1))
+    z[:, :, 0] = np.array(t0).T
+    state = [list(zip(xlo.tolist(), xhi.tolist())), nxt]
+    hess = [hk]
+    nprod, nsq, npow = (len(p) for p in _layout(want_hessian))
+    sq, pw = [_ZERO] * nsq, [_ZERO] * npow
+    a, b, w = _operands(n, want_hessian)
+    for k in range(1, n):
+        tk = _order_terms(k, state[k], t0, sq, pw, want_hessian)
+        z[:, :, k] = np.array(tk).T
+        sums = _convolve(z, a[:, :k + 1], b[:, k::-1], w[:, :k + 1] - (k + 1.0))
+        sq, pw = sums[nprod:nprod + nsq], sums[nprod + nsq:]
+        hk, nxt = _next_terms(k, sums[:nprod], tk[_S1], tk[_S2], state[k], mu,
+                              masses, want_hessian)
+        state.append(nxt)
+        hess.append(hk)
+    c = _ends(state)
+    h = _ends(hess) if want_hessian else None
+    return c, h
 
 
-@_jit
 def iv_coeffs(xlo, xhi, mu, n):
     """Interval Taylor coefficients (n+1, 4) over a state box."""
-    clo, chi, _, _, _, _, _, _ = _iv_series(xlo, xhi, mu, n, False)
-    return clo, chi
+    c, _ = _iv_series(xlo, xhi, mu, n, False)
+    return c[0], c[1]
 
 
-@_jit
 def iv_field(xlo, xhi, mu, want_hessian):
     """Enclosure of the field and the potential Hessian over a state box.
 
@@ -467,49 +491,45 @@ def iv_field(xlo, xhi, mu, want_hessian):
     interval series.  Returns (flo, fhi, hlo, hhi); hlo/hhi hold
     (Omega_xx, Omega_xy, Omega_yy) when ``want_hessian`` and zeros otherwise.
     """
-    clo, chi, oxxlo, oxxhi, oxylo, oxyhi, oyylo, oyyhi = _iv_series(
-        xlo, xhi, mu, 1, want_hessian
-    )
-    hlo = np.array([oxxlo[0], oxylo[0], oyylo[0]])
-    hhi = np.array([oxxhi[0], oxyhi[0], oyyhi[0]])
-    return clo[1], chi[1], hlo, hhi
+    _, hk, nxt = _iv_order0(xlo, xhi, mu, _masses(mu), want_hessian)
+    hk = hk or (_ZERO,) * 3
+    return (np.array([lo for lo, _ in nxt]), np.array([hi for _, hi in nxt]),
+            np.array([lo for lo, _ in hk]), np.array([hi for _, hi in hk]))
 
 
-@_jit
 def iv_var_coeffs(xlo, xhi, v0lo, v0hi, mu, n):
     """Interval state and variational coefficients over a state box.
 
     Solves V' = Df(u(t)) V with V(0) in [v0lo, v0hi] for every solution
     u through the box.  Returns (clo, chi, vlo, vhi).
+
+    Rows 0 and 1 of each order are a shift; rows 2 and 3 of all four
+    columns are one batched product of (coefficient, V entry) pairs over
+    the whole convolution, summed with one bound per end.
     """
-    clo, chi, oxxlo, oxxhi, oxylo, oxyhi, oyylo, oyyhi = _iv_series(
-        xlo, xhi, mu, n, True
-    )
-    vlo = np.zeros((n + 1, 4, 4))
-    vhi = np.zeros((n + 1, 4, 4))
-    for i in range(4):
-        for j in range(4):
-            vlo[0, i, j] = v0lo[i, j]
-            vhi[0, i, j] = v0hi[i, j]
+    c, h = _iv_series(xlo, xhi, mu, n, True)
+    # (V_(k+1))_r+2 = (1/(k+1)) sum_{m=0..k} sum_i coef[r, m, i] (V_(k-m))_i:
+    # the Hessian terms on rows 0 and 1, and at m = 0 the Coriolis terms
+    # 2 V_3 and -2 V_2 on rows 2 and 3
+    coef = np.zeros((2, 2, n, 4))
+    coef[:, :, :, :2] = np.moveaxis(h[:, :, [[0, 1], [1, 2]]], 2, 1)
+    coef[:, 0, 0, 3] = 2.0
+    coef[:, 1, 0, 2] = -2.0
+    v = np.zeros((2, n + 1, 4, 4))
+    v[0, 0] = v0lo
+    v[1, 0] = v0hi
     for k in range(n):
-        kp = float(k + 1)
-        for j in range(4):
-            vlo[k + 1, 0, j], vhi[k + 1, 0, j] = _idivn(vlo[k, 2, j], vhi[k, 2, j], kp)
-            vlo[k + 1, 1, j], vhi[k + 1, 1, j] = _idivn(vlo[k, 3, j], vhi[k, 3, j], kp)
-            a2lo, a2hi = _iscale(vlo[k, 3, j], vhi[k, 3, j], 2.0)
-            a3lo, a3hi = _iscale(vlo[k, 2, j], vhi[k, 2, j], -2.0)
-            for m in range(k + 1):
-                tl, th = _imul(oxxlo[m], oxxhi[m], vlo[k - m, 0, j], vhi[k - m, 0, j])
-                a2lo, a2hi = _iadd(a2lo, a2hi, tl, th)
-                tl, th = _imul(oxylo[m], oxyhi[m], vlo[k - m, 1, j], vhi[k - m, 1, j])
-                a2lo, a2hi = _iadd(a2lo, a2hi, tl, th)
-                tl, th = _imul(oxylo[m], oxyhi[m], vlo[k - m, 0, j], vhi[k - m, 0, j])
-                a3lo, a3hi = _iadd(a3lo, a3hi, tl, th)
-                tl, th = _imul(oyylo[m], oyyhi[m], vlo[k - m, 1, j], vhi[k - m, 1, j])
-                a3lo, a3hi = _iadd(a3lo, a3hi, tl, th)
-            vlo[k + 1, 2, j], vhi[k + 1, 2, j] = _idivn(a2lo, a2hi, kp)
-            vlo[k + 1, 3, j], vhi[k + 1, 3, j] = _idivn(a3lo, a3hi, kp)
-    return clo, chi, vlo, vhi
+        a = coef[:, :, :k + 1, :, None]
+        past = v[:, k::-1]
+        lo, hi = intervals._prod_bounds(a[0], a[1], past[0], past[1])
+        nxt = v[:, k + 1]
+        nxt[:, :2] = v[:, k, 2:]
+        nxt[0, 2:] = intervals._sum_down(lo.reshape(2, -1, 4), 1)
+        nxt[1, 2:] = intervals._sum_up(hi.reshape(2, -1, 4), 1)
+        nxt /= float(k + 1)
+        nxt[0] = intervals._nd_down(nxt[0])
+        nxt[1] = intervals._nd_up(nxt[1])
+    return c[0], c[1], v[0], v[1]
 
 
 @_jit
@@ -522,8 +542,8 @@ def horner_iv(clo, chi, tlo, thi):
         accl = clo[n, j]
         acch = chi[n, j]
         for k in range(n - 1, -1, -1):
-            accl, acch = _imul(accl, acch, tlo, thi)
-            accl, acch = _iadd(accl, acch, clo[k, j], chi[k, j])
+            accl, acch = _hmul(accl, acch, tlo, thi)
+            accl, acch = _hadd(accl, acch, clo[k, j], chi[k, j])
         outlo[j] = accl
         outhi[j] = acch
     return outlo, outhi
@@ -540,8 +560,8 @@ def horner_var_iv(vlo, vhi, tlo, thi):
             accl = vlo[n, i, j]
             acch = vhi[n, i, j]
             for k in range(n - 1, -1, -1):
-                accl, acch = _imul(accl, acch, tlo, thi)
-                accl, acch = _iadd(accl, acch, vlo[k, i, j], vhi[k, i, j])
+                accl, acch = _hmul(accl, acch, tlo, thi)
+                accl, acch = _hadd(accl, acch, vlo[k, i, j], vhi[k, i, j])
             outlo[i, j] = accl
             outhi[i, j] = acch
     return outlo, outhi

@@ -13,7 +13,7 @@ import pytest
 
 from pcr3bp import taylor
 from pcr3bp.dynamics import MU_SUN_JUPITER
-from pcr3bp.errors import StructureError
+from pcr3bp.errors import DomainError, StructureError
 from pcr3bp.hset import (
     HSet,
     check_backcover,
@@ -302,6 +302,10 @@ def test_cover_leaves_kernel_singularity_undecided():
     rep = check_cover(f, UNIT_N, UNIT_M, grid=(4, 1), max_grid=(4, 1))
     assert rep.outcome == "inconclusive"
     assert "undecided" in rep.message
+    # the map raised on the cell [1/2, 1] and on the exit edge a = +1; the
+    # report counts both and names them
+    assert rep.errors == {"SingularityError": 2}
+    assert "SingularityError: 2" in rep.message
 
 
 def test_adaptive_refinement_rescues_coarse_grid():
@@ -414,6 +418,21 @@ def test_pointwise_screen_never_claims_verified():
     rep = check_cover_pointwise(f, UNIT_N, UNIT_M, samples=500)
     assert rep.outcome == "inconclusive"
     assert rep.margin == 0.0
+    assert rep.errors == {}
+
+
+def test_pointwise_screen_counts_map_errors():
+    # samples where the map raises are skipped, but counted by type
+    def f(a, b):
+        if a > 0.9:
+            raise DomainError("outside the map's domain")
+        return 3.0 * a, b / 3.0
+
+    rep = check_cover_pointwise(f, UNIT_N, UNIT_M, samples=500)
+    assert rep.outcome == "inconclusive"
+    n = rep.errors["DomainError"]
+    assert n >= 22  # the whole a = +1 exit edge, plus sampled cells
+    assert f"DomainError: {n}" in rep.message
 
 
 def test_pointwise_screen_falsifies_contraction():

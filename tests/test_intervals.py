@@ -311,6 +311,85 @@ def test_sqrt_of_zero_clamps_at_zero():
 
 
 # ----------------------------------------------------------------------
+# array layer: the rounding core of the vectorised kernels
+# ----------------------------------------------------------------------
+
+# finite floats of every size, with subnormals and overflowing neighbours
+anyfloat = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+)
+HALF_ULP_OF_ONE = 2.0 ** -53
+
+
+def _le(x: float, v: Fraction) -> bool:
+    """x <= v in the extended reals (x a float end, v exact)."""
+    return x == -math.inf or (x != math.inf and Fraction(x) <= v)
+
+
+def _ge(x: float, v: Fraction) -> bool:
+    return x == math.inf or (x != -math.inf and Fraction(x) >= v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(anyfloat, anyfloat, anyfloat, anyfloat), min_size=1, max_size=6))
+def test_prod_bounds_exact_and_as_scalar(rows):
+    ends = [(*_pair(a, b), *_pair(c, d)) for a, b, c, d in rows]
+    alo, ahi, blo, bhi = (np.array(col) for col in zip(*ends))
+    with np.errstate(all="ignore"):
+        lo, hi = intervals._prod_bounds(alo, ahi, blo, bhi)
+    for i, (xl, xh, yl, yh) in enumerate(ends):
+        mul = _corners(lambda u, v: u * v, xl, xh, yl, yh)
+        assert _le(lo[i], min(mul)) and _ge(hi[i], max(mul))
+        assert (lo[i], hi[i]) == intervals._imul(xl, xh, yl, yh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(anyfloat, min_size=1, max_size=12))
+def test_sum_bounds_exact(terms):
+    exact = sum(Fraction(t) for t in terms)
+    t = np.array(terms)
+    with np.errstate(all="ignore"):
+        lo = intervals._sum_down(t, 0)
+        hi = intervals._sum_up(t[np.newaxis, :], 1)[0]
+    assert _le(float(lo), exact) and _ge(float(hi), exact)
+
+
+def test_sum_bounds_cover_lost_small_terms():
+    # every small term is below half an ulp of the partial sum, so the
+    # float sum drops all of them; only the summed bound recovers them
+    eps = 0.9 * HALF_ULP_OF_ONE
+    t = np.array([1.0] + [eps] * 6)
+    assert t.sum() == 1.0
+    exact = 1 + 6 * Fraction(eps)
+    assert _ge(float(intervals._sum_up(t, 0)), exact)
+    assert _le(float(intervals._sum_down(-t, 0)), -exact)
+
+
+def test_array_layer_nan_and_overflow():
+    with np.errstate(all="ignore"):
+        # overflowed sum (inf - inf inside the bound): lower end -inf, not NaN
+        t = np.array([[1e308, 1e308]])
+        assert intervals._sum_down(t, 1)[0] == -math.inf
+        assert intervals._sum_up(t, 1)[0] == math.inf
+        # infinite terms, and an undefined inf - inf sum: the whole line
+        assert intervals._sum_down(np.array([-math.inf, 1.0]), 0) == -math.inf
+        assert intervals._sum_up(np.array([math.inf, 1.0]), 0) == math.inf
+        both = np.array([math.inf, -math.inf])
+        assert intervals._sum_down(both, 0) == -math.inf
+        assert intervals._sum_up(both, 0) == math.inf
+        # a 0 * inf corner: the whole line, as the scalar _imul gives
+        lo, hi = intervals._prod_bounds(np.array([0.0, -math.inf]), np.array([1.0, 1.0]),
+                                        np.array([1.0, 0.0]), np.array([math.inf, 1.0]))
+        assert lo.tolist() == [-math.inf, -math.inf] and hi.tolist() == [math.inf, math.inf]
+        # an overflowed corner rounds to the infinity beyond it
+        lo, hi = intervals._prod_bounds(np.array([1e300]), np.array([1e300]),
+                                        np.array([1e10]), np.array([1e10]))
+        assert lo[0] == 1.7976931348623157e308 and hi[0] == math.inf
+
+
+# ----------------------------------------------------------------------
 # vector / matrix layer
 # ----------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Taylor coefficient kernels: recurrences, variational series, enclosures."""
 
+from fractions import Fraction
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -15,10 +17,10 @@ STATE = np.array([-1.12327231155833984, 0.0, 0.0, 0.11797393804215285])
 ORDER = 20
 
 
-def random_states(n):
+def random_states(n, rng=RNG):
     out = []
     while len(out) < n:
-        s = RNG.uniform([-1.4, -1.4, -0.6, -0.6], [1.4, 1.4, 0.6, 0.6])
+        s = rng.uniform([-1.4, -1.4, -0.6, -0.6], [1.4, 1.4, 0.6, 0.6])
         r1 = np.hypot(s[0] + P.mu, s[1])
         r2 = np.hypot(s[0] - 1 + P.mu, s[1])
         if r1 > 0.2 and r2 > 0.05:
@@ -153,3 +155,137 @@ def test_close_encounter_guard():
         taylor.point_coeffs(at_primary, P.mu, 8)
     with pytest.raises(SingularityError):
         taylor.iv_coeffs(at_primary - 1e-3, at_primary + 1e-3, P.mu, 8)
+
+
+# ----------------------------------------------------------------------
+# exact oracle: the same recurrences in mpmath at 50 digits
+# ----------------------------------------------------------------------
+
+ORACLE_ORDER = 21
+
+
+def _mp_series(state, mu, n):
+    """State and variational (V(0) = I) series 0..n, exact to 50 digits."""
+    with mp.workdps(50):
+        mu = mp.mpf(mu)
+        m1 = 1 - mu
+        c = [[mp.mpf(float(v)) for v in state]]
+        p1, p2, y = [c[0][0] + mu], [c[0][0] - m1], [c[0][1]]
+        p1sq, p2sq, ysq, p1y, p2y, q1, q2, s1, s2, w1, w2 = ([] for _ in range(11))
+        hess = []
+        for k in range(n):
+            def conv(a, b):
+                return mp.fsum(a[i] * b[k - i] for i in range(k + 1))
+
+            for out, a, b in ((p1sq, p1, p1), (p2sq, p2, p2), (ysq, y, y),
+                              (p1y, p1, y), (p2y, p2, y)):
+                out.append(conv(a, b))
+            q1.append(p1sq[k] + ysq[k])
+            q2.append(p2sq[k] + ysq[k])
+            for q, s, w in ((q1, s1, w1), (q2, s2, w2)):
+                if k == 0:
+                    s.append(q[0] ** mp.mpf(-1.5))
+                    w.append(q[0] ** mp.mpf(-2.5))
+                    continue
+                for out, alpha in ((s, mp.mpf(-1.5)), (w, mp.mpf(-2.5))):
+                    acc = mp.fsum(((alpha + 1) * j - k) * q[j] * out[k - j]
+                                  for j in range(1, k + 1))
+                    out.append(acc / (k * q[0]))
+            unit = 1 if k == 0 else 0
+            oxx = unit - m1 * (s1[k] - 3 * conv(p1sq, w1)) - mu * (s2[k] - 3 * conv(p2sq, w2))
+            oxy = 3 * m1 * conv(p1y, w1) + 3 * mu * conv(p2y, w2)
+            oyy = unit - m1 * (s1[k] - 3 * conv(ysq, w1)) - mu * (s2[k] - 3 * conv(ysq, w2))
+            hess.append((oxx, oxy, oyy))
+            ax = 2 * c[k][3] + c[k][0] - m1 * conv(p1, s1) - mu * conv(p2, s2)
+            ay = -2 * c[k][2] + c[k][1] - m1 * conv(y, s1) - mu * conv(y, s2)
+            c.append([c[k][2] / (k + 1), c[k][3] / (k + 1), ax / (k + 1), ay / (k + 1)])
+            p1.append(c[k + 1][0])
+            p2.append(c[k + 1][0])
+            y.append(c[k + 1][1])
+        v = [mp.eye(4)]
+        for k in range(n):
+            nxt = mp.matrix(4, 4)
+            for j in range(4):
+                a2 = 2 * v[k][3, j] + mp.fsum(
+                    hess[m][0] * v[k - m][0, j] + hess[m][1] * v[k - m][1, j]
+                    for m in range(k + 1))
+                a3 = -2 * v[k][2, j] + mp.fsum(
+                    hess[m][1] * v[k - m][0, j] + hess[m][2] * v[k - m][1, j]
+                    for m in range(k + 1))
+                for i, val in enumerate((v[k][2, j], v[k][3, j], a2, a3)):
+                    nxt[i, j] = val / (k + 1)
+            v.append(nxt)
+        return c, v
+
+
+def _encloses_series(lo, hi, exact):
+    with mp.workdps(50):
+        return all(
+            mp.mpf(float(lo[idx])) <= val <= mp.mpf(float(hi[idx]))
+            for idx, val in exact
+        )
+
+
+def _flat_state(c):
+    return [((k, i), c[k][i]) for k in range(len(c)) for i in range(4)]
+
+
+def _flat_var(v):
+    return [((k, i, j), v[k][i, j]) for k in range(len(v))
+            for i in range(4) for j in range(4)]
+
+
+def _check_kernels_contain(xlo, xhi, points):
+    eye = np.eye(4)
+    clo, chi = taylor.iv_coeffs(xlo, xhi, P.mu, ORACLE_ORDER)
+    vclo, vchi, vlo, vhi = taylor.iv_var_coeffs(xlo, xhi, eye, eye, P.mu, ORACLE_ORDER)
+    for s in points:
+        c, v = _mp_series(s, P.mu, ORACLE_ORDER)
+        assert _encloses_series(clo, chi, _flat_state(c))
+        assert _encloses_series(vclo, vchi, _flat_state(c))
+        assert _encloses_series(vlo, vhi, _flat_var(v))
+
+
+def test_interval_kernels_contain_exact_series_at_points():
+    # a point box leaves only rounding inside the enclosure, so every
+    # outward step of the batched products and sums is needed here
+    for s in [STATE] + random_states(3, np.random.default_rng(21)):
+        _check_kernels_contain(s, s, [s])
+
+
+def test_interval_kernels_contain_exact_series_at_box_corners():
+    lo, hi = STATE - 1e-8, STATE + 1e-8
+    corners = [np.where([(m >> i) & 1 for i in range(4)], hi, lo) for m in range(16)]
+    _check_kernels_contain(lo, hi, corners)
+
+
+def _check_batch(z, k, want_hessian=True):
+    # the batch's sums must enclose the exact weighted sums of the exact
+    # products of its point operands (lo == hi)
+    a, b, w = taylor._operands(z.shape[-1] - 1, want_hessian)
+    ia, ib, weights = a[:, :k + 1], b[:, k::-1], w[:, :k + 1] - (k + 1.0)
+    sums = taylor._convolve(z, ia, ib, weights)
+    zf = z[0].ravel()
+    w = np.ones(ia.shape)
+    w[-len(weights):] = weights
+    for r, (lo, hi) in enumerate(sums):
+        exact = sum(Fraction(w[r, i]) * Fraction(zf[ia[r, i]]) * Fraction(zf[ib[r, i]])
+                    for i in range(k + 1))
+        assert Fraction(lo) <= exact <= Fraction(hi)
+
+
+def test_batched_convolution_exact():
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=(taylor._ROWS, 9)) * 10.0 ** rng.integers(-12, 12, (taylor._ROWS, 9))
+    z = np.array([vals, vals])
+    for k in range(1, 8):
+        _check_batch(z, k)
+        _check_batch(z, k, want_hessian=False)
+    # one unit product and six products just under half an ulp of 1: the
+    # float sum rounds every small term away
+    eps = 0.9 * 2.0 ** -53
+    z = np.zeros((2, taylor._ROWS, 8))
+    z[:, taylor._P1SQ] = 1.0
+    z[:, taylor._W1, :6] = eps
+    z[:, taylor._W1, 6] = 1.0
+    _check_batch(z, 6)
