@@ -214,9 +214,14 @@ def libration_point(params: Params, index: int) -> float:
 # ----------------------------------------------------------------------
 
 
+def _heavy_mass_iv(params: Params) -> Interval:
+    # 1 - mu, the heavy mass and minus the light primary's x, is not a float
+    return 1.0 - Interval.point(params.mu)
+
+
 def _radii_iv(params: Params, x: Interval, y: Interval) -> tuple[Interval, Interval]:
     r1sq = (x + params.mu).sqr() + y.sqr()
-    r2sq = (x - (1.0 - params.mu)).sqr() + y.sqr()
+    r2sq = (x - _heavy_mass_iv(params)).sqr() + y.sqr()
     if r1sq.lo < GUARD_RADIUS * GUARD_RADIUS or r2sq.lo < GUARD_RADIUS * GUARD_RADIUS:
         raise SingularityError("interval state reaches the guard radius of a primary")
     return r1sq.sqrt(), r2sq.sqrt()
@@ -225,12 +230,13 @@ def _radii_iv(params: Params, x: Interval, y: Interval) -> tuple[Interval, Inter
 def effective_potential_iv(params: Params, x: Interval, y: Interval) -> Interval:
     """Interval enclosure of Omega over a rectangle."""
     mu = params.mu
+    m1 = _heavy_mass_iv(params)
     r1, r2 = _radii_iv(params, x, y)
     return (
         (x.sqr() + y.sqr()) * 0.5
-        + (1.0 - mu) / r1
+        + m1 / r1
         + mu / r2
-        + 0.5 * mu * (1.0 - mu)
+        + m1 * (0.5 * mu)
     )
 
 

@@ -9,12 +9,11 @@ An undefined corner (0 * inf, inf / inf) gives the whole line, and an
 overflowed end is the infinity it rounds to.  The scalar primitives
 ``_dn``, ``_up``, ``_iadd``, ``_isub``, ``_imul``, ``_iscale``, ``_idiv``,
 ``_idivn`` and ``_isqrt_pos`` on ``(lo, hi)`` pairs define the policy: the
-order-0 terms and per-order combinations of the :mod:`pcr3bp.taylor`
-interval kernels call them (its Horner kernels compile them; each calls
-only :mod:`math`, so numba can), and :class:`Interval` mul, div, sqr and
-sqrt call them.  The one exception: :class:`Interval` add and sub are
-sharpened with an exact residual (TwoSum); when the float sum is exact no
-step is taken, which keeps small-integer arithmetic exact.
+order-0 terms, per-order combinations and Horner evaluations of the
+:mod:`pcr3bp.taylor` interval kernels call them, and :class:`Interval`
+mul, div, sqr and sqrt call them.  The one exception: :class:`Interval`
+add and sub are sharpened with an exact residual (TwoSum); when the float
+sum is exact no step is taken, which keeps small-integer arithmetic exact.
 
 The array layer applies the same policy to (lo, hi) float64 array pairs,
 and it is the rounding core of the batched interval Taylor kernels as well

@@ -25,14 +25,17 @@ one interval source for the field and the potential Hessian.  Both kernels
 raise :class:`~pcr3bp.errors.SingularityError` within :data:`GUARD_RADIUS`
 of a primary.
 
-The point kernels and the interval Horner evaluations go through ``_jit``,
-which compiles them (cached to disk) when numba is importable and is the
-identity otherwise.  The interval series kernels are plain numpy.
+The point kernels run on Python floats: each series is a list, and each
+convolution is one ``sum`` of a ``map`` of products, so the series cost
+O(n^2) per call.  The variational step of :func:`point_var_coeffs` is one
+matrix product per order.  The interval Horner evaluations call the scalar
+primitives on ``tolist()`` rows.  No kernel is compiled.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -54,26 +57,12 @@ __all__ = [
     "NUMBA_ENABLED",
 ]
 
-try:  # pragma: no cover - exercised implicitly on import
-    from numba import njit as _njit
-
-    def _jit(func):
-        return _njit(cache=True, nogil=True)(func)
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover
-    def _jit(func):
-        return func
-
-    NUMBA_ENABLED = False
+#: No kernel is compiled; ``perfbench`` records this flag in its environment stamp.
+NUMBA_ENABLED = False
 
 #: Distances to a primary below this raise :class:`SingularityError`.
 GUARD_RADIUS = 1e-12
 _GUARD_SQ = GUARD_RADIUS * GUARD_RADIUS
-
-# compiled copies of the shared primitives for the interval Horner kernels
-_hadd = _jit(intervals._iadd)
-_hmul = _jit(intervals._imul)
 
 
 # ----------------------------------------------------------------------
@@ -81,187 +70,142 @@ _hmul = _jit(intervals._imul)
 # ----------------------------------------------------------------------
 
 
-@_jit
+def _conv(a, b):
+    """sum_i a_i b_(k-i) over the k+1 terms of a and b.
+
+    Summed left to right, as a plain loop would; from Python 3.12 on,
+    ``sum`` compensates float round-off, which can change the last bits.
+    """
+    return sum(map(mul, a, reversed(b)))
+
+
+def _power_term(weights, q, s):
+    """Order k of s = q^alpha from orders 0..k of q and 0..k-1 of s.
+
+    ``weights`` are (alpha+1) j - k for j = 1..k.
+    """
+    k = len(s)
+    return _conv(list(map(mul, weights, q[1:])), s) / (k * q[0])
+
+
 def _pt_series(state, mu, n, want_hessian):
     """Taylor coefficients 0..n of the solution through ``state``.
 
-    Needs ``n >= 1``.  Returns (c, oxx, oxy, oyy) where c has shape
-    (n+1, 4); the potential second-derivative series are filled at orders
-    0..n-1 (all the variational recurrence reads) only when ``want_hessian``.
+    Needs ``n >= 1``.  Returns (c, h): c is the list of the four state
+    series (x, y, vx, vy), each a list of n+1 floats; h is the list of the
+    (Omega_xx, Omega_xy, Omega_yy) series at orders 0..n-1 (all the
+    variational recurrence reads), or None without ``want_hessian``.
     """
-    c = np.zeros((n + 1, 4))
-    p1 = np.zeros(n + 1)
-    p2 = np.zeros(n + 1)
-    ysq = np.zeros(n + 1)
-    p1sq = np.zeros(n + 1)
-    p2sq = np.zeros(n + 1)
-    q1 = np.zeros(n + 1)
-    q2 = np.zeros(n + 1)
-    s1 = np.zeros(n + 1)
-    s2 = np.zeros(n + 1)
-    w1 = np.zeros(n + 1)
-    w2 = np.zeros(n + 1)
-    oxx = np.zeros(n + 1)
-    oxy = np.zeros(n + 1)
-    oyy = np.zeros(n + 1)
-
-    c[0, 0] = state[0]
-    c[0, 1] = state[1]
-    c[0, 2] = state[2]
-    c[0, 3] = state[3]
-    p1[0] = state[0] + mu
-    p2[0] = state[0] - (1.0 - mu)
-
+    m1 = 1.0 - mu
+    x, y, vx, vy = ([float(v)] for v in state)
+    p1, p2 = [x[0] + mu], [x[0] - m1]
+    p1sq, p2sq, ysq, q1, q2, s1, s2 = [], [], [], [], [], [], []
+    p1y, p2y, w1, w2, oxx, oxy, oyy = [], [], [], [], [], [], []
     for k in range(n):
-        # squared-distance series coefficients at order k
-        a1 = 0.0
-        a2 = 0.0
-        ay = 0.0
-        for i in range(k + 1):
-            a1 += p1[i] * p1[k - i]
-            a2 += p2[i] * p2[k - i]
-            ay += c[i, 1] * c[k - i, 1]
-        p1sq[k] = a1
-        p2sq[k] = a2
-        ysq[k] = ay
-        q1[k] = a1 + ay
-        q2[k] = a2 + ay
-
+        # squared distances q = p^2 + y^2 at order k
+        p1sq.append(_conv(p1, p1))
+        p2sq.append(_conv(p2, p2))
+        ysq.append(_conv(y, y))
+        q1.append(p1sq[k] + ysq[k])
+        q2.append(p2sq[k] + ysq[k])
+        # s = q^(-3/2) and w = q^(-5/2) at order k
         if k == 0:
             if q1[0] <= _GUARD_SQ or q2[0] <= _GUARD_SQ:
                 raise SingularityError("taylor kernel: state inside primary guard radius")
-            r1 = math.sqrt(q1[0])
-            r2 = math.sqrt(q2[0])
-            s1[0] = 1.0 / (q1[0] * r1)
-            s2[0] = 1.0 / (q2[0] * r2)
-            w1[0] = s1[0] / q1[0]
-            w2[0] = s2[0] / q2[0]
+            s1.append(1.0 / (q1[0] * math.sqrt(q1[0])))
+            s2.append(1.0 / (q2[0] * math.sqrt(q2[0])))
+            if want_hessian:
+                w1.append(s1[0] / q1[0])
+                w2.append(s2[0] / q2[0])
         else:
-            acc1 = 0.0
-            acc2 = 0.0
-            accw1 = 0.0
-            accw2 = 0.0
-            for j in range(1, k + 1):
-                cs = -0.5 * j - k
-                cw = -1.5 * j - k
-                acc1 += cs * q1[j] * s1[k - j]
-                acc2 += cs * q2[j] * s2[k - j]
-                accw1 += cw * q1[j] * w1[k - j]
-                accw2 += cw * q2[j] * w2[k - j]
-            s1[k] = acc1 / (k * q1[0])
-            s2[k] = acc2 / (k * q2[0])
-            w1[k] = accw1 / (k * q1[0])
-            w2[k] = accw2 / (k * q2[0])
+            cs = [-0.5 * j - k for j in range(1, k + 1)]
+            s1.append(_power_term(cs, q1, s1))
+            s2.append(_power_term(cs, q2, s2))
+            if want_hessian:
+                cw = [-1.5 * j - k for j in range(1, k + 1)]
+                w1.append(_power_term(cw, q1, w1))
+                w2.append(_power_term(cw, q2, w2))
 
         if want_hessian:
-            # Omega_xx = 1 - (1-mu)(s1 - 3 p1^2 w1) - mu (s2 - 3 p2^2 w2), etc.
-            g11 = 0.0
-            g22 = 0.0
-            gy1 = 0.0
-            gy2 = 0.0
-            gxy1 = 0.0
-            gxy2 = 0.0
-            for i in range(k + 1):
-                g11 += p1sq[i] * w1[k - i]
-                g22 += p2sq[i] * w2[k - i]
-                gy1 += ysq[i] * w1[k - i]
-                gy2 += ysq[i] * w2[k - i]
-            # p*y*w double convolutions
-            for i in range(k + 1):
-                py1 = 0.0
-                py2 = 0.0
-                for m in range(i + 1):
-                    py1 += p1[m] * c[i - m, 1]
-                    py2 += p2[m] * c[i - m, 1]
-                gxy1 += py1 * w1[k - i]
-                gxy2 += py2 * w2[k - i]
+            # Omega_xx = 1 - (1-mu)(s1 - 3 p1^2 w1) - mu (s2 - 3 p2^2 w2),
+            # Omega_yy likewise with y^2, Omega_xy = 3 (1-mu) p1 y w1 + 3 mu p2 y w2
+            p1y.append(_conv(p1, y))
+            p2y.append(_conv(p2, y))
             unit = 1.0 if k == 0 else 0.0
-            oxx[k] = unit - (1.0 - mu) * (s1[k] - 3.0 * g11) - mu * (s2[k] - 3.0 * g22)
-            oxy[k] = 3.0 * (1.0 - mu) * gxy1 + 3.0 * mu * gxy2
-            oyy[k] = unit - (1.0 - mu) * (s1[k] - 3.0 * gy1) - mu * (s2[k] - 3.0 * gy2)
+            oxx.append(unit - m1 * (s1[k] - 3.0 * _conv(p1sq, w1))
+                       - mu * (s2[k] - 3.0 * _conv(p2sq, w2)))
+            oxy.append(3.0 * m1 * _conv(p1y, w1) + 3.0 * mu * _conv(p2y, w2))
+            oyy.append(unit - m1 * (s1[k] - 3.0 * _conv(ysq, w1))
+                       - mu * (s2[k] - 3.0 * _conv(ysq, w2)))
 
         # accelerations at order k and the next state coefficients
-        g1 = 0.0
-        g2 = 0.0
-        h1 = 0.0
-        h2 = 0.0
-        for i in range(k + 1):
-            g1 += p1[i] * s1[k - i]
-            g2 += p2[i] * s2[k - i]
-            h1 += c[i, 1] * s1[k - i]
-            h2 += c[i, 1] * s2[k - i]
-        ax = 2.0 * c[k, 3] + c[k, 0] - (1.0 - mu) * g1 - mu * g2
-        ay2 = -2.0 * c[k, 2] + c[k, 1] - (1.0 - mu) * h1 - mu * h2
+        ax = 2.0 * vy[k] + x[k] - m1 * _conv(p1, s1) - mu * _conv(p2, s2)
+        ay = -2.0 * vx[k] + y[k] - m1 * _conv(y, s1) - mu * _conv(y, s2)
         inv = 1.0 / (k + 1)
-        c[k + 1, 0] = c[k, 2] * inv
-        c[k + 1, 1] = c[k, 3] * inv
-        c[k + 1, 2] = ax * inv
-        c[k + 1, 3] = ay2 * inv
-        p1[k + 1] = c[k + 1, 0]
-        p2[k + 1] = c[k + 1, 0]
+        x.append(vx[k] * inv)
+        y.append(vy[k] * inv)
+        vx.append(ax * inv)
+        vy.append(ay * inv)
+        p1.append(x[k + 1])
+        p2.append(x[k + 1])
+    return [x, y, vx, vy], ([oxx, oxy, oyy] if want_hessian else None)
 
-    return c, oxx, oxy, oyy
 
-
-@_jit
 def point_coeffs(state, mu, n):
     """Taylor coefficients (n+1, 4) of the solution through ``state``."""
-    c, _, _, _ = _pt_series(state, mu, n, False)
-    return c
+    c, _ = _pt_series(state, mu, n, False)
+    return np.array(c).T.copy()
 
 
-@_jit
 def point_var_coeffs(state, v0, mu, n):
     """State and variational Taylor coefficients through ``state``.
 
     The variational series solves V' = Df(u(t)) V with V(0) = v0.
     Returns (c, vc) with shapes (n+1, 4) and (n+1, 4, 4).
+
+    Rows 0 and 1 of each order are a shift; rows 2 and 3 are one product
+    of the (Hessian + Coriolis) coefficients with the V history.
     """
-    c, oxx, oxy, oyy = _pt_series(state, mu, n, True)
-    vc = np.zeros((n + 1, 4, 4))
-    for i in range(4):
-        for j in range(4):
-            vc[0, i, j] = v0[i, j]
+    c, h = _pt_series(state, mu, n, True)
+    # (V_(k+1))_(r+2) = (1/(k+1)) sum_{m=0..k} sum_i coef[r, m, i] (V_(k-m))_i:
+    # the Hessian terms on rows 0 and 1, and at m = 0 the Coriolis terms
+    # 2 V_3 and -2 V_2 on rows 2 and 3
+    h = np.array(h)
+    coef = np.zeros((2, n, 4))
+    coef[:, :, :2] = h[[[0, 1], [1, 2]]].transpose(0, 2, 1)
+    coef[0, 0, 3] = 2.0
+    coef[1, 0, 2] = -2.0
+    # V_k is stored at index n - k, so V_k..V_0 is one forward slice
+    v = np.zeros((n + 1, 4, 4))
+    v[n] = v0
     for k in range(n):
         inv = 1.0 / (k + 1)
-        for j in range(4):
-            vc[k + 1, 0, j] = vc[k, 2, j] * inv
-            vc[k + 1, 1, j] = vc[k, 3, j] * inv
-            acc2 = 2.0 * vc[k, 3, j]
-            acc3 = -2.0 * vc[k, 2, j]
-            for m in range(k + 1):
-                acc2 += oxx[m] * vc[k - m, 0, j] + oxy[m] * vc[k - m, 1, j]
-                acc3 += oxy[m] * vc[k - m, 0, j] + oyy[m] * vc[k - m, 1, j]
-            vc[k + 1, 2, j] = acc2 * inv
-            vc[k + 1, 3, j] = acc3 * inv
-    return c, vc
+        past = v[n - k:]
+        nxt = v[n - k - 1]
+        nxt[:2] = past[0, 2:] * inv
+        nxt[2:] = (coef[:, :k + 1].reshape(2, -1) @ past.reshape(-1, 4)) * inv
+    return np.array(c).T.copy(), v[::-1].copy()
 
 
-@_jit
 def horner_point(c, t):
     """Evaluate a coefficient array (n+1, 4) at time t."""
-    n = c.shape[0] - 1
-    out = np.empty(4)
-    for j in range(4):
-        acc = c[n, j]
-        for k in range(n - 1, -1, -1):
-            acc = acc * t + c[k, j]
-        out[j] = acc
-    return out
+    t = float(t)
+    rows = c.tolist()
+    a0, a1, a2, a3 = rows.pop()
+    for r0, r1, r2, r3 in reversed(rows):
+        a0 = a0 * t + r0
+        a1 = a1 * t + r1
+        a2 = a2 * t + r2
+        a3 = a3 * t + r3
+    return np.array([a0, a1, a2, a3])
 
 
-@_jit
 def horner_var_point(vc, t):
     """Evaluate a variational coefficient array (n+1, 4, 4) at time t."""
-    n = vc.shape[0] - 1
-    out = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            acc = vc[n, i, j]
-            for k in range(n - 1, -1, -1):
-                acc = acc * t + vc[k, i, j]
-            out[i, j] = acc
-    return out
+    acc = vc[-1].copy()
+    for row in vc[-2::-1]:
+        acc = acc * t + row
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -532,36 +476,31 @@ def iv_var_coeffs(xlo, xhi, v0lo, v0hi, mu, n):
     return c[0], c[1], v[0], v[1]
 
 
-@_jit
+def _horner_iv(lo, hi, tlo, thi):
+    """Interval Horner evaluation entry by entry.
+
+    ``lo``/``hi`` hold one list per entry, of its coefficient ends by order
+    (the lists are consumed).  Returns the (lo, hi) ends of the values.
+    """
+    out = []
+    for cl, ch in zip(lo, hi):
+        accl, acch = cl.pop(), ch.pop()
+        for bl, bh in zip(reversed(cl), reversed(ch)):
+            accl, acch = _imul(accl, acch, tlo, thi)
+            accl, acch = _iadd(accl, acch, bl, bh)
+        out.append((accl, acch))
+    return zip(*out)
+
+
 def horner_iv(clo, chi, tlo, thi):
     """Evaluate interval coefficients (n+1, 4) at an interval time."""
-    n = clo.shape[0] - 1
-    outlo = np.empty(4)
-    outhi = np.empty(4)
-    for j in range(4):
-        accl = clo[n, j]
-        acch = chi[n, j]
-        for k in range(n - 1, -1, -1):
-            accl, acch = _hmul(accl, acch, tlo, thi)
-            accl, acch = _hadd(accl, acch, clo[k, j], chi[k, j])
-        outlo[j] = accl
-        outhi[j] = acch
-    return outlo, outhi
+    lo, hi = _horner_iv(clo.T.tolist(), chi.T.tolist(), float(tlo), float(thi))
+    return np.array(lo), np.array(hi)
 
 
-@_jit
 def horner_var_iv(vlo, vhi, tlo, thi):
     """Evaluate interval variational coefficients (n+1, 4, 4) at a time."""
-    n = vlo.shape[0] - 1
-    outlo = np.empty((4, 4))
-    outhi = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            accl = vlo[n, i, j]
-            acch = vhi[n, i, j]
-            for k in range(n - 1, -1, -1):
-                accl, acch = _hmul(accl, acch, tlo, thi)
-                accl, acch = _hadd(accl, acch, vlo[k, i, j], vhi[k, i, j])
-            outlo[i, j] = accl
-            outhi[i, j] = acch
-    return outlo, outhi
+    n = vlo.shape[0]
+    lo, hi = _horner_iv(vlo.reshape(n, 16).T.tolist(), vhi.reshape(n, 16).T.tolist(),
+                        float(tlo), float(thi))
+    return np.reshape(lo, (4, 4)), np.reshape(hi, (4, 4))

@@ -191,6 +191,17 @@ def test_interval_field_contains_point_values():
         assert np.all(jac_enc.lo <= jac) and np.all(jac <= jac_enc.hi)
 
 
+def test_interval_potential_contains_exact_value_at_points():
+    # point boxes leave only rounding in the enclosure; near a primary the
+    # float 1 - mu would shift the light primary by far more than that
+    offsets = [(1e-9, 0.0), (-3e-7, 0.0), (0.0, 2e-8), (1e-9, -2e-8)]
+    near = [(c + dx, dy) for c in (-P.mu, 1.0 - P.mu) for dx, dy in offsets]
+    for x, y in SAMPLES + near:
+        enc = dynamics.effective_potential_iv(P, Interval.point(x), Interval.point(y))
+        exact = omega_mp(P.mu, x, y)
+        assert mp.mpf(enc.lo) <= exact <= mp.mpf(enc.hi), (x, y)
+
+
 def test_interval_potential_thin_box_is_tight():
     for x, y in SAMPLES:
         enc = dynamics.effective_potential_iv(P, Interval.point(x), Interval.point(y))

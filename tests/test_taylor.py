@@ -1,5 +1,6 @@
 """Taylor coefficient kernels: recurrences, variational series, enclosures."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -289,3 +290,61 @@ def test_batched_convolution_exact():
     z[:, taylor._W1, :6] = eps
     z[:, taylor._W1, 6] = 1.0
     _check_batch(z, 6)
+
+
+# ----------------------------------------------------------------------
+# the float point kernels against the exact oracle
+# ----------------------------------------------------------------------
+
+
+def _max_rel_error(ours, exact):
+    # error of each order's terms relative to that order's largest exact term
+    with mp.workdps(50):
+        worst = mp.mpf(0)
+        for k, row in enumerate(exact):
+            vals = list(row)
+            scale = max(abs(v) for v in vals)
+            if scale == 0:
+                continue
+            got = np.asarray(ours[k]).ravel()
+            worst = max(worst, max(abs(mp.mpf(float(g)) - v) for g, v in zip(got, vals)) / scale)
+        return float(worst)
+
+
+@pytest.mark.parametrize("s", [STATE] + random_states(4, np.random.default_rng(31)))
+def test_point_kernels_match_exact_series(s):
+    c, v = _mp_series(s, P.mu, ORACLE_ORDER)
+    pc = taylor.point_coeffs(s, P.mu, ORACLE_ORDER)
+    vcc, vc = taylor.point_var_coeffs(s, np.eye(4), P.mu, ORACLE_ORDER)
+    assert np.array_equal(pc, vcc)
+    assert _max_rel_error(pc, c) < 1e-12
+    assert _max_rel_error(vc, [[v[k][i, j] for i in range(4) for j in range(4)]
+                               for k in range(len(v))]) < 1e-12
+
+
+def _fraction_horner(coeffs, t):
+    acc = Fraction(0)
+    for a in reversed(coeffs):
+        acc = acc * Fraction(t) + Fraction(a)
+    return acc
+
+
+def _horner_ulps(got, coeffs, t):
+    # error against the exact polynomial value, in ulps of sum |a_k| |t|^k
+    # (the value itself can cancel to near zero)
+    exact = _fraction_horner(coeffs, t)
+    scale = _fraction_horner([abs(a) for a in coeffs], abs(t))
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(float(scale)))
+
+
+def test_point_horner_matches_exact_horner():
+    rng = np.random.default_rng(32)
+    for s in [STATE] + random_states(3, rng):
+        c, vc = taylor.point_var_coeffs(s, rng.normal(size=(4, 4)), P.mu, ORACLE_ORDER)
+        for t in rng.uniform(-0.08, 0.08, 3):
+            got = taylor.horner_point(c, t)
+            vgot = taylor.horner_var_point(vc, t)
+            for j in range(4):
+                assert _horner_ulps(got[j], c[:, j].tolist(), t) <= 4
+                for i in range(4):
+                    assert _horner_ulps(vgot[i, j], vc[:, i, j].tolist(), t) <= 4
