@@ -1,7 +1,7 @@
 """Validated numerics for the planar circular restricted three-body problem.
 
 Public API re-exports live here; see the module docstrings for the layered
-design (intervals -> dynamics -> taylor -> integrator -> poincare -> hset ->
+design (intervals -> taylor -> dynamics -> integrator -> poincare -> hset ->
 symbolic -> orbits).
 """
 

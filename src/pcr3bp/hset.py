@@ -580,6 +580,8 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
                 f"sampled point a={a:.3f} b={b:.3f} maps into a bar beside "
                 f"{target.name} (|a'| <= 1 with |b'| >= 1)", dict(errors),
             )
+    if stable == math.inf:  # no sampled image landed within |a'| <= 1
+        stable = 0.0
     for a_edge in (-1.0, 1.0):
         for b in np.linspace(-1.0, 1.0, n_edge):
             try:
@@ -592,8 +594,7 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
             margin = min(margin, clearance)
             if clearance < 0.0:
                 return CoverReport(
-                    "falsified", clearance,
-                    stable if stable != math.inf else 0.0, (0, 0), count,
+                    "falsified", clearance, stable, (0, 0), count,
                     "sampled exit-edge point falls short of the unstable "
                     "edges", dict(errors),
                 )
@@ -606,8 +607,7 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
             "sampled exit edges do not separate consistently", dict(errors),
         )
     return CoverReport(
-        "inconclusive", 0.0, stable if stable != math.inf else 0.0, (0, 0),
-        count,
+        "inconclusive", 0.0, stable, (0, 0), count,
         f"{source.name} covering {target.name}: all {count} samples satisfy "
         f"the covering inequalities (pointwise screen certifies nothing)"
         + _errors_note(errors),

@@ -23,6 +23,35 @@ Lohner representation).  Every step:
 Dense output inside a step evaluates the same polynomial + remainder data at
 interval times, which is what the section-crossing localization uses to
 bracket ``y = 0`` and read off sharp crossing states by a mean-value form.
+
+Settings
+--------
+The module constants are the only settings, and every run of the proof
+uses them: they are the defaults the package was first written with, and
+all verdicts, margins and widths in CHANGES.md and the benchmark records
+were computed with them.  Functions read them at call time, so a test can
+change one with ``monkeypatch.setattr``.
+
+* ``ORDER = 20``: Taylor order of every step, point and rigorous; the
+  remainder uses the order-21 coefficients.
+* ``TOL = 1e-12``, ``SAFETY = 0.9``, ``H_MAX = 0.5``: the step rule of
+  Jorba & Zou (Exp. Math. 14, 2005), ``h = SAFETY * min_k (TOL /
+  |a_k|)^(1/k)`` over the top two coefficient rows, capped at ``H_MAX``
+  (also the step when both rows vanish).
+* ``H_MIN = 1e-9``: the step floor.  The step rule proposes no less; a
+  rigorous step that must halve below it, or a crossing that cannot be
+  separated above it, is refused with an error instead of continued.
+* ``PICARD_ITERATIONS = 18``: inflate-and-retry passes allowed for the
+  a-priori enclosures before the step is halved.
+* ``REMAINDER_BUDGET = 1e-10``: the largest Lagrange remainder (state and
+  variational) a rigorous step may keep, 100 times ``TOL``; a larger one
+  means the a-priori box is too wide, so the step is halved.
+* ``MAX_TIME = 50.0``: time horizon of one section flight.
+* ``MIN_TIME = 1e-3``: sign changes of ``y`` before this time belong to
+  the departure from the section and are not crossings.
+* ``BRACKET_TOL = 1e-11``: time width at which the bisection of a rigorous
+  crossing bracket stops.
+* ``TANGENCY_TOL = 1e-8``: least ``|vy|`` accepted at a crossing.
 """
 
 from __future__ import annotations
@@ -45,8 +74,6 @@ from .intervals import IMatrix, Interval, IVector, gauss_solve, gauss_solve_mat
 from .intervals import _dn, _up
 
 __all__ = [
-    "IntegratorConfig",
-    "DEFAULT_CONFIG",
     "PointStep",
     "PointFlow",
     "flow_point",
@@ -59,48 +86,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class IntegratorConfig:
-    """Tuning knobs shared by both integration modes."""
-
-    order: int = 20
-    tol: float = 1e-12
-    safety: float = 0.9
-    h_min: float = 1e-9
-    h_max: float = 0.5
-    max_time: float = 50.0
-    picard_iterations: int = 18
-    remainder_slack: float = 100.0
-    bracket_tol: float = 1e-11
-    tangency_tol: float = 1e-8
-    min_time: float = 1e-3
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if self.order < 2:
-            raise IntegrationError("integration order must be at least 2")
-        if not (0.0 < self.tol < 1.0):
-            raise IntegrationError("tolerance must be in (0, 1)")
-        if not (0.0 < self.h_min < self.h_max):
-            raise IntegrationError("need 0 < h_min < h_max")
-        if not (0.0 < self.safety <= 1.0):
-            raise IntegrationError("safety factor must be in (0, 1]")
+ORDER = 20
+TOL = 1e-12
+SAFETY = 0.9
+H_MIN = 1e-9
+H_MAX = 0.5
+MAX_TIME = 50.0
+PICARD_ITERATIONS = 18
+REMAINDER_BUDGET = 1e-10
+BRACKET_TOL = 1e-11
+TANGENCY_TOL = 1e-8
+MIN_TIME = 1e-3
 
 
-DEFAULT_CONFIG = IntegratorConfig()
-
-
-def _step_from_coeffs(coeffs: np.ndarray, cfg: IntegratorConfig) -> float:
+def _step_from_coeffs(coeffs: np.ndarray) -> float:
     """Step-size heuristic from the decay of the top two coefficient rows."""
     n = coeffs.shape[0] - 1
-    h = cfg.h_max
+    h = H_MAX
     for k in (n - 1, n):
         norm = float(np.max(np.abs(coeffs[k])))
         if norm > 0.0:
-            h = min(h, (cfg.tol / norm) ** (1.0 / k))
-    return max(cfg.safety * h, cfg.h_min)
+            h = min(h, (TOL / norm) ** (1.0 / k))
+    return max(SAFETY * h, H_MIN)
 
 
 # ----------------------------------------------------------------------
@@ -134,10 +141,8 @@ class PointFlow:
     flow from time zero.
     """
 
-    def __init__(self, params: Params, state, cfg: IntegratorConfig | None = None,
-                 variational: bool = False):
+    def __init__(self, params: Params, state, variational: bool = False):
         self.params = params
-        self.cfg = cfg or DEFAULT_CONFIG
         self.state = np.array(state, dtype=np.float64)
         if self.state.shape != (4,):
             raise IntegrationError("state must have four components")
@@ -147,18 +152,17 @@ class PointFlow:
     def step(self, direction: float = 1.0, h_cap: float | None = None,
              h_force: float | None = None) -> PointStep:
         """Advance by one step in the given time direction."""
-        cfg = self.cfg
         if self.v is None:
-            coeffs = taylor.point_coeffs(self.state, self.params.mu, cfg.order)
+            coeffs = taylor.point_coeffs(self.state, self.params.mu, ORDER)
             vcoeffs = None
         else:
             coeffs, vcoeffs = taylor.point_var_coeffs(
-                self.state, self.v, self.params.mu, cfg.order
+                self.state, self.v, self.params.mu, ORDER
             )
         if h_force is not None:
             h = h_force
         else:
-            h = _step_from_coeffs(coeffs, cfg)
+            h = _step_from_coeffs(coeffs)
             if h_cap is not None:
                 h = min(h, h_cap)
         h = math.copysign(h, direction)
@@ -177,13 +181,12 @@ class PointFlow:
         self._land(rec, tau)
 
 
-def flow_point(params: Params, state, t_final: float,
-               cfg: IntegratorConfig | None = None, variational: bool = False):
+def flow_point(params: Params, state, t_final: float, variational: bool = False):
     """Integrate for a signed time ``t_final``; returns ``(state, V)``.
 
     ``V`` is None unless ``variational`` is set.
     """
-    flow = PointFlow(params, state, cfg, variational)
+    flow = PointFlow(params, state, variational=variational)
     if t_final == 0.0:
         return flow.state.copy(), flow.v
     direction = math.copysign(1.0, t_final)
@@ -278,7 +281,6 @@ class LohnerStep:
 
     t0: float
     h: float
-    order: int
     clo: np.ndarray
     chi: np.ndarray
     remlo: np.ndarray
@@ -296,10 +298,8 @@ class LohnerStep:
 class LohnerFlow:
     """Rigorous evolution of a :class:`LohnerSet`."""
 
-    def __init__(self, params: Params, lset: LohnerSet,
-                 cfg: IntegratorConfig | None = None):
+    def __init__(self, params: Params, lset: LohnerSet):
         self.params = params
-        self.cfg = cfg or DEFAULT_CONFIG
         self.lset = lset
         self.t = 0.0
         self._t_comp = 0.0
@@ -322,7 +322,6 @@ class LohnerFlow:
         a prescribed final time; Picard failure then raises instead of
         shrinking.
         """
-        cfg = self.cfg
         params = self.params
         lset = self.lset
         hull = lset.hull()
@@ -330,13 +329,12 @@ class LohnerFlow:
         if h_force is not None:
             h = h_force.mag
         else:
-            c_pt = taylor.point_coeffs(lset.c, params.mu, cfg.order)
-            h = _step_from_coeffs(c_pt, cfg)
+            c_pt = taylor.point_coeffs(lset.c, params.mu, ORDER)
+            h = _step_from_coeffs(c_pt)
             if h_cap is not None:
                 h = min(h, h_cap)
 
-        n = cfg.order
-        budget = cfg.tol * cfg.remainder_slack
+        n = ORDER
         while True:
             span = Interval(0.0, h) if direction > 0 else Interval(-h, 0.0)
             w = self._rough_enclosure(hull, span)
@@ -350,14 +348,14 @@ class LohnerFlow:
                 hn = Interval.symmetric(h).pow_int(n + 1).mag
                 rem_sz = max(abs(rlo[n + 1]).max(), abs(rhi[n + 1]).max()) * hn
                 vrem_sz = max(abs(vrlo[n + 1]).max(), abs(vrhi[n + 1]).max()) * hn
-                if rem_sz <= budget and vrem_sz <= budget:
+                if rem_sz <= REMAINDER_BUDGET and vrem_sz <= REMAINDER_BUDGET:
                     break
             if h_force is not None:
                 raise EnclosureError(
                     f"no validated enclosure for the forced step {h_force}"
                 )
             h *= 0.5
-            if h < cfg.h_min:
+            if h < H_MIN:
                 raise EnclosureError("validated step size underflow")
 
         hs = math.copysign(h, direction)
@@ -366,7 +364,7 @@ class LohnerFlow:
             hull.lo, hull.hi, np.eye(4), np.eye(4), params.mu, n
         )
         rec = LohnerStep(
-            t0=self.t, h=hs, order=n,
+            t0=self.t, h=hs,
             clo=clo, chi=chi, remlo=rlo[n + 1], remhi=rhi[n + 1],
             phlo=phlo, phhi=phhi, vremlo=vrlo[n + 1], vremhi=vrhi[n + 1],
             wy=w[1], wvy=w[3],
@@ -385,13 +383,13 @@ class LohnerFlow:
     def phi_at(self, rec: LohnerStep, tau: Interval) -> IMatrix:
         """Enclosure of the one-step transition matrix at times in ``tau``."""
         lo, hi = taylor.horner_var_iv(rec.phlo, rec.phhi, tau.lo, tau.hi)
-        tpow = tau.pow_int(rec.order + 1)
+        tpow = tau.pow_int(ORDER + 1)
         return IMatrix(lo, hi) + IMatrix(rec.vremlo, rec.vremhi).scale(tpow)
 
     def enclosure_at(self, rec: LohnerStep, tau: Interval) -> IVector:
         """State enclosure of the whole set at step times in ``tau``."""
         lo, hi = taylor.horner_iv(rec.clo, rec.chi, tau.lo, tau.hi)
-        tpow = tau.pow_int(rec.order + 1)
+        tpow = tau.pow_int(ORDER + 1)
         center = IVector(lo, hi) + IVector(rec.remlo, rec.remhi).scale(tpow)
         before = rec.set_before
         m = self.phi_at(rec, tau) @ IMatrix.from_point(before.b)
@@ -404,7 +402,7 @@ class LohnerFlow:
         try:
             guess = hull + dynamics.vector_field_iv(params, hull).scale(span)
             guess = guess.inflate(0.1 * guess.max_width() + 1e-14)
-            for _ in range(self.cfg.picard_iterations):
+            for _ in range(PICARD_ITERATIONS):
                 img = hull + dynamics.vector_field_iv(params, guess).scale(span)
                 if img.is_subset(guess):
                     # two more Picard passes tighten the enclosure
@@ -419,7 +417,7 @@ class LohnerFlow:
         ident = IMatrix.identity(4)
         a = dynamics.vector_field_jacobian_iv(self.params, w)
         guess = ident.inflate(1e-6)
-        for _ in range(self.cfg.picard_iterations):
+        for _ in range(PICARD_ITERATIONS):
             img = ident + (a @ guess).scale(span)
             if img.is_subset(guess):
                 img = ident + (a @ img).scale(span)
@@ -430,7 +428,7 @@ class LohnerFlow:
     def _reanchor(self, rec: LohnerStep, tau: Interval) -> LohnerSet:
         before = rec.set_before
         lo, hi = taylor.horner_iv(rec.clo, rec.chi, tau.lo, tau.hi)
-        tpow = tau.pow_int(rec.order + 1)
+        tpow = tau.pow_int(ORDER + 1)
         phic = IVector(lo, hi) + IVector(rec.remlo, rec.remhi).scale(tpow)
         phi = self.phi_at(rec, tau)
         m = phi @ IMatrix.from_point(before.b)
@@ -447,12 +445,11 @@ class LohnerFlow:
         return LohnerSet(c_new, b_new, r_new, bj_new, rj_new)
 
 
-def flow_box(params: Params, lset: LohnerSet, t_final: float,
-             cfg: IntegratorConfig | None = None) -> LohnerSet:
+def flow_box(params: Params, lset: LohnerSet, t_final: float) -> LohnerSet:
     """Rigorously flow a set for the signed time ``t_final``."""
     if t_final == 0.0:
         return lset
-    flow = LohnerFlow(params, lset, cfg)
+    flow = LohnerFlow(params, lset)
     direction = math.copysign(1.0, t_final)
     while True:
         rem_iv = Interval.point(t_final) - flow.elapsed
@@ -460,8 +457,8 @@ def flow_box(params: Params, lset: LohnerSet, t_final: float,
         if rem * direction <= 0.0:
             raise IntegrationError("overshot the requested final time")
         # land exactly once the proposed step would reach the target
-        probe = taylor.point_coeffs(flow.lset.c, params.mu, flow.cfg.order)
-        h_prop = _step_from_coeffs(probe, flow.cfg)
+        probe = taylor.point_coeffs(flow.lset.c, params.mu, ORDER)
+        h_prop = _step_from_coeffs(probe)
         if h_prop >= abs(rem):
             try:
                 rec = flow.attempt_step(direction, h_force=rem_iv)
@@ -473,7 +470,7 @@ def flow_box(params: Params, lset: LohnerSet, t_final: float,
             return flow.lset
         rec = flow.attempt_step(direction, h_cap=abs(rem))
         flow.commit(rec)
-        if abs(flow.t) > flow.cfg.max_time + abs(t_final):
+        if abs(flow.t) > MAX_TIME + abs(t_final):
             raise HorizonError("rigorous flow exceeded its time horizon")
 
 
@@ -504,7 +501,6 @@ def lohner_section_crossings(
     lset: LohnerSet,
     signs: list[int],
     direction: float = 1.0,
-    cfg: IntegratorConfig | None = None,
     want_jacobian: bool = False,
 ):
     """Flow a set through successive ``y = 0`` crossings with given vy signs.
@@ -515,30 +511,29 @@ def lohner_section_crossings(
     i.e. ``Dphi(t*(p), p)`` for every initial point ``p`` — the caller adds
     the section projection and lift factors.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not signs or any(s not in (-1, 1) for s in signs):
         raise IntegrationError("signs must be a non-empty list of +1/-1")
     if want_jacobian and lset.bj is None:
         lset = replace(lset, bj=np.eye(4), rj=IMatrix.identity(4))
-    flow = LohnerFlow(params, lset, cfg)
+    flow = LohnerFlow(params, lset)
     crossings: list[CrossingRecord] = []
     prev_side: int | None = None
     h_cap: float | None = None
 
     def halve_or_fail(h: float, why: str) -> float:
         cap = h * 0.5
-        if cap < cfg.h_min:
+        if cap < H_MIN:
             raise TangencyError(why)
         return cap
 
     while True:
-        if abs(flow.t) > cfg.max_time:
+        if abs(flow.t) > MAX_TIME:
             raise HorizonError(
-                f"no section crossing within the time horizon {cfg.max_time}"
+                f"no section crossing within the time horizon {MAX_TIME}"
             )
         rec = flow.attempt_step(direction, h_cap=h_cap)
         t_end = abs(rec.t0 + rec.h)
-        if t_end < cfg.min_time:
+        if t_end < MIN_TIME:
             flow.commit(rec)
             continue
         y_end = flow.enclosure_at(rec, Interval.point(rec.h))[1]
@@ -592,10 +587,9 @@ def lohner_section_crossings(
 
 def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
                      want_jacobian: bool):
-    cfg = flow.cfg
     sa, sb = 0.0, 1.0
     for _ in range(90):
-        if (sb - sa) * abs(rec.h) < cfg.bracket_tol:
+        if (sb - sa) * abs(rec.h) < BRACKET_TOL:
             break
         sm = 0.5 * (sa + sb)
         y_iv = flow.enclosure_at(rec, Interval.point(sm * rec.h))[1]
@@ -610,7 +604,7 @@ def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
     tau = Interval(min(ta, tb), max(ta, tb))
     st = flow.enclosure_at(rec, tau)
     vy = st[3]
-    if vy.mig < cfg.tangency_tol or vy.contains_zero():
+    if vy.mig < TANGENCY_TOL or vy.contains_zero():
         raise TangencyError(
             f"vy enclosure {vy} over the crossing bracket is not transversal"
         )

@@ -554,21 +554,21 @@ class IMatrix:
         return f"IMatrix(lo={self.lo!r}, hi={self.hi!r})"
 
 
-def gauss_solve(a: np.ndarray, b: IVector) -> IVector:
-    """Rigorous enclosure of the solution of ``a x = b`` for a point matrix.
+def _gauss_columns(a, columns: list[list[Interval]]) -> list[list[Interval]]:
+    """Solve ``a x = c`` for every interval column ``c`` by one elimination.
 
-    Interval Gaussian elimination with partial pivoting; ``a`` must be a
-    well-conditioned square float matrix (it is an orthonormal frame in the
-    integrator's use).  Raises if a pivot interval touches zero.
+    Interval Gaussian elimination with partial pivoting on the point matrix
+    ``a``; each row operation is applied to every column in turn, so each
+    solution takes the same ``Interval`` operations, in the same order, as a
+    solve of its column alone.  Raises if a pivot interval touches zero.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
-    if a.shape != (n, n) or len(b) != n:
-        raise StructureError("gauss_solve needs a square matrix and a matching vector")
+    if a.shape != (n, n) or any(len(c) != n for c in columns):
+        raise StructureError("gauss_solve needs a square matrix and matching columns")
     rows: list[list[Interval]] = [
         [Interval.point(float(a[i, j])) for j in range(n)] for i in range(n)
     ]
-    rhs: list[Interval] = list(b.components)
     perm = list(range(n))
     for col in range(n):
         piv = max(range(col, n), key=lambda r: rows[perm[r]][col].mig)
@@ -584,23 +584,39 @@ def gauss_solve(a: np.ndarray, b: IVector) -> IVector:
             factor = row[col] / pivot
             for j in range(col + 1, n):
                 row[j] = row[j] - factor * prow[j]
-            rhs[perm[r]] = rhs[perm[r]] - factor * rhs[perm[col]]
+            for rhs in columns:
+                rhs[perm[r]] = rhs[perm[r]] - factor * rhs[perm[col]]
             row[col] = Interval.point(0.0)
-    x: list[Interval] = [Interval.point(0.0)] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[perm[i]]
-        acc = rhs[perm[i]]
-        for j in range(i + 1, n):
-            acc = acc - row[j] * x[j]
-        x[i] = acc / row[i]
-    return IVector.from_intervals(x)
+    solutions = []
+    for rhs in columns:
+        x: list[Interval] = [Interval.point(0.0)] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[perm[i]]
+            acc = rhs[perm[i]]
+            for j in range(i + 1, n):
+                acc = acc - row[j] * x[j]
+            x[i] = acc / row[i]
+        solutions.append(x)
+    return solutions
+
+
+def gauss_solve(a: np.ndarray, b: IVector) -> IVector:
+    """Rigorous enclosure of the solution of ``a x = b`` for a point matrix.
+
+    Interval Gaussian elimination with partial pivoting; ``a`` must be a
+    well-conditioned square float matrix (it is an orthonormal frame in the
+    integrator's use).  Raises if a pivot interval touches zero.
+    """
+    return IVector.from_intervals(_gauss_columns(a, [b.components])[0])
 
 
 def gauss_solve_mat(a: np.ndarray, b: IMatrix) -> IMatrix:
-    """Rigorous enclosure of ``a^-1 B`` for a point matrix ``a`` (columnwise)."""
-    cols = [
-        gauss_solve(a, IVector(b.lo[:, j], b.hi[:, j])) for j in range(b.shape[1])
-    ]
-    lo = np.column_stack([c.lo for c in cols])
-    hi = np.column_stack([c.hi for c in cols])
+    """Rigorous enclosure of ``a^-1 B`` for a point matrix ``a``.
+
+    Equal, column by column, to :func:`gauss_solve` of each column of ``B``.
+    """
+    columns = [IVector(b.lo[:, j], b.hi[:, j]).components for j in range(b.shape[1])]
+    solutions = _gauss_columns(a, columns)
+    lo = [[x[i].lo for x in solutions] for i in range(b.shape[0])]
+    hi = [[x[i].hi for x in solutions] for i in range(b.shape[0])]
     return IMatrix(lo, hi)

@@ -35,7 +35,7 @@ from .errors import (
     StructureError,
 )
 from .hset import HSet, check_cover, fix_r_segment, is_r_symmetric, r_image
-from .integrator import DEFAULT_CONFIG, IntegratorConfig, PointFlow, flow_point
+from .integrator import PointFlow, flow_point
 from .poincare import (
     FULL_MINUS,
     FULL_PLUS,
@@ -111,8 +111,8 @@ class Trajectory:
                    fmt="%+.17e", header="\n".join(lines))
 
 
-def sample_trajectory(params: Params, state, t_final: float, n: int = 1001,
-                      cfg: IntegratorConfig | None = None) -> Trajectory:
+def sample_trajectory(params: Params, state, t_final: float,
+                      n: int = 1001) -> Trajectory:
     """Integrate from ``state`` and sample ``n`` equally spaced times.
 
     ``t_final`` may be negative; output times then run from 0 down to it.
@@ -128,7 +128,7 @@ def sample_trajectory(params: Params, state, t_final: float, n: int = 1001,
         out[:] = out[0]
         return Trajectory(times, out, params)
     direction = math.copysign(1.0, t_final)
-    flow = PointFlow(params, state, cfg)
+    flow = PointFlow(params, state)
     i = 1
     while i < n:
         rem = t_final - flow.t
@@ -264,7 +264,6 @@ def _significant_extrema(r: np.ndarray, cand: list[tuple[int, bool]],
 
 def resonance_of(traj: Trajectory, periodic: bool = False, *,
                  prominence: float = 0.15, plateau_tol: float = 1e-12,
-                 cfg: IntegratorConfig | None = None,
                  _refined: bool = False) -> ResonanceLabel:
     """Classify an excursion or closed orbit by its mean-motion resonance.
 
@@ -287,9 +286,9 @@ def resonance_of(traj: Trajectory, periodic: bool = False, *,
     phi = np.unwrap(np.arctan2(y, x))
     if not _refined and (t.size < 1025 or np.abs(np.diff(phi)).max() > 0.15):
         fresh = sample_trajectory(traj.params, traj.states[0],
-                                  traj.duration, n=8193, cfg=cfg)
+                                  traj.duration, n=8193)
         return resonance_of(fresh, periodic, prominence=prominence,
-                            plateau_tol=plateau_tol, cfg=cfg, _refined=True)
+                            plateau_tol=plateau_tol, _refined=True)
     r = np.hypot(x, y)
     median_r = float(np.median(r))
     if 0.98 < median_r < 1.02:
@@ -403,7 +402,6 @@ def _bisect(f: Callable[[float], float | None], lo: float, hi: float,
 def find_symmetric_periodic(params: Params, word: Sequence[str], *,
                             search_grid: int = 256,
                             sets: Mapping[str, HSet] | None = None,
-                            cfg: IntegratorConfig | None = None,
                             slack: float = 0.05,
                             a_tol: float = 1e-12) -> SymmetricPeriodicOrbit:
     """Locate the reversal-symmetric periodic orbit coded by ``word``.
@@ -431,7 +429,7 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
 
     def terminal_vx(a: float) -> float | None:
         try:
-            img, _ = apply_chain(params, tags, seed_at(a), cfg=cfg)
+            img, _ = apply_chain(params, tags, seed_at(a))
         except PCR3BPError:
             return None
         return img.vx
@@ -456,7 +454,7 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
         bad = None
         try:
             for k, stage in enumerate(stages):
-                pt, dt = apply_chain(params, [stage.tag], pt, cfg=cfg)
+                pt, dt = apply_chain(params, [stage.tag], pt)
                 total += dt
                 points.append(pt)
                 if stage.target is not None:
@@ -471,7 +469,7 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
             continue
         half_period = 0.5 * total if cyclic else total
         state0 = lift(params, seed)
-        closed, _ = flow_point(params, state0, 2.0 * half_period, cfg)
+        closed, _ = flow_point(params, state0, 2.0 * half_period)
         residual = float(np.max(np.abs(closed - state0)))
         return SymmetricPeriodicOrbit(
             word=word, seed=seed, half_period=half_period,
@@ -489,7 +487,6 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
 def verify_backward_coding(params: Params, seed: SectionPoint,
                            word: Sequence[str], *,
                            sets: Mapping[str, HSet] | None = None,
-                           cfg: IntegratorConfig | None = None,
                            slack: float = 0.05) -> bool:
     """Check that the backward orbit of ``seed`` realizes the mirrored word.
 
@@ -504,7 +501,7 @@ def verify_backward_coding(params: Params, seed: SectionPoint,
     for k, stage in enumerate(stages):
         try:
             pt, _ = apply_chain(params, [mirror_tag(stage.tag)], pt,
-                                inverse=True, cfg=cfg)
+                                inverse=True)
         except PCR3BPError as exc:
             log.info("backward coding of %s: stage %d flight failed: %s",
                      word, k, exc)
@@ -555,20 +552,18 @@ class SymmetricHomoclinicOrbit:
 class _TailCache:
     """Per-parameter chain and tail images, computed once and extended lazily."""
 
-    def __init__(self, params, tags, tail_tag, seed_at, cfg):
+    def __init__(self, params, tags, tail_tag, seed_at):
         self.params = params
         self.tags = tags
         self.tail_tag = tail_tag
         self.seed_at = seed_at
-        self.cfg = cfg
         self.entries: dict[float, dict] = {}
 
     def entry(self, a: float) -> dict | None:
         ent = self.entries.get(a)
         if ent is None:
             try:
-                img, t = apply_chain(self.params, self.tags, self.seed_at(a),
-                                     cfg=self.cfg)
+                img, t = apply_chain(self.params, self.tags, self.seed_at(a))
             except PCR3BPError:
                 ent = {"images": None}
             else:
@@ -584,8 +579,7 @@ class _TailCache:
             return None
         while len(images) <= depth:
             try:
-                nxt, _ = apply_chain(self.params, [self.tail_tag], images[-1],
-                                     cfg=self.cfg)
+                nxt, _ = apply_chain(self.params, [self.tail_tag], images[-1])
             except PCR3BPError:
                 return None
             images.append(nxt)
@@ -595,7 +589,6 @@ class _TailCache:
 def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
                               n_tail: int = 6, search_grid: int = 128,
                               sets: Mapping[str, HSet] | None = None,
-                              cfg: IntegratorConfig | None = None,
                               slack: float = 0.05,
                               collapse_width: float = 1e-15,
                               ) -> SymmetricHomoclinicOrbit:
@@ -616,7 +609,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     index = 1 if word[-1] == "L1" else 2
     tail_tag = FULL_PLUS if index == 1 else FULL_MINUS
     terminal_set = resolve_stage_set(stages[-1], sets)
-    orb = lyapunov_fixed_point(params, index, cfg)
+    orb = lyapunov_fixed_point(params, index)
     fixed = orb.point
     lam = float(max(abs(m) for m in orb.multipliers))
     frame = terminal_set.frame
@@ -626,7 +619,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
         point, _ = gamma(a)
         return SectionPoint(float(point[0]), 0.0, start.sign)
 
-    cache = _TailCache(params, tags, tail_tag, seed_at, cfg)
+    cache = _TailCache(params, tags, tail_tag, seed_at)
 
     def expanding_coord(a: float, depth: int) -> float | None:
         img = cache.image(a, depth)
@@ -688,7 +681,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
         pt, total, bad = seed_at(a_hat), 0.0, None
         try:
             for k, stage in enumerate(stages):
-                pt, dt = apply_chain(params, [stage.tag], pt, cfg=cfg)
+                pt, dt = apply_chain(params, [stage.tag], pt)
                 total += dt
                 if stage.target is not None:
                     hs = resolve_stage_set(stage, sets)
@@ -747,8 +740,7 @@ def _lyapunov_radial_band(params: Params, index: int) -> tuple[float, float]:
 
 def excursion_trajectory(params: Params, orbit: SymmetricHomoclinicOrbit, *,
                          samples: int = 4097, pad: float = 0.004,
-                         threshold: float | None = None,
-                         cfg: IntegratorConfig | None = None) -> Trajectory:
+                         threshold: float | None = None) -> Trajectory:
     """The full excursion of a homoclinic orbit, trimmed and mirror-doubled.
 
     The located half is flown from the seed, cut where it enters the
@@ -758,7 +750,7 @@ def excursion_trajectory(params: Params, orbit: SymmetricHomoclinicOrbit, *,
     resonance count applies to, free of the asymptotic spiral.
     """
     half = sample_trajectory(params, lift(params, orbit.seed),
-                             orbit.half_time, samples, cfg=cfg)
+                             orbit.half_time, samples)
     r = half.radii()
     if threshold is None:
         band_lo, band_hi = _lyapunov_radial_band(params, orbit.target_index)
@@ -830,8 +822,7 @@ class ChainVerdict:
 def rigorous_chain_verdict(params: Params, word: Sequence[str], *,
                            grid: tuple[int, int] = (32, 2),
                            max_grid: tuple[int, int] = (128, 8),
-                           sets: Mapping[str, HSet] | None = None,
-                           cfg: IntegratorConfig | None = None) -> ChainVerdict:
+                           sets: Mapping[str, HSet] | None = None) -> ChainVerdict:
     """Run the interval covering checks behind a word's symbolic chain.
 
     Consecutive stages accumulate until a registered target set, giving
@@ -853,7 +844,7 @@ def rigorous_chain_verdict(params: Params, word: Sequence[str], *,
         if stage.target is None:
             continue
         target = resolve_stage_set(stage, sets)
-        map_fn = section_map(params, pending, source, target, cfg=cfg)
+        map_fn = section_map(params, pending, source, target)
         report = check_cover(map_fn, source, target,
                              grid=grid, max_grid=max_grid)
         relations.append(RelationVerdict(

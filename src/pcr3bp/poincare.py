@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import dynamics, taylor
+from . import dynamics, integrator, taylor
 from .dynamics import Params
 from .errors import (
     DomainError,
@@ -41,13 +41,7 @@ from .errors import (
     SearchError,
     TangencyError,
 )
-from .integrator import (
-    DEFAULT_CONFIG,
-    IntegratorConfig,
-    LohnerSet,
-    PointFlow,
-    lohner_section_crossings,
-)
+from .integrator import LohnerSet, PointFlow, lohner_section_crossings
 from .intervals import IMatrix, Interval, IVector
 
 __all__ = [
@@ -211,35 +205,34 @@ def reflect(pt: SectionPoint) -> SectionPoint:
 
 
 def _point_crossings(params: Params, state: np.ndarray, signs: Sequence[int],
-                     direction: float, cfg: IntegratorConfig):
+                     direction: float):
     """Flow a state through successive section crossings (point mode).
 
     Returns ``(flow, crossing_states, crossing_times)``; the flow is left
     standing exactly on the final crossing.
     """
-    flow = PointFlow(params, state, cfg, variational=False)
-    return _drive_crossings(flow, signs, direction, cfg)
+    flow = PointFlow(params, state)
+    return _drive_crossings(flow, signs, direction)
 
 
-def _drive_crossings(flow: PointFlow, signs: Sequence[int], direction: float,
-                     cfg: IntegratorConfig):
+def _drive_crossings(flow: PointFlow, signs: Sequence[int], direction: float):
     params = flow.params
     found_states: list[np.ndarray] = []
     found_times: list[float] = []
     prev_y = flow.state[1]
     while len(found_states) < len(signs):
-        if abs(flow.t) > cfg.max_time:
+        if abs(flow.t) > integrator.MAX_TIME:
             raise IntegrationError(
-                f"no section crossing within the time horizon {cfg.max_time}"
+                f"no section crossing within the time horizon {integrator.MAX_TIME}"
             )
         rec = flow.step(direction)
         y_new = flow.state[1]
         crossed = prev_y * y_new < 0.0 or (y_new == 0.0 and prev_y != 0.0)
-        if crossed and abs(flow.t) >= cfg.min_time:
-            tau = _refine_root(rec, prev_y, cfg)
+        if crossed and abs(flow.t) >= integrator.MIN_TIME:
+            tau = _refine_root(rec, prev_y)
             flow.rewind_to(rec, tau)
             s = flow.state
-            if abs(s[3]) < cfg.tangency_tol:
+            if abs(s[3]) < integrator.TANGENCY_TOL:
                 raise TangencyError(
                     f"section crossing with |vy|={abs(s[3])} below the guard"
                 )
@@ -256,7 +249,7 @@ def _drive_crossings(flow: PointFlow, signs: Sequence[int], direction: float,
     return flow, found_states, found_times
 
 
-def _refine_root(rec, y_start: float, cfg: IntegratorConfig) -> float:
+def _refine_root(rec, y_start: float) -> float:
     """Newton root of the y-polynomial of a step, safeguarded by bisection."""
     lo, hi = 0.0, rec.h
     tau = 0.5 * (lo + hi)
@@ -299,14 +292,12 @@ def _chain_to_signs(tags: Sequence[MapTag], inverse: bool) -> tuple[list[int], i
 
 
 def apply_chain(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
-                inverse: bool = False,
-                cfg: IntegratorConfig | None = None) -> tuple[SectionPoint, float]:
+                inverse: bool = False) -> tuple[SectionPoint, float]:
     """Apply a composition of elementary maps to a section point.
 
     ``tags`` are listed in application order (first applied first).  Returns
     the image point and the signed flight time.
     """
-    cfg = cfg or DEFAULT_CONFIG
     signs, dom, direction = _chain_to_signs(tags, inverse)
     if pt.sign != dom:
         raise DomainError(
@@ -314,15 +305,14 @@ def apply_chain(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
             f"(sign {dom}) of the composite"
         )
     state = lift(params, pt)
-    flow, states, times = _point_crossings(params, state, signs, direction, cfg)
+    flow, states, times = _point_crossings(params, state, signs, direction)
     return project(states[-1]), times[-1]
 
 
 def apply_map(params: Params, tag: MapTag, pt: SectionPoint,
-              inverse: bool = False,
-              cfg: IntegratorConfig | None = None) -> tuple[SectionPoint, float]:
+              inverse: bool = False) -> tuple[SectionPoint, float]:
     """Apply one elementary map (see :func:`apply_chain`)."""
-    return apply_chain(params, [tag], pt, inverse, cfg)
+    return apply_chain(params, [tag], pt, inverse)
 
 
 # ----------------------------------------------------------------------
@@ -355,14 +345,13 @@ def apply_map(params: Params, tag: MapTag, pt: SectionPoint,
 
 
 def chain_derivative(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
-                     inverse: bool = False, cfg: IntegratorConfig | None = None):
+                     inverse: bool = False):
     """Derivative of a composite map at a point.
 
     Returns ``(dp, image, t)`` with ``dp`` the 2x2 derivative in section
     coordinates, computed as ``pi (I - f e_y^T / vy) Dphi DT`` (see the
     derivation above).
     """
-    cfg = cfg or DEFAULT_CONFIG
     signs, dom, direction = _chain_to_signs(tags, inverse)
     if pt.sign != dom:
         raise DomainError(
@@ -371,8 +360,8 @@ def chain_derivative(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
         )
     state = lift(params, pt)
     dt_cols = lift_tangent(params, state)
-    flow = PointFlow(params, state, cfg, variational=True)
-    flow, states, times = _drive_crossings(flow, signs, direction, cfg)
+    flow = PointFlow(params, state, variational=True)
+    flow, states, times = _drive_crossings(flow, signs, direction)
     q = states[-1]
     dphi = flow.v
     f_q = dynamics.vector_field(params, q)
@@ -383,9 +372,9 @@ def chain_derivative(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
 
 
 def map_derivative(params: Params, tag: MapTag, pt: SectionPoint,
-                   inverse: bool = False, cfg: IntegratorConfig | None = None):
+                   inverse: bool = False):
     """Derivative of one elementary map (see :func:`chain_derivative`)."""
-    return chain_derivative(params, [tag], pt, inverse, cfg)
+    return chain_derivative(params, [tag], pt, inverse)
 
 
 # ----------------------------------------------------------------------
@@ -448,8 +437,7 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
                                  origin, d1, d2, a: Interval, b: Interval,
                                  sign: int,
                                  inverse: bool = False,
-                                 want_derivative: bool = False,
-                                 cfg: IntegratorConfig | None = None) -> RigorousImage:
+                                 want_derivative: bool = False) -> RigorousImage:
     """Rigorous image of a section parallelogram under a composite map.
 
     The support is ``{origin + alpha d1 + beta d2 : alpha in a, beta in b}``
@@ -459,7 +447,6 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
     the 2x2 interval derivative in section coordinates is included, built
     as ``pi (I - f e_y^T/vy) Dphi DT`` from the accumulated flow derivative.
     """
-    cfg = cfg or DEFAULT_CONFIG
     origin = np.asarray(origin, dtype=np.float64)
     d1 = np.asarray(d1, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
@@ -472,7 +459,7 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
     lset, dt_cols = _lifted_cell(params, origin, d1, d2, a, b, dom,
                                  want_derivative)
     crossings, jac = lohner_section_crossings(
-        params, lset, signs, direction, cfg, want_jacobian=want_derivative
+        params, lset, signs, direction, want_jacobian=want_derivative
     )
     final = crossings[-1]
     dp = None
@@ -494,8 +481,7 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
 def apply_chain_rigorous(params: Params, tags: Sequence[MapTag],
                          x: Interval, vx: Interval,
                          inverse: bool = False,
-                         want_derivative: bool = False,
-                         cfg: IntegratorConfig | None = None) -> RigorousImage:
+                         want_derivative: bool = False) -> RigorousImage:
     """Rigorous image of an axis-aligned section box under a composite map.
 
     Convenience wrapper over :func:`apply_parallelogram_rigorous` with the
@@ -513,7 +499,6 @@ def apply_chain_rigorous(params: Params, tags: Sequence[MapTag],
         sign=signs_dom,
         inverse=inverse,
         want_derivative=want_derivative,
-        cfg=cfg,
     )
 
 
@@ -535,11 +520,14 @@ class LyapunovOrbit:
     residual: float
 
 
-def lyapunov_fixed_point(params: Params, index: int,
-                         cfg: IntegratorConfig | None = None,
-                         scan_radius: float = 0.05,
-                         scan_points: int = 200,
-                         half_time_cap: float = 4.0) -> LyapunovOrbit:
+# The symmetry-line scan of lyapunov_fixed_point: SCAN_POINTS samples over
+# x_lib +- SCAN_RADIUS, keeping half-map flights up to HALF_TIME_CAP.
+SCAN_RADIUS = 0.05
+SCAN_POINTS = 200
+HALF_TIME_CAP = 4.0
+
+
+def lyapunov_fixed_point(params: Params, index: int) -> LyapunovOrbit:
     """Locate the Lyapunov-orbit fixed point near a collinear neck.
 
     ``index`` 1 uses ``Theta_+``/``P+`` (inner neck), 2 uses
@@ -549,11 +537,10 @@ def lyapunov_fixed_point(params: Params, index: int,
 
     Other symmetric families intersect the symmetry line as well, so a
     candidate bracket must (a) sit on the short-flight branch
-    (half-map time below ``half_time_cap``) and (b) stay on one side of
+    (half-map time at most ``HALF_TIME_CAP``) and (b) stay on one side of
     the second primary; the Lyapunov orbit is the surviving root closest
     to the libration point.
     """
-    cfg = cfg or DEFAULT_CONFIG
     sign = 1 if index == 1 else -1
     half = HALF_PLUS if index == 1 else HALF_MINUS
     full = FULL_PLUS if index == 1 else FULL_MINUS
@@ -561,22 +548,22 @@ def lyapunov_fixed_point(params: Params, index: int,
     x_primary = 1.0 - params.mu
 
     def g(xv: float) -> float:
-        img, _ = apply_map(params, half, SectionPoint(xv, 0.0, sign), cfg=cfg)
+        img, _ = apply_map(params, half, SectionPoint(xv, 0.0, sign))
         return img.vx
 
     # scan the symmetry line for sign changes of the perpendicularity
     # defect, keeping only the Lyapunov branch
     records: list[tuple[float, float] | None] = []
-    offsets = np.linspace(-scan_radius, scan_radius, scan_points)
+    offsets = np.linspace(-SCAN_RADIUS, SCAN_RADIUS, SCAN_POINTS)
     for u in offsets:
         xv = x_lib + float(u)
         try:
-            img, t = apply_map(params, half, SectionPoint(xv, 0.0, sign), cfg=cfg)
+            img, t = apply_map(params, half, SectionPoint(xv, 0.0, sign))
         except (DomainError, IntegrationError, TangencyError):
             records.append(None)
             continue
         same_side = (xv - x_primary) * (img.x - x_primary) > 0.0
-        if abs(t) <= half_time_cap and same_side:
+        if abs(t) <= HALF_TIME_CAP and same_side:
             records.append((xv, img.vx))
         else:
             records.append(None)
@@ -606,14 +593,14 @@ def lyapunov_fixed_point(params: Params, index: int,
     pt = SectionPoint(xstar, 0.0, sign)
     period = 0.0
     for _ in range(30):
-        dp, img, period = chain_derivative(params, [full], pt, cfg=cfg)
+        dp, img, period = chain_derivative(params, [full], pt)
         res = img.as_array() - pt.as_array()
         if np.max(np.abs(res)) < 1e-14:
             break
         delta = np.linalg.solve(dp - np.eye(2), -res)
         pt = SectionPoint(pt.x + delta[0], pt.vx + delta[1], sign)
 
-    dp, img, period = chain_derivative(params, [full], pt, cfg=cfg)
+    dp, img, period = chain_derivative(params, [full], pt)
     residual = float(np.max(np.abs(img.as_array() - pt.as_array())))
     eigvals, eigvecs = np.linalg.eig(dp)
     if np.iscomplexobj(eigvals) and np.max(np.abs(eigvals.imag)) > 1e-9:

@@ -45,7 +45,6 @@ import numpy as np
 from .dynamics import Params
 from .errors import RegistryError
 from .hset import HSet, MapEnclosure, load_bundled, r_image, swap_uv
-from .integrator import IntegratorConfig
 from .intervals import IMatrix, Interval, gauss_solve_mat
 from .poincare import (
     FULL_MINUS,
@@ -386,8 +385,7 @@ def resolve_stage_set(stage: Stage, sets: Mapping[str, HSet]) -> HSet:
 
 
 def _mean_value_map(params: Params, tags: Sequence[MapTag], cell_set: HSet,
-                    image_set: HSet, inverse: bool,
-                    cfg: IntegratorConfig | None) -> MapEnclosure:
+                    image_set: HSet, inverse: bool) -> MapEnclosure:
     """Image-set-local enclosure of a composite on cell-set-local cells.
 
     Evaluated in mean-value form: one sharp flight of the cell center
@@ -408,7 +406,7 @@ def _mean_value_map(params: Params, tags: Sequence[MapTag], cell_set: HSet,
         center = cell_set.center + am * u + bm * s
         pt = apply_parallelogram_rigorous(
             params, tags, center, u, s, zero, zero, cell_set.sign,
-            inverse=inverse, cfg=cfg,
+            inverse=inverse,
         )
         base_a, base_b = image_set.local_coords_iv(pt.x, pt.vx)
         da, db = a - am, b - bm
@@ -416,7 +414,7 @@ def _mean_value_map(params: Params, tags: Sequence[MapTag], cell_set: HSet,
             return base_a, base_b
         cell = apply_parallelogram_rigorous(
             params, tags, cell_set.center, u, s, a, b, cell_set.sign,
-            inverse=inverse, want_derivative=True, cfg=cfg,
+            inverse=inverse, want_derivative=True,
         )
         lmat = gauss_solve_mat(
             image_set.frame, cell.dp @ IMatrix.from_point(cell_set.frame)
@@ -430,8 +428,7 @@ def _mean_value_map(params: Params, tags: Sequence[MapTag], cell_set: HSet,
 
 
 def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
-                target: HSet, inverse: bool = False,
-                cfg: IntegratorConfig | None = None) -> MapEnclosure:
+                target: HSet, inverse: bool = False) -> MapEnclosure:
     """Rigorous covering-check map for a composite of elementary maps.
 
     The returned callable takes source-local (a, b) interval cells,
@@ -439,12 +436,11 @@ def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
     returns target-local image enclosures, as :func:`~pcr3bp.hset.check_cover`
     expects.
     """
-    return _mean_value_map(params, tags, source, target, inverse, cfg)
+    return _mean_value_map(params, tags, source, target, inverse)
 
 
 def inverse_section_map(params: Params, tags: Sequence[MapTag], source: HSet,
-                        target: HSet,
-                        cfg: IntegratorConfig | None = None) -> MapEnclosure:
+                        target: HSet) -> MapEnclosure:
     """Rigorous backcovering-check map for a composite of elementary maps.
 
     Evaluates the inverse composite on ``swap_uv(target)``-local cells and
@@ -452,21 +448,18 @@ def inverse_section_map(params: Params, tags: Sequence[MapTag], source: HSet,
     :func:`~pcr3bp.hset.check_backcover` expects for the relation
     "``source`` backcovers ``target``" under the forward composite.
     """
-    return _mean_value_map(
-        params, tags, swap_uv(target), swap_uv(source), True, cfg
-    )
+    return _mean_value_map(params, tags, swap_uv(target), swap_uv(source), True)
 
 
 def section_point_map(params: Params, tags: Sequence[MapTag], source: HSet,
-                      target: HSet, inverse: bool = False,
-                      cfg: IntegratorConfig | None = None) -> Callable:
+                      target: HSet, inverse: bool = False) -> Callable:
     """Point-mode counterpart of :func:`section_map` (degraded screens)."""
 
     def point_map(a: float, b: float):
         pt = source.corner_point(a, b)
         img, _ = apply_chain(
             params, tags, SectionPoint(float(pt[0]), float(pt[1]), source.sign),
-            inverse=inverse, cfg=cfg,
+            inverse=inverse,
         )
         return target.local_coords(img.x, img.vx)
 
@@ -475,8 +468,7 @@ def section_point_map(params: Params, tags: Sequence[MapTag], source: HSet,
 
 def local_derivative(params: Params, tags: Sequence[MapTag], source: HSet,
                      target: HSet, a: Interval, b: Interval,
-                     inverse: bool = False,
-                     cfg: IntegratorConfig | None = None) -> IMatrix:
+                     inverse: bool = False) -> IMatrix:
     """Interval derivative of a composite in h-set local coordinates.
 
     Returns ``[u_M s_M]^{-1} DP [u_N s_N]`` over the given source cell,
@@ -484,7 +476,7 @@ def local_derivative(params: Params, tags: Sequence[MapTag], source: HSet,
     """
     img = apply_parallelogram_rigorous(
         params, tags, source.center, source.u, source.s, a, b, source.sign,
-        inverse=inverse, want_derivative=True, cfg=cfg,
+        inverse=inverse, want_derivative=True,
     )
     dp_frame = img.dp @ IMatrix.from_point(source.frame)
     return gauss_solve_mat(target.frame, dp_frame)
@@ -492,13 +484,12 @@ def local_derivative(params: Params, tags: Sequence[MapTag], source: HSet,
 
 def point_local_derivative(params: Params, tags: Sequence[MapTag],
                            source: HSet, target: HSet, a: float, b: float,
-                           inverse: bool = False,
-                           cfg: IntegratorConfig | None = None):
+                           inverse: bool = False):
     """Point-mode local-coordinate derivative (non-rigorous counterpart)."""
     pt = source.corner_point(a, b)
     dp, img, _ = chain_derivative(
         params, tags, SectionPoint(float(pt[0]), float(pt[1]), source.sign),
-        inverse=inverse, cfg=cfg,
+        inverse=inverse,
     )
     local = np.linalg.solve(target.frame, dp @ source.frame)
     return local, img

@@ -444,6 +444,17 @@ def test_pointwise_screen_falsifies_contraction():
     assert rep.margin < 0.0
 
 
+def test_pointwise_screen_same_side_exits_report_finite_clearance():
+    # every image lies beyond a' = 1, so no sample lands in |a'| <= 1 and
+    # both exit edges leave on the same side
+    v = load_bundled("v_chain")
+    rep = check_cover_pointwise(lambda a, b: (a + 5.0, b), v["V3"], v["V4"],
+                                samples=100)
+    assert rep.outcome == "falsified"
+    assert "do not separate" in rep.message
+    assert rep.stable_clearance == 0.0
+
+
 # ----------------------------------------------------------------------
 # cone conditions
 # ----------------------------------------------------------------------

@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from pcr3bp import dynamics
+from pcr3bp import dynamics, integrator
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
 from pcr3bp.errors import IntegrationError
 from pcr3bp.integrator import (
-    DEFAULT_CONFIG,
-    IntegratorConfig,
     LohnerFlow,
     LohnerSet,
     PointFlow,
@@ -91,15 +89,6 @@ def test_point_variational_matches_finite_differences():
         assert np.max(np.abs(v[:, j] - fd)) < 1e-5 * max(1.0, np.max(np.abs(v)))
 
 
-def test_point_step_rejects_tiny_order():
-    cfg = IntegratorConfig(order=2)
-    with pytest.raises(IntegrationError):
-        IntegratorConfig(order=1).validate()
-    flow = PointFlow(P, ANCHOR, cfg)
-    rec = flow.step()
-    assert abs(rec.h) > 0
-
-
 # ----------------------------------------------------------------------
 # validated mode
 # ----------------------------------------------------------------------
@@ -153,7 +142,7 @@ def test_rigorous_forward_backward_contains_start():
 
 def test_exact_elapsed_time_tracking():
     lset = LohnerSet.from_box(IVector.from_point(ANCHOR).inflate(1e-12))
-    flow = LohnerFlow(P, lset, DEFAULT_CONFIG)
+    flow = LohnerFlow(P, lset)
     while flow.t < 1.0:
         flow.commit(flow.attempt_step(1.0))
     el = flow.elapsed
@@ -220,7 +209,7 @@ def test_wrong_sign_request_fails():
         lohner_section_crossings(P, LohnerSet.from_box(box), [1])
 
 
-def test_close_encounter_is_refused_rigorously():
+def test_close_encounter_is_refused_rigorously(monkeypatch):
     # this arc passes within 5e-4 of the second primary, where validated
     # steps must shrink drastically; with the step floor raised the
     # stepper has to refuse instead of continuing unsoundly
@@ -229,9 +218,9 @@ def test_close_encounter_is_refused_rigorously():
     )
     state = np.array([0.92, 0.0, 0.05, vy])
     box = IVector.from_point(state).inflate(1e-12)
-    cfg = IntegratorConfig(h_min=1e-3)
+    monkeypatch.setattr(integrator, "H_MIN", 1e-3)
     with pytest.raises(IntegrationError):
-        flow_box(P, LohnerSet.from_box(box), 1.0, cfg)
+        flow_box(P, LohnerSet.from_box(box), 1.0)
 
 
 def test_remainder_budget_rejects_sloppy_steps():

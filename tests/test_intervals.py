@@ -442,17 +442,63 @@ def test_gauss_solve_contains_true_solution():
             assert mp.mpf(sol.lo[i]) <= hp[i] <= mp.mpf(sol.hi[i])
 
 
+def _column_gauss_solve(a, b):
+    """The single-column elimination that ``gauss_solve_mat`` once ran per
+    column, kept verbatim as the reference the shared elimination must equal."""
+    n = a.shape[0]
+    rows = [[Interval.point(float(a[i, j])) for j in range(n)] for i in range(n)]
+    rhs = list(b.components)
+    perm = list(range(n))
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: rows[perm[r]][col].mig)
+        perm[col], perm[piv] = perm[piv], perm[col]
+        prow = rows[perm[col]]
+        pivot = prow[col]
+        for r in range(col + 1, n):
+            row = rows[perm[r]]
+            if row[col].lo == 0.0 and row[col].hi == 0.0:
+                continue
+            factor = row[col] / pivot
+            for j in range(col + 1, n):
+                row[j] = row[j] - factor * prow[j]
+            rhs[perm[r]] = rhs[perm[r]] - factor * rhs[perm[col]]
+            row[col] = Interval.point(0.0)
+    x = [Interval.point(0.0)] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[perm[i]]
+        acc = rhs[perm[i]]
+        for j in range(i + 1, n):
+            acc = acc - row[j] * x[j]
+        x[i] = acc / row[i]
+    return IVector.from_intervals(x)
+
+
 def test_gauss_solve_mat_matches_columns():
+    # orthonormal frames (the integrator's use), shifted random matrices and
+    # permuted ones with exact zeros, against thin, wide and point columns
     rng = np.random.default_rng(10)
-    a = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-    cols = rng.normal(size=(4, 4))
-    b = IMatrix.from_point(cols)
-    sol = gauss_solve_mat(a, b)
-    for j in range(4):
-        col = gauss_solve(a, IVector.from_point(cols[:, j]))
-        for i in range(4):
-            assert sol.entry(i, j).lo <= col[i].lo
-            assert col[i].hi <= sol.entry(i, j).hi
+    for k in range(240):
+        n = 4 if k % 6 else int(rng.integers(2, 6))
+        if k % 3 == 0:
+            a = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        elif k % 3 == 1:
+            a = rng.normal(size=(n, n)) + 4.0 * np.eye(n)
+        else:
+            a = rng.permutation(np.diag(rng.uniform(1.0, 3.0, n)) + np.triu(
+                rng.normal(size=(n, n)), 1))
+        m = int(rng.integers(1, 6))
+        lo = rng.normal(size=(n, m))
+        widths = rng.choice([0.0, 1e-12, 1e-6, 0.5], size=(n, m))
+        b = IMatrix(lo, lo + widths)
+        sol = gauss_solve_mat(a, b)
+        assert sol.shape == (n, m)
+        for j in range(m):
+            col = IVector(b.lo[:, j], b.hi[:, j])
+            ref = _column_gauss_solve(a, col)
+            assert np.array_equal(sol.lo[:, j], ref.lo)
+            assert np.array_equal(sol.hi[:, j], ref.hi)
+            one = gauss_solve(a, col)
+            assert np.array_equal(one.lo, ref.lo) and np.array_equal(one.hi, ref.hi)
 
 
 def test_gauss_singular_raises():

@@ -10,7 +10,7 @@ import pytest
 
 from pcr3bp.dynamics import Params
 from pcr3bp.errors import RegistryError
-from pcr3bp.hset import r_image
+from pcr3bp.hset import cone_condition, r_image
 from pcr3bp.intervals import Interval
 from pcr3bp.poincare import FULL_MINUS, FULL_PLUS, HALF_MINUS, HALF_PLUS
 from pcr3bp.symbolic import (
@@ -21,8 +21,10 @@ from pcr3bp.symbolic import (
     Stage,
     inverse_section_map,
     is_admissible,
+    local_derivative,
     mirror_recipe,
     mirror_tag,
+    point_local_derivative,
     resolve_stage_set,
     section_map,
     section_point_map,
@@ -247,3 +249,17 @@ def test_inverse_section_map_encloses_inverse_point_images():
         # swap back: image (a', b') in swap_uv(source) is source (b', a')
         assert a_img.lo <= bp <= a_img.hi
         assert b_img.lo <= ap <= b_img.hi
+
+
+def test_local_derivative_contains_point_derivative_and_cones():
+    # the V3 cell a, b in [-1/64, 1/64] under Ph- into V4: the interval
+    # derivative encloses the point derivative at the cell centre, and it
+    # is tight enough for the cone condition of the link
+    params = Params()
+    sets = standard_sets(include_constructed=False)
+    src, dst = sets["V3"], sets["V4"]
+    cell = Interval(-1.0 / 64.0, 1.0 / 64.0)
+    dp = local_derivative(params, [HALF_MINUS], src, dst, cell, cell)
+    point, _ = point_local_derivative(params, [HALF_MINUS], src, dst, 0.0, 0.0)
+    assert np.all(dp.lo <= point) and np.all(point <= dp.hi)
+    assert cone_condition(dp)
