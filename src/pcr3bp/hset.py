@@ -58,7 +58,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import PCR3BPError, StructureError
-from .intervals import IMatrix, Interval, IVector, gauss_solve
+from .intervals import IMatrix, Interval, IVector, gauss_solve_mat
 
 __all__ = [
     "HSet",
@@ -117,7 +117,7 @@ class HSet:
             x - float(self.center[0]),
             vx - float(self.center[1]),
         ])
-        ab = gauss_solve(self.frame, rhs)
+        ab = gauss_solve_mat(self.frame, rhs)
         return ab[0], ab[1]
 
     def contains(self, x: float, vx: float, slack: float = 0.0) -> bool:
@@ -557,7 +557,6 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
     rng = np.random.default_rng(seed)
     n_edge = max(16, int(math.sqrt(samples)))
     n_inner = max(samples - 2 * n_edge, 16)
-    margin = math.inf
     stable = math.inf
     sides = {-1.0: set(), 1.0: set()}
     count = 0
@@ -591,7 +590,6 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
                 continue
             count += 1
             clearance = abs(a_img) - 1.0
-            margin = min(margin, clearance)
             if clearance < 0.0:
                 return CoverReport(
                     "falsified", clearance, stable, (0, 0), count,

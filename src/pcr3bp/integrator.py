@@ -18,7 +18,9 @@ Lohner representation).  Every step:
    Lagrange remainder over (W, WV), where WV is a Picard enclosure of the
    variational solutions;
 4. re-anchors: new center = midpoint of the center image, new frame = Q
-   factor of the transported frame, new box via rigorous Gaussian solves.
+   factor of the transported frame, new box through one verified enclosure
+   of the new frame's inverse (see :func:`pcr3bp.intervals._point_inverse`),
+   which the center term and the transported frame share.
 
 Dense output inside a step evaluates the same polynomial + remainder data at
 interval times, which is what the section-crossing localization uses to
@@ -70,8 +72,8 @@ from .errors import (
     SingularityError,
     TangencyError,
 )
-from .intervals import IMatrix, Interval, IVector, gauss_solve, gauss_solve_mat
-from .intervals import _dn, _up
+from .intervals import IMatrix, Interval, IVector
+from .intervals import _dn, _point_inverse, _up
 
 __all__ = [
     "PointStep",
@@ -434,14 +436,13 @@ class LohnerFlow:
         m = phi @ IMatrix.from_point(before.b)
         c_new = phic.mid
         b_new = _stretch_sorted_frame(m.mid, before.r)
-        r_new = gauss_solve(b_new, phic - c_new) + (
-            gauss_solve_mat(b_new, m) @ before.r
-        )
+        inv = _point_inverse(b_new)
+        r_new = inv @ (phic - c_new) + (inv @ m) @ before.r
         bj_new = rj_new = None
         if before.bj is not None:
             mj = phi @ IMatrix.from_point(before.bj)
             bj_new = _stretch_sorted_frame(mj.mid, before.rj)
-            rj_new = gauss_solve_mat(bj_new, mj) @ before.rj
+            rj_new = (_point_inverse(bj_new) @ mj) @ before.rj
         return LohnerSet(c_new, b_new, r_new, bj_new, rj_new)
 
 

@@ -24,6 +24,13 @@ float sum, in any summation order, by ``n * u * sum|terms|`` plus a tiny
 absolute term for underflow, then step outward once (an a-posteriori bound
 after Rump, "Fast and parallel interval arithmetic", BIT 39, 1999).  That
 bound dominates the classical ``(n-1)u/(1-(n-1)u)`` for every ``n`` used.
+
+The array layer also does the package's linear solves.  ``_point_inverse``
+encloses the inverse of a point matrix once, from a float inverse and a
+bound on its residual (Rump, "Verification methods", Acta Numerica 19,
+2010), and :func:`gauss_solve_mat` multiplies that enclosure into the
+right-hand side, so a frame solve costs one interval matrix product.
+There is no interval Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -40,8 +47,6 @@ __all__ = [
     "Interval",
     "IVector",
     "IMatrix",
-    "hull",
-    "gauss_solve",
     "gauss_solve_mat",
 ]
 
@@ -313,11 +318,6 @@ def _coerce(x: "Interval | float") -> Interval:
     return Interval(float(x), float(x))
 
 
-def hull(a: Interval, b: Interval) -> Interval:
-    """Interval hull of two intervals."""
-    return a.hull(b)
-
-
 # ----------------------------------------------------------------------
 # Array layer: (lo, hi) float64 ndarray pairs with outward rounding.
 # ----------------------------------------------------------------------
@@ -444,18 +444,8 @@ class IVector:
     __mul__ = scale
     __rmul__ = scale
 
-    def hull(self, other: "IVector") -> "IVector":
-        return IVector(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
-
     def is_subset(self, other: "IVector") -> bool:
         return bool(np.all(other.lo <= self.lo) and np.all(self.hi <= other.hi))
-
-    def is_interior_subset(self, other: "IVector") -> bool:
-        return bool(np.all(other.lo < self.lo) and np.all(self.hi < other.hi))
-
-    def contains_point(self, x) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
 
     def inflate(self, radius: float) -> "IVector":
         return IVector(_nd_down(self.lo - radius), _nd_up(self.hi + radius))
@@ -500,18 +490,11 @@ class IMatrix:
     def entry(self, i: int, j: int) -> Interval:
         return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
 
-    @property
-    def T(self) -> "IMatrix":
-        return IMatrix(self.lo.T.copy(), self.hi.T.copy())
-
     def __add__(self, other: "IMatrix") -> "IMatrix":
         return IMatrix(_nd_down(self.lo + other.lo), _nd_up(self.hi + other.hi))
 
     def __sub__(self, other: "IMatrix") -> "IMatrix":
         return IMatrix(_nd_down(self.lo - other.hi), _nd_up(self.hi - other.lo))
-
-    def hull(self, other: "IMatrix") -> "IMatrix":
-        return IMatrix(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
 
     def matvec(self, v: IVector) -> IVector:
         # terms[i, j] = enclosure of A[i, j] * v[j], then a rounded row sum
@@ -554,69 +537,37 @@ class IMatrix:
         return f"IMatrix(lo={self.lo!r}, hi={self.hi!r})"
 
 
-def _gauss_columns(a, columns: list[list[Interval]]) -> list[list[Interval]]:
-    """Solve ``a x = c`` for every interval column ``c`` by one elimination.
+def _point_inverse(a) -> IMatrix:
+    """Rigorous enclosure of the inverse of a square point matrix ``a``.
 
-    Interval Gaussian elimination with partial pivoting on the point matrix
-    ``a``; each row operation is applied to every column in turn, so each
-    solution takes the same ``Interval`` operations, in the same order, as a
-    solve of its column alone.  Raises if a pivot interval touches zero.
+    ``R = inv(a)`` in floats, ``E`` encloses ``I - R a`` on the array layer
+    and ``delta`` bounds ``||E||_inf`` from above.  If ``delta < 1``, then
+    ``a`` is invertible and ``a^-1 = (R a)^-1 R``, so every entry of
+    ``a^-1 - R`` is at most ``||R||_inf * delta / (1 - delta)`` in magnitude
+    (Rump, "Verification methods", Acta Numerica 19, 2010).  Raises if
+    ``inv`` fails or ``delta`` does not certify the inverse.
     """
     a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n) or any(len(c) != n for c in columns):
-        raise StructureError("gauss_solve needs a square matrix and matching columns")
-    rows: list[list[Interval]] = [
-        [Interval.point(float(a[i, j])) for j in range(n)] for i in range(n)
-    ]
-    perm = list(range(n))
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: rows[perm[r]][col].mig)
-        perm[col], perm[piv] = perm[piv], perm[col]
-        prow = rows[perm[col]]
-        pivot = prow[col]
-        if pivot.contains_zero():
-            raise StructureError("gauss_solve pivot interval contains zero")
-        for r in range(col + 1, n):
-            row = rows[perm[r]]
-            if row[col].lo == 0.0 and row[col].hi == 0.0:
-                continue
-            factor = row[col] / pivot
-            for j in range(col + 1, n):
-                row[j] = row[j] - factor * prow[j]
-            for rhs in columns:
-                rhs[perm[r]] = rhs[perm[r]] - factor * rhs[perm[col]]
-            row[col] = Interval.point(0.0)
-    solutions = []
-    for rhs in columns:
-        x: list[Interval] = [Interval.point(0.0)] * n
-        for i in range(n - 1, -1, -1):
-            row = rows[perm[i]]
-            acc = rhs[perm[i]]
-            for j in range(i + 1, n):
-                acc = acc - row[j] * x[j]
-            x[i] = acc / row[i]
-        solutions.append(x)
-    return solutions
+    try:
+        r = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise StructureError(f"cannot invert the point matrix: {exc}") from None
+    if not np.all(np.isfinite(r)):
+        raise StructureError("the float inverse of the point matrix is not finite")
+    e = IMatrix.identity(a.shape[0]) - IMatrix.from_point(r) @ IMatrix.from_point(a)
+    delta = float(_sum_up(np.maximum(-e.lo, e.hi), axis=1).max())
+    if not delta < 1.0:
+        raise StructureError(
+            f"the point matrix is too ill-conditioned (||I - R a|| <= {delta})")
+    r_norm = float(_sum_up(np.abs(r), axis=1).max())
+    rad = _up(_up(r_norm * delta) / _dn(1.0 - delta))
+    return IMatrix(_nd_down(r - rad), _nd_up(r + rad))
 
 
-def gauss_solve(a: np.ndarray, b: IVector) -> IVector:
-    """Rigorous enclosure of the solution of ``a x = b`` for a point matrix.
+def gauss_solve_mat(a: np.ndarray, b: "IVector | IMatrix") -> "IVector | IMatrix":
+    """Rigorous enclosure of ``a^-1 b`` for a point matrix ``a``.
 
-    Interval Gaussian elimination with partial pivoting; ``a`` must be a
-    well-conditioned square float matrix (it is an orthonormal frame in the
-    integrator's use).  Raises if a pivot interval touches zero.
+    ``b`` may be an :class:`IVector` or an :class:`IMatrix`; either is
+    multiplied by the enclosure :func:`_point_inverse` of ``a^-1``.
     """
-    return IVector.from_intervals(_gauss_columns(a, [b.components])[0])
-
-
-def gauss_solve_mat(a: np.ndarray, b: IMatrix) -> IMatrix:
-    """Rigorous enclosure of ``a^-1 B`` for a point matrix ``a``.
-
-    Equal, column by column, to :func:`gauss_solve` of each column of ``B``.
-    """
-    columns = [IVector(b.lo[:, j], b.hi[:, j]).components for j in range(b.shape[1])]
-    solutions = _gauss_columns(a, columns)
-    lo = [[x[i].lo for x in solutions] for i in range(b.shape[0])]
-    hi = [[x[i].hi for x in solutions] for i in range(b.shape[0])]
-    return IMatrix(lo, hi)
+    return _point_inverse(a) @ b

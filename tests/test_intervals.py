@@ -10,14 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcr3bp import intervals
-from pcr3bp.errors import DomainError
-from pcr3bp.intervals import (
-    IMatrix,
-    Interval,
-    IVector,
-    gauss_solve,
-    gauss_solve_mat,
-)
+from pcr3bp.errors import DomainError, StructureError
+from pcr3bp.intervals import IMatrix, Interval, IVector, gauss_solve_mat
 
 mp.mp.dps = 50
 
@@ -436,72 +430,78 @@ def test_gauss_solve_contains_true_solution():
         a = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
         x_true = rng.normal(size=4)
         b = IVector.from_point(a @ x_true)
-        sol = gauss_solve(a, b)
+        sol = gauss_solve_mat(a, b)
         hp = mp.lu_solve(mp.matrix(a.tolist()), mp.matrix((a @ x_true).tolist()))
         for i in range(4):
             assert mp.mpf(sol.lo[i]) <= hp[i] <= mp.mpf(sol.hi[i])
 
 
-def _column_gauss_solve(a, b):
-    """The single-column elimination that ``gauss_solve_mat`` once ran per
-    column, kept verbatim as the reference the shared elimination must equal."""
+def _exact_inverse(a):
+    """Gauss-Jordan inverse of a float matrix in exact rational arithmetic."""
     n = a.shape[0]
-    rows = [[Interval.point(float(a[i, j])) for j in range(n)] for i in range(n)]
-    rhs = list(b.components)
-    perm = list(range(n))
+    rows = [[Fraction(float(x)) for x in a[i]] + [Fraction(int(i == j)) for j in range(n)]
+            for i in range(n)]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: rows[perm[r]][col].mig)
-        perm[col], perm[piv] = perm[piv], perm[col]
-        prow = rows[perm[col]]
-        pivot = prow[col]
-        for r in range(col + 1, n):
-            row = rows[perm[r]]
-            if row[col].lo == 0.0 and row[col].hi == 0.0:
-                continue
-            factor = row[col] / pivot
-            for j in range(col + 1, n):
-                row[j] = row[j] - factor * prow[j]
-            rhs[perm[r]] = rhs[perm[r]] - factor * rhs[perm[col]]
-            row[col] = Interval.point(0.0)
-    x = [Interval.point(0.0)] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[perm[i]]
-        acc = rhs[perm[i]]
-        for j in range(i + 1, n):
-            acc = acc - row[j] * x[j]
-        x[i] = acc / row[i]
-    return IVector.from_intervals(x)
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [x / p for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
 
 
-def test_gauss_solve_mat_matches_columns():
+def _frames(rng, count):
     # orthonormal frames (the integrator's use), shifted random matrices and
-    # permuted ones with exact zeros, against thin, wide and point columns
-    rng = np.random.default_rng(10)
-    for k in range(240):
-        n = 4 if k % 6 else int(rng.integers(2, 6))
+    # permuted triangular ones with exact zeros, of sizes 2 and 4
+    for k in range(count):
+        n = 2 if k % 2 else 4
         if k % 3 == 0:
-            a = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            yield np.linalg.qr(rng.normal(size=(n, n)))[0]
         elif k % 3 == 1:
-            a = rng.normal(size=(n, n)) + 4.0 * np.eye(n)
+            yield rng.normal(size=(n, n)) + 4.0 * np.eye(n)
         else:
-            a = rng.permutation(np.diag(rng.uniform(1.0, 3.0, n)) + np.triu(
+            yield rng.permutation(np.diag(rng.uniform(1.0, 3.0, n)) + np.triu(
                 rng.normal(size=(n, n)), 1))
-        m = int(rng.integers(1, 6))
-        lo = rng.normal(size=(n, m))
-        widths = rng.choice([0.0, 1e-12, 1e-6, 0.5], size=(n, m))
-        b = IMatrix(lo, lo + widths)
-        sol = gauss_solve_mat(a, b)
-        assert sol.shape == (n, m)
-        for j in range(m):
-            col = IVector(b.lo[:, j], b.hi[:, j])
-            ref = _column_gauss_solve(a, col)
-            assert np.array_equal(sol.lo[:, j], ref.lo)
-            assert np.array_equal(sol.hi[:, j], ref.hi)
-            one = gauss_solve(a, col)
-            assert np.array_equal(one.lo, ref.lo) and np.array_equal(one.hi, ref.hi)
+
+
+def test_point_inverse_contains_exact_inverse():
+    for a in _frames(np.random.default_rng(10), 60):
+        inv = intervals._point_inverse(a)
+        exact = _exact_inverse(a)
+        n = a.shape[0]
+        for i in range(n):
+            for j in range(n):
+                assert Fraction(inv.lo[i, j]) <= exact[i][j] <= Fraction(inv.hi[i, j])
+
+
+def test_point_inverse_refuses_singular_frames():
+    # 1 + 1e-17 rounds to 1, so the first matrix is exactly singular; the
+    # third is invertible but too ill-conditioned for the residual bound
+    for a in ([[1.0, 1.0], [1.0, 1.0 + 1e-17]], np.zeros((2, 2)),
+              [[1.0, 1.0], [1.0, 1.0 + 1e-15]]):
+        with pytest.raises(StructureError):
+            intervals._point_inverse(np.array(a))
+
+
+def test_solve_with_orthonormal_frame_is_tight():
+    # for an orthonormal Q the exact hull of Q^-1 b has width |Q^T| width(b);
+    # the enclosure may add only a rounding term of order n^2 u |Q^T| mag(b)
+    rng = np.random.default_rng(11)
+    for k in range(40):
+        n = 2 if k % 2 else 4
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        lo = rng.normal(size=(n, 3))
+        b = IMatrix(lo, lo + rng.uniform(0.1, 1.0, size=(n, 3)))
+        sol = gauss_solve_mat(q, b)
+        sharp = np.abs(q.T) @ (b.hi - b.lo)
+        mag = np.abs(q.T) @ np.maximum(np.abs(b.lo), np.abs(b.hi))
+        assert np.all(sol.hi - sol.lo <= sharp + 1024 * 2.0 ** -53 * mag)
 
 
 def test_gauss_singular_raises():
     a = np.zeros((4, 4))
-    with pytest.raises(ValueError):
-        gauss_solve(a, IVector.from_point(np.ones(4)))
+    with pytest.raises(StructureError):
+        gauss_solve_mat(a, IVector.from_point(np.ones(4)))
