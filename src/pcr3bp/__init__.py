@@ -15,12 +15,11 @@ from pcr3bp.dynamics import (
     reversal,
     vector_field,
 )
-from pcr3bp.intervals import Interval, IMatrix, IVector
+from pcr3bp.intervals import IArray, Interval
 
 __all__ = [
     "Interval",
-    "IVector",
-    "IMatrix",
+    "IArray",
     "Params",
     "MU_SUN_JUPITER",
     "JACOBI_OTERMA",

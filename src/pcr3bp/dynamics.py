@@ -25,7 +25,7 @@ import numpy as np
 
 from . import taylor
 from .errors import DomainError, SearchError, SingularityError
-from .intervals import Interval, IMatrix, IVector
+from .intervals import IArray, Interval, _wrap
 from .taylor import GUARD_RADIUS
 
 __all__ = [
@@ -240,13 +240,13 @@ def effective_potential_iv(params: Params, x: Interval, y: Interval) -> Interval
     )
 
 
-def vector_field_iv(params: Params, box: IVector) -> IVector:
+def vector_field_iv(params: Params, box: IArray) -> IArray:
     """Interval enclosure of the right-hand side over a state box."""
     flo, fhi, _, _ = taylor.iv_field(box.lo, box.hi, params.mu, False)
-    return IVector(flo, fhi)
+    return _wrap(flo, fhi)
 
 
-def vector_field_jacobian_iv(params: Params, box: IVector) -> IMatrix:
+def vector_field_jacobian_iv(params: Params, box: IArray) -> IArray:
     """Interval enclosure of the state Jacobian over a state box."""
     _, _, hlo, hhi = taylor.iv_field(box.lo, box.hi, params.mu, True)
-    return IMatrix(_jacobian(hlo), _jacobian(hhi))
+    return _wrap(_jacobian(hlo), _jacobian(hhi))

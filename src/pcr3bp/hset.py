@@ -58,7 +58,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import PCR3BPError, StructureError
-from .intervals import IMatrix, Interval, IVector, gauss_solve_mat
+from .intervals import IArray, Interval, gauss_solve_mat
 
 __all__ = [
     "HSet",
@@ -113,7 +113,7 @@ class HSet:
 
     def local_coords_iv(self, x: Interval, vx: Interval) -> tuple[Interval, Interval]:
         """Rigorous (a, b) enclosure of a section box."""
-        rhs = IVector.from_intervals([
+        rhs = IArray.from_intervals([
             x - float(self.center[0]),
             vx - float(self.center[1]),
         ])
@@ -618,7 +618,7 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
 # ----------------------------------------------------------------------
 
 
-def cone_condition(dp_local: IMatrix, lam: float = 1.0) -> bool:
+def cone_condition(dp_local: IArray, lam: float = 1.0) -> bool:
     """Check the cone condition for a local-coordinate derivative enclosure.
 
     With the indefinite form ``Q(a, b) = a^2 - b^2``, the condition holds
@@ -629,10 +629,8 @@ def cone_condition(dp_local: IMatrix, lam: float = 1.0) -> bool:
     """
     if dp_local.shape != (2, 2):
         raise StructureError("cone condition needs a 2x2 derivative")
-    m11 = dp_local.entry(0, 0)
-    m12 = dp_local.entry(0, 1)
-    m21 = dp_local.entry(1, 0)
-    m22 = dp_local.entry(1, 1)
+    m11, m12 = dp_local[0, 0], dp_local[0, 1]
+    m21, m22 = dp_local[1, 0], dp_local[1, 1]
     s11 = m11.sqr() - m21.sqr() - lam
     s22 = m12.sqr() - m22.sqr() + lam
     s12 = m11 * m12 - m21 * m22
@@ -642,7 +640,7 @@ def cone_condition(dp_local: IMatrix, lam: float = 1.0) -> bool:
     return det.lo > 0.0
 
 
-def cone_expansion(dp_local: IMatrix, lam_max: float = 1e16) -> float:
+def cone_expansion(dp_local: IArray, lam_max: float = 1e16) -> float:
     """Certified expansion factor ``sqrt(max lam)`` of the cone condition.
 
     Returns 0.0 when the condition already fails at ``lam = 1``.

@@ -1,9 +1,9 @@
 """Adaptive Taylor integration, point mode and rigorous (Lohner) mode.
 
 Point mode propagates float states (optionally with the variational matrix)
-using the compiled coefficient kernels; the step size follows the decay of
-the last two Taylor coefficients and each accepted step keeps its polynomial
-for dense output.
+using the float Taylor kernels of :mod:`pcr3bp.taylor`; the step size
+follows the decay of the last two Taylor coefficients and each accepted
+step keeps its polynomial for dense output.
 
 Rigorous mode propagates a set ``{c + B r}`` with a point center ``c``, a
 near-orthonormal point frame ``B`` and an interval box ``r`` (first-order
@@ -20,7 +20,10 @@ Lohner representation).  Every step:
 4. re-anchors: new center = midpoint of the center image, new frame = Q
    factor of the transported frame, new box through one verified enclosure
    of the new frame's inverse (see :func:`pcr3bp.intervals._point_inverse`),
-   which the center term and the transported frame share.
+   which the center term and the transported frame share.  The center
+   image and the transported frame are the same computation as the dense
+   state enclosure below, and a center image that is not bounded is
+   refused.
 
 Dense output inside a step evaluates the same polynomial + remainder data at
 interval times, which is what the section-crossing localization uses to
@@ -49,6 +52,10 @@ change one with ``monkeypatch.setattr``.
   variational) a rigorous step may keep, 100 times ``TOL``; a larger one
   means the a-priori box is too wide, so the step is halved.
 * ``MAX_TIME = 50.0``: time horizon of one section flight.
+* ``MAX_STEPS = 5000``: step attempts one rigorous flight (one
+  :class:`LohnerFlow`) may make.  A flight that needs more, such as one
+  whose validated steps shrink near a primary, is refused with an
+  ``IntegrationError``; each bundled flight takes fewer than 200.
 * ``MIN_TIME = 1e-3``: sign changes of ``y`` before this time belong to
   the departure from the section and are not crossings.
 * ``BRACKET_TOL = 1e-11``: time width at which the bisection of a rigorous
@@ -72,8 +79,8 @@ from .errors import (
     SingularityError,
     TangencyError,
 )
-from .intervals import IMatrix, Interval, IVector
-from .intervals import _dn, _point_inverse, _up
+from .intervals import IArray, Interval
+from .intervals import _dn, _point_inverse, _up, _wrap
 
 __all__ = [
     "PointStep",
@@ -94,6 +101,7 @@ SAFETY = 0.9
 H_MIN = 1e-9
 H_MAX = 0.5
 MAX_TIME = 50.0
+MAX_STEPS = 5000
 PICARD_ITERATIONS = 18
 REMAINDER_BUDGET = 1e-10
 BRACKET_TOL = 1e-11
@@ -205,19 +213,16 @@ def flow_point(params: Params, state, t_final: float, variational: bool = False)
 # ----------------------------------------------------------------------
 
 
-def _stretch_sorted_frame(m_mid: np.ndarray, r) -> np.ndarray:
+def _stretch_sorted_frame(m_mid: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Orthonormal frame for the transported set, wrapping-optimized.
 
     Orthonormalizes the columns of the transported frame in decreasing order
     of how far the current box actually extends along them (column norm
-    times box radius), so the leading frame directions track the dominant
-    stretching; this keeps the triangular mixing factors small, which is
-    what controls wrapping growth in the local coordinates.
+    times the box radius ``radii`` of that column), so the leading frame
+    directions track the dominant stretching; this keeps the triangular
+    mixing factors small, which is what controls wrapping growth in the
+    local coordinates.
     """
-    if isinstance(r, IVector):
-        radii = 0.5 * r.width
-    else:  # IMatrix: use the largest row spread as a common column scale
-        radii = 0.5 * np.max(r.hi - r.lo, axis=1)
     radii = np.where(radii > 0.0, radii, np.max(radii) * 1e-6 + 1e-300)
     scaled = m_mid * radii[np.newaxis, :]
     order = np.argsort(-np.linalg.norm(scaled, axis=0))
@@ -250,47 +255,48 @@ class LohnerSet:
 
     c: np.ndarray
     b: np.ndarray
-    r: IVector
+    r: IArray
     bj: np.ndarray | None = None
-    rj: IMatrix | None = None
+    rj: IArray | None = None
 
     @classmethod
-    def from_box(cls, box: IVector, track_jacobian: bool = False) -> "LohnerSet":
+    def from_box(cls, box: IArray, track_jacobian: bool = False) -> "LohnerSet":
         c = box.mid
         return cls.from_frame(c, np.eye(4), box - c, track_jacobian)
 
     @classmethod
-    def from_frame(cls, c, b, r: IVector, track_jacobian: bool = False) -> "LohnerSet":
+    def from_frame(cls, c, b, r: IArray, track_jacobian: bool = False) -> "LohnerSet":
         c = np.asarray(c, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         bj = np.eye(4) if track_jacobian else None
-        rj = IMatrix.identity(4) if track_jacobian else None
+        rj = IArray.identity(4) if track_jacobian else None
         return cls(c, b, r, bj, rj)
 
-    def hull(self) -> IVector:
+    def hull(self) -> IArray:
         """Axis-aligned interval enclosure of the set."""
-        return IMatrix.from_point(self.b) @ self.r + self.c
+        return IArray.from_point(self.b) @ self.r + self.c
 
-    def jacobian(self) -> IMatrix:
+    def jacobian(self) -> IArray:
         if self.bj is None or self.rj is None:
             raise IntegrationError("set does not track the accumulated derivative")
-        return IMatrix.from_point(self.bj) @ self.rj
+        return IArray.from_point(self.bj) @ self.rj
 
 
 @dataclass(slots=True)
 class LohnerStep:
-    """One validated step: dense data plus the re-anchored end set."""
+    """One validated step: dense data plus the re-anchored end set.
+
+    ``c`` holds the Taylor coefficients of the center, ``ph`` those of the
+    transition matrix over the hull, and ``rem``/``vrem`` the order-(N+1)
+    coefficients of their Lagrange remainders.
+    """
 
     t0: float
     h: float
-    clo: np.ndarray
-    chi: np.ndarray
-    remlo: np.ndarray
-    remhi: np.ndarray
-    phlo: np.ndarray
-    phhi: np.ndarray
-    vremlo: np.ndarray
-    vremhi: np.ndarray
+    c: IArray
+    rem: IArray
+    ph: IArray
+    vrem: IArray
     wy: Interval
     wvy: Interval
     set_before: LohnerSet
@@ -305,6 +311,7 @@ class LohnerFlow:
         self.lset = lset
         self.t = 0.0
         self._t_comp = 0.0
+        self.attempts = 0
 
     # -- elapsed time ---------------------------------------------------
 
@@ -322,8 +329,12 @@ class LohnerFlow:
 
         ``h_force`` requests an exact (interval) step length, used to land on
         a prescribed final time; Picard failure then raises instead of
-        shrinking.
+        shrinking.  The ``MAX_STEPS``-th attempt of a flow is its last.
         """
+        self.attempts += 1
+        if self.attempts > MAX_STEPS:
+            raise IntegrationError(
+                f"rigorous flight exceeded {MAX_STEPS} step attempts")
         params = self.params
         lset = self.lset
         hull = lset.hull()
@@ -361,14 +372,14 @@ class LohnerFlow:
                 raise EnclosureError("validated step size underflow")
 
         hs = math.copysign(h, direction)
-        clo, chi = taylor.iv_coeffs(lset.c, lset.c, params.mu, n)
+        c = _wrap(*taylor.iv_coeffs(lset.c, lset.c, params.mu, n))
         _, _, phlo, phhi = taylor.iv_var_coeffs(
             hull.lo, hull.hi, np.eye(4), np.eye(4), params.mu, n
         )
         rec = LohnerStep(
             t0=self.t, h=hs,
-            clo=clo, chi=chi, remlo=rlo[n + 1], remhi=rhi[n + 1],
-            phlo=phlo, phhi=phhi, vremlo=vrlo[n + 1], vremhi=vrhi[n + 1],
+            c=c, rem=_wrap(rlo[n + 1], rhi[n + 1]),
+            ph=_wrap(phlo, phhi), vrem=_wrap(vrlo[n + 1], vrhi[n + 1]),
             wy=w[1], wvy=w[3],
             set_before=lset, set_after=lset,
         )
@@ -382,24 +393,26 @@ class LohnerFlow:
 
     # -- dense output -----------------------------------------------------
 
-    def phi_at(self, rec: LohnerStep, tau: Interval) -> IMatrix:
+    def phi_at(self, rec: LohnerStep, tau: Interval) -> IArray:
         """Enclosure of the one-step transition matrix at times in ``tau``."""
-        lo, hi = taylor.horner_var_iv(rec.phlo, rec.phhi, tau.lo, tau.hi)
-        tpow = tau.pow_int(ORDER + 1)
-        return IMatrix(lo, hi) + IMatrix(rec.vremlo, rec.vremhi).scale(tpow)
+        lo, hi = taylor.horner_var_iv(rec.ph.lo, rec.ph.hi, tau.lo, tau.hi)
+        return _wrap(lo, hi) + rec.vrem.scale(tau.pow_int(ORDER + 1))
 
-    def enclosure_at(self, rec: LohnerStep, tau: Interval) -> IVector:
+    def enclosure_at(self, rec: LohnerStep, tau: Interval) -> IArray:
         """State enclosure of the whole set at step times in ``tau``."""
-        lo, hi = taylor.horner_iv(rec.clo, rec.chi, tau.lo, tau.hi)
-        tpow = tau.pow_int(ORDER + 1)
-        center = IVector(lo, hi) + IVector(rec.remlo, rec.remhi).scale(tpow)
-        before = rec.set_before
-        m = self.phi_at(rec, tau) @ IMatrix.from_point(before.b)
-        return center + (m @ before.r)
+        center, _, m = self._transport(rec, tau)
+        return center + (m @ rec.set_before.r)
 
     # -- internals ----------------------------------------------------------
 
-    def _rough_enclosure(self, hull: IVector, span: Interval) -> IVector | None:
+    def _transport(self, rec: LohnerStep, tau: Interval) -> tuple[IArray, IArray, IArray]:
+        """Center image, transition matrix and transported frame at ``tau``."""
+        lo, hi = taylor.horner_iv(rec.c.lo, rec.c.hi, tau.lo, tau.hi)
+        center = _wrap(lo, hi) + rec.rem.scale(tau.pow_int(ORDER + 1))
+        phi = self.phi_at(rec, tau)
+        return center, phi, phi @ IArray.from_point(rec.set_before.b)
+
+    def _rough_enclosure(self, hull: IArray, span: Interval) -> IArray | None:
         params = self.params
         try:
             guess = hull + dynamics.vector_field_iv(params, hull).scale(span)
@@ -415,8 +428,8 @@ class LohnerFlow:
             return None
         return None
 
-    def _rough_var_enclosure(self, w: IVector, span: Interval) -> IMatrix | None:
-        ident = IMatrix.identity(4)
+    def _rough_var_enclosure(self, w: IArray, span: Interval) -> IArray | None:
+        ident = IArray.identity(4)
         a = dynamics.vector_field_jacobian_iv(self.params, w)
         guess = ident.inflate(1e-6)
         for _ in range(PICARD_ITERATIONS):
@@ -429,19 +442,19 @@ class LohnerFlow:
 
     def _reanchor(self, rec: LohnerStep, tau: Interval) -> LohnerSet:
         before = rec.set_before
-        lo, hi = taylor.horner_iv(rec.clo, rec.chi, tau.lo, tau.hi)
-        tpow = tau.pow_int(ORDER + 1)
-        phic = IVector(lo, hi) + IVector(rec.remlo, rec.remhi).scale(tpow)
-        phi = self.phi_at(rec, tau)
-        m = phi @ IMatrix.from_point(before.b)
+        phic, phi, m = self._transport(rec, tau)
         c_new = phic.mid
-        b_new = _stretch_sorted_frame(m.mid, before.r)
+        if not np.isfinite(c_new).all():
+            raise EnclosureError(f"the center image {phic} is not bounded")
+        b_new = _stretch_sorted_frame(m.mid, 0.5 * before.r.width)
         inv = _point_inverse(b_new)
         r_new = inv @ (phic - c_new) + (inv @ m) @ before.r
         bj_new = rj_new = None
         if before.bj is not None:
-            mj = phi @ IMatrix.from_point(before.bj)
-            bj_new = _stretch_sorted_frame(mj.mid, before.rj)
+            mj = phi @ IArray.from_point(before.bj)
+            # the largest row spread of rj is the common column scale
+            radii = 0.5 * np.max(before.rj.hi - before.rj.lo, axis=1)
+            bj_new = _stretch_sorted_frame(mj.mid, radii)
             rj_new = (_point_inverse(bj_new) @ mj) @ before.rj
         return LohnerSet(c_new, b_new, r_new, bj_new, rj_new)
 
@@ -485,7 +498,7 @@ class CrossingRecord:
     """Enclosure of one transversal section crossing of a whole set."""
 
     t: Interval
-    state: IVector
+    state: IArray
     vy_sign: int
 
 
@@ -515,7 +528,7 @@ def lohner_section_crossings(
     if not signs or any(s not in (-1, 1) for s in signs):
         raise IntegrationError("signs must be a non-empty list of +1/-1")
     if want_jacobian and lset.bj is None:
-        lset = replace(lset, bj=np.eye(4), rj=IMatrix.identity(4))
+        lset = replace(lset, bj=np.eye(4), rj=IArray.identity(4))
     flow = LohnerFlow(params, lset)
     crossings: list[CrossingRecord] = []
     prev_side: int | None = None
@@ -619,7 +632,7 @@ def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
     sharp = [
         (st_mid[i] + f_env[i] * dt).intersection(st[i]) for i in range(4)
     ]
-    state_cross = IVector.from_intervals(sharp)
+    state_cross = IArray.from_intervals(sharp)
     t_abs = flow.elapsed + tau
 
     jac = None

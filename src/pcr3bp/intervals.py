@@ -17,8 +17,9 @@ sum is exact no step is taken, which keeps small-integer arithmetic exact.
 
 The array layer applies the same policy to (lo, hi) float64 array pairs,
 and it is the rounding core of the batched interval Taylor kernels as well
-as of :class:`IVector`/:class:`IMatrix`.  ``_prod_bounds`` is the array form
-of ``_imul``, end for end.  A sum is not rounded per addition:
+as of :class:`IArray`, the one interval array type (vectors and matrices
+alike, with one ``@`` for both products).  ``_prod_bounds`` is the array
+form of ``_imul``, end for end.  A sum is not rounded per addition:
 ``_sum_down``/``_sum_up`` bound the accumulated round-off of a length-``n``
 float sum, in any summation order, by ``n * u * sum|terms|`` plus a tiny
 absolute term for underflow, then step outward once (an a-posteriori bound
@@ -31,13 +32,21 @@ bound on its residual (Rump, "Verification methods", Acta Numerica 19,
 2010), and :func:`gauss_solve_mat` multiplies that enclosure into the
 right-hand side, so a frame solve costs one interval matrix product.
 There is no interval Gaussian elimination.
+
+Ends are checked where values enter, not in the inner loop.  The
+:class:`Interval` constructor refuses NaN and ``lo > hi``; the
+:class:`IArray` constructor, :meth:`IArray.from_point` and the point
+operands of its ``+`` and ``-`` also refuse a ``+inf`` lower and a
+``-inf`` upper end.  On such operands the array operations cannot make a
+NaN or an unordered end (``inf - inf`` and ``0 * inf`` give the whole
+line), so their results are built unchecked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -45,8 +54,7 @@ from .errors import DomainError, StructureError
 
 __all__ = [
     "Interval",
-    "IVector",
-    "IMatrix",
+    "IArray",
     "gauss_solve_mat",
 ]
 
@@ -369,40 +377,54 @@ def _prod_bounds(alo, ahi, blo, bhi):
     return np.fmax(_nd_down(lo), -np.inf), np.fmin(_nd_up(hi), np.inf)
 
 
-class IVector:
-    """Interval vector backed by a pair of float64 arrays."""
+class IArray:
+    """Interval array of any shape, backed by a pair of float64 arrays.
+
+    Values enter through the constructor, :meth:`from_point`,
+    :meth:`from_intervals` and the point-array operand of ``+`` and ``-``;
+    those check their ends.  A valid array has no NaN end, ``lo <= hi``, no
+    ``+inf`` lower end and no ``-inf`` upper end.  On valid operands every
+    operation below gives a valid result (an undefined corner or sum is the
+    whole line), so results are built by :func:`_wrap` unchecked.  Indexing
+    is numpy's; a single entry comes back as an :class:`Interval`.
+    """
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise StructureError("IVector needs two 1-d arrays of equal length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)) or np.any(lo > hi):
-            raise StructureError("invalid IVector endpoints")
+        if lo.shape != hi.shape:
+            raise StructureError("IArray needs two arrays of equal shape")
+        # lo <= hi is False at a NaN end as well
+        if not (lo <= hi).all() or (lo == _INF).any() or (hi == -_INF).any():
+            raise StructureError("invalid IArray endpoints")
         self.lo = lo
         self.hi = hi
 
     @classmethod
-    def from_intervals(cls, items: Iterable[Interval]) -> "IVector":
+    def from_point(cls, x) -> "IArray":
+        a = _finite(x)
+        return _wrap(a.copy(), a.copy())
+
+    @classmethod
+    def from_intervals(cls, items: Iterable[Interval]) -> "IArray":
         items = list(items)
         return cls([iv.lo for iv in items], [iv.hi for iv in items])
 
     @classmethod
-    def from_point(cls, x: Sequence[float]) -> "IVector":
-        a = np.asarray(x, dtype=np.float64)
-        return cls(a.copy(), a.copy())
-
-    def __len__(self) -> int:
-        return self.lo.size
-
-    def __getitem__(self, i: int) -> Interval:
-        return Interval(float(self.lo[i]), float(self.hi[i]))
+    def identity(cls, n: int) -> "IArray":
+        return _wrap(np.eye(n), np.eye(n))
 
     @property
-    def components(self) -> list[Interval]:
-        return [self[i] for i in range(len(self))]
+    def shape(self) -> tuple[int, ...]:
+        return self.lo.shape
+
+    def __getitem__(self, key) -> "Interval | IArray":
+        lo, hi = self.lo[key], self.hi[key]
+        if np.ndim(lo) == 0:
+            return Interval(float(lo), float(hi))
+        return _wrap(lo, hi)
 
     @property
     def mid(self) -> np.ndarray:
@@ -413,131 +435,84 @@ class IVector:
         return _nd_up(self.hi - self.lo)
 
     def max_width(self) -> float:
-        return float(self.width.max()) if len(self) else 0.0
+        return float(self.width.max(initial=0.0))
 
-    def __add__(self, other: "IVector") -> "IVector":
-        if isinstance(other, IVector):
-            return IVector(_nd_down(self.lo + other.lo), _nd_up(self.hi + other.hi))
-        o = np.asarray(other, dtype=np.float64)
-        return IVector(_nd_down(self.lo + o), _nd_up(self.hi + o))
+    def __add__(self, other) -> "IArray":
+        olo, ohi = _operand(other)
+        return _wrap(_nd_down(self.lo + olo), _nd_up(self.hi + ohi))
 
     __radd__ = __add__
 
-    def __sub__(self, other: "IVector") -> "IVector":
-        if isinstance(other, IVector):
-            return IVector(_nd_down(self.lo - other.hi), _nd_up(self.hi - other.lo))
-        o = np.asarray(other, dtype=np.float64)
-        return IVector(_nd_down(self.lo - o), _nd_up(self.hi - o))
+    def __sub__(self, other) -> "IArray":
+        olo, ohi = _operand(other)
+        return _wrap(_nd_down(self.lo - ohi), _nd_up(self.hi - olo))
 
-    def __rsub__(self, other) -> "IVector":
-        o = np.asarray(other, dtype=np.float64)
-        return IVector(_nd_down(o - self.hi), _nd_up(o - self.lo))
+    def __rsub__(self, other) -> "IArray":
+        olo, ohi = _operand(other)
+        return _wrap(_nd_down(olo - self.hi), _nd_up(ohi - self.lo))
 
-    def __neg__(self) -> "IVector":
-        return IVector(-self.hi, -self.lo)
+    def __neg__(self) -> "IArray":
+        return _wrap(-self.hi, -self.lo)
 
-    def scale(self, s: "Interval | float") -> "IVector":
+    def scale(self, s: "Interval | float") -> "IArray":
         s = _coerce(s)
-        lo, hi = _prod_bounds(self.lo, self.hi, np.float64(s.lo), np.float64(s.hi))
-        return IVector(lo, hi)
+        return _wrap(*_prod_bounds(self.lo, self.hi, np.float64(s.lo), np.float64(s.hi)))
 
     __mul__ = scale
     __rmul__ = scale
 
-    def is_subset(self, other: "IVector") -> bool:
+    def __matmul__(self, other: "IArray") -> "IArray":
+        # terms[i, j, k] enclose A[i, j] * B[j, k], a vector B being one
+        # column; then a rounded sum over j
+        n = other.shape[0]
+        lo, hi = _prod_bounds(
+            self.lo[:, :, np.newaxis], self.hi[:, :, np.newaxis],
+            other.lo.reshape(n, -1), other.hi.reshape(n, -1),
+        )
+        shape = self.shape[:1] + other.shape[1:]
+        return _wrap(_sum_down(lo, axis=1).reshape(shape),
+                     _sum_up(hi, axis=1).reshape(shape))
+
+    def is_subset(self, other: "IArray") -> bool:
         return bool(np.all(other.lo <= self.lo) and np.all(self.hi <= other.hi))
 
-    def inflate(self, radius: float) -> "IVector":
-        return IVector(_nd_down(self.lo - radius), _nd_up(self.hi + radius))
+    def inflate(self, radius: float) -> "IArray":
+        if not radius >= 0.0:
+            raise DomainError("inflate radius must be non-negative")
+        return _wrap(_nd_down(self.lo - radius), _nd_up(self.hi + radius))
 
     def __repr__(self) -> str:
-        parts = ", ".join(repr(iv) for iv in self.components)
-        return f"IVector({parts})"
+        return f"IArray(lo={self.lo!r}, hi={self.hi!r})"
 
 
-class IMatrix:
-    """Interval matrix backed by a pair of float64 arrays."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        if lo.shape != hi.shape or lo.ndim != 2:
-            raise StructureError("IMatrix needs two 2-d arrays of equal shape")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)) or np.any(lo > hi):
-            raise StructureError("invalid IMatrix endpoints")
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def from_point(cls, a) -> "IMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        return cls(a.copy(), a.copy())
-
-    @classmethod
-    def identity(cls, n: int) -> "IMatrix":
-        return cls.from_point(np.eye(n))
-
-    @property
-    def shape(self):
-        return self.lo.shape
-
-    @property
-    def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    def entry(self, i: int, j: int) -> Interval:
-        return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
-
-    def __add__(self, other: "IMatrix") -> "IMatrix":
-        return IMatrix(_nd_down(self.lo + other.lo), _nd_up(self.hi + other.hi))
-
-    def __sub__(self, other: "IMatrix") -> "IMatrix":
-        return IMatrix(_nd_down(self.lo - other.hi), _nd_up(self.hi - other.lo))
-
-    def matvec(self, v: IVector) -> IVector:
-        # terms[i, j] = enclosure of A[i, j] * v[j], then a rounded row sum
-        lo, hi = _prod_bounds(
-            self.lo, self.hi, v.lo[np.newaxis, :], v.hi[np.newaxis, :]
-        )
-        return IVector(_sum_down(lo, axis=1), _sum_up(hi, axis=1))
-
-    def matmul(self, other: "IMatrix") -> "IMatrix":
-        lo, hi = _prod_bounds(
-            self.lo[:, :, np.newaxis],
-            self.hi[:, :, np.newaxis],
-            other.lo[np.newaxis, :, :],
-            other.hi[np.newaxis, :, :],
-        )
-        return IMatrix(_sum_down(lo, axis=1), _sum_up(hi, axis=1))
-
-    def __matmul__(self, other):
-        if isinstance(other, IMatrix):
-            return self.matmul(other)
-        if isinstance(other, IVector):
-            return self.matvec(other)
-        return NotImplemented
-
-    def scale(self, s: "Interval | float") -> "IMatrix":
-        s = _coerce(s)
-        lo, hi = _prod_bounds(self.lo, self.hi, np.float64(s.lo), np.float64(s.hi))
-        return IMatrix(lo, hi)
-
-    def is_subset(self, other: "IMatrix") -> bool:
-        return bool(np.all(other.lo <= self.lo) and np.all(self.hi <= other.hi))
-
-    def inflate(self, radius: float) -> "IMatrix":
-        return IMatrix(_nd_down(self.lo - radius), _nd_up(self.hi + radius))
-
-    def max_width(self) -> float:
-        return float(_nd_up(self.hi - self.lo).max())
-
-    def __repr__(self) -> str:
-        return f"IMatrix(lo={self.lo!r}, hi={self.hi!r})"
+IMatrix = IArray  # the name perfbench/workloads.py imports
 
 
-def _point_inverse(a) -> IMatrix:
+def _wrap(lo: np.ndarray, hi: np.ndarray) -> IArray:
+    """An :class:`IArray` of ends an operation computed, built unchecked."""
+    out = IArray.__new__(IArray)
+    out.lo = lo
+    out.hi = hi
+    return out
+
+
+def _finite(x) -> np.ndarray:
+    """``x`` as a float64 array; a point enters only with finite values."""
+    a = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise StructureError("point values must be finite")
+    return a
+
+
+def _operand(x) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of an array operand; a float array is a point."""
+    if isinstance(x, IArray):
+        return x.lo, x.hi
+    a = _finite(x)
+    return a, a
+
+
+def _point_inverse(a) -> IArray:
     """Rigorous enclosure of the inverse of a square point matrix ``a``.
 
     ``R = inv(a)`` in floats, ``E`` encloses ``I - R a`` on the array layer
@@ -554,20 +529,20 @@ def _point_inverse(a) -> IMatrix:
         raise StructureError(f"cannot invert the point matrix: {exc}") from None
     if not np.all(np.isfinite(r)):
         raise StructureError("the float inverse of the point matrix is not finite")
-    e = IMatrix.identity(a.shape[0]) - IMatrix.from_point(r) @ IMatrix.from_point(a)
+    e = IArray.identity(a.shape[0]) - IArray.from_point(r) @ IArray.from_point(a)
     delta = float(_sum_up(np.maximum(-e.lo, e.hi), axis=1).max())
     if not delta < 1.0:
         raise StructureError(
             f"the point matrix is too ill-conditioned (||I - R a|| <= {delta})")
     r_norm = float(_sum_up(np.abs(r), axis=1).max())
     rad = _up(_up(r_norm * delta) / _dn(1.0 - delta))
-    return IMatrix(_nd_down(r - rad), _nd_up(r + rad))
+    return _wrap(_nd_down(r - rad), _nd_up(r + rad))
 
 
-def gauss_solve_mat(a: np.ndarray, b: "IVector | IMatrix") -> "IVector | IMatrix":
+def gauss_solve_mat(a: np.ndarray, b: IArray) -> IArray:
     """Rigorous enclosure of ``a^-1 b`` for a point matrix ``a``.
 
-    ``b`` may be an :class:`IVector` or an :class:`IMatrix`; either is
-    multiplied by the enclosure :func:`_point_inverse` of ``a^-1``.
+    ``b`` is a vector or a matrix; it is multiplied by the enclosure
+    :func:`_point_inverse` of ``a^-1``.
     """
     return _point_inverse(a) @ b

@@ -42,7 +42,7 @@ from .errors import (
     TangencyError,
 )
 from .integrator import LohnerSet, PointFlow, lohner_section_crossings
-from .intervals import IMatrix, Interval, IVector
+from .intervals import IArray, Interval
 
 __all__ = [
     "SectionPoint",
@@ -143,7 +143,7 @@ def lift(params: Params, pt: SectionPoint) -> np.ndarray:
     return np.array([pt.x, 0.0, pt.vx, vy])
 
 
-def lift_iv(params: Params, x: Interval, vx: Interval, sign: int) -> IVector:
+def lift_iv(params: Params, x: Interval, vx: Interval, sign: int) -> IArray:
     """Rigorous lift of a section box; requires a strictly positive radicand."""
     rad = 2.0 * dynamics.effective_potential_iv(params, x, Interval.point(0.0))
     rad = rad - vx.sqr() - Interval.point(params.jacobi)
@@ -154,7 +154,7 @@ def lift_iv(params: Params, x: Interval, vx: Interval, sign: int) -> IVector:
     vy = rad.sqrt()
     if sign < 0:
         vy = -vy
-    return IVector.from_intervals([x, Interval.point(0.0), vx, vy])
+    return IArray.from_intervals([x, Interval.point(0.0), vx, vy])
 
 
 def lift_tangent(params: Params, state: np.ndarray) -> np.ndarray:
@@ -173,13 +173,13 @@ def lift_tangent(params: Params, state: np.ndarray) -> np.ndarray:
     ])
 
 
-def lift_tangent_iv(params: Params, x: Interval, vx: Interval, vy: Interval) -> IMatrix:
+def lift_tangent_iv(params: Params, x: Interval, vx: Interval, vy: Interval) -> IArray:
     """Interval version of :func:`lift_tangent` over a section box."""
     # at rest on the section the field's vx' component is Omega_x(x, 0)
-    rest = IVector([x.lo, 0.0, 0.0, 0.0], [x.hi, 0.0, 0.0, 0.0])
+    rest = IArray([x.lo, 0.0, 0.0, 0.0], [x.hi, 0.0, 0.0, 0.0])
     gx = dynamics.vector_field_iv(params, rest)[2] / vy
     gv = -vx / vy
-    return IMatrix(
+    return IArray(
         [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [gx.lo, gv.lo]],
         [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [gx.hi, gv.hi]],
     )
@@ -204,19 +204,12 @@ def reflect(pt: SectionPoint) -> SectionPoint:
 # ----------------------------------------------------------------------
 
 
-def _point_crossings(params: Params, state: np.ndarray, signs: Sequence[int],
-                     direction: float):
-    """Flow a state through successive section crossings (point mode).
+def _drive_crossings(flow: PointFlow, signs: Sequence[int], direction: float):
+    """Flow a point flow through successive section crossings.
 
-    Returns ``(flow, crossing_states, crossing_times)``; the flow is left
+    Returns ``(crossing_states, crossing_times)``; the flow is left
     standing exactly on the final crossing.
     """
-    flow = PointFlow(params, state)
-    return _drive_crossings(flow, signs, direction)
-
-
-def _drive_crossings(flow: PointFlow, signs: Sequence[int], direction: float):
-    params = flow.params
     found_states: list[np.ndarray] = []
     found_times: list[float] = []
     prev_y = flow.state[1]
@@ -246,7 +239,7 @@ def _drive_crossings(flow: PointFlow, signs: Sequence[int], direction: float):
             found_states.append(s.copy())
             found_times.append(flow.t)
         prev_y = flow.state[1]
-    return flow, found_states, found_times
+    return found_states, found_times
 
 
 def _refine_root(rec, y_start: float) -> float:
@@ -304,8 +297,8 @@ def apply_chain(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
             f"point on section side {pt.sign} is not in the domain "
             f"(sign {dom}) of the composite"
         )
-    state = lift(params, pt)
-    flow, states, times = _point_crossings(params, state, signs, direction)
+    flow = PointFlow(params, lift(params, pt))
+    states, times = _drive_crossings(flow, signs, direction)
     return project(states[-1]), times[-1]
 
 
@@ -361,7 +354,7 @@ def chain_derivative(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
     state = lift(params, pt)
     dt_cols = lift_tangent(params, state)
     flow = PointFlow(params, state, variational=True)
-    flow, states, times = _drive_crossings(flow, signs, direction)
+    states, times = _drive_crossings(flow, signs, direction)
     q = states[-1]
     dphi = flow.v
     f_q = dynamics.vector_field(params, q)
@@ -388,14 +381,14 @@ class RigorousImage:
 
     x: Interval
     vx: Interval
-    state: IVector
+    state: IArray
     t: Interval
-    dp: IMatrix | None
+    dp: IArray | None
 
 
 def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
                  d2: np.ndarray, a: Interval, b: Interval, sign: int,
-                 track_jacobian: bool) -> tuple[LohnerSet, IMatrix]:
+                 track_jacobian: bool) -> tuple[LohnerSet, IArray]:
     """Lohner set enclosing the energy lift of a section parallelogram.
 
     The support ``{origin + alpha d1 + beta d2 : alpha in a, beta in b}`` is
@@ -421,15 +414,15 @@ def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
     db = b - bm
     # mean-value residual: vy(p) - vy(c) - g . (p - c) = (grad vy(xi) - g) . (p - c)
     grad = lift_tangent_iv(params, x_iv, vx_iv, box4[3])
-    ex = grad.entry(3, 0) - g1
-    ev = grad.entry(3, 1) - g2
+    ex = grad[3, 0] - g1
+    ev = grad[3, 1] - g2
     res = (ex * float(d1[0]) + ev * float(d1[1])) * da \
         + (ex * float(d2[0]) + ev * float(d2[1])) * db
     # direct form as a cross-check, keep the intersection
     lin = t1[3] * da + t2[3] * db
     direct = box4[3] - (Interval.point(center[3]) + lin)
     res = res.intersection(direct)
-    r = IVector.from_intervals([da, db, Interval.point(0.0), res])
+    r = IArray.from_intervals([da, db, Interval.point(0.0), res])
     return LohnerSet.from_frame(center, frame, r, track_jacobian), grad
 
 
@@ -469,7 +462,7 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
         # rows (x, vx) of (I - f e_y^T / vy) in one go
         fx = -f_q[0] / st[3]
         fv = -f_q[2] / st[3]
-        proj = IMatrix([[1.0, fx.lo, 0.0, 0.0], [0.0, fv.lo, 1.0, 0.0]],
+        proj = IArray([[1.0, fx.lo, 0.0, 0.0], [0.0, fv.lo, 1.0, 0.0]],
                        [[1.0, fx.hi, 0.0, 0.0], [0.0, fv.hi, 1.0, 0.0]])
         dp = (proj @ jac) @ dt_cols
     return RigorousImage(

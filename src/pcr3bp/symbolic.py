@@ -45,7 +45,7 @@ import numpy as np
 from .dynamics import Params
 from .errors import RegistryError
 from .hset import HSet, MapEnclosure, load_bundled, r_image, swap_uv
-from .intervals import IMatrix, Interval, gauss_solve_mat
+from .intervals import IArray, Interval, gauss_solve_mat
 from .poincare import (
     FULL_MINUS,
     FULL_PLUS,
@@ -78,6 +78,7 @@ __all__ = [
     "section_point_map",
     "inverse_section_map",
     "local_derivative",
+    "point_local_derivative",
 ]
 
 Symbol = str
@@ -384,49 +385,6 @@ def resolve_stage_set(stage: Stage, sets: Mapping[str, HSet]) -> HSet:
 # ----------------------------------------------------------------------
 
 
-def _mean_value_map(params: Params, tags: Sequence[MapTag], cell_set: HSet,
-                    image_set: HSet, inverse: bool) -> MapEnclosure:
-    """Image-set-local enclosure of a composite on cell-set-local cells.
-
-    Evaluated in mean-value form: one sharp flight of the cell center
-    plus an interval derivative over the whole cell,
-
-        g(a, b)  in  g(am, bm) + Dg(cell) (a - am, b - bm),
-
-    with ``g`` the map written cell-local to image-local.  This keeps the
-    image's coordinate correlations that a plain set flight loses to its
-    final bounding box; the direct set enclosure is still computed (the
-    derivative flight yields it for free) and intersected in.
-    """
-    u, s = cell_set.u, cell_set.s
-    zero = Interval.point(0.0)
-
-    def map_fn(a: Interval, b: Interval):
-        am, bm = a.mid, b.mid
-        center = cell_set.center + am * u + bm * s
-        pt = apply_parallelogram_rigorous(
-            params, tags, center, u, s, zero, zero, cell_set.sign,
-            inverse=inverse,
-        )
-        base_a, base_b = image_set.local_coords_iv(pt.x, pt.vx)
-        da, db = a - am, b - bm
-        if da.width == 0.0 and db.width == 0.0:
-            return base_a, base_b
-        cell = apply_parallelogram_rigorous(
-            params, tags, cell_set.center, u, s, a, b, cell_set.sign,
-            inverse=inverse, want_derivative=True,
-        )
-        lmat = gauss_solve_mat(
-            image_set.frame, cell.dp @ IMatrix.from_point(cell_set.frame)
-        )
-        a_mv = base_a + lmat.entry(0, 0) * da + lmat.entry(0, 1) * db
-        b_mv = base_b + lmat.entry(1, 0) * da + lmat.entry(1, 1) * db
-        a_direct, b_direct = image_set.local_coords_iv(cell.x, cell.vx)
-        return a_mv.intersection(a_direct), b_mv.intersection(b_direct)
-
-    return map_fn
-
-
 def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
                 target: HSet, inverse: bool = False) -> MapEnclosure:
     """Rigorous covering-check map for a composite of elementary maps.
@@ -434,9 +392,41 @@ def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
     The returned callable takes source-local (a, b) interval cells,
     flies the corresponding parallelogram through the composite, and
     returns target-local image enclosures, as :func:`~pcr3bp.hset.check_cover`
-    expects.
+    expects.  It is evaluated in mean-value form: one sharp flight of the
+    cell center plus an interval derivative over the whole cell,
+
+        g(a, b)  in  g(am, bm) + Dg(cell) (a - am, b - bm),
+
+    with ``g`` the map written source-local to target-local.  This keeps
+    the image's coordinate correlations that a plain set flight loses to
+    its final bounding box; the direct set enclosure is still computed (the
+    derivative flight yields it for free) and intersected in.
     """
-    return _mean_value_map(params, tags, source, target, inverse)
+    u, s = source.u, source.s
+    zero = Interval.point(0.0)
+
+    def map_fn(a: Interval, b: Interval):
+        am, bm = a.mid, b.mid
+        center = source.center + am * u + bm * s
+        pt = apply_parallelogram_rigorous(
+            params, tags, center, u, s, zero, zero, source.sign,
+            inverse=inverse,
+        )
+        base_a, base_b = target.local_coords_iv(pt.x, pt.vx)
+        da, db = a - am, b - bm
+        if da.width == 0.0 and db.width == 0.0:
+            return base_a, base_b
+        cell = apply_parallelogram_rigorous(
+            params, tags, source.center, u, s, a, b, source.sign,
+            inverse=inverse, want_derivative=True,
+        )
+        lmat = gauss_solve_mat(target.frame, cell.dp @ IArray.from_point(source.frame))
+        a_mv = base_a + lmat[0, 0] * da + lmat[0, 1] * db
+        b_mv = base_b + lmat[1, 0] * da + lmat[1, 1] * db
+        a_direct, b_direct = target.local_coords_iv(cell.x, cell.vx)
+        return a_mv.intersection(a_direct), b_mv.intersection(b_direct)
+
+    return map_fn
 
 
 def inverse_section_map(params: Params, tags: Sequence[MapTag], source: HSet,
@@ -448,7 +438,7 @@ def inverse_section_map(params: Params, tags: Sequence[MapTag], source: HSet,
     :func:`~pcr3bp.hset.check_backcover` expects for the relation
     "``source`` backcovers ``target``" under the forward composite.
     """
-    return _mean_value_map(params, tags, swap_uv(target), swap_uv(source), True)
+    return section_map(params, tags, swap_uv(target), swap_uv(source), inverse=True)
 
 
 def section_point_map(params: Params, tags: Sequence[MapTag], source: HSet,
@@ -468,7 +458,7 @@ def section_point_map(params: Params, tags: Sequence[MapTag], source: HSet,
 
 def local_derivative(params: Params, tags: Sequence[MapTag], source: HSet,
                      target: HSet, a: Interval, b: Interval,
-                     inverse: bool = False) -> IMatrix:
+                     inverse: bool = False) -> IArray:
     """Interval derivative of a composite in h-set local coordinates.
 
     Returns ``[u_M s_M]^{-1} DP [u_N s_N]`` over the given source cell,
@@ -478,7 +468,7 @@ def local_derivative(params: Params, tags: Sequence[MapTag], source: HSet,
         params, tags, source.center, source.u, source.s, a, b, source.sign,
         inverse=inverse, want_derivative=True,
     )
-    dp_frame = img.dp @ IMatrix.from_point(source.frame)
+    dp_frame = img.dp @ IArray.from_point(source.frame)
     return gauss_solve_mat(target.frame, dp_frame)
 
 

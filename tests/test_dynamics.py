@@ -9,7 +9,7 @@ import pytest
 from pcr3bp import dynamics
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
 from pcr3bp.errors import SingularityError
-from pcr3bp.intervals import Interval, IVector
+from pcr3bp.intervals import IArray, Interval
 
 mp.mp.dps = 50
 
@@ -180,7 +180,7 @@ def test_interval_potential_contains_point_values():
 
 def test_interval_field_contains_point_values():
     state = np.array([0.5, 0.3, -0.2, 0.4])
-    box = IVector.from_point(state).inflate(1e-5)
+    box = IArray.from_point(state).inflate(1e-5)
     enc = dynamics.vector_field_iv(P, box)
     jac_enc = dynamics.vector_field_jacobian_iv(P, box)
     for _ in range(30):

@@ -29,7 +29,7 @@ from pcr3bp.hset import (
     swap_uv,
     write_hset_file,
 )
-from pcr3bp.intervals import IMatrix, Interval
+from pcr3bp.intervals import IArray, Interval
 
 UNIT_N = HSet("N", 1, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 UNIT_M = HSet("M", 1, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
@@ -461,21 +461,21 @@ def test_pointwise_screen_same_side_exits_report_finite_clearance():
 
 
 def test_cone_condition_diagonal_hyperbolic():
-    dp = IMatrix.from_point(np.array([[3.0, 0.0], [0.0, 1.0 / 3.0]]))
+    dp = IArray.from_point(np.array([[3.0, 0.0], [0.0, 1.0 / 3.0]]))
     assert cone_condition(dp, 1.0)
     assert cone_condition(dp, 8.0)
     assert not cone_condition(dp, 10.0)
 
 
 def test_cone_expansion_diagonal():
-    dp = IMatrix.from_point(np.array([[3.0, 0.0], [0.0, 1.0 / 3.0]]))
+    dp = IArray.from_point(np.array([[3.0, 0.0], [0.0, 1.0 / 3.0]]))
     assert cone_expansion(dp) == pytest.approx(3.0, abs=1e-6)
 
 
 def test_cone_condition_rotation_fails():
     th = np.pi / 4
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    dp = IMatrix.from_point(rot)
+    dp = IArray.from_point(rot)
     assert not cone_condition(dp, 1.0)
     assert cone_expansion(dp) == 0.0
 
@@ -483,7 +483,7 @@ def test_cone_condition_rotation_fails():
 def test_cone_expansion_wide_enclosure_is_conservative():
     lo = np.array([[2.9, -0.05], [-0.05, 0.30]])
     hi = np.array([[3.1, 0.05], [0.05, 0.36]])
-    dp = IMatrix(lo, hi)
+    dp = IArray(lo, hi)
     assert cone_condition(dp, 1.0)
     exp = cone_expansion(dp)
     assert 0.0 < exp < 3.0  # must not exceed the best point value inside

@@ -5,7 +5,7 @@ import pytest
 
 from pcr3bp import dynamics, integrator
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
-from pcr3bp.errors import IntegrationError
+from pcr3bp.errors import EnclosureError, IntegrationError
 from pcr3bp.integrator import (
     LohnerFlow,
     LohnerSet,
@@ -14,7 +14,7 @@ from pcr3bp.integrator import (
     flow_point,
     lohner_section_crossings,
 )
-from pcr3bp.intervals import Interval, IVector
+from pcr3bp.intervals import IArray, Interval
 
 P = Params(MU_SUN_JUPITER, JACOBI_OTERMA)
 RNG = np.random.default_rng(42)
@@ -101,7 +101,7 @@ def corners(center, radius):
 
 
 def test_flow_box_contains_pointwise_images():
-    box = IVector.from_point(ANCHOR).inflate(1e-8)
+    box = IArray.from_point(ANCHOR).inflate(1e-8)
     lset = LohnerSet.from_box(box)
     out = flow_box(P, lset, 2.0)
     hull = out.hull()
@@ -111,7 +111,7 @@ def test_flow_box_contains_pointwise_images():
 
 
 def test_flow_box_backward_contains_pointwise_images():
-    box = IVector.from_point(ANCHOR).inflate(1e-9)
+    box = IArray.from_point(ANCHOR).inflate(1e-9)
     out = flow_box(P, LohnerSet.from_box(box), -1.5)
     hull = out.hull()
     for s in [ANCHOR, *corners(ANCHOR, 1e-9)]:
@@ -120,20 +120,20 @@ def test_flow_box_backward_contains_pointwise_images():
 
 
 def test_flow_box_nesting():
-    small = IVector.from_point(ANCHOR).inflate(1e-10)
-    large = IVector.from_point(ANCHOR).inflate(1e-8)
+    small = IArray.from_point(ANCHOR).inflate(1e-10)
+    large = IArray.from_point(ANCHOR).inflate(1e-8)
     hull_small = flow_box(P, LohnerSet.from_box(small), 1.0).hull()
     hull_large = flow_box(P, LohnerSet.from_box(large), 1.0).hull()
     assert hull_small.is_subset(hull_large)
 
 
 def test_flow_box_thin_width_growth():
-    out = flow_box(P, LohnerSet.from_box(IVector.from_point(ANCHOR)), 2.0)
+    out = flow_box(P, LohnerSet.from_box(IArray.from_point(ANCHOR)), 2.0)
     assert np.max(out.hull().width) < 1e-11
 
 
 def test_rigorous_forward_backward_contains_start():
-    box = IVector.from_point(ANCHOR).inflate(1e-11)
+    box = IArray.from_point(ANCHOR).inflate(1e-11)
     fwd = flow_box(P, LohnerSet.from_box(box), 1.0)
     back = flow_box(P, fwd, -1.0)
     hull = back.hull()
@@ -141,7 +141,7 @@ def test_rigorous_forward_backward_contains_start():
 
 
 def test_exact_elapsed_time_tracking():
-    lset = LohnerSet.from_box(IVector.from_point(ANCHOR).inflate(1e-12))
+    lset = LohnerSet.from_box(IArray.from_point(ANCHOR).inflate(1e-12))
     flow = LohnerFlow(P, lset)
     while flow.t < 1.0:
         flow.commit(flow.attempt_step(1.0))
@@ -150,7 +150,7 @@ def test_exact_elapsed_time_tracking():
 
 
 def test_accumulated_jacobian_contains_point_jacobian():
-    box = IVector.from_point(ANCHOR).inflate(1e-11)
+    box = IArray.from_point(ANCHOR).inflate(1e-11)
     lset = LohnerSet.from_box(box, track_jacobian=True)
     out = flow_box(P, lset, 2.0)
     jac = out.jacobian()
@@ -161,7 +161,7 @@ def test_accumulated_jacobian_contains_point_jacobian():
 def test_section_crossing_encloses_point_crossing():
     # the anchor departs Theta_+ perpendicular; its first two section hits
     # have vy < 0 then vy > 0
-    box = IVector.from_point(ANCHOR).inflate(1e-10)
+    box = IArray.from_point(ANCHOR).inflate(1e-10)
     lset = LohnerSet.from_box(box)
     crossings, _ = lohner_section_crossings(P, lset, [-1, 1])
     assert [c.vy_sign for c in crossings] == [-1, 1]
@@ -193,7 +193,7 @@ def test_section_crossing_encloses_point_crossing():
 
 
 def test_section_crossing_jacobian_contains_point_jacobian():
-    box = IVector.from_point(ANCHOR).inflate(1e-11)
+    box = IArray.from_point(ANCHOR).inflate(1e-11)
     lset = LohnerSet.from_box(box, track_jacobian=True)
     crossings, jac = lohner_section_crossings(P, lset, [-1], want_jacobian=True)
     t_star = crossings[0].t.mid
@@ -204,7 +204,7 @@ def test_section_crossing_jacobian_contains_point_jacobian():
 
 
 def test_wrong_sign_request_fails():
-    box = IVector.from_point(ANCHOR).inflate(1e-10)
+    box = IArray.from_point(ANCHOR).inflate(1e-10)
     with pytest.raises(IntegrationError):
         lohner_section_crossings(P, LohnerSet.from_box(box), [1])
 
@@ -217,7 +217,7 @@ def test_close_encounter_is_refused_rigorously(monkeypatch):
         2 * dynamics.effective_potential(P, 0.92, 0.0) - 0.05**2 - P.jacobi
     )
     state = np.array([0.92, 0.0, 0.05, vy])
-    box = IVector.from_point(state).inflate(1e-12)
+    box = IArray.from_point(state).inflate(1e-12)
     monkeypatch.setattr(integrator, "H_MIN", 1e-3)
     with pytest.raises(IntegrationError):
         flow_box(P, LohnerSet.from_box(box), 1.0)
@@ -227,9 +227,31 @@ def test_remainder_budget_rejects_sloppy_steps():
     # with a loose budget the neck transit blows up the enclosure; the
     # default budget keeps the amplification within a decade of the true
     # derivative norm
-    box = IVector.from_point(ANCHOR).inflate(1e-12)
+    box = IArray.from_point(ANCHOR).inflate(1e-12)
     out = flow_box(P, LohnerSet.from_box(box), 9.0)
     width = np.max(out.hull().width)
     _, v = flow_point(P, ANCHOR, 9.0, variational=True)
     amplification = width / 2e-12
     assert amplification < 30 * np.max(np.abs(v))
+
+
+def test_step_bound_refuses_a_long_flight(monkeypatch):
+    # flying this box for t = 2 takes more than five step attempts; a flow
+    # may not make more than MAX_STEPS
+    box = IArray.from_point(ANCHOR).inflate(1e-11)
+    monkeypatch.setattr(integrator, "MAX_STEPS", 5)
+    with pytest.raises(IntegrationError, match="5 step attempts"):
+        flow_box(P, LohnerSet.from_box(box), 2.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, np.inf)])
+def test_reanchor_refuses_an_unbounded_center_image(lo, hi):
+    # a center image with an infinite end has no finite midpoint ([-inf,
+    # inf] has a NaN one); re-anchoring must refuse it, not store it
+    flow = LohnerFlow(P, LohnerSet.from_box(IArray.from_point(ANCHOR).inflate(1e-11)))
+    rec = flow.attempt_step(1.0)
+    clo, chi = rec.c.lo.copy(), rec.c.hi.copy()
+    clo[0, 0], chi[0, 0] = lo, hi
+    rec.c = IArray(clo, chi)
+    with pytest.raises(EnclosureError, match="not bounded"), np.errstate(invalid="ignore"):
+        flow._reanchor(rec, Interval.point(rec.h))

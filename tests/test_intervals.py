@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pcr3bp import intervals
 from pcr3bp.errors import DomainError, StructureError
-from pcr3bp.intervals import IMatrix, Interval, IVector, gauss_solve_mat
+from pcr3bp.intervals import IArray, Interval, gauss_solve_mat
 
 mp.mp.dps = 50
 
@@ -388,8 +388,8 @@ def test_array_layer_nan_and_overflow():
 # ----------------------------------------------------------------------
 
 
-def test_ivector_roundtrip():
-    v = IVector.from_point(np.array([1.0, -2.0, 3.0, 0.5]))
+def test_iarray_roundtrip():
+    v = IArray.from_point(np.array([1.0, -2.0, 3.0, 0.5]))
     assert np.all(v.lo == v.hi)
     w = v.inflate(1e-3)
     assert np.all(w.lo < v.lo) and np.all(w.hi > v.hi)
@@ -402,7 +402,7 @@ def test_matvec_contains_float_product():
     for _ in range(25):
         a = rng.normal(size=(4, 4))
         x = rng.normal(size=4)
-        prod = IMatrix.from_point(a) @ IVector.from_point(x)
+        prod = IArray.from_point(a) @ IArray.from_point(x)
         exact = [sum(mp.mpf(a[i, j]) * mp.mpf(x[j]) for j in range(4)) for i in range(4)]
         for i in range(4):
             assert mp.mpf(prod.lo[i]) <= exact[i] <= mp.mpf(prod.hi[i])
@@ -411,9 +411,9 @@ def test_matvec_contains_float_product():
 def test_matmul_contains_sampled_products():
     rng = np.random.default_rng(8)
     alo = rng.normal(size=(3, 3))
-    a = IMatrix(alo, alo + 0.01)
+    a = IArray(alo, alo + 0.01)
     blo = rng.normal(size=(3, 3))
-    b = IMatrix(blo, blo + 0.01)
+    b = IArray(blo, blo + 0.01)
     prod = a @ b
     for _ in range(20):
         sa = alo + 0.01 * rng.random(size=(3, 3))
@@ -429,7 +429,7 @@ def test_gauss_solve_contains_true_solution():
     for _ in range(20):
         a = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
         x_true = rng.normal(size=4)
-        b = IVector.from_point(a @ x_true)
+        b = IArray.from_point(a @ x_true)
         sol = gauss_solve_mat(a, b)
         hp = mp.lu_solve(mp.matrix(a.tolist()), mp.matrix((a @ x_true).tolist()))
         for i in range(4):
@@ -494,7 +494,7 @@ def test_solve_with_orthonormal_frame_is_tight():
         n = 2 if k % 2 else 4
         q = np.linalg.qr(rng.normal(size=(n, n)))[0]
         lo = rng.normal(size=(n, 3))
-        b = IMatrix(lo, lo + rng.uniform(0.1, 1.0, size=(n, 3)))
+        b = IArray(lo, lo + rng.uniform(0.1, 1.0, size=(n, 3)))
         sol = gauss_solve_mat(q, b)
         sharp = np.abs(q.T) @ (b.hi - b.lo)
         mag = np.abs(q.T) @ np.maximum(np.abs(b.lo), np.abs(b.hi))
@@ -504,4 +504,124 @@ def test_solve_with_orthonormal_frame_is_tight():
 def test_gauss_singular_raises():
     a = np.zeros((4, 4))
     with pytest.raises(StructureError):
-        gauss_solve_mat(a, IVector.from_point(np.ones(4)))
+        gauss_solve_mat(a, IArray.from_point(np.ones(4)))
+
+
+# ----------------------------------------------------------------------
+# the array contract: ends are checked where values enter, and on valid
+# operands every operation gives a valid result
+# ----------------------------------------------------------------------
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("lo, hi", [(NAN, 1.0), (0.0, NAN), (2.0, 1.0),
+                                    (INF, INF), (-INF, -INF), (INF, -INF)])
+def test_iarray_refuses_invalid_ends(lo, hi):
+    with pytest.raises(StructureError):
+        IArray([0.0, lo], [1.0, hi])
+    with pytest.raises(StructureError):
+        IArray.from_intervals([Interval(0.0, 1.0), Interval(lo, hi)])
+
+
+@pytest.mark.parametrize("x", [NAN, INF, -INF])
+def test_point_values_must_be_finite(x):
+    with pytest.raises(StructureError):
+        IArray.from_point([0.0, x])
+    v = IArray.from_point([1.0, 2.0])
+    for op in (lambda: v + np.array([0.0, x]), lambda: v - np.array([x, 0.0])):
+        with pytest.raises(StructureError):
+            op()
+
+
+@pytest.mark.parametrize("radius", [-1e-300, -1.0, NAN])
+def test_inflate_refuses_a_negative_radius(radius):
+    with pytest.raises(DomainError):
+        IArray.from_point([1.0, 2.0]).inflate(radius)
+
+
+def test_iarray_indexing():
+    m = IArray(np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(2, 3) + 0.5)
+    assert m[1, 2] == Interval(5.0, 5.5)
+    row = m[1]
+    assert isinstance(row, IArray) and row.shape == (3,) and row[0] == Interval(3.0, 3.5)
+    col = m[:, 1]
+    assert col.lo.tolist() == [1.0, 4.0] and col.hi.tolist() == [1.5, 4.5]
+
+
+# ends of every kind: zero-width points, tiny, huge and infinite ends
+_END_POOL = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.1, -3.0, 1e300,
+                      -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+                      INF, -INF])
+
+
+def _random_iarray(rng, shape, finite):
+    pool = _END_POOL[np.isfinite(_END_POOL)] if finite else _END_POOL
+    a = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                 rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, shape))
+    b = np.where(rng.random(shape) < 0.3, a, rng.choice(pool, shape))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # [inf, inf] and [-inf, -inf] are not intervals; widen them
+    lo = np.where(lo == INF, 1.0, lo)
+    hi = np.where(hi == -INF, -1.0, hi)
+    return IArray(lo, hi)
+
+
+def _array_results(rng, finite):
+    """(name, result, operands) of every array operation on random operands."""
+    v, w = _random_iarray(rng, (4,), finite), _random_iarray(rng, (4,), finite)
+    a, b = _random_iarray(rng, (4, 4), finite), _random_iarray(rng, (4, 3), finite)
+    s = _random_iarray(rng, (1,), finite)[0]
+    r = float(rng.choice([0.0, 1e-300, 1e-3, 1e300]))
+    with np.errstate(all="ignore"):
+        return [("add", v + w, (v, w)), ("sub", v - w, (v, w)), ("neg", -a, (a,)),
+                ("scale", a.scale(s), (a, s)), ("matvec", a @ v, (a, v)),
+                ("matmul", a @ b, (a, b)), ("inflate", v.inflate(r), (v, r))]
+
+
+def _exact_bounds(name, ops):
+    """Exact (lo, hi) Fraction arrays the result of ``name`` must enclose."""
+    def fr(x):
+        return np.vectorize(Fraction, otypes=[object])(x)
+
+    if name == "inflate":
+        (x, r) = ops
+        return fr(x.lo) - Fraction(r), fr(x.hi) + Fraction(r)
+    if name == "neg":
+        return -fr(ops[0].hi), -fr(ops[0].lo)
+    x, y = ops
+    if name == "add":
+        return fr(x.lo) + fr(y.lo), fr(x.hi) + fr(y.hi)
+    if name == "sub":
+        return fr(x.lo) - fr(y.hi), fr(x.hi) - fr(y.lo)
+    if name == "scale":
+        ylo, yhi = Fraction(y.lo), Fraction(y.hi)
+        c = [fr(e) * f for e in (x.lo, x.hi) for f in (ylo, yhi)]
+        return np.minimum.reduce(c), np.maximum.reduce(c)
+    # matrix products: the sum over j of the exact hull of A[i, j] * B[j, k]
+    n = y.shape[0]
+    ylo, yhi = fr(y.lo).reshape(n, -1), fr(y.hi).reshape(n, -1)
+    xlo, xhi = fr(x.lo)[:, :, None], fr(x.hi)[:, :, None]
+    c = [p * q for p in (xlo, xhi) for q in (ylo, yhi)]
+    shape = x.shape[:1] + y.shape[1:]
+    return (np.minimum.reduce(c).sum(axis=1).reshape(shape),
+            np.maximum.reduce(c).sum(axis=1).reshape(shape))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_array_results_are_valid_intervals(seed):
+    # zero-width, huge and infinite ends: no result has a NaN end, an
+    # unordered pair, a +inf lower or a -inf upper end
+    for _, res, _ in _array_results(np.random.default_rng(seed), finite=False):
+        IArray(res.lo, res.hi)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_array_results_contain_exact_results(seed):
+    for name, res, ops in _array_results(np.random.default_rng([1, seed]), finite=True):
+        IArray(res.lo, res.hi)
+        lo, hi = _exact_bounds(name, ops)
+        for x, v in zip(res.lo.ravel(), lo.ravel()):
+            assert _le(float(x), v), name
+        for x, v in zip(res.hi.ravel(), hi.ravel()):
+            assert _ge(float(x), v), name

@@ -194,7 +194,7 @@ def test_rigorous_image_contains_point_images():
     dp_pt, _, _ = pc.map_derivative(P, pc.HALF_PLUS, BASE)
     for i in range(2):
         for j in range(2):
-            assert rig.dp.entry(i, j).lo <= dp_pt[i, j] <= rig.dp.entry(i, j).hi
+            assert rig.dp[i, j].lo <= dp_pt[i, j] <= rig.dp[i, j].hi
 
 
 def test_rigorous_inverse_contains_preimage():

@@ -8,9 +8,10 @@ interval enclosures against point-mode images.
 import numpy as np
 import pytest
 
+from pcr3bp import integrator
 from pcr3bp.dynamics import Params
 from pcr3bp.errors import RegistryError
-from pcr3bp.hset import cone_condition, r_image
+from pcr3bp.hset import check_cover, cone_condition, r_image
 from pcr3bp.intervals import Interval
 from pcr3bp.poincare import FULL_MINUS, FULL_PLUS, HALF_MINUS, HALF_PLUS
 from pcr3bp.symbolic import (
@@ -263,3 +264,18 @@ def test_local_derivative_contains_point_derivative_and_cones():
     point, _ = point_local_derivative(params, [HALF_MINUS], src, dst, 0.0, 0.0)
     assert np.all(dp.lo <= point) and np.all(point <= dp.hi)
     assert cone_condition(dp)
+
+
+def test_step_bound_leaves_a_cover_undecided(monkeypatch):
+    # every flight of V3 => V4 needs more than three step attempts; with the
+    # bound patched that low, each map call raises IntegrationError and the
+    # check reports its cells undecided instead of stalling
+    monkeypatch.setattr(integrator, "MAX_STEPS", 3)
+    params = Params()
+    sets = standard_sets(include_constructed=False)
+    src, dst = sets["V3"], sets["V4"]
+    rep = check_cover(section_map(params, [HALF_MINUS], src, dst), src, dst,
+                      grid=(1, 1), max_grid=(1, 1))
+    assert rep.outcome == "inconclusive"
+    assert set(rep.errors) == {"IntegrationError"}
+    assert "IntegrationError" in rep.message
