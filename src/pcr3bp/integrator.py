@@ -55,7 +55,10 @@ change one with ``monkeypatch.setattr``.
 * ``MAX_STEPS = 5000``: step attempts one rigorous flight (one
   :class:`LohnerFlow`) may make.  A flight that needs more, such as one
   whose validated steps shrink near a primary, is refused with an
-  ``IntegrationError``; each bundled flight takes fewer than 200.
+  ``IntegrationError``.  The covering relations that can be flown with
+  the bundled sets take at most 90 attempts between two section
+  crossings, and no registered relation makes more than 13 crossings
+  in one flight.
 * ``MIN_TIME = 1e-3``: sign changes of ``y`` before this time belong to
   the departure from the section and are not crossings.
 * ``BRACKET_TOL = 1e-11``: time width at which the bisection of a rigorous

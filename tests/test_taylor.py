@@ -9,7 +9,8 @@ import pytest
 
 from pcr3bp import dynamics, taylor
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
-from pcr3bp.errors import SingularityError
+from pcr3bp.errors import PCR3BPError, SingularityError
+from pcr3bp.intervals import IArray
 
 P = Params(MU_SUN_JUPITER, JACOBI_OTERMA)
 RNG = np.random.default_rng(1123)
@@ -156,6 +157,45 @@ def test_close_encounter_guard():
         taylor.point_coeffs(at_primary, P.mu, 8)
     with pytest.raises(SingularityError):
         taylor.iv_coeffs(at_primary - 1e-3, at_primary + 1e-3, P.mu, 8)
+
+
+# ends of every kind: zero-width points, huge and infinite ends
+_END_POOL = np.array([0.0, 1.0, -1.0, 0.5, 3.0, -2.0, 1e300, -1e300,
+                      1.7976931348623157e308, -1.7976931348623157e308,
+                      math.inf, -math.inf])
+
+
+def _random_box(rng, shape):
+    a = np.where(rng.random(shape) < 0.5, rng.choice(_END_POOL, shape),
+                 rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape))
+    b = np.where(rng.random(shape) < 0.3, a, rng.choice(_END_POOL, shape))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # [inf, inf] and [-inf, -inf] are not intervals; widen them
+    return np.where(lo == math.inf, 1.0, lo), np.where(hi == -math.inf, -1.0, hi)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_interval_kernel_outputs_are_valid_intervals(seed):
+    # the integrator wraps these outputs unchecked, so every one must pass
+    # the IArray constructor (no NaN, ordered, finite-side ends), unless the
+    # kernel refuses the box with a typed error
+    rng = np.random.default_rng([7, seed])
+    for _ in range(25):
+        lo, hi = _random_box(rng, (4,))
+        vlo, vhi = _random_box(rng, (4, 4))
+        tlo, thi = sorted(rng.choice([0.0, 0.1, -0.1, 1e-3, 2.0], 2))
+        with np.errstate(all="ignore"):
+            try:
+                outputs = [taylor.iv_field(lo, hi, P.mu, True)]
+                c = taylor.iv_coeffs(lo, hi, P.mu, 6)
+                v = taylor.iv_var_coeffs(lo, hi, vlo, vhi, P.mu, 6)
+                outputs += [c, v, taylor.horner_iv(c[0], c[1], tlo, thi),
+                            taylor.horner_var_iv(v[2], v[3], tlo, thi)]
+            except PCR3BPError:
+                continue
+        for out in outputs:
+            for olo, ohi in zip(out[::2], out[1::2]):
+                IArray(olo, ohi)
 
 
 # ----------------------------------------------------------------------
