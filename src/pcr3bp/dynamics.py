@@ -14,6 +14,12 @@ are only comparable against that convention.
 
 The reversing symmetry ``R(x, y, vx, vy) = (x, -y, -vx, vy)`` conjugates
 the flow to its time reversal: ``phi(t, R s) = R phi(-t, s)``.
+
+Only the potential itself is written out here.  The field and its
+Jacobian are read from the low orders of the Taylor kernels
+(:func:`pcr3bp.taylor.point_field` in floats,
+:func:`pcr3bp.taylor.iv_field` in intervals), the one source of the
+derivatives of Omega in each arithmetic.
 """
 
 from __future__ import annotations
@@ -33,10 +39,7 @@ __all__ = [
     "JACOBI_OTERMA",
     "GUARD_RADIUS",
     "Params",
-    "primary_offsets",
     "effective_potential",
-    "potential_gradient",
-    "potential_hessian",
     "vector_field",
     "vector_field_jacobian",
     "jacobi_constant",
@@ -66,15 +69,12 @@ class Params:
             raise DomainError(f"mass ratio must lie in (0, 1/2), got {self.mu}")
 
 
-def primary_offsets(params: Params, x: float, y: float) -> tuple[float, float]:
-    """Squared distances (r1^2, r2^2) to the heavy and light primary."""
+def _radii(params: Params, x: float, y: float) -> tuple[float, float]:
+    # distances to the heavy and the light primary
     dx1 = x + params.mu
     dx2 = x - 1.0 + params.mu
-    return dx1 * dx1 + y * y, dx2 * dx2 + y * y
-
-
-def _radii(params: Params, x: float, y: float) -> tuple[float, float]:
-    r1sq, r2sq = primary_offsets(params, x, y)
+    r1sq = dx1 * dx1 + y * y
+    r2sq = dx2 * dx2 + y * y
     if r1sq < GUARD_RADIUS * GUARD_RADIUS or r2sq < GUARD_RADIUS * GUARD_RADIUS:
         raise SingularityError(
             f"state ({x}, {y}) is within {GUARD_RADIUS} of a primary"
@@ -94,43 +94,16 @@ def effective_potential(params: Params, x: float, y: float) -> float:
     )
 
 
-def potential_gradient(params: Params, x: float, y: float) -> tuple[float, float]:
-    """(Omega_x, Omega_y)."""
-    mu = params.mu
-    r1, r2 = _radii(params, x, y)
-    k1 = (1.0 - mu) / (r1 * r1 * r1)
-    k2 = mu / (r2 * r2 * r2)
-    ox = x - k1 * (x + mu) - k2 * (x - 1.0 + mu)
-    oy = y - k1 * y - k2 * y
-    return ox, oy
-
-
-def potential_hessian(params: Params, x: float, y: float) -> tuple[float, float, float]:
-    """(Omega_xx, Omega_xy, Omega_yy)."""
-    mu = params.mu
-    r1, r2 = _radii(params, x, y)
-    d1 = x + mu
-    d2 = x - 1.0 + mu
-    s1 = (1.0 - mu) / (r1 * r1 * r1)
-    s2 = mu / (r2 * r2 * r2)
-    w1 = (1.0 - mu) / (r1 * r1 * r1 * r1 * r1)
-    w2 = mu / (r2 * r2 * r2 * r2 * r2)
-    oxx = 1.0 - (s1 - 3.0 * d1 * d1 * w1) - (s2 - 3.0 * d2 * d2 * w2)
-    oxy = 3.0 * y * (d1 * w1 + d2 * w2)
-    oyy = 1.0 - (s1 - 3.0 * y * y * w1) - (s2 - 3.0 * y * y * w2)
-    return oxx, oxy, oyy
-
-
 def vector_field(params: Params, state) -> np.ndarray:
     """Right-hand side of the first-order system for (x, y, vx, vy)."""
-    x, y, vx, vy = (float(c) for c in state)
-    ox, oy = potential_gradient(params, x, y)
-    return np.array([vx, vy, 2.0 * vy + ox, -2.0 * vx + oy])
+    field, _ = taylor.point_field(state, params.mu, False)
+    return np.array(field)
 
 
 def vector_field_jacobian(params: Params, state) -> np.ndarray:
     """Jacobian of :func:`vector_field` with respect to the state."""
-    return _jacobian(potential_hessian(params, float(state[0]), float(state[1])))
+    _, hessian = taylor.point_field(state, params.mu, True)
+    return _jacobian(hessian)
 
 
 def _jacobian(hessian) -> np.ndarray:
@@ -179,7 +152,8 @@ def libration_point(params: Params, index: int) -> float:
         raise DomainError(f"only the collinear points 1 and 2 are supported, got {index}")
 
     def f(x: float) -> float:
-        return potential_gradient(params, x, 0.0)[0]
+        # Omega_x(x, 0), the vx' component of the field at rest
+        return taylor.point_field((x, 0.0, 0.0, 0.0), mu, False)[0][2]
 
     flo, fhi = f(lo), f(hi)
     if flo * fhi > 0.0:
@@ -198,9 +172,8 @@ def libration_point(params: Params, index: int) -> float:
             break
     x = 0.5 * (lo + hi)
     for _ in range(8):
-        ox = f(x)
-        oxx = potential_hessian(params, x, 0.0)[0]
-        step = ox / oxx
+        field, hessian = taylor.point_field((x, 0.0, 0.0, 0.0), mu, True)
+        step = field[2] / hessian[0]
         x -= step
         if abs(step) < 1e-15:
             break
@@ -208,9 +181,9 @@ def libration_point(params: Params, index: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# Interval variants.  The field and its Jacobian come from the interval
-# Taylor kernel (taylor.iv_field), the one interval source for them; only
-# the potential itself, which the kernel never forms, is written here.
+# Interval variants.  As in floats, the field and its Jacobian come from
+# the Taylor kernel (taylor.iv_field); only the potential itself, which
+# the kernel never forms, is written here.
 # ----------------------------------------------------------------------
 
 

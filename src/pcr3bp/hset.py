@@ -58,7 +58,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import PCR3BPError, StructureError
-from .intervals import IArray, Interval, gauss_solve_mat
+from .intervals import IArray, Interval, _point_inverse
 
 __all__ = [
     "HSet",
@@ -88,6 +88,7 @@ class HSet:
     center: np.ndarray  # (x, vx)
     u: np.ndarray  # expanding direction
     s: np.ndarray  # contracting direction
+    _frame_inv: IArray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for field in ("center", "u", "s"):
@@ -103,6 +104,16 @@ class HSet:
         """Direction matrix with columns ``u`` and ``s``."""
         return np.column_stack([self.u, self.s])
 
+    @property
+    def frame_inverse(self) -> IArray:
+        """Rigorous enclosure of the inverse of :attr:`frame`.
+
+        Made at first use and kept, so a degenerate set still constructs.
+        """
+        if self._frame_inv is None:
+            object.__setattr__(self, "_frame_inv", _point_inverse(self.frame))
+        return self._frame_inv
+
     def corner_point(self, a: float, b: float) -> np.ndarray:
         return self.center + a * self.u + b * self.s
 
@@ -117,7 +128,7 @@ class HSet:
             x - float(self.center[0]),
             vx - float(self.center[1]),
         ])
-        ab = gauss_solve_mat(self.frame, rhs)
+        ab = self.frame_inverse @ rhs
         return ab[0], ab[1]
 
     def contains(self, x: float, vx: float, slack: float = 0.0) -> bool:

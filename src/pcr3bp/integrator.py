@@ -162,8 +162,7 @@ class PointFlow:
         self.v = np.eye(4) if variational else None
         self.t = 0.0
 
-    def step(self, direction: float = 1.0, h_cap: float | None = None,
-             h_force: float | None = None) -> PointStep:
+    def step(self, direction: float = 1.0, h_cap: float | None = None) -> PointStep:
         """Advance by one step in the given time direction."""
         if self.v is None:
             coeffs = taylor.point_coeffs(self.state, self.params.mu, ORDER)
@@ -172,12 +171,9 @@ class PointFlow:
             coeffs, vcoeffs = taylor.point_var_coeffs(
                 self.state, self.v, self.params.mu, ORDER
             )
-        if h_force is not None:
-            h = h_force
-        else:
-            h = _step_from_coeffs(coeffs)
-            if h_cap is not None:
-                h = min(h, h_cap)
+        h = _step_from_coeffs(coeffs)
+        if h_cap is not None:
+            h = min(h, h_cap)
         h = math.copysign(h, direction)
         rec = PointStep(self.t, h, coeffs, vcoeffs)
         self._land(rec, h)

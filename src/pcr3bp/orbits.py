@@ -23,7 +23,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from .poincare import (
     FULL_MINUS,
     FULL_PLUS,
     SectionPoint,
+    _bisect,
+    _grid_brackets,
     apply_chain,
     lift,
     lyapunov_fixed_point,
@@ -366,39 +368,6 @@ def _word_setup(params: Params, word: Sequence[str],
     return word, sets, cyclic, start, stages, gamma
 
 
-def _grid_brackets(f: Callable[[float], float | None],
-                   grid: np.ndarray) -> list[tuple[float, float, float, float]]:
-    """Sign-change brackets of ``f`` over ``grid``; failures split the domain."""
-    brackets = []
-    prev_a = prev_v = None
-    for a in grid:
-        v = f(float(a))
-        if v is not None and prev_v is not None and (v == 0.0 or prev_v * v < 0.0):
-            brackets.append((prev_a, float(a), prev_v, v))
-        prev_a, prev_v = float(a), (None if v is None else v)
-    return brackets
-
-
-def _bisect(f: Callable[[float], float | None], lo: float, hi: float,
-            flo: float, fhi: float, tol: float,
-            max_iter: int = 100) -> tuple[float, float] | None:
-    """Shrink a sign-change bracket; None if the map fails inside it."""
-    for _ in range(max_iter):
-        if hi - lo <= tol or np.nextafter(lo, hi) >= hi:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm is None:
-            return None
-        if fm == 0.0:
-            return mid, mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return lo, hi
-
-
 def find_symmetric_periodic(params: Params, word: Sequence[str], *,
                             search_grid: int = 256,
                             sets: Mapping[str, HSet] | None = None,
@@ -655,17 +624,10 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
                 )
                 return (lo, hi, depth)
             probes = [lo + f * (hi - lo) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-            vals = [expanding_coord(a, k) for a in probes]
-            found = None
-            for (a0, v0), (a1, v1) in zip(zip(probes, vals),
-                                          zip(probes[1:], vals[1:])):
-                if v0 is not None and v1 is not None and \
-                        (v1 == 0.0 or v0 * v1 < 0.0):
-                    found = (a0, a1, v0, v1)
-                    break
-            if found is None:
+            found = _grid_brackets(lambda a: expanding_coord(a, k), probes)
+            if not found:
                 return (lo, hi, depth)
-            lo, hi, flo, fhi = found
+            lo, hi, flo, fhi = found[0]
             depth = k
         return (lo, hi, depth)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -163,7 +163,8 @@ def lift_tangent(params: Params, state: np.ndarray) -> np.ndarray:
     Differentiating ``vy = sign * sqrt(2 Omega(x, 0) - vx^2 - C)`` gives
     ``dvy/dx = Omega_x / vy`` and ``dvy/dvx = -vx / vy``.
     """
-    ox, _ = dynamics.potential_gradient(params, state[0], 0.0)
+    # at rest on the section the field's vx' component is Omega_x(x, 0)
+    ox = dynamics.vector_field(params, (state[0], 0.0, 0.0, 0.0))[2]
     vy = state[3]
     return np.array([
         [1.0, 0.0],
@@ -268,8 +269,13 @@ def _refine_root(rec, y_start: float) -> float:
     return tau
 
 
-def _chain_to_signs(tags: Sequence[MapTag], inverse: bool) -> tuple[list[int], int, float]:
-    """Crossing-sign sequence, required domain sign and time direction."""
+def _chain_to_signs(tags: Sequence[MapTag], inverse: bool,
+                    side: int | None = None) -> tuple[list[int], int, float]:
+    """Crossing-sign sequence, required domain sign and time direction.
+
+    Raises if the composite does not compose or if ``side``, the section
+    side of the argument, is given and is not the composite's domain.
+    """
     if not tags:
         raise DomainError("empty map sequence")
     for a, b in zip(tags, tags[1:]):
@@ -279,9 +285,15 @@ def _chain_to_signs(tags: Sequence[MapTag], inverse: bool) -> tuple[list[int], i
             )
     if not inverse:
         signs = [s for t in tags for s in t.crossing_signs(False)]
-        return signs, tags[0].domain(False), 1.0
-    signs = [s for t in reversed(tags) for s in t.crossing_signs(True)]
-    return signs, tags[-1].domain(True), -1.0
+        dom, direction = tags[0].domain(False), 1.0
+    else:
+        signs = [s for t in reversed(tags) for s in t.crossing_signs(True)]
+        dom, direction = tags[-1].domain(True), -1.0
+    if side is not None and side != dom:
+        raise DomainError(
+            f"section side {side} is not the domain (sign {dom}) of the composite"
+        )
+    return signs, dom, direction
 
 
 def apply_chain(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
@@ -291,12 +303,7 @@ def apply_chain(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
     ``tags`` are listed in application order (first applied first).  Returns
     the image point and the signed flight time.
     """
-    signs, dom, direction = _chain_to_signs(tags, inverse)
-    if pt.sign != dom:
-        raise DomainError(
-            f"point on section side {pt.sign} is not in the domain "
-            f"(sign {dom}) of the composite"
-        )
+    signs, _, direction = _chain_to_signs(tags, inverse, pt.sign)
     flow = PointFlow(params, lift(params, pt))
     states, times = _drive_crossings(flow, signs, direction)
     return project(states[-1]), times[-1]
@@ -345,12 +352,7 @@ def chain_derivative(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
     coordinates, computed as ``pi (I - f e_y^T / vy) Dphi DT`` (see the
     derivation above).
     """
-    signs, dom, direction = _chain_to_signs(tags, inverse)
-    if pt.sign != dom:
-        raise DomainError(
-            f"point on section side {pt.sign} is not in the domain "
-            f"(sign {dom}) of the composite"
-        )
+    signs, _, direction = _chain_to_signs(tags, inverse, pt.sign)
     state = lift(params, pt)
     dt_cols = lift_tangent(params, state)
     flow = PointFlow(params, state, variational=True)
@@ -443,13 +445,8 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
     origin = np.asarray(origin, dtype=np.float64)
     d1 = np.asarray(d1, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
-    signs, dom, direction = _chain_to_signs(tags, inverse)
-    if sign != dom:
-        raise DomainError(
-            f"cell on section side {sign} is not in the domain "
-            f"(sign {dom}) of the composite"
-        )
-    lset, dt_cols = _lifted_cell(params, origin, d1, d2, a, b, dom,
+    signs, _, direction = _chain_to_signs(tags, inverse, sign)
+    lset, dt_cols = _lifted_cell(params, origin, d1, d2, a, b, sign,
                                  want_derivative)
     crossings, jac = lohner_section_crossings(
         params, lset, signs, direction, want_jacobian=want_derivative
@@ -496,6 +493,48 @@ def apply_chain_rigorous(params: Params, tags: Sequence[MapTag],
 
 
 # ----------------------------------------------------------------------
+# Sign-change search along a line
+# ----------------------------------------------------------------------
+
+
+def _grid_brackets(f: Callable[[float], float | None],
+                   grid: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """Sign-change brackets of ``f`` over ``grid``; failures split the domain."""
+    brackets = []
+    prev_a = prev_v = None
+    for a in grid:
+        v = f(float(a))
+        if v is not None and prev_v is not None and (v == 0.0 or prev_v * v < 0.0):
+            brackets.append((prev_a, float(a), prev_v, v))
+        prev_a, prev_v = float(a), v
+    return brackets
+
+
+def _bisect(f: Callable[[float], float | None], lo: float, hi: float,
+            flo: float, fhi: float, tol: float,
+            max_iter: int = 100) -> tuple[float, float] | None:
+    """Shrink a sign-change bracket; None if the map fails inside it.
+
+    Stops once the bracket is ``tol`` wide or its ends are adjacent floats,
+    before evaluating ``f`` again; ``tol=0.0`` runs to adjacency.
+    """
+    for _ in range(max_iter):
+        if hi - lo <= tol or np.nextafter(lo, hi) >= hi:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm is None:
+            return None
+        if fm == 0.0:
+            return mid, mid
+        if flo * fm < 0.0:
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+    return lo, hi
+
+
+# ----------------------------------------------------------------------
 # Lyapunov-orbit fixed points
 # ----------------------------------------------------------------------
 
@@ -528,11 +567,12 @@ def lyapunov_fixed_point(params: Params, index: int) -> LyapunovOrbit:
     as a root of ``vx(Ph(x, 0))`` along the symmetry line, then polished
     as a 2d fixed point of the full-return map.
 
-    Other symmetric families intersect the symmetry line as well, so a
-    candidate bracket must (a) sit on the short-flight branch
-    (half-map time at most ``HALF_TIME_CAP``) and (b) stay on one side of
-    the second primary; the Lyapunov orbit is the surviving root closest
-    to the libration point.
+    Other symmetric families intersect the symmetry line as well, so the
+    defect counts only where the flight (a) sits on the short-flight
+    branch (half-map time at most ``HALF_TIME_CAP``) and (b) stays on one
+    side of the second primary; elsewhere it is a failure, for the scan
+    and the bisection alike.  The Lyapunov orbit is the root of the
+    bracket closest to the libration point, bisected to adjacent floats.
     """
     sign = 1 if index == 1 else -1
     half = HALF_PLUS if index == 1 else HALF_MINUS
@@ -540,47 +580,26 @@ def lyapunov_fixed_point(params: Params, index: int) -> LyapunovOrbit:
     x_lib = dynamics.libration_point(params, index)
     x_primary = 1.0 - params.mu
 
-    def g(xv: float) -> float:
-        img, _ = apply_map(params, half, SectionPoint(xv, 0.0, sign))
-        return img.vx
-
-    # scan the symmetry line for sign changes of the perpendicularity
-    # defect, keeping only the Lyapunov branch
-    records: list[tuple[float, float] | None] = []
-    offsets = np.linspace(-SCAN_RADIUS, SCAN_RADIUS, SCAN_POINTS)
-    for u in offsets:
-        xv = x_lib + float(u)
+    def defect(xv: float) -> float | None:
+        # the perpendicularity defect, None off the Lyapunov branch
         try:
             img, t = apply_map(params, half, SectionPoint(xv, 0.0, sign))
         except (DomainError, IntegrationError, TangencyError):
-            records.append(None)
-            continue
+            return None
         same_side = (xv - x_primary) * (img.x - x_primary) > 0.0
-        if abs(t) <= HALF_TIME_CAP and same_side:
-            records.append((xv, img.vx))
-        else:
-            records.append(None)
-    brackets = [
-        (p[0], q[0], p[1], q[1])
-        for p, q in zip(records, records[1:])
-        if p is not None and q is not None and p[1] * q[1] < 0.0
-    ]
+        return img.vx if abs(t) <= HALF_TIME_CAP and same_side else None
+
+    grid = x_lib + np.linspace(-SCAN_RADIUS, SCAN_RADIUS, SCAN_POINTS)
+    brackets = _grid_brackets(defect, grid)
     if not brackets:
         raise SearchError(
             f"no perpendicular Lyapunov crossing found near x={x_lib}"
         )
-    a, b, ga, gb = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - x_lib))
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        gm = g(m)
-        if gm == 0.0:
-            a = b = m
-            break
-        if (gm > 0.0) == (ga > 0.0):
-            a, ga = m, gm
-        else:
-            b, gb = m, gm
-    xstar = 0.5 * (a + b)
+    lo, hi, flo, fhi = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - x_lib))
+    refined = _bisect(defect, lo, hi, flo, fhi, tol=0.0)
+    if refined is None:
+        raise SearchError(f"the Lyapunov branch breaks inside [{lo}, {hi}]")
+    xstar = 0.5 * (refined[0] + refined[1])
 
     # polish as a 2d fixed point of the full-return map
     pt = SectionPoint(xstar, 0.0, sign)

@@ -45,7 +45,7 @@ import numpy as np
 from .dynamics import Params
 from .errors import RegistryError
 from .hset import HSet, MapEnclosure, load_bundled, r_image, swap_uv
-from .intervals import IArray, Interval, gauss_solve_mat
+from .intervals import IArray, Interval
 from .poincare import (
     FULL_MINUS,
     FULL_PLUS,
@@ -420,7 +420,7 @@ def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
             params, tags, source.center, u, s, a, b, source.sign,
             inverse=inverse, want_derivative=True,
         )
-        lmat = gauss_solve_mat(target.frame, cell.dp @ IArray.from_point(source.frame))
+        lmat = target.frame_inverse @ (cell.dp @ IArray.from_point(source.frame))
         a_mv = base_a + lmat[0, 0] * da + lmat[0, 1] * db
         b_mv = base_b + lmat[1, 0] * da + lmat[1, 1] * db
         a_direct, b_direct = target.local_coords_iv(cell.x, cell.vx)
@@ -469,7 +469,7 @@ def local_derivative(params: Params, tags: Sequence[MapTag], source: HSet,
         inverse=inverse, want_derivative=True,
     )
     dp_frame = img.dp @ IArray.from_point(source.frame)
-    return gauss_solve_mat(target.frame, dp_frame)
+    return target.frame_inverse @ dp_frame
 
 
 def point_local_derivative(params: Params, tags: Sequence[MapTag],

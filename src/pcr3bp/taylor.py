@@ -20,10 +20,11 @@ float sum widened by one a-posteriori bound on its rounding error
 per addition.  The handful of per-order combinations that are not sums use
 the scalar primitives.
 
-The interval series' low-order terms (:func:`iv_field`) are the package's
-one interval source for the field and the potential Hessian.  Both kernels
-raise :class:`~pcr3bp.errors.SingularityError` within :data:`GUARD_RADIUS`
-of a primary.
+The series' low-order terms are the package's one source for the field
+and the potential Hessian: :func:`point_field` in floats and
+:func:`iv_field` in intervals.  Both kernels raise
+:class:`~pcr3bp.errors.SingularityError` within :data:`GUARD_RADIUS` of a
+primary.
 
 The point kernels run on Python floats: each series is a list, and each
 convolution is one ``sum`` of a ``map`` of products, so the series cost
@@ -52,6 +53,7 @@ __all__ = [
     "horner_var_point",
     "horner_iv",
     "horner_var_iv",
+    "point_field",
     "iv_field",
     "GUARD_RADIUS",
     "NUMBA_ENABLED",
@@ -155,6 +157,17 @@ def point_coeffs(state, mu, n):
     """Taylor coefficients (n+1, 4) of the solution through ``state``."""
     c, _ = _pt_series(state, mu, n, False)
     return np.array(c).T.copy()
+
+
+def point_field(state, mu, want_hessian):
+    """The field and the potential Hessian at a state: the twin of :func:`iv_field`.
+
+    Reads the order-1 state terms and the order-0 Hessian terms of the
+    point series.  Returns (f, h): f the four field components, h the list
+    (Omega_xx, Omega_xy, Omega_yy) when ``want_hessian`` and None otherwise.
+    """
+    c, h = _pt_series(state, mu, 1, want_hessian)
+    return [s[1] for s in c], (None if h is None else [t[0] for t in h])
 
 
 def point_var_coeffs(state, v0, mu, n):

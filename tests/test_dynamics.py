@@ -51,9 +51,14 @@ def test_potential_includes_mass_coupling_constant():
     assert abs(ours - bare - mp.mpf(P.mu) * (1 - mp.mpf(P.mu)) / 2) < 1e-15
 
 
+def rest(x, y):
+    """The state at rest at (x, y), where the field's accelerations are the gradient."""
+    return np.array([x, y, 0.0, 0.0])
+
+
 def test_gradient_matches_high_precision_derivative():
     for x, y in SAMPLES:
-        gx, gy = dynamics.potential_gradient(P, x, y)
+        _, _, gx, gy = dynamics.vector_field(P, rest(x, y))
         ref_x = mp.diff(lambda t: omega_mp(P.mu, t, y), mp.mpf(x))
         ref_y = mp.diff(lambda t: omega_mp(P.mu, x, t), mp.mpf(y))
         assert abs(mp.mpf(gx) - ref_x) < 1e-13 * max(1, abs(ref_x))
@@ -62,7 +67,9 @@ def test_gradient_matches_high_precision_derivative():
 
 def test_hessian_matches_high_precision():
     for x, y in SAMPLES:
-        hxx, hxy, hyy = dynamics.potential_hessian(P, x, y)
+        jac = dynamics.vector_field_jacobian(P, rest(x, y))
+        hxx, hxy, hyy = jac[2, 0], jac[2, 1], jac[3, 1]
+        assert jac[3, 0] == hxy
         ref_xx = mp.diff(lambda t: omega_mp(P.mu, t, y), mp.mpf(x), 2)
         ref_yy = mp.diff(lambda t: omega_mp(P.mu, x, t), mp.mpf(y), 2)
         ref_xy = mp.diff(
@@ -76,16 +83,21 @@ def test_hessian_matches_high_precision():
 def test_reflection_symmetry_in_y():
     for x, y in SAMPLES:
         assert dynamics.effective_potential(P, x, y) == dynamics.effective_potential(P, x, -y)
-        gx_p, gy_p = dynamics.potential_gradient(P, x, y)
-        gx_m, gy_m = dynamics.potential_gradient(P, x, -y)
+        _, _, gx_p, gy_p = dynamics.vector_field(P, rest(x, y))
+        _, _, gx_m, gy_m = dynamics.vector_field(P, rest(x, -y))
         assert gx_p == gx_m
         assert gy_p == -gy_m
+        # Omega_xx and Omega_yy are even in y, Omega_xy is odd
+        jac_p = dynamics.vector_field_jacobian(P, rest(x, y))
+        jac_m = dynamics.vector_field_jacobian(P, rest(x, -y))
+        assert (jac_m[2, 0], jac_m[2, 1], jac_m[3, 1]) == (
+            jac_p[2, 0], -jac_p[2, 1], jac_p[3, 1])
 
 
 def test_vector_field_structure():
     state = np.array([0.5, 0.3, -0.2, 0.4])
     f = dynamics.vector_field(P, state)
-    gx, gy = dynamics.potential_gradient(P, 0.5, 0.3)
+    _, _, gx, gy = dynamics.vector_field(P, rest(0.5, 0.3))
     assert f[0] == state[2]
     assert f[1] == state[3]
     assert f[2] == pytest.approx(2 * state[3] + gx, rel=1e-15)
@@ -142,7 +154,7 @@ def test_libration_points_bracket_the_neck():
     x2 = dynamics.libration_point(P, 2)
     assert 0.9 < x1 < 1.0 - P.mu < x2 < 1.1
     for x in (x1, x2):
-        gx, _ = dynamics.potential_gradient(P, x, 0.0)
+        gx = dynamics.vector_field(P, rest(x, 0.0))[2]
         assert abs(gx) < 1e-12
 
 
@@ -189,6 +201,26 @@ def test_interval_field_contains_point_values():
         jac = dynamics.vector_field_jacobian(P, s)
         assert np.all(enc.lo <= f) and np.all(f <= enc.hi)
         assert np.all(jac_enc.lo <= jac) and np.all(jac <= jac_enc.hi)
+
+
+def test_float_field_lies_in_the_interval_field_of_its_point():
+    # the float and the interval kernel must agree to within rounding at
+    # every state, or the point-mode and rigorous maps drift apart
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    while checked < 200:
+        state = rng.uniform([-1.5, -1.5, -2.0, -2.0], [1.5, 1.5, 2.0, 2.0])
+        if min(np.hypot(state[0] + P.mu, state[1]),
+               np.hypot(state[0] - 1 + P.mu, state[1])) < 0.05:
+            continue
+        box = IArray.from_point(state)
+        f = dynamics.vector_field(P, state)
+        jac = dynamics.vector_field_jacobian(P, state)
+        enc = dynamics.vector_field_iv(P, box)
+        jac_enc = dynamics.vector_field_jacobian_iv(P, box)
+        assert np.all(enc.lo <= f) and np.all(f <= enc.hi), state
+        assert np.all(jac_enc.lo <= jac) and np.all(jac <= jac_enc.hi), state
+        checked += 1
 
 
 def test_interval_potential_contains_exact_value_at_points():

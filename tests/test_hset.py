@@ -102,6 +102,20 @@ def test_local_coords_iv_contains_point_coords():
         assert b_iv.lo <= b_pt <= b_iv.hi
 
 
+def test_frame_inverse_is_made_once_and_encloses_the_inverse():
+    h = HSet("T", 1, (0.3, -0.2), (0.02, 0.01), (-0.01, 0.03))
+    inv = h.frame_inverse
+    assert h.frame_inverse is inv
+    exact = np.linalg.inv(h.frame)
+    assert np.all(inv.lo <= exact) and np.all(exact <= inv.hi)
+    # a degenerate set constructs; only its frame inverse refuses
+    z = HSet("Z", 1, (0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+    with pytest.raises(StructureError):
+        z.frame_inverse
+    # a set made from another does not inherit its cached inverse
+    assert swap_uv(h).frame_inverse is not inv
+
+
 def test_swap_uv_involution():
     h = HSet("T", -1, (0.1, 0.2), (1.0, 2.0), (3.0, 4.0))
     hh = swap_uv(swap_uv(h))

@@ -183,7 +183,7 @@ def test_section_crossing_encloses_point_crossing():
                     hi = mid
             flow.rewind_to(rec, 0.5 * (lo + hi))
             hits.append((flow.t, flow.state.copy()))
-            flow.step(h_force=1e-9)  # move past the root before rearming
+            flow.step(h_cap=1e-9)  # move past the root before rearming
         prev = flow.state.copy()
     for enc, (t_pt, s_pt) in zip(crossings, hits):
         assert enc.t.lo <= t_pt <= enc.t.hi

@@ -1,5 +1,7 @@
 """Section maps: composition, reversibility, derivatives, fixed points."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,57 @@ def test_domain_mismatch_raises():
     theta_minus_pt = pc.SectionPoint(1.05, 0.0, -1)
     with pytest.raises(DomainError):
         pc.apply_map(P, pc.HALF_PLUS, theta_minus_pt)
+    with pytest.raises(DomainError):
+        pc.apply_chain(P, [pc.HALF_PLUS, pc.HALF_MINUS], theta_minus_pt)
+    with pytest.raises(DomainError):
+        pc.chain_derivative(P, [pc.FULL_PLUS], theta_minus_pt)
+    with pytest.raises(DomainError):
+        pc.apply_parallelogram_rigorous(
+            P, [pc.HALF_PLUS], (1.05, 0.0), (1e-6, 0.0), (0.0, 1e-6),
+            Interval(-1.0, 1.0), Interval(-1.0, 1.0), -1)
+    # inverted, a map's domain is its image side
+    with pytest.raises(DomainError):
+        pc.apply_map(P, pc.HALF_MINUS, theta_minus_pt, inverse=True)
+
+
+# ----------------------------------------------------------------------
+# sign-change search
+# ----------------------------------------------------------------------
+
+
+def test_bisect_to_adjacent_floats_stops_evaluating():
+    calls = []
+
+    def f(x):
+        # the sign of x - root, for a root that is no float
+        calls.append(x)
+        return 1.0 if Fraction(x) > root else -1.0
+
+    # from [0, 1], ends 2^-k apart are adjacent once 2^-k is the spacing of
+    # the floats at the root: 2^-56 in [1/16, 1/8), 2^-54 in [1/4, 1/2)
+    # and 2^-53 in [1/2, 1)
+    expected = {Fraction(1, 10): 56, Fraction(1, 3): 54, Fraction(9, 10): 53}
+    for root, halvings in expected.items():
+        calls.clear()
+        lo, hi = pc._bisect(f, 0.0, 1.0, -1.0, 1.0, tol=0.0)
+        assert lo < root < hi == np.nextafter(lo, np.inf)
+        assert len(calls) == halvings
+        calls.clear()
+        assert pc._bisect(f, lo, hi, -1.0, 1.0, tol=0.0) == (lo, hi)
+        assert calls == []
+
+
+def test_bisect_reports_a_failure_inside_the_bracket():
+    def f(x):
+        return None if 0.4 < x < 0.6 else x - 0.5
+
+    assert pc._bisect(f, 0.0, 1.0, -0.5, 0.5, tol=0.0) is None
+
+
+def test_grid_brackets_split_at_failures():
+    grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    assert pc._grid_brackets(lambda x: None if x == 0.0 else x, grid) == []
+    assert pc._grid_brackets(lambda x: x - 0.25, grid) == [(0.0, 0.5, -0.25, 0.25)]
 
 
 # ----------------------------------------------------------------------
