@@ -29,6 +29,29 @@ Dense output inside a step evaluates the same polynomial + remainder data at
 interval times, which is what the section-crossing localization uses to
 bracket ``y = 0`` and read off sharp crossing states by a mean-value form.
 
+Center box
+----------
+A set may carry one of its points apart from the rest: a point ``p0`` with
+``p0 in c + bc rc``, a point frame ``bc`` and a box ``rc`` of its own that
+share the float center ``c`` (the C^1 Lohner algorithm of Zgliczynski,
+FoCM 2, 2002, carries the center as its own set in the same way).  A
+covering check flies each cell once and reads the sharp image of the
+cell's center from this box, where it would otherwise fly the center as a
+second, zero-width set.
+
+The center box needs no enclosure of its own.  ``p0`` lies in the set and
+``c`` lies in its hull (``0 in r`` holds for every set the flights make:
+the initial boxes contain zero and re-anchoring keeps it).  So ``W``
+encloses the trajectory of ``p0`` over the step, the center series plus its
+remainder encloses the image of ``c``, and the transition matrix ``Phi``
+over the hull encloses the derivative of the flow on the segment from
+``c`` to ``p0``.  By the mean-value theorem the image of ``p0`` lies in
+``phi(c) + (Phi bc) rc``, which re-anchors like the set, in a frame of its
+own: the Q factor of ``Phi bc`` sorted by the radii of ``rc``.  The set's
+frame would do too, but it is sorted by the stretching of the set; on the
+whole V3, G0 and V2 under one half map it wraps the center image 1.2 to
+2.4 times wider.
+
 Settings
 --------
 The module constants are the only settings, and every run of the proof
@@ -249,7 +272,8 @@ class LohnerSet:
 
     The derivative of the flow from the initial time, when tracked, is
     enclosed by the product ``bj @ rj`` with a point frame ``bj`` and an
-    interval matrix ``rj``.
+    interval matrix ``rj``.  The center box, when carried, encloses one
+    point of the set by ``c + bc @ rc`` (see the module docstring).
     """
 
     c: np.ndarray
@@ -257,6 +281,8 @@ class LohnerSet:
     r: IArray
     bj: np.ndarray | None = None
     rj: IArray | None = None
+    bc: np.ndarray | None = None
+    rc: IArray | None = None
 
     @classmethod
     def from_box(cls, box: IArray, track_jacobian: bool = False) -> "LohnerSet":
@@ -264,12 +290,16 @@ class LohnerSet:
         return cls.from_frame(c, np.eye(4), box - c, track_jacobian)
 
     @classmethod
-    def from_frame(cls, c, b, r: IArray, track_jacobian: bool = False) -> "LohnerSet":
+    def from_frame(cls, c, b, r: IArray, track_jacobian: bool = False,
+                   center_box: IArray | None = None) -> "LohnerSet":
+        """Set ``{c + b r}``; ``center_box`` is the ``rc`` of a point of it
+        in the coordinate frame (``bc`` the identity)."""
         c = np.asarray(c, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         bj = np.eye(4) if track_jacobian else None
         rj = IArray.identity(4) if track_jacobian else None
-        return cls(c, b, r, bj, rj)
+        bc = np.eye(4) if center_box is not None else None
+        return cls(c, b, r, bj, rj, bc, center_box)
 
     def hull(self) -> IArray:
         """Axis-aligned interval enclosure of the set."""
@@ -397,19 +427,22 @@ class LohnerFlow:
         lo, hi = taylor.horner_var_iv(rec.ph.lo, rec.ph.hi, tau.lo, tau.hi)
         return _wrap(lo, hi) + rec.vrem.scale(tau.pow_int(ORDER + 1))
 
-    def enclosure_at(self, rec: LohnerStep, tau: Interval) -> IArray:
-        """State enclosure of the whole set at step times in ``tau``."""
-        center, _, m = self._transport(rec, tau)
-        return center + (m @ rec.set_before.r)
+    def enclosure_at(self, rec: LohnerStep, tau: Interval,
+                     of_center: bool = False) -> IArray:
+        """State enclosure at step times in ``tau`` of the whole set, or
+        with ``of_center`` of the point its center box holds."""
+        center, phi = self._transport(rec, tau)
+        before = rec.set_before
+        b, r = (before.bc, before.rc) if of_center else (before.b, before.r)
+        return center + (phi @ IArray.from_point(b)) @ r
 
     # -- internals ----------------------------------------------------------
 
-    def _transport(self, rec: LohnerStep, tau: Interval) -> tuple[IArray, IArray, IArray]:
-        """Center image, transition matrix and transported frame at ``tau``."""
+    def _transport(self, rec: LohnerStep, tau: Interval) -> tuple[IArray, IArray]:
+        """Center image and transition matrix at ``tau``."""
         lo, hi = taylor.horner_iv(rec.c.lo, rec.c.hi, tau.lo, tau.hi)
         center = _wrap(lo, hi) + rec.rem.scale(tau.pow_int(ORDER + 1))
-        phi = self.phi_at(rec, tau)
-        return center, phi, phi @ IArray.from_point(rec.set_before.b)
+        return center, self.phi_at(rec, tau)
 
     def _rough_enclosure(self, hull: IArray, span: Interval) -> IArray | None:
         params = self.params
@@ -441,13 +474,14 @@ class LohnerFlow:
 
     def _reanchor(self, rec: LohnerStep, tau: Interval) -> LohnerSet:
         before = rec.set_before
-        phic, phi, m = self._transport(rec, tau)
+        phic, phi = self._transport(rec, tau)
         c_new = phic.mid
         if not np.isfinite(c_new).all():
             raise EnclosureError(f"the center image {phic} is not bounded")
-        b_new = _stretch_sorted_frame(m.mid, 0.5 * before.r.width)
-        inv = _point_inverse(b_new)
-        r_new = inv @ (phic - c_new) + (inv @ m) @ before.r
+        b_new, r_new = _carry(phic, c_new, phi, before.b, before.r)
+        bc_new = rc_new = None
+        if before.rc is not None:
+            bc_new, rc_new = _carry(phic, c_new, phi, before.bc, before.rc)
         bj_new = rj_new = None
         if before.bj is not None:
             mj = phi @ IArray.from_point(before.bj)
@@ -455,7 +489,16 @@ class LohnerFlow:
             radii = 0.5 * np.max(before.rj.hi - before.rj.lo, axis=1)
             bj_new = _stretch_sorted_frame(mj.mid, radii)
             rj_new = (_point_inverse(bj_new) @ mj) @ before.rj
-        return LohnerSet(c_new, b_new, r_new, bj_new, rj_new)
+        return LohnerSet(c_new, b_new, r_new, bj_new, rj_new, bc_new, rc_new)
+
+
+def _carry(phic: IArray, c_new: np.ndarray, phi: IArray, b: np.ndarray,
+           r: IArray) -> tuple[np.ndarray, IArray]:
+    """Frame and box of ``phic + (phi b) r`` about the new center ``c_new``."""
+    m = phi @ IArray.from_point(b)
+    b_new = _stretch_sorted_frame(m.mid, 0.5 * r.width)
+    inv = _point_inverse(b_new)
+    return b_new, inv @ (phic - c_new) + (inv @ m) @ r
 
 
 def flow_box(params: Params, lset: LohnerSet, t_final: float) -> LohnerSet:
@@ -494,11 +537,16 @@ def flow_box(params: Params, lset: LohnerSet, t_final: float) -> LohnerSet:
 
 @dataclass(slots=True)
 class CrossingRecord:
-    """Enclosure of one transversal section crossing of a whole set."""
+    """Enclosure of one transversal section crossing of a whole set.
+
+    ``center`` encloses the crossing state of the point the set's center
+    box holds; it is filled at the last crossing of a set that carries one.
+    """
 
     t: Interval
     state: IArray
     vy_sign: int
+    center: IArray | None = None
 
 
 def _strict_sign(iv: Interval) -> int | None:
@@ -522,7 +570,9 @@ def lohner_section_crossings(
     integration order.  Returns ``(crossings, jac)`` where ``jac`` (when
     requested) encloses the derivative of the flow-to-final-crossing map,
     i.e. ``Dphi(t*(p), p)`` for every initial point ``p`` — the caller adds
-    the section projection and lift factors.
+    the section projection and lift factors.  When the set carries a center
+    box, the last crossing also locates the crossing of the center box's
+    point, from the same steps.
     """
     if not signs or any(s not in (-1, 1) for s in signs):
         raise IntegrationError("signs must be a non-empty list of +1/-1")
@@ -581,9 +631,9 @@ def lohner_section_crossings(
             continue
 
         # a guaranteed crossing inside this step
-        crossing, jac = _refine_crossing(
-            flow, rec, prev_side, want_jacobian and len(crossings) == len(signs) - 1
-        )
+        last = len(crossings) == len(signs) - 1
+        crossing, jac = _refine_crossing(flow, rec, prev_side,
+                                         want_jacobian and last)
         expected = signs[len(crossings)]
         if crossing.vy_sign != expected:
             raise IntegrationError(
@@ -591,7 +641,12 @@ def lohner_section_crossings(
                 f"expected {expected}"
             )
         crossings.append(crossing)
-        if len(crossings) == len(signs):
+        if last:
+            if rec.set_before.rc is not None:
+                # the center box's point lies in the set, so it crosses in
+                # this step too
+                crossing.center = _refine_crossing(
+                    flow, rec, prev_side, False, of_center=True)[0].state
             return crossings, jac
         prev_side = side_end
         flow.commit(rec)
@@ -599,13 +654,15 @@ def lohner_section_crossings(
 
 
 def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
-                     want_jacobian: bool):
+                     want_jacobian: bool, of_center: bool = False):
+    """Crossing of the set inside the step, or with ``of_center`` of the
+    point its center box holds."""
     sa, sb = 0.0, 1.0
     for _ in range(90):
         if (sb - sa) * abs(rec.h) < BRACKET_TOL:
             break
         sm = 0.5 * (sa + sb)
-        y_iv = flow.enclosure_at(rec, Interval.point(sm * rec.h))[1]
+        y_iv = flow.enclosure_at(rec, Interval.point(sm * rec.h), of_center)[1]
         side = _strict_sign(y_iv)
         if side == before_side:
             sa = sm
@@ -615,7 +672,7 @@ def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
             break
     ta, tb = sa * rec.h, sb * rec.h
     tau = Interval(min(ta, tb), max(ta, tb))
-    st = flow.enclosure_at(rec, tau)
+    st = flow.enclosure_at(rec, tau, of_center)
     vy = st[3]
     if vy.mig < TANGENCY_TOL or vy.contains_zero():
         raise TangencyError(
@@ -625,7 +682,7 @@ def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
 
     # mean-value sharpening around the bracket midpoint
     tm = tau.mid
-    st_mid = flow.enclosure_at(rec, Interval.point(tm))
+    st_mid = flow.enclosure_at(rec, Interval.point(tm), of_center)
     f_env = dynamics.vector_field_iv(flow.params, st)
     dt = tau - tm
     sharp = [

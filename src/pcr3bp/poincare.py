@@ -379,25 +379,36 @@ def map_derivative(params: Params, tag: MapTag, pt: SectionPoint,
 
 @dataclass(slots=True)
 class RigorousImage:
-    """Enclosure of the image of a section box under a composite map."""
+    """Enclosure of the image of a section box under a composite map.
+
+    ``center``, when asked for, encloses the final crossing state of the
+    energy lift of the cell's center point ``origin + am d1 + bm d2``
+    (``am``, ``bm`` the midpoints of ``a``, ``b``, summed in floats), read
+    from the same flight as the cell.
+    """
 
     x: Interval
     vx: Interval
     state: IArray
     t: Interval
     dp: IArray | None
+    center: IArray | None = None
 
 
 def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
                  d2: np.ndarray, a: Interval, b: Interval, sign: int,
-                 track_jacobian: bool) -> tuple[LohnerSet, IArray]:
+                 track_jacobian: bool,
+                 center_box: bool = False) -> tuple[LohnerSet, IArray]:
     """Lohner set enclosing the energy lift of a section parallelogram.
 
     The support ``{origin + alpha d1 + beta d2 : alpha in a, beta in b}`` is
     lifted as a graph ``c + da T1 + db T2 + res e_vy`` over the lift tangent
     directions at the cell center, where ``res`` bounds the curvature of vy
-    by a mean-value form.  This keeps both the parallelogram geometry and
-    the (x, vx) <-> vy correlation; nothing is boxed away.  Returns the set
+    by a mean-value form and the rounding of the float lift ``c``.  This
+    keeps both the parallelogram geometry and the (x, vx) <-> vy
+    correlation; nothing is boxed away.  ``0 in res``, so ``c`` lies in the
+    set, and so does the energy lift of the cell center, which with
+    ``center_box`` the set also carries as its center box.  Returns the set
     and the interval lift tangent over the cell's (x, vx) bounds.
     """
     # axis-aligned (x, vx) bounds of the support
@@ -420,19 +431,25 @@ def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
     ev = grad[3, 1] - g2
     res = (ex * float(d1[0]) + ev * float(d1[1])) * da \
         + (ex * float(d2[0]) + ev * float(d2[1])) * db
+    # the float lift misses the on-level vy of the center by a few ulps
+    zero = Interval.point(0.0)
+    vy_off = lift_iv(params, Interval.point(center[0]), Interval.point(center[2]),
+                     sign)[3] - center[3]
     # direct form as a cross-check, keep the intersection
     lin = t1[3] * da + t2[3] * db
     direct = box4[3] - (Interval.point(center[3]) + lin)
-    res = res.intersection(direct)
-    r = IArray.from_intervals([da, db, Interval.point(0.0), res])
-    return LohnerSet.from_frame(center, frame, r, track_jacobian), grad
+    res = (res + vy_off).intersection(direct).hull(zero)
+    r = IArray.from_intervals([da, db, zero, res])
+    rc = IArray.from_intervals([zero, zero, zero, vy_off]) if center_box else None
+    return LohnerSet.from_frame(center, frame, r, track_jacobian, rc), grad
 
 
 def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
                                  origin, d1, d2, a: Interval, b: Interval,
                                  sign: int,
                                  inverse: bool = False,
-                                 want_derivative: bool = False) -> RigorousImage:
+                                 want_derivative: bool = False,
+                                 want_center: bool = False) -> RigorousImage:
     """Rigorous image of a section parallelogram under a composite map.
 
     The support is ``{origin + alpha d1 + beta d2 : alpha in a, beta in b}``
@@ -441,13 +458,15 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
     intermediate sections introduce no re-boxing.  With ``want_derivative``
     the 2x2 interval derivative in section coordinates is included, built
     as ``pi (I - f e_y^T/vy) Dphi DT`` from the accumulated flow derivative.
+    With ``want_center`` the set carries the lift of the cell center as its
+    center box, and the image includes that point's crossing state.
     """
     origin = np.asarray(origin, dtype=np.float64)
     d1 = np.asarray(d1, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
     signs, _, direction = _chain_to_signs(tags, inverse, sign)
     lset, dt_cols = _lifted_cell(params, origin, d1, d2, a, b, sign,
-                                 want_derivative)
+                                 want_derivative, want_center)
     crossings, jac = lohner_section_crossings(
         params, lset, signs, direction, want_jacobian=want_derivative
     )
@@ -464,7 +483,7 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
         dp = (proj @ jac) @ dt_cols
     return RigorousImage(
         x=final.state[0], vx=final.state[2], state=final.state,
-        t=final.t, dp=dp,
+        t=final.t, dp=dp, center=final.center,
     )
 
 
@@ -565,7 +584,9 @@ def lyapunov_fixed_point(params: Params, index: int) -> LyapunovOrbit:
     ``index`` 1 uses ``Theta_+``/``P+`` (inner neck), 2 uses
     ``Theta_-``/``P-`` (outer neck).  The perpendicular crossing is found
     as a root of ``vx(Ph(x, 0))`` along the symmetry line, then polished
-    as a 2d fixed point of the full-return map.
+    as a 2d fixed point of the full-return map: Newton steps run while the
+    residual decreases, and the iterate with the smallest residual is
+    returned with the derivative computed there.
 
     Other symmetric families intersect the symmetry line as well, so the
     defect counts only where the flight (a) sits on the short-flight
@@ -601,19 +622,20 @@ def lyapunov_fixed_point(params: Params, index: int) -> LyapunovOrbit:
         raise SearchError(f"the Lyapunov branch breaks inside [{lo}, {hi}]")
     xstar = 0.5 * (refined[0] + refined[1])
 
-    # polish as a 2d fixed point of the full-return map
+    # polish as a 2d fixed point of the full-return map, until rounding
+    # (magnified by the unstable multiplier) stops the residual decreasing
     pt = SectionPoint(xstar, 0.0, sign)
-    period = 0.0
+    best = None
     for _ in range(30):
         dp, img, period = chain_derivative(params, [full], pt)
         res = img.as_array() - pt.as_array()
-        if np.max(np.abs(res)) < 1e-14:
+        residual = float(np.max(np.abs(res)))
+        if best is not None and residual >= best[0]:
             break
+        best = (residual, pt, dp, period)
         delta = np.linalg.solve(dp - np.eye(2), -res)
         pt = SectionPoint(pt.x + delta[0], pt.vx + delta[1], sign)
-
-    dp, img, period = chain_derivative(params, [full], pt)
-    residual = float(np.max(np.abs(img.as_array() - pt.as_array())))
+    residual, pt, dp, period = best
     eigvals, eigvecs = np.linalg.eig(dp)
     if np.iscomplexobj(eigvals) and np.max(np.abs(eigvals.imag)) > 1e-9:
         raise SearchError(f"fixed-point multipliers are not real: {eigvals}")

@@ -392,34 +392,26 @@ def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
     The returned callable takes source-local (a, b) interval cells,
     flies the corresponding parallelogram through the composite, and
     returns target-local image enclosures, as :func:`~pcr3bp.hset.check_cover`
-    expects.  It is evaluated in mean-value form: one sharp flight of the
+    expects.  It is evaluated in mean-value form, the sharp image of the
     cell center plus an interval derivative over the whole cell,
 
         g(a, b)  in  g(am, bm) + Dg(cell) (a - am, b - bm),
 
-    with ``g`` the map written source-local to target-local.  This keeps
-    the image's coordinate correlations that a plain set flight loses to
-    its final bounding box; the direct set enclosure is still computed (the
-    derivative flight yields it for free) and intersected in.
+    with ``g`` the map written source-local to target-local.  One flight of
+    the cell gives all three: the set carries the cell center as its center
+    box, and tracks the derivative.  The mean-value form keeps the image's
+    coordinate correlations that a plain set flight loses to its final
+    bounding box; the direct set enclosure comes from the same flight and
+    is intersected in.
     """
-    u, s = source.u, source.s
-    zero = Interval.point(0.0)
 
     def map_fn(a: Interval, b: Interval):
-        am, bm = a.mid, b.mid
-        center = source.center + am * u + bm * s
-        pt = apply_parallelogram_rigorous(
-            params, tags, center, u, s, zero, zero, source.sign,
-            inverse=inverse,
-        )
-        base_a, base_b = target.local_coords_iv(pt.x, pt.vx)
-        da, db = a - am, b - bm
-        if da.width == 0.0 and db.width == 0.0:
-            return base_a, base_b
         cell = apply_parallelogram_rigorous(
-            params, tags, source.center, u, s, a, b, source.sign,
-            inverse=inverse, want_derivative=True,
+            params, tags, source.center, source.u, source.s, a, b, source.sign,
+            inverse=inverse, want_derivative=True, want_center=True,
         )
+        base_a, base_b = target.local_coords_iv(cell.center[0], cell.center[2])
+        da, db = a - a.mid, b - b.mid
         lmat = target.frame_inverse @ (cell.dp @ IArray.from_point(source.frame))
         a_mv = base_a + lmat[0, 0] * da + lmat[0, 1] * db
         b_mv = base_b + lmat[1, 0] * da + lmat[1, 1] * db

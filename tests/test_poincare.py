@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from pcr3bp import dynamics, poincare as pc
+from pcr3bp import dynamics, hset, poincare as pc
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
 from pcr3bp.errors import DomainError
 from pcr3bp.intervals import Interval
@@ -250,6 +251,41 @@ def test_rigorous_image_contains_point_images():
             assert rig.dp[i, j].lo <= dp_pt[i, j] <= rig.dp[i, j].hi
 
 
+def vy_on_level_mp(x, vx, sign):
+    """The on-level vy of a section point, to 50 digits."""
+    with mp.workdps(50):
+        x, vx, mu = mp.mpf(x), mp.mpf(vx), mp.mpf(P.mu)
+        r1, r2 = abs(x + mu), abs(x - 1 + mu)
+        omega = x**2 / 2 + (1 - mu) / r1 + mu / r2 + mu * (1 - mu) / 2
+        return sign * mp.sqrt(2 * omega - vx**2 - mp.mpf(P.jacobi))
+
+
+def test_lifted_cell_contains_its_on_level_center():
+    # at the centres and exit-edge midpoints of V3, G0 and G3 the float
+    # lift misses the exact vy by up to a few ulps; the lifted cell, thin
+    # or whole, must still hold the exact lift of its centre, and c itself
+    sets = {**hset.load_bundled("g_chain"), **hset.load_bundled("v_chain")}
+    zero, whole = Interval.point(0.0), Interval(-1.0, 1.0)
+    missed = 0
+    for name in ("V3", "G0", "G3"):
+        h = sets[name]
+        for a_mid in (-1.0, 0.0, 1.0):
+            origin = h.corner_point(a_mid, 0.0)
+            for a, b in ((zero, zero), (whole, whole)):
+                lset, _ = pc._lifted_cell(P, origin, h.u, h.s, a, b, h.sign,
+                                          False)
+                c, r = lset.c, lset.r
+                exact = vy_on_level_mp(c[0], c[2], h.sign)
+                missed += exact != mp.mpf(c[3])
+                # the set's points over the cell centre (da = db = 0) are
+                # c + r[3] e_vy
+                with mp.workdps(50):
+                    assert mp.mpf(c[3]) + mp.mpf(r[3].lo) <= exact
+                    assert exact <= mp.mpf(c[3]) + mp.mpf(r[3].hi)
+                assert all(r[i].contains(0.0) for i in range(4))
+    assert missed > 0  # the float lift is inexact somewhere
+
+
 def test_rigorous_inverse_contains_preimage():
     img, _ = pc.apply_map(P, pc.HALF_PLUS, BASE)
     rig = pc.apply_chain_rigorous(
@@ -320,3 +356,25 @@ def test_lyapunov_eigenvector_symmetry(orbits):
 def test_lyapunov_periods(orbits):
     assert orbits[1].period == pytest.approx(3.082119126392, abs=1e-8)
     assert orbits[2].period == pytest.approx(3.310671457571, abs=1e-8)
+
+
+def test_lyapunov_polish_stops_when_the_residual_stops_decreasing(monkeypatch):
+    # rounding, magnified by the unstable multiplier, keeps the Newton
+    # residual near 1e-14..1e-13; the polish must stop there instead of
+    # cycling, and return the best iterate with the derivative made there
+    calls = []
+    original = pc.chain_derivative
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(pc, "chain_derivative", counted)
+    orb = pc.lyapunov_fixed_point(P, 1)
+    assert 2 <= len(calls) <= 5
+    dp, img, period = original(P, [pc.FULL_PLUS], orb.point)
+    assert orb.residual == float(np.max(np.abs(img.as_array() - orb.point.as_array())))
+    assert orb.period == abs(period)
+    lam = np.sort(np.abs(np.linalg.eigvals(dp)))[::-1]
+    assert [abs(m) for m in orb.multipliers] == pytest.approx(lam, rel=1e-12)

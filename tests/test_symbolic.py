@@ -8,12 +8,20 @@ interval enclosures against point-mode images.
 import numpy as np
 import pytest
 
-from pcr3bp import integrator
+from pcr3bp import integrator, symbolic
 from pcr3bp.dynamics import Params
 from pcr3bp.errors import RegistryError
 from pcr3bp.hset import check_cover, cone_condition, r_image
-from pcr3bp.intervals import Interval
-from pcr3bp.poincare import FULL_MINUS, FULL_PLUS, HALF_MINUS, HALF_PLUS
+from pcr3bp.intervals import IArray, Interval
+from pcr3bp.poincare import (
+    FULL_MINUS,
+    FULL_PLUS,
+    HALF_MINUS,
+    HALF_PLUS,
+    SectionPoint,
+    apply_chain,
+    apply_parallelogram_rigorous,
+)
 from pcr3bp.symbolic import (
     SYMBOL_SETS,
     SYMBOL_SIDES,
@@ -279,3 +287,64 @@ def test_step_bound_leaves_a_cover_undecided(monkeypatch):
     assert rep.outcome == "inconclusive"
     assert set(rep.errors) == {"IntegrationError"}
     assert "IntegrationError" in rep.message
+
+
+def test_cover_flies_each_cell_once_with_its_center_inside(monkeypatch):
+    # V3 => V4 at 1x1: one cell and two exit edges, one flight each; at
+    # every committed step the center box lies in the hull of the cell set,
+    # which is what lets the cell's a-priori box, remainder and transition
+    # matrix enclose the center's trajectory too
+    flights = []
+    original_flight = symbolic.apply_parallelogram_rigorous
+
+    def counted(*args, **kwargs):
+        flights.append(kwargs)
+        return original_flight(*args, **kwargs)
+
+    checked = []
+    original_commit = integrator.LohnerFlow.commit
+
+    def commit(flow, rec):
+        after = rec.set_after
+        if after.rc is not None:
+            center = IArray.from_point(after.bc) @ after.rc + after.c
+            assert center.is_subset(after.hull())
+            checked.append(rec)
+        original_commit(flow, rec)
+
+    monkeypatch.setattr(symbolic, "apply_parallelogram_rigorous", counted)
+    monkeypatch.setattr(integrator.LohnerFlow, "commit", commit)
+    params = Params()
+    sets = standard_sets(include_constructed=False)
+    src, dst = sets["V3"], sets["V4"]
+    rep = check_cover(section_map(params, [HALF_MINUS], src, dst), src, dst,
+                      grid=(1, 1), max_grid=(4, 1))
+    assert rep.outcome == "verified"
+    assert rep.cells == 3
+    assert len(flights) == 3
+    assert all(kw["want_center"] and kw["want_derivative"] for kw in flights)
+    assert len(checked) > 3 * 10
+
+
+def test_center_image_matches_a_zero_width_flight():
+    # the center box of the whole V3 under Ph- encloses the point image of
+    # the centre, and is about as wide as a separate flight of the centre:
+    # both enclose one point with the same arithmetic, so a much narrower
+    # box would mean an error term went missing
+    params = Params()
+    h = standard_sets(include_constructed=False)["V3"]
+    whole, zero = Interval(-1.0, 1.0), Interval.point(0.0)
+    img = apply_parallelogram_rigorous(
+        params, [HALF_MINUS], h.center, h.u, h.s, whole, whole, h.sign,
+        want_derivative=True, want_center=True)
+    thin = apply_parallelogram_rigorous(
+        params, [HALF_MINUS], h.center, h.u, h.s, zero, zero, h.sign)
+    pt, _ = apply_chain(params, [HALF_MINUS],
+                        SectionPoint(float(h.center[0]), float(h.center[1]), h.sign))
+    x, vx = img.center[0], img.center[2]
+    assert x.contains(pt.x) and vx.contains(pt.vx)
+    assert thin.x.contains(pt.x) and thin.vx.contains(pt.vx)
+    assert 0.9 * thin.x.width <= x.width <= 1.01 * thin.x.width
+    assert 0.9 * thin.vx.width <= vx.width <= 1.01 * thin.vx.width
+    # the cell image holds the center image
+    assert x.is_subset(img.x) and vx.is_subset(img.vx)
