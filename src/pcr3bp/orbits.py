@@ -15,6 +15,40 @@ Everything in this module runs in point mode.  Rigorous existence
 certificates for the same words come from :func:`rigorous_chain_verdict`,
 which replays the word's covering relations with the interval engine of
 :mod:`pcr3bp.hset` and checks the reversal symmetry of the endpoint sets.
+
+Settings
+--------
+The module constants are the only settings of the searches, the
+trajectory tools and the resonance labels; they are the defaults the
+package was first written with.  Functions read them at call time, so a
+test can change one with ``monkeypatch.setattr``.
+
+* ``PERIODIC_GRID = 256``, ``HOMOCLINIC_GRID = 128``: samples of the
+  symmetry segment, ``a`` in [-1, 1], scanned for sign changes of the
+  terminal ``x'`` and of the expanding coordinate.  A finer grid separates
+  roots closer than the spacing; each sample costs one flight of the word.
+* ``A_TOL = 1e-12``: width in ``a`` at which the periodic bisection stops.
+  On an h-set of radius 1e-4 that is below the float spacing of ``x``.
+* ``SLACK = 0.05``: how far, in local coordinates, a staged image may lie
+  outside its registered h-set and still count as landing in it
+  (searches and backward coding alike).  The point searches only screen
+  candidates; :func:`rigorous_chain_verdict` gives the certificate.
+* ``N_TAIL = 6``: most return-map factors appended to deepen a
+  homoclinic bracket.  Each one contracts the bracket by the multiplier
+  (about 1.4e3 and 1.1e3 at L1 and L2), so double precision stops the
+  deepening within a few levels anyway.
+* ``COLLAPSE_WIDTH = 1e-15``: bracket width at which the deepening stops
+  as collapsed onto the float grid.
+* ``MIRROR_TOL = 1e-9``: how far from ``Fix(R)``, relative to the state's
+  size, an arc may start and still be mirror-doubled.
+* ``PROMINENCE = 0.15``: radial extrema whose amplitude is below this
+  share of the arc's radial span cancel in pairs and are not counted.
+* ``PLATEAU_TOL = 1e-12``: a radial extremum flatter than this against a
+  neighbouring sample is refused as under-resolved.
+* ``EXCURSION_SAMPLES = 4097``: samples of the half excursion that
+  :func:`excursion_trajectory` cuts.
+* ``BAND_PAD = 0.004``: widening of the Lyapunov orbit's radial band where
+  an excursion is cut, so the cut falls before the slow approach.
 """
 
 from __future__ import annotations
@@ -77,6 +111,19 @@ log = logging.getLogger(__name__)
 
 #: Diagonal of the reversal R(x, y, x', y') = (x, -y, -x', y').
 _REVERSAL_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+# Settings (see the module docstring).
+PERIODIC_GRID = 256
+HOMOCLINIC_GRID = 128
+A_TOL = 1e-12
+SLACK = 0.05
+N_TAIL = 6
+COLLAPSE_WIDTH = 1e-15
+MIRROR_TOL = 1e-9
+PROMINENCE = 0.15
+PLATEAU_TOL = 1e-12
+EXCURSION_SAMPLES = 4097
+BAND_PAD = 0.004
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +193,7 @@ def sample_trajectory(params: Params, state, t_final: float,
     return Trajectory(times, out, params)
 
 
-def mirror_double(traj: Trajectory, tol: float = 1e-9) -> Trajectory:
+def mirror_double(traj: Trajectory) -> Trajectory:
     """Extend an arc starting on ``Fix(R)`` backward by its mirror image.
 
     For ``x0`` on the symmetry set the backward orbit is the reversal of
@@ -157,7 +204,7 @@ def mirror_double(traj: Trajectory, tol: float = 1e-9) -> Trajectory:
         raise StructureError("mirror doubling needs the arc to start at t = 0")
     x0 = traj.states[0]
     scale = max(1.0, abs(x0[0]), abs(x0[3]))
-    if max(abs(x0[1]), abs(x0[2])) > tol * scale:
+    if max(abs(x0[1]), abs(x0[2])) > MIRROR_TOL * scale:
         raise StructureError(
             "initial state is not on the symmetry set (y and x' must vanish)"
         )
@@ -204,8 +251,7 @@ def resonance_from_counts(theta: int, m: int) -> ResonanceLabel:
     return ResonanceLabel(m // g, denom // g, theta, m)
 
 
-def _extrema_indices(r: np.ndarray, plateau_tol: float,
-                     cyclic: bool) -> list[tuple[int, bool]]:
+def _extrema_indices(r: np.ndarray, cyclic: bool) -> list[tuple[int, bool]]:
     """Strict local extrema as ``(index, is_peak)``, flagging plateaus."""
     n = r.size
     found: list[tuple[int, bool]] = []
@@ -214,7 +260,7 @@ def _extrema_indices(r: np.ndarray, plateau_tol: float,
         dl = r[i] - r[i - 1 if not cyclic else (i - 1) % n]
         dr = r[i] - r[(i + 1) % n if cyclic else i + 1]
         if (dl > 0.0) == (dr > 0.0):
-            if min(abs(dl), abs(dr)) <= plateau_tol:
+            if min(abs(dl), abs(dr)) <= PLATEAU_TOL:
                 raise SearchError(
                     f"flat radial extremum near sample {i}; refine the sampling"
                 )
@@ -223,7 +269,7 @@ def _extrema_indices(r: np.ndarray, plateau_tol: float,
 
 
 def _significant_extrema(r: np.ndarray, cand: list[tuple[int, bool]],
-                         prominence: float, cyclic: bool) -> tuple[int, int]:
+                         cyclic: bool) -> tuple[int, int]:
     """Cancel small adjacent wiggles; return (peak count, valley count).
 
     Adjacent extrema whose amplitude falls below the prominence threshold
@@ -231,7 +277,7 @@ def _significant_extrema(r: np.ndarray, cand: list[tuple[int, bool]],
     be absorbed into the cut endpoint it hugs.  What survives are the
     radial oscillations of the excursion itself.
     """
-    prom_abs = prominence * (float(r.max()) - float(r.min()))
+    prom_abs = PROMINENCE * (float(r.max()) - float(r.min()))
     work = list(cand)
     while work:
         best_amp = math.inf
@@ -264,9 +310,20 @@ def _significant_extrema(r: np.ndarray, cand: list[tuple[int, bool]],
     return peaks, len(work) - peaks
 
 
-def resonance_of(traj: Trajectory, periodic: bool = False, *,
-                 prominence: float = 0.15, plateau_tol: float = 1e-12,
-                 _refined: bool = False) -> ResonanceLabel:
+def _polar(traj: Trajectory, periodic: bool):
+    """Heavy-primary-centred ``(x, y)`` and unwrapped angle of the samples.
+
+    A closed orbit's repeated last sample is dropped.
+    """
+    states = traj.states
+    if periodic and np.allclose(states[0], states[-1], rtol=0.0, atol=1e-9):
+        states = states[:-1]
+    x = states[:, 0] + traj.params.mu
+    y = states[:, 1]
+    return x, y, np.unwrap(np.arctan2(y, x))
+
+
+def resonance_of(traj: Trajectory, periodic: bool = False) -> ResonanceLabel:
     """Classify an excursion or closed orbit by its mean-motion resonance.
 
     The turn count is the rounded winding of the arc around the heavy
@@ -278,19 +335,16 @@ def resonance_of(traj: Trajectory, periodic: bool = False, *,
 
     The arc should already be trimmed of any slow sojourn near a
     libration region (see :func:`excursion_trajectory`); oscillations
-    small against the radial span are cancelled, not counted.
+    small against the radial span are cancelled, not counted.  An arc of
+    fewer than 1025 samples, or one that turns more than 0.15 rad between
+    two samples, is first resampled once from its first state at 8193
+    samples.
     """
-    t, states = traj.t, traj.states
-    if periodic and np.allclose(states[0], states[-1], rtol=0.0, atol=1e-9):
-        t, states = t[:-1], states[:-1]
-    x = states[:, 0] + traj.params.mu
-    y = states[:, 1]
-    phi = np.unwrap(np.arctan2(y, x))
-    if not _refined and (t.size < 1025 or np.abs(np.diff(phi)).max() > 0.15):
-        fresh = sample_trajectory(traj.params, traj.states[0],
-                                  traj.duration, n=8193)
-        return resonance_of(fresh, periodic, prominence=prominence,
-                            plateau_tol=plateau_tol, _refined=True)
+    x, y, phi = _polar(traj, periodic)
+    if phi.size < 1025 or np.abs(np.diff(phi)).max() > 0.15:
+        traj = sample_trajectory(traj.params, traj.states[0],
+                                 traj.duration, n=8193)
+        x, y, phi = _polar(traj, periodic)
     r = np.hypot(x, y)
     median_r = float(np.median(r))
     if 0.98 < median_r < 1.02:
@@ -314,8 +368,8 @@ def resonance_of(traj: Trajectory, periodic: bool = False, *,
         raise DomainError("arc makes no full turn around the heavy primary")
     theta = theta_mag if interior else -theta_mag
 
-    cand = _extrema_indices(r, plateau_tol, periodic)
-    peaks, valleys = _significant_extrema(r, cand, prominence, periodic)
+    cand = _extrema_indices(r, periodic)
+    peaks, valleys = _significant_extrema(r, cand, periodic)
     m = peaks if interior else valleys
     if m == 0:
         raise SearchError("no significant radial extrema survive the filter")
@@ -347,14 +401,17 @@ class SymmetricPeriodicOrbit:
         return 2.0 * self.half_period
 
 
-def _word_setup(params: Params, word: Sequence[str],
-                sets: Mapping[str, HSet] | None):
-    """Common search scaffolding: stages, start set, symmetry segment."""
+def _word_setup(word: Sequence[str], sets: Mapping[str, HSet] | None):
+    """Common search scaffolding for a word.
+
+    Returns the word, the sets, the start set, the stages and the seed
+    line ``a -> SectionPoint`` along the start set's Fix(R) segment
+    (``a`` in [-1, 1] joins two opposite corners).
+    """
     word = tuple(word)
     if sets is None:
         sets = standard_sets()
-    cyclic = len(word) == 1
-    start_name, stages = word_stages(word, cyclic=cyclic)
+    start_name, stages = word_stages(word, cyclic=len(word) == 1)
     try:
         start = sets[start_name]
     except KeyError:
@@ -365,14 +422,46 @@ def _word_setup(params: Params, word: Sequence[str],
             "fixed-set iteration has no seed segment"
         )
     gamma = fix_r_segment(start)
-    return word, sets, cyclic, start, stages, gamma
+
+    def seed_at(a: float) -> SectionPoint:
+        point, _ = gamma(a)
+        return SectionPoint(float(point[0]), 0.0, start.sign)
+
+    return word, sets, start, stages, seed_at
+
+
+def _stage_walk(params: Params, seed: SectionPoint, stages: Sequence[Stage],
+                sets: Mapping[str, HSet]) -> tuple[list[SectionPoint], float] | str:
+    """Fly a seed stage by stage, checking each registered target.
+
+    Returns the stage points and the total time, or the reason for the
+    rejection: a stage image more than ``SLACK`` outside its h-set, or a
+    failed flight.
+    """
+    points, pt, total = [], seed, 0.0
+    try:
+        for k, stage in enumerate(stages):
+            pt, dt = apply_chain(params, [stage.tag], pt)
+            total += dt
+            points.append(pt)
+            if stage.target is not None:
+                hs = resolve_stage_set(stage, sets)
+                if not hs.contains(pt.x, pt.vx, slack=SLACK):
+                    return f"stage {k} image escapes {hs.name}"
+    except PCR3BPError as exc:
+        return f"stage walk failed: {exc}"
+    return points, total
+
+
+def _rejected(rejects: list[tuple[float, float, str]]) -> SearchError:
+    """The error of a search whose every bracket was rejected."""
+    detail = "; ".join(f"[{lo:+.3f}, {hi:+.3f}]: {why}" for lo, hi, why in rejects)
+    return SearchError(f"all {len(rejects)} brackets rejected ({detail})")
 
 
 def find_symmetric_periodic(params: Params, word: Sequence[str], *,
-                            search_grid: int = 256,
                             sets: Mapping[str, HSet] | None = None,
-                            slack: float = 0.05,
-                            a_tol: float = 1e-12) -> SymmetricPeriodicOrbit:
+                            ) -> SymmetricPeriodicOrbit:
     """Locate the reversal-symmetric periodic orbit coded by ``word``.
 
     The seed runs along the symmetry segment of the word's starting h-set;
@@ -381,9 +470,9 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
     flight covers a full period); a longer word's chain ends on a mirrored
     set, the reflection of the located half closing the orbit.  Candidate
     roots are rejected unless every staged image lands in its registered
-    h-set (within ``slack`` in local coordinates).
+    h-set (within ``SLACK`` in local coordinates).
     """
-    word, sets, cyclic, start, stages, gamma = _word_setup(params, word, sets)
+    word, sets, start, stages, seed_at = _word_setup(word, sets)
     terminal_set = resolve_stage_set(stages[-1], sets)
     if not is_r_symmetric(terminal_set):
         raise StructureError(
@@ -392,10 +481,6 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
         )
     tags = [stage.tag for stage in stages]
 
-    def seed_at(a: float) -> SectionPoint:
-        point, _ = gamma(a)
-        return SectionPoint(float(point[0]), 0.0, start.sign)
-
     def terminal_vx(a: float) -> float | None:
         try:
             img, _ = apply_chain(params, tags, seed_at(a))
@@ -403,50 +488,34 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
             return None
         return img.vx
 
-    grid = np.linspace(-1.0, 1.0, search_grid)
-    brackets = _grid_brackets(terminal_vx, grid)
+    brackets = _grid_brackets(terminal_vx, np.linspace(-1.0, 1.0, PERIODIC_GRID))
     if not brackets:
         raise SearchError(
             f"no terminal x' sign change along Fix(R) in {start.name} "
-            f"({search_grid} samples)"
+            f"({PERIODIC_GRID} samples)"
         )
     rejects = []
     for lo, hi, flo, fhi in brackets:
-        refined = _bisect(terminal_vx, lo, hi, flo, fhi, a_tol)
+        refined = _bisect(terminal_vx, lo, hi, flo, fhi, A_TOL)
         if refined is None:
             rejects.append((lo, hi, "map failure during bisection"))
             continue
-        a_hat = 0.5 * (refined[0] + refined[1])
-        seed = seed_at(a_hat)
-        points = []
-        pt, total = seed, 0.0
-        bad = None
-        try:
-            for k, stage in enumerate(stages):
-                pt, dt = apply_chain(params, [stage.tag], pt)
-                total += dt
-                points.append(pt)
-                if stage.target is not None:
-                    hs = resolve_stage_set(stage, sets)
-                    if not hs.contains(pt.x, pt.vx, slack=slack):
-                        bad = f"stage {k} image escapes {hs.name}"
-                        break
-        except PCR3BPError as exc:
-            bad = f"stage walk failed: {exc}"
-        if bad is not None:
-            rejects.append((lo, hi, bad))
+        seed = seed_at(0.5 * (refined[0] + refined[1]))
+        walk = _stage_walk(params, seed, stages, sets)
+        if isinstance(walk, str):
+            rejects.append((lo, hi, walk))
             continue
-        half_period = 0.5 * total if cyclic else total
+        points, total = walk
+        half_period = 0.5 * total if len(word) == 1 else total
         state0 = lift(params, seed)
         closed, _ = flow_point(params, state0, 2.0 * half_period)
         residual = float(np.max(np.abs(closed - state0)))
         return SymmetricPeriodicOrbit(
             word=word, seed=seed, half_period=half_period,
-            closure_residual=residual, terminal=pt,
+            closure_residual=residual, terminal=points[-1],
             stage_points=tuple(points),
         )
-    detail = "; ".join(f"[{lo:+.3f}, {hi:+.3f}]: {why}" for lo, hi, why in rejects)
-    raise SearchError(f"all {len(brackets)} brackets rejected ({detail})")
+    raise _rejected(rejects)
 
 
 # ----------------------------------------------------------------------
@@ -455,17 +524,16 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
 
 def verify_backward_coding(params: Params, seed: SectionPoint,
                            word: Sequence[str], *,
-                           sets: Mapping[str, HSet] | None = None,
-                           slack: float = 0.05) -> bool:
+                           sets: Mapping[str, HSet] | None = None) -> bool:
     """Check that the backward orbit of ``seed`` realizes the mirrored word.
 
     The reversal conjugates each section map to the inverse of its mirror,
     so the backward images of a symmetric seed must visit the reversal
-    images of the word's target sets in order.  Stages without a
-    registered target are flown but not checked.  Returns False on the
-    first escape (logged at INFO level).
+    images of the word's target sets in order (within ``SLACK``).  Stages
+    without a registered target are flown but not checked.  Returns False
+    on the first escape (logged at INFO level).
     """
-    word, sets, _, _, stages, _ = _word_setup(params, word, sets)
+    word, sets, _, stages, _ = _word_setup(word, sets)
     pt = seed
     for k, stage in enumerate(stages):
         try:
@@ -478,7 +546,7 @@ def verify_backward_coding(params: Params, seed: SectionPoint,
         if stage.target is None:
             continue
         hs = r_image(resolve_stage_set(stage, sets))
-        if not hs.contains(pt.x, pt.vx, slack=slack):
+        if not hs.contains(pt.x, pt.vx, slack=SLACK):
             a, b = hs.local_coords(pt.x, pt.vx)
             log.info(
                 "backward coding of %s: stage %d image escapes %s "
@@ -518,48 +586,8 @@ class SymmetricHomoclinicOrbit:
     convergence_log: tuple[float, ...]
 
 
-class _TailCache:
-    """Per-parameter chain and tail images, computed once and extended lazily."""
-
-    def __init__(self, params, tags, tail_tag, seed_at):
-        self.params = params
-        self.tags = tags
-        self.tail_tag = tail_tag
-        self.seed_at = seed_at
-        self.entries: dict[float, dict] = {}
-
-    def entry(self, a: float) -> dict | None:
-        ent = self.entries.get(a)
-        if ent is None:
-            try:
-                img, t = apply_chain(self.params, self.tags, self.seed_at(a))
-            except PCR3BPError:
-                ent = {"images": None}
-            else:
-                ent = {"images": [img], "time": t}
-            self.entries[a] = ent
-        return ent
-
-    def image(self, a: float, depth: int) -> SectionPoint | None:
-        """Chain image followed by ``depth`` extra return-map factors."""
-        ent = self.entry(a)
-        images = ent["images"]
-        if images is None:
-            return None
-        while len(images) <= depth:
-            try:
-                nxt, _ = apply_chain(self.params, [self.tail_tag], images[-1])
-            except PCR3BPError:
-                return None
-            images.append(nxt)
-        return images[depth]
-
-
 def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
-                              n_tail: int = 6, search_grid: int = 128,
                               sets: Mapping[str, HSet] | None = None,
-                              slack: float = 0.05,
-                              collapse_width: float = 1e-15,
                               ) -> SymmetricHomoclinicOrbit:
     """Locate the reversal-symmetric homoclinic orbit coded by ``word``.
 
@@ -567,10 +595,10 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     symbol's h-set, where the expanding local coordinate (measured from
     the recomputed fixed point) changes sign across the stable manifold.
     The bracket is deepened by appending return-map factors one at a time
-    up to ``n_tail``; when a level's bracket collapses to the floating
+    up to ``N_TAIL``; when a level's bracket collapses to the floating
     point grid the search stops early and reports the achieved depth.
     """
-    word, sets, _, start, stages, gamma = _word_setup(params, word, sets)
+    word, sets, start, stages, seed_at = _word_setup(word, sets)
     if word[-1] not in ("L1", "L2"):
         raise DomainError(
             f"homoclinic words must end in a libration symbol, got {word[-1]!r}"
@@ -583,40 +611,53 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     lam = float(max(abs(m) for m in orb.multipliers))
     frame = terminal_set.frame
     tags = [stage.tag for stage in stages]
+    # chain image of each seed, then its return-map images, made once
+    tails: dict[float, list[SectionPoint] | None] = {}
 
-    def seed_at(a: float) -> SectionPoint:
-        point, _ = gamma(a)
-        return SectionPoint(float(point[0]), 0.0, start.sign)
-
-    cache = _TailCache(params, tags, tail_tag, seed_at)
+    def image(a: float, depth: int) -> SectionPoint | None:
+        """Chain image of the seed at ``a`` and ``depth`` return maps on."""
+        if a not in tails:
+            try:
+                tails[a] = [apply_chain(params, tags, seed_at(a))[0]]
+            except PCR3BPError:
+                tails[a] = None
+        tail = tails[a]
+        if tail is None:
+            return None
+        while len(tail) <= depth:
+            try:
+                tail.append(apply_chain(params, [tail_tag], tail[-1])[0])
+            except PCR3BPError:
+                return None
+        return tail[depth]
 
     def expanding_coord(a: float, depth: int) -> float | None:
-        img = cache.image(a, depth)
+        img = image(a, depth)
         if img is None:
             return None
         local = np.linalg.solve(frame, [img.x - fixed.x, img.vx - fixed.vx])
         return float(local[0])
 
-    grid = np.linspace(-1.0, 1.0, search_grid)
+    grid = np.linspace(-1.0, 1.0, HOMOCLINIC_GRID)
     base = _grid_brackets(lambda a: expanding_coord(a, 0), grid)
     if not base:
         raise SearchError(
             f"no sign change of the expanding coordinate along Fix(R) in "
-            f"{start.name} ({search_grid} samples)"
+            f"{start.name} ({HOMOCLINIC_GRID} samples)"
         )
 
-    def deepen(lo, hi, flo, fhi) -> tuple[float, float, int] | None:
+    def deepen(lo, hi, flo, fhi) -> tuple[float, float, int]:
         depth = 0
-        for k in range(1, n_tail + 1):
+        for k in range(1, N_TAIL + 1):
             # sharpen the current bracket enough that the next level's
             # root (a multiplier factor closer) can be re-bracketed
-            target_w = max(collapse_width, (hi - lo) / lam * 0.25)
+            target_w = max(COLLAPSE_WIDTH, (hi - lo) / lam * 0.25)
             refined = _bisect(lambda a: expanding_coord(a, depth),
                               lo, hi, flo, fhi, target_w)
             if refined is None:
                 return (lo, hi, depth)
             lo, hi = refined
-            if hi - lo <= collapse_width or np.nextafter(lo, hi) >= hi:
+            if hi - lo <= COLLAPSE_WIDTH or np.nextafter(lo, hi) >= hi:
                 log.warning(
                     "homoclinic bracket for %s collapsed to the double "
                     "precision grid at depth %d (width %.3g)",
@@ -634,55 +675,38 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     best = None
     rejects = []
     for lo, hi, flo, fhi in base:
-        result = deepen(lo, hi, flo, fhi)
-        if result is None:
-            continue
-        b_lo, b_hi, depth = result
+        b_lo, b_hi, depth = deepen(lo, hi, flo, fhi)
         a_hat = 0.5 * (b_lo + b_hi)
-        # containment walk along the word's registered targets
-        pt, total, bad = seed_at(a_hat), 0.0, None
-        try:
-            for k, stage in enumerate(stages):
-                pt, dt = apply_chain(params, [stage.tag], pt)
-                total += dt
-                if stage.target is not None:
-                    hs = resolve_stage_set(stage, sets)
-                    if not hs.contains(pt.x, pt.vx, slack=slack):
-                        bad = f"stage {k} image escapes {hs.name}"
-                        break
-        except PCR3BPError as exc:
-            bad = f"stage walk failed: {exc}"
-        if bad is not None:
-            rejects.append((lo, hi, bad))
+        walk = _stage_walk(params, seed_at(a_hat), stages, sets)
+        if isinstance(walk, str):
+            rejects.append((lo, hi, walk))
             continue
         if best is None or depth > best[1]:
-            best = (a_hat, depth, total)
+            best = (a_hat, depth, walk[1])
     if best is None:
-        detail = "; ".join(f"[{lo:+.3f}, {hi:+.3f}]: {why}"
-                           for lo, hi, why in rejects)
-        raise SearchError(f"all homoclinic brackets rejected ({detail})")
+        raise _rejected(rejects)
     a_hat, depth, half_time = best
-    if depth < n_tail:
+    if depth < N_TAIL:
         log.warning(
             "homoclinic search for %s reached tail depth %d of %d "
-            "(bracket at the double precision floor)", word, depth, n_tail,
+            "(bracket at the double precision floor)", word, depth, N_TAIL,
         )
 
     distances = []
-    img = cache.image(a_hat, 0)
+    img = image(a_hat, 0)
     j = 0
-    while img is not None and j <= n_tail + 2:
+    while img is not None and j <= N_TAIL + 2:
         d = math.hypot(img.x - fixed.x, img.vx - fixed.vx)
         if distances and d >= distances[-1]:
             break
         distances.append(d)
         j += 1
-        img = cache.image(a_hat, j)
+        img = image(a_hat, j)
 
     return SymmetricHomoclinicOrbit(
         word=word, seed=seed_at(a_hat), half_time=half_time,
         target=fixed, target_index=index, multiplier=lam,
-        n_tail=n_tail, tail_depth=depth,
+        n_tail=N_TAIL, tail_depth=depth,
         convergence_log=tuple(distances),
     )
 
@@ -700,27 +724,23 @@ def _lyapunov_radial_band(params: Params, index: int) -> tuple[float, float]:
     return float(r.min()), float(r.max())
 
 
-def excursion_trajectory(params: Params, orbit: SymmetricHomoclinicOrbit, *,
-                         samples: int = 4097, pad: float = 0.004,
-                         threshold: float | None = None) -> Trajectory:
+def excursion_trajectory(params: Params,
+                         orbit: SymmetricHomoclinicOrbit) -> Trajectory:
     """The full excursion of a homoclinic orbit, trimmed and mirror-doubled.
 
     The located half is flown from the seed, cut where it enters the
-    radial band swept by the target Lyapunov orbit (widened by ``pad``;
-    override the cut radius with ``threshold``), and doubled across the
-    symmetric initial point.  The result is the bounded excursion the
-    resonance count applies to, free of the asymptotic spiral.
+    radial band swept by the target Lyapunov orbit (widened by
+    ``BAND_PAD``), and doubled across the symmetric initial point.  The
+    result is the bounded excursion the resonance count applies to, free
+    of the asymptotic spiral.
     """
     half = sample_trajectory(params, lift(params, orbit.seed),
-                             orbit.half_time, samples)
+                             orbit.half_time, EXCURSION_SAMPLES)
     r = half.radii()
-    if threshold is None:
-        band_lo, band_hi = _lyapunov_radial_band(params, orbit.target_index)
-        interior = r[0] < band_lo
-        threshold = band_lo - pad if interior else band_hi + pad
-        inside = r >= threshold if interior else r <= threshold
-    else:
-        inside = r >= threshold if r[0] < threshold else r <= threshold
+    band_lo, band_hi = _lyapunov_radial_band(params, orbit.target_index)
+    interior = r[0] < band_lo
+    threshold = band_lo - BAND_PAD if interior else band_hi + BAND_PAD
+    inside = r >= threshold if interior else r <= threshold
     hits = np.flatnonzero(inside)
     if hits.size == 0:
         raise SearchError(
@@ -797,7 +817,7 @@ def rigorous_chain_verdict(params: Params, word: Sequence[str], *,
     inconclusive at sane grids — the composite expansion outruns the
     subdivision budget — and are reported individually.
     """
-    word, sets, _, start, stages, _ = _word_setup(params, word, sets)
+    word, sets, start, stages, _ = _word_setup(word, sets)
     relations = []
     source_name, source = start.name, start
     pending: list = []

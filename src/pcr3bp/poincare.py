@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from .errors import (
     DomainError,
     IntegrationError,
     SearchError,
+    SingularityError,
     TangencyError,
 )
 from .integrator import LohnerSet, PointFlow, lohner_section_crossings
@@ -239,7 +241,12 @@ def _drive_crossings(flow: PointFlow, signs: Sequence[int], direction: float):
                 )
             found_states.append(s.copy())
             found_times.append(flow.t)
-        prev_y = flow.state[1]
+            # arm on the side the flow enters: the landed y is a rounding
+            # residue that may keep the sign of the side just left, and
+            # armed on it the next step would find this root again
+            prev_y = got * direction
+        else:
+            prev_y = y_new
     return found_states, found_times
 
 
@@ -384,7 +391,8 @@ class RigorousImage:
     ``center``, when asked for, encloses the final crossing state of the
     energy lift of the cell's center point ``origin + am d1 + bm d2``
     (``am``, ``bm`` the midpoints of ``a``, ``b``, summed in floats), read
-    from the same flight as the cell.
+    from the same flight as the cell.  ``offsets`` enclose the cell's
+    ``(alpha, beta)`` measured from that point along ``d1`` and ``d2``.
     """
 
     x: Interval
@@ -392,7 +400,36 @@ class RigorousImage:
     state: IArray
     t: Interval
     dp: IArray | None
+    offsets: tuple[Interval, Interval]
     center: IArray | None = None
+
+
+def _enclose(q: Fraction) -> Interval:
+    """The tightest float interval holding a rational."""
+    f = float(q)
+    lo = f if Fraction(f) <= q else math.nextafter(f, -math.inf)
+    hi = f if Fraction(f) >= q else math.nextafter(f, math.inf)
+    return Interval(lo, hi)
+
+
+def _center_miss(origin: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+                 am: float, bm: float,
+                 center2: np.ndarray) -> tuple[Interval, Interval] | None:
+    """Enclose ``[d1 d2]^-1 (origin + am d1 + bm d2 - center2)`` exactly.
+
+    This is how far, along ``d1`` and ``d2``, the float sum ``center2``
+    misses the exact cell center.  None when the sum is exact: a zero-width
+    correction would still step the offsets out by an ulp.
+    """
+    o, u, s, c = ([Fraction(float(v)) for v in w] for w in (origin, d1, d2, center2))
+    e = [o[i] + Fraction(am) * u[i] + Fraction(bm) * s[i] - c[i] for i in range(2)]
+    if not any(e):
+        return None
+    det = u[0] * s[1] - s[0] * u[1]
+    if det == 0:
+        raise SingularityError("cell directions d1 and d2 are parallel")
+    return (_enclose((e[0] * s[1] - s[0] * e[1]) / det),
+            _enclose((u[0] * e[1] - e[0] * u[1]) / det))
 
 
 def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
@@ -403,11 +440,14 @@ def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
 
     The support ``{origin + alpha d1 + beta d2 : alpha in a, beta in b}`` is
     lifted as a graph ``c + da T1 + db T2 + res e_vy`` over the lift tangent
-    directions at the cell center, where ``res`` bounds the curvature of vy
-    by a mean-value form and the rounding of the float lift ``c``.  This
-    keeps both the parallelogram geometry and the (x, vx) <-> vy
-    correlation; nothing is boxed away.  ``0 in res``, so ``c`` lies in the
-    set, and so does the energy lift of the cell center, which with
+    directions at the cell center.  ``da`` and ``db`` are ``a - am`` and
+    ``b - bm`` shifted by the rounding of the float center sum (see
+    :func:`_center_miss`), so the set holds the exact cell; ``res`` bounds
+    the curvature of vy by a mean-value form and the rounding of the float
+    lift ``c``.  This keeps both the parallelogram geometry and the
+    (x, vx) <-> vy correlation; nothing is boxed away.  Zero lies in
+    ``da``, ``db`` and ``res``, so ``c`` lies in the set, and so does the
+    energy lift of the cell center, which with
     ``center_box`` the set also carries as its center box.  Returns the set
     and the interval lift tangent over the cell's (x, vx) bounds.
     """
@@ -423,8 +463,12 @@ def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
     t1 = np.array([d1[0], 0.0, d1[1], g1 * d1[0] + g2 * d1[1]])
     t2 = np.array([d2[0], 0.0, d2[1], g1 * d2[0] + g2 * d2[1]])
     frame = np.column_stack([t1, t2, [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    zero = Interval.point(0.0)
     da = a - am
     db = b - bm
+    miss = _center_miss(origin, d1, d2, am, bm, center2)
+    if miss is not None:
+        da, db = (da + miss[0]).hull(zero), (db + miss[1]).hull(zero)
     # mean-value residual: vy(p) - vy(c) - g . (p - c) = (grad vy(xi) - g) . (p - c)
     grad = lift_tangent_iv(params, x_iv, vx_iv, box4[3])
     ex = grad[3, 0] - g1
@@ -432,7 +476,6 @@ def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
     res = (ex * float(d1[0]) + ev * float(d1[1])) * da \
         + (ex * float(d2[0]) + ev * float(d2[1])) * db
     # the float lift misses the on-level vy of the center by a few ulps
-    zero = Interval.point(0.0)
     vy_off = lift_iv(params, Interval.point(center[0]), Interval.point(center[2]),
                      sign)[3] - center[3]
     # direct form as a cross-check, keep the intersection
@@ -483,7 +526,7 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
         dp = (proj @ jac) @ dt_cols
     return RigorousImage(
         x=final.state[0], vx=final.state[2], state=final.state,
-        t=final.t, dp=dp, center=final.center,
+        t=final.t, dp=dp, offsets=(lset.r[0], lset.r[1]), center=final.center,
     )
 
 

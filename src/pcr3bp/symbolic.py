@@ -397,7 +397,9 @@ def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
 
         g(a, b)  in  g(am, bm) + Dg(cell) (a - am, b - bm),
 
-    with ``g`` the map written source-local to target-local.  One flight of
+    with ``g`` the map written source-local to target-local and ``(am, bm)``
+    the cell center as the flight lifted it; the offsets are the ones the
+    flight reports, which hold the rounding of that center.  One flight of
     the cell gives all three: the set carries the cell center as its center
     box, and tracks the derivative.  The mean-value form keeps the image's
     coordinate correlations that a plain set flight loses to its final
@@ -411,7 +413,7 @@ def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
             inverse=inverse, want_derivative=True, want_center=True,
         )
         base_a, base_b = target.local_coords_iv(cell.center[0], cell.center[2])
-        da, db = a - a.mid, b - b.mid
+        da, db = cell.offsets
         lmat = target.frame_inverse @ (cell.dp @ IArray.from_point(source.frame))
         a_mv = base_a + lmat[0, 0] * da + lmat[0, 1] * db
         b_mv = base_b + lmat[1, 0] * da + lmat[1, 1] * db

@@ -1,31 +1,44 @@
-"""Trajectory sampling, mirror doubling and resonance labels of ``orbits``.
+"""Trajectories, resonance labels and the symmetric-orbit searches.
 
-These parts of the module run without the constructed h-sets; the
-symmetric-orbit searches and the chain verdicts need them and are not
-tested here.
+The searches run end to end on h-sets built in the eigen-frame of a
+Lyapunov fixed point, the frame the constructed sets are to use: H1 and
+H2 of radius 1e-4, centred on the L1 and L2 fixed points, with the
+unstable and stable directions as ``u`` and ``s``.  Both are
+reversal-symmetric, so their Fix(R) segments seed both searches, and the
+searches must find the Lyapunov orbits again.  The bundled sets, the
+constructed ones and the chain verdicts over them are not tested here.
 """
 
 import numpy as np
 import pytest
 
+from pcr3bp import orbits
 from pcr3bp.dynamics import Params
-from pcr3bp.errors import StructureError
+from pcr3bp.errors import SearchError, StructureError
+from pcr3bp.hset import HSet, fix_r_segment
 from pcr3bp.integrator import flow_point
 from pcr3bp.orbits import (
+    ResonanceLabel,
     Trajectory,
+    excursion_trajectory,
+    find_symmetric_homoclinic,
+    find_symmetric_periodic,
     mirror_double,
     resonance_from_counts,
+    resonance_of,
     sample_trajectory,
+    verify_backward_coding,
 )
-from pcr3bp.poincare import lift, lyapunov_fixed_point
+from pcr3bp.poincare import SectionPoint, lift
 
 P = Params()
+RADIUS = 1e-4  # of the Lyapunov-frame h-sets
 
 
 @pytest.fixture(scope="module")
-def lyapunov_half_arc():
+def lyapunov_half_arc(lyapunov_orbits):
     # the L1 Lyapunov orbit starts on Fix(R): y = 0 and x' = 0
-    orb = lyapunov_fixed_point(P, 1)
+    orb = lyapunov_orbits[1]
     state0 = lift(P, orb.point)
     return state0, 0.5 * orb.period, sample_trajectory(P, state0, 0.5 * orb.period, 257)
 
@@ -68,3 +81,117 @@ def test_trajectory_write_reloads_exactly(tmp_path, lyapunov_half_arc):
     assert np.array_equal(table[:, 1:], arc.states)
     reloaded = Trajectory(table[:, 0], table[:, 1:], P)
     assert len(reloaded) == len(arc) and reloaded.duration == arc.duration
+
+
+def test_resonance_of_counts_turns_and_radial_extrema():
+    # synthetic arcs around the heavy primary, sampled finely enough that
+    # no resampling is needed: two turns inside with five radial peaks
+    # (5:3), one turn outside with two radial valleys (2:3)
+    s = np.linspace(0.0, 1.0, 2049)
+    for turns, r, label in (
+        (2, 0.6 + 0.05 * np.cos(2 * np.pi * (5 * s - 0.5)), (5, 3, 2, 5)),
+        (1, 1.5 - 0.1 * np.cos(2 * np.pi * (2 * s - 0.5)), (2, 3, -1, 2)),
+    ):
+        phi = 2 * np.pi * turns * s
+        states = np.column_stack([r * np.cos(phi) - P.mu, r * np.sin(phi),
+                                  np.zeros_like(s), np.zeros_like(s)])
+        assert resonance_of(Trajectory(s, states, P)) == ResonanceLabel(*label)
+
+
+# ----------------------------------------------------------------------
+# symmetric-orbit searches on Lyapunov-frame h-sets
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def frame_sets(lyapunov_orbits):
+    sets = {}
+    for i, orb in lyapunov_orbits.items():
+        h = HSet(f"H{i}", orb.point.sign, [orb.point.x, orb.point.vx],
+                 RADIUS * orb.unstable_dir, RADIUS * orb.stable_dir)
+        sets[i] = {h.name: h}
+    return sets
+
+
+@pytest.fixture(scope="module")
+def periodic_orbits(frame_sets):
+    # one sign change lies along each segment; 16 samples bracket it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "PERIODIC_GRID", 16)
+        return {i: find_symmetric_periodic(P, (f"L{i}",), sets=frame_sets[i])
+                for i in (1, 2)}
+
+
+@pytest.fixture(scope="module")
+def homoclinic_orbits(frame_sets, lyapunov_orbits):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "HOMOCLINIC_GRID", 16)
+        # the search solves for its target fixed point; the shared
+        # fixture holds the same call's result
+        mp.setattr(orbits, "lyapunov_fixed_point",
+                   lambda params, index: lyapunov_orbits[index])
+        return {i: find_symmetric_homoclinic(P, (f"L{i}", f"L{i}"),
+                                             sets=frame_sets[i])
+                for i in (1, 2)}
+
+
+def test_periodic_search_finds_the_lyapunov_orbits(periodic_orbits,
+                                                   lyapunov_orbits, frame_sets):
+    for i in (1, 2):
+        orb, lyap = periodic_orbits[i], lyapunov_orbits[i]
+        h = frame_sets[i][f"H{i}"]
+        assert orb.word == (f"L{i}",)
+        assert abs(orb.seed.x - lyap.point.x) < 1e-12
+        assert orb.seed.vx == 0.0 and orb.seed.sign == lyap.point.sign
+        # one cyclic symbol flies a whole period, half of which is reported
+        assert abs(orb.period - lyap.period) < 1e-9
+        assert orb.closure_residual < 1e-10
+        assert orb.stage_points == (orb.terminal,)
+        assert h.contains(orb.terminal.x, orb.terminal.vx)
+
+
+def test_homoclinic_search_converges_onto_the_fixed_points(homoclinic_orbits,
+                                                           lyapunov_orbits):
+    # the fixed point lies on its own stable manifold: the search returns
+    # the trivial homoclinic orbit of each word
+    for i in (1, 2):
+        orb, lyap = homoclinic_orbits[i], lyapunov_orbits[i]
+        assert orb.word == (f"L{i}", f"L{i}") and orb.target_index == i
+        assert orb.target == lyap.point
+        assert abs(orb.seed.x - lyap.point.x) < 1e-12
+        assert orb.tail_depth >= 1 and orb.n_tail == orbits.N_TAIL
+        assert orb.multiplier == max(abs(m) for m in lyap.multipliers)
+        assert abs(orb.half_time - lyap.period) < 1e-9
+        assert orb.convergence_log and orb.convergence_log[0] < 1e-11
+
+
+def test_backward_coding_holds_only_at_the_symmetric_seed(periodic_orbits,
+                                                          frame_sets):
+    # off the fixed point the seed's stable part grows by the multiplier
+    # (about 1.4e3) under the backward return map and leaves R(H1)
+    sets = frame_sets[1]
+    assert verify_backward_coding(P, periodic_orbits[1].seed, ("L1",), sets=sets)
+    gamma = fix_r_segment(sets["H1"])
+    for a in (0.01, 0.5, 1.0):
+        point, _ = gamma(a)
+        seed = SectionPoint(float(point[0]), 0.0, 1)
+        assert not verify_backward_coding(P, seed, ("L1",), sets=sets)
+
+
+def test_excursion_of_the_trivial_homoclinic_is_refused(homoclinic_orbits,
+                                                        lyapunov_orbits,
+                                                        monkeypatch):
+    # the L1 "homoclinic" is the fixed point itself: its arc never leaves
+    # the Lyapunov orbit's radial band, so there is no excursion to cut
+    monkeypatch.setattr(orbits, "lyapunov_fixed_point",
+                        lambda params, index: lyapunov_orbits[index])
+    with pytest.raises(SearchError, match="starts inside the libration band"):
+        excursion_trajectory(P, homoclinic_orbits[1])
+
+
+def test_searches_refuse_a_start_set_off_the_symmetry_line(frame_sets):
+    h = frame_sets[1]["H1"]
+    skew = {"H1": HSet("H1", h.sign, h.center, h.u, 2.0 * h.s)}
+    for search in (find_symmetric_periodic, find_symmetric_homoclinic):
+        with pytest.raises(StructureError, match="not reversal-symmetric"):
+            search(P, ("L1", "L1"), sets=skew)

@@ -9,6 +9,7 @@ import pytest
 from pcr3bp import dynamics, hset, poincare as pc
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
 from pcr3bp.errors import DomainError
+from pcr3bp.integrator import PointFlow
 from pcr3bp.intervals import Interval
 
 P = Params(MU_SUN_JUPITER, JACOBI_OTERMA)
@@ -162,6 +163,17 @@ def test_domain_mismatch_raises():
 # ----------------------------------------------------------------------
 
 
+def test_point_crossings_do_not_refind_the_root_they_land_on():
+    # on these Fix(R) seeds near the L1 orbit the first landing leaves y at
+    # +8.7e-19, the sign of the side just left; the next step must not
+    # take that residue for a second crossing
+    for x in (0.9207986617591787, 0.9207696843897678):
+        flow = PointFlow(P, pc.lift(P, pc.SectionPoint(x, 0.0, 1)))
+        states, times = pc._drive_crossings(flow, [-1, 1], 1.0)
+        assert [int(np.sign(s[3])) for s in states] == [-1, 1]
+        assert times[1] - times[0] > 1.0  # half a turn apart
+
+
 def test_bisect_to_adjacent_floats_stops_evaluating():
     calls = []
 
@@ -286,6 +298,30 @@ def test_lifted_cell_contains_its_on_level_center():
     assert missed > 0  # the float lift is inexact somewhere
 
 
+def test_lifted_cells_hold_their_exact_corners():
+    # the float sum origin + am d1 + bm d2 rounds; the offsets must take
+    # that miss up, or the corners of subdivided cells fall outside the set
+    sets = {**hset.load_bundled("g_chain"), **hset.load_bundled("v_chain")}
+    whole = Interval(-1.0, 1.0)
+    for name in ("G0", "V3", "G3"):
+        h = sets[name]
+        o, d1, d2 = ([Fraction(float(v)) for v in w] for w in (h.center, h.u, h.s))
+        det = d1[0] * d2[1] - d2[0] * d1[1]
+        for a in whole.split(16):
+            lset, _ = pc._lifted_cell(P, h.center, h.u, h.s, a, whole, h.sign,
+                                      False)
+            # the set's (x, vx) are c + da d1 + db d2
+            c = (Fraction(lset.c[0]), Fraction(lset.c[2]))
+            for alpha in (a.lo, a.hi):
+                for beta in (whole.lo, whole.hi):
+                    e = [o[i] + Fraction(alpha) * d1[i] + Fraction(beta) * d2[i]
+                         - c[i] for i in range(2)]
+                    da = (e[0] * d2[1] - d2[0] * e[1]) / det
+                    db = (d1[0] * e[1] - e[0] * d1[1]) / det
+                    assert Fraction(lset.r[0].lo) <= da <= Fraction(lset.r[0].hi)
+                    assert Fraction(lset.r[1].lo) <= db <= Fraction(lset.r[1].hi)
+
+
 def test_rigorous_inverse_contains_preimage():
     img, _ = pc.apply_map(P, pc.HALF_PLUS, BASE)
     rig = pc.apply_chain_rigorous(
@@ -317,19 +353,14 @@ def test_rigorous_composite_word():
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def orbits():
-    return {i: pc.lyapunov_fixed_point(P, i) for i in (1, 2)}
+def test_lyapunov_frozen_positions(lyapunov_orbits):
+    assert lyapunov_orbits[1].point.x == pytest.approx(0.920803491320747, abs=1e-9)
+    assert lyapunov_orbits[2].point.x == pytest.approx(1.081929486841790, abs=1e-9)
 
 
-def test_lyapunov_frozen_positions(orbits):
-    assert orbits[1].point.x == pytest.approx(0.920803491320747, abs=1e-9)
-    assert orbits[2].point.x == pytest.approx(1.081929486841790, abs=1e-9)
-
-
-def test_lyapunov_fixed_point_quality(orbits):
+def test_lyapunov_fixed_point_quality(lyapunov_orbits):
     for i, full in ((1, pc.FULL_PLUS), (2, pc.FULL_MINUS)):
-        orb = orbits[i]
+        orb = lyapunov_orbits[i]
         assert orb.residual < 1e-11
         assert abs(orb.point.vx) < 1e-12  # sits on the symmetry line
         img, t = pc.apply_map(P, full, orb.point)
@@ -337,25 +368,25 @@ def test_lyapunov_fixed_point_quality(orbits):
         assert t == pytest.approx(orb.period, abs=1e-9)
 
 
-def test_lyapunov_multipliers(orbits):
+def test_lyapunov_multipliers(lyapunov_orbits):
     for i in (1, 2):
-        lam_u, lam_s = orbits[i].multipliers
+        lam_u, lam_s = lyapunov_orbits[i].multipliers
         assert lam_u > 100.0
         assert abs(lam_u * lam_s - 1.0) < 1e-8
 
 
-def test_lyapunov_eigenvector_symmetry(orbits):
+def test_lyapunov_eigenvector_symmetry(lyapunov_orbits):
     # the reversal maps the unstable direction to the stable one
     for i in (1, 2):
-        orb = orbits[i]
+        orb = lyapunov_orbits[i]
         r_u = np.array([orb.unstable_dir[0], -orb.unstable_dir[1]])
         cross = abs(r_u[0] * orb.stable_dir[1] - r_u[1] * orb.stable_dir[0])
         assert cross < 1e-7
 
 
-def test_lyapunov_periods(orbits):
-    assert orbits[1].period == pytest.approx(3.082119126392, abs=1e-8)
-    assert orbits[2].period == pytest.approx(3.310671457571, abs=1e-8)
+def test_lyapunov_periods(lyapunov_orbits):
+    assert lyapunov_orbits[1].period == pytest.approx(3.082119126392, abs=1e-8)
+    assert lyapunov_orbits[2].period == pytest.approx(3.310671457571, abs=1e-8)
 
 
 def test_lyapunov_polish_stops_when_the_residual_stops_decreasing(monkeypatch):
