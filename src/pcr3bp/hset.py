@@ -51,7 +51,7 @@ from __future__ import annotations
 import configparser
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Iterable
 
@@ -62,17 +62,14 @@ from .intervals import IArray, Interval, _point_inverse
 
 __all__ = [
     "HSet",
-    "swap_uv",
     "r_image",
     "is_r_symmetric",
     "fix_r_segment",
     "CoverReport",
     "MapEnclosure",
     "check_cover",
-    "check_backcover",
     "check_cover_pointwise",
     "cone_condition",
-    "cone_expansion",
     "load_bundled",
     "read_hset_file",
     "write_hset_file",
@@ -141,11 +138,6 @@ class HSet:
             f"HSet({self.name!r}, Theta_{side}, c={tuple(self.center)}, "
             f"u={tuple(self.u)}, s={tuple(self.s)})"
         )
-
-
-def swap_uv(h: HSet) -> HSet:
-    """The same support with the roles of ``u`` and ``s`` exchanged."""
-    return replace(h, u=h.s.copy(), s=h.u.copy())
 
 
 def r_image(h: HSet) -> HSet:
@@ -535,22 +527,6 @@ def _report(tally: _Tally, grid, outcome, margin, message) -> CoverReport:
     )
 
 
-def check_backcover(inverse_map_fn: MapEnclosure, source: HSet, target: HSet,
-                    grid: tuple[int, int] = (32, 2),
-                    max_grid: tuple[int, int] = (512, 16)) -> CoverReport:
-    """Verify that ``source`` f-backcovers ``target``.
-
-    Backcovering under ``f`` is covering under ``f^{-1}`` with the roles
-    of the expanding and contracting directions exchanged on both sets:
-    ``inverse_map_fn`` must evaluate ``f^{-1}`` on cells of ``target``
-    given in ``swap_uv(target)``-local coordinates and return image
-    enclosures in ``swap_uv(source)``-local coordinates.
-    """
-    return check_cover(
-        inverse_map_fn, swap_uv(target), swap_uv(source), grid, max_grid
-    )
-
-
 def check_cover_pointwise(point_map, source: HSet, target: HSet,
                           samples: int = 10_000,
                           seed: int = 0) -> CoverReport:
@@ -649,27 +625,6 @@ def cone_condition(dp_local: IArray, lam: float = 1.0) -> bool:
         return False
     det = s11 * s22 - s12.sqr()
     return det.lo > 0.0
-
-
-def cone_expansion(dp_local: IArray, lam_max: float = 1e16) -> float:
-    """Certified expansion factor ``sqrt(max lam)`` of the cone condition.
-
-    Returns 0.0 when the condition already fails at ``lam = 1``.
-    """
-    if not cone_condition(dp_local, 1.0):
-        return 0.0
-    lo, hi = 1.0, 2.0
-    while hi < lam_max and cone_condition(dp_local, hi):
-        lo, hi = hi, hi * hi
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if cone_condition(dp_local, mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-12:
-            break
-    return math.sqrt(lo)
 
 
 # ----------------------------------------------------------------------

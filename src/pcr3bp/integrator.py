@@ -561,13 +561,12 @@ def lohner_section_crossings(
     params: Params,
     lset: LohnerSet,
     signs: list[int],
-    direction: float = 1.0,
     want_jacobian: bool = False,
 ):
-    """Flow a set through successive ``y = 0`` crossings with given vy signs.
+    """Flow a set forward through ``y = 0`` crossings with given vy signs.
 
     ``signs`` lists the required sign of ``vy`` at each awaited crossing, in
-    integration order.  Returns ``(crossings, jac)`` where ``jac`` (when
+    the order they are met.  Returns ``(crossings, jac)`` where ``jac`` (when
     requested) encloses the derivative of the flow-to-final-crossing map,
     i.e. ``Dphi(t*(p), p)`` for every initial point ``p`` — the caller adds
     the section projection and lift factors.  When the set carries a center
@@ -594,7 +593,7 @@ def lohner_section_crossings(
             raise HorizonError(
                 f"no section crossing within the time horizon {MAX_TIME}"
             )
-        rec = flow.attempt_step(direction, h_cap=h_cap)
+        rec = flow.attempt_step(1.0, h_cap=h_cap)
         t_end = abs(rec.t0 + rec.h)
         if t_end < MIN_TIME:
             flow.commit(rec)

@@ -68,7 +68,7 @@ from .errors import (
     SearchError,
     StructureError,
 )
-from .hset import HSet, check_cover, fix_r_segment, is_r_symmetric, r_image
+from .hset import HSet, check_cover, fix_r_segment, is_r_symmetric
 from .integrator import PointFlow, flow_point
 from .poincare import (
     FULL_MINUS,
@@ -79,10 +79,10 @@ from .poincare import (
     apply_chain,
     lift,
     lyapunov_fixed_point,
+    reflect,
 )
 from .symbolic import (
     Stage,
-    mirror_tag,
     resolve_stage_set,
     section_map,
     standard_sets,
@@ -402,12 +402,7 @@ class SymmetricPeriodicOrbit:
 
 
 def _word_setup(word: Sequence[str], sets: Mapping[str, HSet] | None):
-    """Common search scaffolding for a word.
-
-    Returns the word, the sets, the start set, the stages and the seed
-    line ``a -> SectionPoint`` along the start set's Fix(R) segment
-    (``a`` in [-1, 1] joins two opposite corners).
-    """
+    """The word, the sets, the word's start set and its stages."""
     word = tuple(word)
     if sets is None:
         sets = standard_sets()
@@ -416,9 +411,18 @@ def _word_setup(word: Sequence[str], sets: Mapping[str, HSet] | None):
         start = sets[start_name]
     except KeyError:
         raise StructureError(f"start set {start_name!r} is not loaded") from None
+    return word, sets, start, stages
+
+
+def _seed_line(start: HSet):
+    """Seed line ``a -> SectionPoint`` along the Fix(R) segment of a set.
+
+    ``a`` in [-1, 1] joins two opposite corners.  A set that is not
+    reversal-symmetric has no such segment and raises StructureError.
+    """
     if not is_r_symmetric(start):
         raise StructureError(
-            f"start set {start_name} is not reversal-symmetric; "
+            f"start set {start.name} is not reversal-symmetric; "
             "fixed-set iteration has no seed segment"
         )
     gamma = fix_r_segment(start)
@@ -427,7 +431,7 @@ def _word_setup(word: Sequence[str], sets: Mapping[str, HSet] | None):
         point, _ = gamma(a)
         return SectionPoint(float(point[0]), 0.0, start.sign)
 
-    return word, sets, start, stages, seed_at
+    return seed_at
 
 
 def _stage_walk(params: Params, seed: SectionPoint, stages: Sequence[Stage],
@@ -472,7 +476,8 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
     roots are rejected unless every staged image lands in its registered
     h-set (within ``SLACK`` in local coordinates).
     """
-    word, sets, start, stages, seed_at = _word_setup(word, sets)
+    word, sets, start, stages = _word_setup(word, sets)
+    seed_at = _seed_line(start)
     terminal_set = resolve_stage_set(stages[-1], sets)
     if not is_r_symmetric(terminal_set):
         raise StructureError(
@@ -527,32 +532,20 @@ def verify_backward_coding(params: Params, seed: SectionPoint,
                            sets: Mapping[str, HSet] | None = None) -> bool:
     """Check that the backward orbit of ``seed`` realizes the mirrored word.
 
-    The reversal conjugates each section map to the inverse of its mirror,
-    so the backward images of a symmetric seed must visit the reversal
-    images of the word's target sets in order (within ``SLACK``).  Stages
+    Backward, each stage applies the inverse of its map's mirror and must
+    land in the reversal image of its target set (within ``SLACK``).  The
+    reversal conjugates each section map to the inverse of its mirror,
+    ``R P R = P_mirror^{-1}``, so that backward orbit is the reversal of the
+    forward stage walk of ``R(seed)``, and the check is that walk.  Stages
     without a registered target are flown but not checked.  Returns False
-    on the first escape (logged at INFO level).
+    on the first escape or failed flight (logged at INFO level).
     """
-    word, sets, _, stages, _ = _word_setup(word, sets)
-    pt = seed
-    for k, stage in enumerate(stages):
-        try:
-            pt, _ = apply_chain(params, [mirror_tag(stage.tag)], pt,
-                                inverse=True)
-        except PCR3BPError as exc:
-            log.info("backward coding of %s: stage %d flight failed: %s",
-                     word, k, exc)
-            return False
-        if stage.target is None:
-            continue
-        hs = r_image(resolve_stage_set(stage, sets))
-        if not hs.contains(pt.x, pt.vx, slack=SLACK):
-            a, b = hs.local_coords(pt.x, pt.vx)
-            log.info(
-                "backward coding of %s: stage %d image escapes %s "
-                "(local a=%.3g, b=%.3g)", word, k, hs.name, a, b,
-            )
-            return False
+    word, sets, _, stages = _word_setup(word, sets)
+    walk = _stage_walk(params, reflect(seed), stages, sets)
+    if isinstance(walk, str):
+        log.info("backward coding of %s, walking the reflected seed: %s",
+                 word, walk)
+        return False
     return True
 
 
@@ -598,7 +591,8 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     up to ``N_TAIL``; when a level's bracket collapses to the floating
     point grid the search stops early and reports the achieved depth.
     """
-    word, sets, start, stages, seed_at = _word_setup(word, sets)
+    word, sets, start, stages = _word_setup(word, sets)
+    seed_at = _seed_line(start)
     if word[-1] not in ("L1", "L2"):
         raise DomainError(
             f"homoclinic words must end in a libration symbol, got {word[-1]!r}"
@@ -817,7 +811,7 @@ def rigorous_chain_verdict(params: Params, word: Sequence[str], *,
     inconclusive at sane grids — the composite expansion outruns the
     subdivision budget — and are reported individually.
     """
-    word, sets, start, stages, _ = _word_setup(word, sets)
+    word, sets, start, stages = _word_setup(word, sets)
     relations = []
     source_name, source = start.name, start
     pending: list = []

@@ -17,7 +17,14 @@ name       domain -> image      crossings (vy signs)
 Consecutive transversal crossings alternate the sign of ``vy``, so the
 full-return maps factor through the half maps: ``P+ = Ph- o Ph+`` and
 ``P- = Ph+ o Ph-``.  The reversing symmetry ``R(x, vx) = (x, -vx)`` fixes
-each section side and conjugates ``Ph+`` with the inverse of ``Ph-``.
+each section side and conjugates each map to the inverse of its mirror,
+
+    R P R = P_mirror^{-1},
+
+where the half maps ``Ph+`` and ``Ph-`` mirror each other and each full
+map is its own mirror.  So the maps here fly forward in time only: the
+backward image of a point ``q`` under a map is ``R`` of the forward image
+of ``R q`` under its mirror, and no inverse map is needed.
 
 Composite words of these maps are applied either in point mode (float
 states, Newton event refinement on the dense Taylor polynomial) or in
@@ -61,11 +68,9 @@ __all__ = [
     "reflect",
     "apply_map",
     "apply_chain",
-    "map_derivative",
     "chain_derivative",
     "RigorousImage",
     "apply_parallelogram_rigorous",
-    "apply_chain_rigorous",
     "LyapunovOrbit",
     "lyapunov_fixed_point",
 ]
@@ -89,27 +94,11 @@ class MapTag:
 
     name: str
     domain_sign: int
-    signs: tuple[int, ...]
+    signs: tuple[int, ...]  # vy signs of the successive crossings
 
     @property
     def image_sign(self) -> int:
         return self.signs[-1]
-
-    def domain(self, inverse: bool = False) -> int:
-        return self.image_sign if inverse else self.domain_sign
-
-    def image(self, inverse: bool = False) -> int:
-        return self.domain_sign if inverse else self.image_sign
-
-    def crossing_signs(self, inverse: bool = False) -> tuple[int, ...]:
-        """vy signs of successive crossings in integration order.
-
-        Backward integration retraces the forward crossings in reverse,
-        ending on the domain section.
-        """
-        if not inverse:
-            return self.signs
-        return tuple(reversed((self.domain_sign,) + self.signs[:-1]))
 
     def __str__(self) -> str:
         return self.name
@@ -207,8 +196,8 @@ def reflect(pt: SectionPoint) -> SectionPoint:
 # ----------------------------------------------------------------------
 
 
-def _drive_crossings(flow: PointFlow, signs: Sequence[int], direction: float):
-    """Flow a point flow through successive section crossings.
+def _drive_crossings(flow: PointFlow, signs: Sequence[int]):
+    """Flow a point flow forward through successive section crossings.
 
     Returns ``(crossing_states, crossing_times)``; the flow is left
     standing exactly on the final crossing.
@@ -217,14 +206,14 @@ def _drive_crossings(flow: PointFlow, signs: Sequence[int], direction: float):
     found_times: list[float] = []
     prev_y = flow.state[1]
     while len(found_states) < len(signs):
-        if abs(flow.t) > integrator.MAX_TIME:
+        if flow.t > integrator.MAX_TIME:
             raise IntegrationError(
                 f"no section crossing within the time horizon {integrator.MAX_TIME}"
             )
-        rec = flow.step(direction)
+        rec = flow.step()
         y_new = flow.state[1]
         crossed = prev_y * y_new < 0.0 or (y_new == 0.0 and prev_y != 0.0)
-        if crossed and abs(flow.t) >= integrator.MIN_TIME:
+        if crossed and flow.t >= integrator.MIN_TIME:
             tau = _refine_root(rec, prev_y)
             flow.rewind_to(rec, tau)
             s = flow.state
@@ -244,7 +233,7 @@ def _drive_crossings(flow: PointFlow, signs: Sequence[int], direction: float):
             # arm on the side the flow enters: the landed y is a rounding
             # residue that may keep the sign of the side just left, and
             # armed on it the next step would find this root again
-            prev_y = got * direction
+            prev_y = got
         else:
             prev_y = y_new
     return found_states, found_times
@@ -276,12 +265,11 @@ def _refine_root(rec, y_start: float) -> float:
     return tau
 
 
-def _chain_to_signs(tags: Sequence[MapTag], inverse: bool,
-                    side: int | None = None) -> tuple[list[int], int, float]:
-    """Crossing-sign sequence, required domain sign and time direction.
+def _chain_to_signs(tags: Sequence[MapTag], side: int) -> list[int]:
+    """Crossing-sign sequence of a composite, in application order.
 
     Raises if the composite does not compose or if ``side``, the section
-    side of the argument, is given and is not the composite's domain.
+    side of the argument, is not the composite's domain.
     """
     if not tags:
         raise DomainError("empty map sequence")
@@ -290,36 +278,31 @@ def _chain_to_signs(tags: Sequence[MapTag], inverse: bool,
             raise DomainError(
                 f"maps {a.name} and {b.name} do not compose on the section"
             )
-    if not inverse:
-        signs = [s for t in tags for s in t.crossing_signs(False)]
-        dom, direction = tags[0].domain(False), 1.0
-    else:
-        signs = [s for t in reversed(tags) for s in t.crossing_signs(True)]
-        dom, direction = tags[-1].domain(True), -1.0
-    if side is not None and side != dom:
+    if side != tags[0].domain_sign:
         raise DomainError(
-            f"section side {side} is not the domain (sign {dom}) of the composite"
+            f"section side {side} is not the domain "
+            f"(sign {tags[0].domain_sign}) of the composite"
         )
-    return signs, dom, direction
+    return [s for t in tags for s in t.signs]
 
 
-def apply_chain(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
-                inverse: bool = False) -> tuple[SectionPoint, float]:
+def apply_chain(params: Params, tags: Sequence[MapTag],
+                pt: SectionPoint) -> tuple[SectionPoint, float]:
     """Apply a composition of elementary maps to a section point.
 
     ``tags`` are listed in application order (first applied first).  Returns
-    the image point and the signed flight time.
+    the image point and the flight time.
     """
-    signs, _, direction = _chain_to_signs(tags, inverse, pt.sign)
+    signs = _chain_to_signs(tags, pt.sign)
     flow = PointFlow(params, lift(params, pt))
-    states, times = _drive_crossings(flow, signs, direction)
+    states, times = _drive_crossings(flow, signs)
     return project(states[-1]), times[-1]
 
 
-def apply_map(params: Params, tag: MapTag, pt: SectionPoint,
-              inverse: bool = False) -> tuple[SectionPoint, float]:
+def apply_map(params: Params, tag: MapTag,
+              pt: SectionPoint) -> tuple[SectionPoint, float]:
     """Apply one elementary map (see :func:`apply_chain`)."""
-    return apply_chain(params, [tag], pt, inverse)
+    return apply_chain(params, [tag], pt)
 
 
 # ----------------------------------------------------------------------
@@ -351,19 +334,18 @@ def apply_map(params: Params, tag: MapTag, pt: SectionPoint,
 # final crossing suffices.
 
 
-def chain_derivative(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
-                     inverse: bool = False):
+def chain_derivative(params: Params, tags: Sequence[MapTag], pt: SectionPoint):
     """Derivative of a composite map at a point.
 
     Returns ``(dp, image, t)`` with ``dp`` the 2x2 derivative in section
     coordinates, computed as ``pi (I - f e_y^T / vy) Dphi DT`` (see the
     derivation above).
     """
-    signs, _, direction = _chain_to_signs(tags, inverse, pt.sign)
+    signs = _chain_to_signs(tags, pt.sign)
     state = lift(params, pt)
     dt_cols = lift_tangent(params, state)
     flow = PointFlow(params, state, variational=True)
-    states, times = _drive_crossings(flow, signs, direction)
+    states, times = _drive_crossings(flow, signs)
     q = states[-1]
     dphi = flow.v
     f_q = dynamics.vector_field(params, q)
@@ -371,12 +353,6 @@ def chain_derivative(params: Params, tags: Sequence[MapTag], pt: SectionPoint,
     full = corr @ dphi @ dt_cols
     dp = full[[0, 2], :]
     return dp, project(q), times[-1]
-
-
-def map_derivative(params: Params, tag: MapTag, pt: SectionPoint,
-                   inverse: bool = False):
-    """Derivative of one elementary map (see :func:`chain_derivative`)."""
-    return chain_derivative(params, [tag], pt, inverse)
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +466,6 @@ def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
 def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
                                  origin, d1, d2, a: Interval, b: Interval,
                                  sign: int,
-                                 inverse: bool = False,
                                  want_derivative: bool = False,
                                  want_center: bool = False) -> RigorousImage:
     """Rigorous image of a section parallelogram under a composite map.
@@ -507,11 +482,11 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
     origin = np.asarray(origin, dtype=np.float64)
     d1 = np.asarray(d1, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
-    signs, _, direction = _chain_to_signs(tags, inverse, sign)
+    signs = _chain_to_signs(tags, sign)
     lset, dt_cols = _lifted_cell(params, origin, d1, d2, a, b, sign,
                                  want_derivative, want_center)
     crossings, jac = lohner_section_crossings(
-        params, lset, signs, direction, want_jacobian=want_derivative
+        params, lset, signs, want_jacobian=want_derivative
     )
     final = crossings[-1]
     dp = None
@@ -527,30 +502,6 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
     return RigorousImage(
         x=final.state[0], vx=final.state[2], state=final.state,
         t=final.t, dp=dp, offsets=(lset.r[0], lset.r[1]), center=final.center,
-    )
-
-
-def apply_chain_rigorous(params: Params, tags: Sequence[MapTag],
-                         x: Interval, vx: Interval,
-                         inverse: bool = False,
-                         want_derivative: bool = False) -> RigorousImage:
-    """Rigorous image of an axis-aligned section box under a composite map.
-
-    Convenience wrapper over :func:`apply_parallelogram_rigorous` with the
-    coordinate directions as the cell frame; the section side is inferred
-    from the composite's domain.
-    """
-    signs_dom = _chain_to_signs(tags, inverse)[1]
-    return apply_parallelogram_rigorous(
-        params, tags,
-        origin=np.array([x.mid, vx.mid]),
-        d1=np.array([1.0, 0.0]),
-        d2=np.array([0.0, 1.0]),
-        a=x - x.mid,
-        b=vx - vx.mid,
-        sign=signs_dom,
-        inverse=inverse,
-        want_derivative=want_derivative,
     )
 
 

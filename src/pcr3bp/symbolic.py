@@ -40,11 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .dynamics import Params
 from .errors import RegistryError
-from .hset import HSet, MapEnclosure, load_bundled, r_image, swap_uv
+from .hset import HSet, MapEnclosure, load_bundled, r_image
 from .intervals import IArray, Interval
 from .poincare import (
     FULL_MINUS,
@@ -55,7 +53,6 @@ from .poincare import (
     SectionPoint,
     apply_chain,
     apply_parallelogram_rigorous,
-    chain_derivative,
 )
 
 __all__ = [
@@ -76,9 +73,7 @@ __all__ = [
     "resolve_stage_set",
     "section_map",
     "section_point_map",
-    "inverse_section_map",
     "local_derivative",
-    "point_local_derivative",
 ]
 
 Symbol = str
@@ -270,12 +265,12 @@ def _validate_table(table: Mapping[tuple[Symbol, Symbol], Transition]) -> None:
     for (alpha, beta), tr in table.items():
         side = SYMBOL_SIDES[alpha]
         for stage in tr.stages:
-            if stage.tag.domain() != side:
+            if stage.tag.domain_sign != side:
                 raise RegistryError(
                     f"transition {alpha}->{beta}: {stage.tag.name} applied "
                     f"on section side {side}"
                 )
-            side = stage.tag.image()
+            side = stage.tag.image_sign
         if side != SYMBOL_SIDES[beta]:
             raise RegistryError(
                 f"transition {alpha}->{beta}: recipe lands on side {side}, "
@@ -336,7 +331,7 @@ def word_stages(word: Sequence[Symbol],
     stages: list[Stage] = []
     for alpha, beta in pairs:
         tr = transition(alpha, beta)
-        if stages and stages[-1].tag.image() != tr.tags[0].domain():
+        if stages and stages[-1].tag.image_sign != tr.tags[0].domain_sign:
             raise RegistryError(
                 f"recipes of ...{alpha} and {alpha}->{beta} do not compose"
             )
@@ -386,7 +381,7 @@ def resolve_stage_set(stage: Stage, sets: Mapping[str, HSet]) -> HSet:
 
 
 def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
-                target: HSet, inverse: bool = False) -> MapEnclosure:
+                target: HSet) -> MapEnclosure:
     """Rigorous covering-check map for a composite of elementary maps.
 
     The returned callable takes source-local (a, b) interval cells,
@@ -410,7 +405,7 @@ def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
     def map_fn(a: Interval, b: Interval):
         cell = apply_parallelogram_rigorous(
             params, tags, source.center, source.u, source.s, a, b, source.sign,
-            inverse=inverse, want_derivative=True, want_center=True,
+            want_derivative=True, want_center=True,
         )
         base_a, base_b = target.local_coords_iv(cell.center[0], cell.center[2])
         da, db = cell.offsets
@@ -423,36 +418,21 @@ def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
     return map_fn
 
 
-def inverse_section_map(params: Params, tags: Sequence[MapTag], source: HSet,
-                        target: HSet) -> MapEnclosure:
-    """Rigorous backcovering-check map for a composite of elementary maps.
-
-    Evaluates the inverse composite on ``swap_uv(target)``-local cells and
-    returns ``swap_uv(source)``-local enclosures, as
-    :func:`~pcr3bp.hset.check_backcover` expects for the relation
-    "``source`` backcovers ``target``" under the forward composite.
-    """
-    return section_map(params, tags, swap_uv(target), swap_uv(source), inverse=True)
-
-
 def section_point_map(params: Params, tags: Sequence[MapTag], source: HSet,
-                      target: HSet, inverse: bool = False) -> Callable:
+                      target: HSet) -> Callable:
     """Point-mode counterpart of :func:`section_map` (degraded screens)."""
 
     def point_map(a: float, b: float):
         pt = source.corner_point(a, b)
         img, _ = apply_chain(
-            params, tags, SectionPoint(float(pt[0]), float(pt[1]), source.sign),
-            inverse=inverse,
-        )
+            params, tags, SectionPoint(float(pt[0]), float(pt[1]), source.sign))
         return target.local_coords(img.x, img.vx)
 
     return point_map
 
 
 def local_derivative(params: Params, tags: Sequence[MapTag], source: HSet,
-                     target: HSet, a: Interval, b: Interval,
-                     inverse: bool = False) -> IArray:
+                     target: HSet, a: Interval, b: Interval) -> IArray:
     """Interval derivative of a composite in h-set local coordinates.
 
     Returns ``[u_M s_M]^{-1} DP [u_N s_N]`` over the given source cell,
@@ -460,20 +440,8 @@ def local_derivative(params: Params, tags: Sequence[MapTag], source: HSet,
     """
     img = apply_parallelogram_rigorous(
         params, tags, source.center, source.u, source.s, a, b, source.sign,
-        inverse=inverse, want_derivative=True,
+        want_derivative=True,
     )
     dp_frame = img.dp @ IArray.from_point(source.frame)
     return target.frame_inverse @ dp_frame
 
-
-def point_local_derivative(params: Params, tags: Sequence[MapTag],
-                           source: HSet, target: HSet, a: float, b: float,
-                           inverse: bool = False):
-    """Point-mode local-coordinate derivative (non-rigorous counterpart)."""
-    pt = source.corner_point(a, b)
-    dp, img, _ = chain_derivative(
-        params, tags, SectionPoint(float(pt[0]), float(pt[1]), source.sign),
-        inverse=inverse,
-    )
-    local = np.linalg.solve(target.frame, dp @ source.frame)
-    return local, img

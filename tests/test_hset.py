@@ -16,17 +16,14 @@ from pcr3bp.dynamics import MU_SUN_JUPITER
 from pcr3bp.errors import DomainError, StructureError
 from pcr3bp.hset import (
     HSet,
-    check_backcover,
     check_cover,
     check_cover_pointwise,
     cone_condition,
-    cone_expansion,
     fix_r_segment,
     is_r_symmetric,
     load_bundled,
     r_image,
     read_hset_file,
-    swap_uv,
     write_hset_file,
 )
 from pcr3bp.intervals import IArray, Interval
@@ -113,14 +110,7 @@ def test_frame_inverse_is_made_once_and_encloses_the_inverse():
     with pytest.raises(StructureError):
         z.frame_inverse
     # a set made from another does not inherit its cached inverse
-    assert swap_uv(h).frame_inverse is not inv
-
-
-def test_swap_uv_involution():
-    h = HSet("T", -1, (0.1, 0.2), (1.0, 2.0), (3.0, 4.0))
-    hh = swap_uv(swap_uv(h))
-    assert np.array_equal(hh.u, h.u) and np.array_equal(hh.s, h.s)
-    assert swap_uv(h).u[0] == 3.0
+    assert r_image(h).frame_inverse is not inv
 
 
 def test_r_image_involution_and_geometry():
@@ -195,20 +185,6 @@ def test_toy_hyperbolic_cover_verified_with_exact_margin():
     assert rep.verified and rep.outcome == "verified"
     assert rep.margin == pytest.approx(2.0, abs=1e-12)
     assert rep.stable_clearance == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-
-def test_toy_backcover_via_inverse_map():
-    # f(a, b) = (3a, b/3) on aligned unit frames, so f^{-1} = (a/3, 3b).
-    # The checker hands the adapter swap_uv(M)-local cells (alpha, beta),
-    # i.e. M-local (beta, alpha), and expects swap_uv(N)-local images.
-    def finv(alpha, beta):
-        a_m, b_m = beta, alpha
-        a_n, b_n = a_m * (1.0 / 3.0), b_m * 3.0
-        return b_n, a_n
-
-    rep = check_backcover(finv, UNIT_N, UNIT_M, grid=(4, 2))
-    assert rep.verified
-    assert rep.margin == pytest.approx(2.0, abs=1e-12)
 
 
 def test_toy_contraction_is_falsified():
@@ -481,26 +457,11 @@ def test_cone_condition_diagonal_hyperbolic():
     assert not cone_condition(dp, 10.0)
 
 
-def test_cone_expansion_diagonal():
-    dp = IArray.from_point(np.array([[3.0, 0.0], [0.0, 1.0 / 3.0]]))
-    assert cone_expansion(dp) == pytest.approx(3.0, abs=1e-6)
-
-
 def test_cone_condition_rotation_fails():
     th = np.pi / 4
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     dp = IArray.from_point(rot)
     assert not cone_condition(dp, 1.0)
-    assert cone_expansion(dp) == 0.0
-
-
-def test_cone_expansion_wide_enclosure_is_conservative():
-    lo = np.array([[2.9, -0.05], [-0.05, 0.30]])
-    hi = np.array([[3.1, 0.05], [0.05, 0.36]])
-    dp = IArray(lo, hi)
-    assert cone_condition(dp, 1.0)
-    exp = cone_expansion(dp)
-    assert 0.0 < exp < 3.0  # must not exceed the best point value inside
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from pcr3bp.orbits import (
     mirror_double,
     resonance_from_counts,
     resonance_of,
+    rigorous_chain_verdict,
     sample_trajectory,
     verify_backward_coding,
 )
@@ -178,6 +179,20 @@ def test_backward_coding_holds_only_at_the_symmetric_seed(periodic_orbits,
         assert not verify_backward_coding(P, seed, ("L1",), sets=sets)
 
 
+def test_backward_coding_off_the_symmetry_line(frame_sets):
+    # R(c + a u) = c + a R(u) lies on the stable line, since R(u) = +-s, so
+    # the seeds c +- 0.5 u code backward as the word; R(c + 0.5 s) lies on
+    # the unstable line, and its forward images leave H1
+    sets = frame_sets[1]
+    h = sets["H1"]
+    for word in (("L1",), ("L1", "L1")):
+        for a, b, expected in ((0.5, 0.0, True), (-0.5, 0.0, True),
+                               (0.0, 0.5, False)):
+            x, vx = h.corner_point(a, b)
+            seed = SectionPoint(float(x), float(vx), h.sign)
+            assert verify_backward_coding(P, seed, word, sets=sets) is expected
+
+
 def test_excursion_of_the_trivial_homoclinic_is_refused(homoclinic_orbits,
                                                         lyapunov_orbits,
                                                         monkeypatch):
@@ -195,3 +210,16 @@ def test_searches_refuse_a_start_set_off_the_symmetry_line(frame_sets):
     for search in (find_symmetric_periodic, find_symmetric_homoclinic):
         with pytest.raises(StructureError, match="not reversal-symmetric"):
             search(P, ("L1", "L1"), sets=skew)
+
+
+def test_chain_verdict_reports_an_asymmetric_start_set(frame_sets):
+    # the verdict runs the covers and reports the asymmetry, where the
+    # searches refuse the set
+    h = frame_sets[1]["H1"]
+    skew = {"H1": HSet("H1", h.sign, h.center, h.u, 2.0 * h.s)}
+    verdict = rigorous_chain_verdict(P, ("L1",), grid=(1, 1), max_grid=(1, 1),
+                                     sets=skew)
+    assert len(verdict.relations) == 1
+    assert verdict.start_symmetric is False
+    assert verdict.end_symmetric is False
+    assert verdict.verdict != "verified"

@@ -40,19 +40,10 @@ def section_samples(n, seed=11):
 
 
 def test_tag_signatures():
-    assert pc.HALF_PLUS.crossing_signs() == (-1,)
-    assert pc.HALF_MINUS.crossing_signs() == (1,)
-    assert pc.FULL_PLUS.crossing_signs() == (-1, 1)
-    assert pc.FULL_MINUS.crossing_signs() == (1, -1)
-
-
-def test_tag_inverse_signatures():
-    # backward integration retraces crossings in reverse, ending on the
-    # domain section
-    assert pc.HALF_PLUS.crossing_signs(inverse=True) == (1,)
-    assert pc.HALF_MINUS.crossing_signs(inverse=True) == (-1,)
-    assert pc.FULL_PLUS.crossing_signs(inverse=True) == (-1, 1)
-    assert pc.FULL_MINUS.crossing_signs(inverse=True) == (1, -1)
+    assert pc.HALF_PLUS.signs == (-1,)
+    assert pc.HALF_MINUS.signs == (1,)
+    assert pc.FULL_PLUS.signs == (-1, 1)
+    assert pc.FULL_MINUS.signs == (1, -1)
 
 
 def test_tag_domains_compose():
@@ -115,22 +106,21 @@ def test_full_map_is_the_half_map_composition():
     assert t_full == pytest.approx(t1 + t2, abs=1e-9)
 
 
-def test_inverse_map_round_trip():
-    for pt in section_samples(5):
-        img, t_fwd = pc.apply_map(P, pc.HALF_PLUS, pt)
-        back, t_back = pc.apply_map(P, pc.HALF_PLUS, img, inverse=True)
-        assert back.x == pytest.approx(pt.x, abs=1e-10)
-        assert back.vx == pytest.approx(pt.vx, abs=1e-10)
-        assert t_back == pytest.approx(-t_fwd, abs=1e-9)
-
-
-def test_reversibility_conjugacy():
-    # R P_half_plus R = P_half_minus^-1 pointwise on the section
-    for pt in section_samples(5, seed=13):
-        img, _ = pc.apply_map(P, pc.HALF_PLUS, pt)
-        w, _ = pc.apply_map(P, pc.HALF_MINUS, pc.reflect(img))
-        assert w.x == pytest.approx(pt.x, abs=1e-8)
-        assert w.vx == pytest.approx(-pt.vx, abs=1e-8)
+def test_reversibility_conjugacy(lyapunov_orbits):
+    # R P R = P_mirror^-1 pointwise on the section, so P_mirror(R P(p)) = R p;
+    # the half maps mirror each other and each full map is its own mirror
+    outer = section_samples(5, seed=13)
+    l2 = lyapunov_orbits[2].point
+    offsets = np.random.default_rng(17).uniform(-1e-3, 1e-3, size=(5, 2))
+    near_l2 = [pc.SectionPoint(l2.x + dx, l2.vx + dv, -1) for dx, dv in offsets]
+    for tag, mirror, points in ((pc.HALF_PLUS, pc.HALF_MINUS, outer),
+                                (pc.FULL_PLUS, pc.FULL_PLUS, outer),
+                                (pc.FULL_MINUS, pc.FULL_MINUS, near_l2)):
+        for pt in points:
+            img, _ = pc.apply_map(P, tag, pt)
+            w, _ = pc.apply_map(P, mirror, pc.reflect(img))
+            assert w.x == pytest.approx(pt.x, abs=1e-8)
+            assert w.vx == pytest.approx(-pt.vx, abs=1e-8)
 
 
 def test_apply_chain_runs_whole_words():
@@ -153,9 +143,6 @@ def test_domain_mismatch_raises():
         pc.apply_parallelogram_rigorous(
             P, [pc.HALF_PLUS], (1.05, 0.0), (1e-6, 0.0), (0.0, 1e-6),
             Interval(-1.0, 1.0), Interval(-1.0, 1.0), -1)
-    # inverted, a map's domain is its image side
-    with pytest.raises(DomainError):
-        pc.apply_map(P, pc.HALF_MINUS, theta_minus_pt, inverse=True)
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +156,7 @@ def test_point_crossings_do_not_refind_the_root_they_land_on():
     # take that residue for a second crossing
     for x in (0.9207986617591787, 0.9207696843897678):
         flow = PointFlow(P, pc.lift(P, pc.SectionPoint(x, 0.0, 1)))
-        states, times = pc._drive_crossings(flow, [-1, 1], 1.0)
+        states, times = pc._drive_crossings(flow, [-1, 1])
         assert [int(np.sign(s[3])) for s in states] == [-1, 1]
         assert times[1] - times[0] > 1.0  # half a turn apart
 
@@ -215,7 +202,7 @@ def test_grid_brackets_split_at_failures():
 
 
 def test_map_derivative_matches_finite_differences():
-    dp, img, _ = pc.map_derivative(P, pc.HALF_PLUS, BASE)
+    dp, img, _ = pc.chain_derivative(P, [pc.HALF_PLUS], BASE)
     eps = 1e-7
     fd = np.zeros((2, 2))
     for j, dvec in enumerate([(eps, 0.0), (0.0, eps)]):
@@ -229,15 +216,9 @@ def test_map_derivative_matches_finite_differences():
 
 def test_chain_rule_across_the_intermediate_section():
     dp_full, _, _ = pc.chain_derivative(P, [pc.FULL_PLUS], BASE)
-    dp_1, mid, _ = pc.map_derivative(P, pc.HALF_PLUS, BASE)
-    dp_2, _, _ = pc.map_derivative(P, pc.HALF_MINUS, mid)
+    dp_1, mid, _ = pc.chain_derivative(P, [pc.HALF_PLUS], BASE)
+    dp_2, _, _ = pc.chain_derivative(P, [pc.HALF_MINUS], mid)
     assert np.max(np.abs(dp_2 @ dp_1 - dp_full)) < 1e-8 * np.max(np.abs(dp_full))
-
-
-def test_inverse_derivative_is_the_matrix_inverse():
-    dp, img, _ = pc.map_derivative(P, pc.HALF_PLUS, BASE)
-    dp_inv, _, _ = pc.map_derivative(P, pc.HALF_PLUS, img, inverse=True)
-    assert np.max(np.abs(dp_inv @ dp - np.eye(2))) < 1e-7
 
 
 # ----------------------------------------------------------------------
@@ -246,10 +227,9 @@ def test_inverse_derivative_is_the_matrix_inverse():
 
 
 def test_rigorous_image_contains_point_images():
-    x_iv = Interval(BASE.x - 5e-9, BASE.x + 5e-9)
-    vx_iv = Interval(-2e-7, 2e-7)
-    rig = pc.apply_chain_rigorous(P, [pc.HALF_PLUS], x_iv, vx_iv,
-                                  want_derivative=True)
+    rig = pc.apply_parallelogram_rigorous(
+        P, [pc.HALF_PLUS], (BASE.x, BASE.vx), (1.0, 0.0), (0.0, 1.0),
+        Interval(-5e-9, 5e-9), Interval(-2e-7, 2e-7), 1, want_derivative=True)
     for sx in (-1.0, 0.0, 1.0):
         for sv in (-1.0, 0.0, 1.0):
             pt = pc.SectionPoint(BASE.x + sx * 5e-9, sv * 2e-7, 1)
@@ -257,7 +237,7 @@ def test_rigorous_image_contains_point_images():
             assert rig.x.lo <= img.x <= rig.x.hi
             assert rig.vx.lo <= img.vx <= rig.vx.hi
             assert rig.t.lo <= t <= rig.t.hi
-    dp_pt, _, _ = pc.map_derivative(P, pc.HALF_PLUS, BASE)
+    dp_pt, _, _ = pc.chain_derivative(P, [pc.HALF_PLUS], BASE)
     for i in range(2):
         for j in range(2):
             assert rig.dp[i, j].lo <= dp_pt[i, j] <= rig.dp[i, j].hi
@@ -322,25 +302,12 @@ def test_lifted_cells_hold_their_exact_corners():
                     assert Fraction(lset.r[1].lo) <= db <= Fraction(lset.r[1].hi)
 
 
-def test_rigorous_inverse_contains_preimage():
-    img, _ = pc.apply_map(P, pc.HALF_PLUS, BASE)
-    rig = pc.apply_chain_rigorous(
-        P, [pc.HALF_PLUS],
-        Interval.point(img.x).inflate(1e-10),
-        Interval.point(img.vx).inflate(1e-10),
-        inverse=True,
-    )
-    assert rig.x.lo <= BASE.x <= rig.x.hi
-    assert rig.vx.lo <= BASE.vx <= rig.vx.hi
-
-
 def test_rigorous_composite_word():
     # one flight through P+ then Ph+: three crossings, no re-boxing
-    rig = pc.apply_chain_rigorous(
-        P, [pc.FULL_PLUS, pc.HALF_PLUS],
-        Interval.point(BASE.x).inflate(1e-10),
-        Interval.point(BASE.vx).inflate(1e-10),
-    )
+    tiny = Interval(-1e-10, 1e-10)
+    rig = pc.apply_parallelogram_rigorous(
+        P, [pc.FULL_PLUS, pc.HALF_PLUS], (BASE.x, BASE.vx), (1.0, 0.0),
+        (0.0, 1.0), tiny, tiny, 1)
     mid, _ = pc.apply_map(P, pc.FULL_PLUS, BASE)
     img, _ = pc.apply_map(P, pc.HALF_PLUS, mid)
     assert rig.x.lo <= img.x <= rig.x.hi

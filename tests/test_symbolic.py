@@ -21,6 +21,7 @@ from pcr3bp.poincare import (
     SectionPoint,
     apply_chain,
     apply_parallelogram_rigorous,
+    chain_derivative,
 )
 from pcr3bp.symbolic import (
     SYMBOL_SETS,
@@ -28,12 +29,10 @@ from pcr3bp.symbolic import (
     SYMBOLS,
     TRANSITIONS,
     Stage,
-    inverse_section_map,
     is_admissible,
     local_derivative,
     mirror_recipe,
     mirror_tag,
-    point_local_derivative,
     resolve_stage_set,
     section_map,
     section_point_map,
@@ -68,8 +67,8 @@ def test_recipes_type_check_side_by_side():
     for (alpha, beta), tr in TRANSITIONS.items():
         side = SYMBOL_SIDES[alpha]
         for tag in tr.tags:
-            assert tag.domain() == side
-            side = tag.image()
+            assert tag.domain_sign == side
+            side = tag.image_sign
         assert side == SYMBOL_SIDES[beta]
 
 
@@ -242,24 +241,6 @@ def test_section_map_encloses_point_images():
     assert b_img.width < 0.1
 
 
-def test_inverse_section_map_encloses_inverse_point_images():
-    # backcover adapter: evaluates the inverse composite on
-    # swap_uv(target)-local cells, returning swap_uv(source)-local images
-    params = Params()
-    sets = standard_sets(include_constructed=False)
-    src, dst = sets["G3"], sets["G4"]
-    imf = inverse_section_map(params, [HALF_MINUS], src, dst)
-    a, b = Interval(0.1, 0.2), Interval(-0.3, -0.2)
-    a_img, b_img = imf(a, b)
-    pm = section_point_map(params, [HALF_MINUS], dst, src, inverse=True)
-    for aa, bb in [(0.1, -0.3), (0.2, -0.2), (0.15, -0.25)]:
-        # swap_uv(target)-local (a, b) is target-local (b, a)
-        ap, bp = pm(bb, aa)
-        # swap back: image (a', b') in swap_uv(source) is source (b', a')
-        assert a_img.lo <= bp <= a_img.hi
-        assert b_img.lo <= ap <= b_img.hi
-
-
 def test_local_derivative_contains_point_derivative_and_cones():
     # the V3 cell a, b in [-1/64, 1/64] under Ph- into V4: the interval
     # derivative encloses the point derivative at the cell centre, and it
@@ -269,7 +250,9 @@ def test_local_derivative_contains_point_derivative_and_cones():
     src, dst = sets["V3"], sets["V4"]
     cell = Interval(-1.0 / 64.0, 1.0 / 64.0)
     dp = local_derivative(params, [HALF_MINUS], src, dst, cell, cell)
-    point, _ = point_local_derivative(params, [HALF_MINUS], src, dst, 0.0, 0.0)
+    centre = SectionPoint(float(src.center[0]), float(src.center[1]), src.sign)
+    dp_pt, _, _ = chain_derivative(params, [HALF_MINUS], centre)
+    point = np.linalg.solve(dst.frame, dp_pt @ src.frame)
     assert np.all(dp.lo <= point) and np.all(point <= dp.hi)
     assert cone_condition(dp)
 
