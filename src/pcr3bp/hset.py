@@ -49,6 +49,7 @@ region).
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -532,29 +533,37 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
                           seed: int = 0) -> CoverReport:
     """Non-rigorous covering screen by dense point sampling (degraded mode).
 
-    ``point_map`` maps a source-local point ``(a, b)`` to a target-local
-    image point, mirroring the :data:`MapEnclosure` contract with floats.
-    The covering conditions of :func:`check_cover` are tested on sampled
-    points only, so a positive outcome is reported as ``inconclusive`` —
-    it certifies nothing — while a violated sample still reports
-    ``falsified`` honestly: the sufficient conditions provably fail on
-    this pair of frames (the screen makes no claim about other frames).
-    Useful as a fast screen before the interval check.
+    ``point_map`` is a batch map: it takes the source-local points
+    ``(a, b)`` as the rows of an (n, 2) array and returns one entry per
+    row, the target-local image ``(a', b')`` or the
+    :class:`~pcr3bp.errors.PCR3BPError` the map raised at that point.  It
+    is called once, on every sample.  The covering conditions of
+    :func:`check_cover` are tested on sampled points only, so a positive
+    outcome is reported as ``inconclusive`` — it certifies nothing — while
+    a violated sample still reports ``falsified`` honestly: the sufficient
+    conditions provably fail on this pair of frames (the screen makes no
+    claim about other frames).  The results are read in sampling order,
+    inner points first, and the report counts the samples and the errors
+    up to the first violated one.  Useful as a fast screen before the
+    interval check.
     """
     rng = np.random.default_rng(seed)
     n_edge = max(16, int(math.sqrt(samples)))
     n_inner = max(samples - 2 * n_edge, 16)
+    inner = rng.uniform(-1.0, 1.0, size=(n_inner, 2))
+    edge_b = np.linspace(-1.0, 1.0, n_edge)
+    edges = [np.column_stack([np.full(n_edge, a_edge), edge_b])
+             for a_edge in (-1.0, 1.0)]
+    images = iter(point_map(np.concatenate([inner] + edges)))
     stable = math.inf
     sides = {-1.0: set(), 1.0: set()}
     count = 0
     errors: Counter = Counter()
-    for _ in range(n_inner):
-        a, b = rng.uniform(-1.0, 1.0, size=2)
-        try:
-            a_img, b_img = point_map(float(a), float(b))
-        except PCR3BPError as exc:
-            errors[type(exc).__name__] += 1
+    for (a, b), img in zip(inner, images):
+        if isinstance(img, PCR3BPError):
+            errors[type(img).__name__] += 1
             continue
+        a_img, b_img = img
         count += 1
         if abs(a_img) <= 1.0:
             stable = min(stable, 1.0 - abs(b_img))
@@ -569,12 +578,11 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
     if stable == math.inf:  # no sampled image landed within |a'| <= 1
         stable = 0.0
     for a_edge in (-1.0, 1.0):
-        for b in np.linspace(-1.0, 1.0, n_edge):
-            try:
-                a_img, _ = point_map(a_edge, float(b))
-            except PCR3BPError as exc:
-                errors[type(exc).__name__] += 1
+        for img in itertools.islice(images, n_edge):
+            if isinstance(img, PCR3BPError):
+                errors[type(img).__name__] += 1
                 continue
+            a_img, _ = img
             count += 1
             clearance = abs(a_img) - 1.0
             if clearance < 0.0:

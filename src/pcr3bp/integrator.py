@@ -135,12 +135,25 @@ TANGENCY_TOL = 1e-8
 MIN_TIME = 1e-3
 
 
-def _step_from_coeffs(coeffs: np.ndarray) -> float:
-    """Step-size heuristic from the decay of the top two coefficient rows."""
+def _step_from_coeffs(coeffs: np.ndarray) -> float | list[float]:
+    """Step-size heuristic from the decay of the top two coefficient rows.
+
+    ``coeffs`` is (n+1, 4) for one state, giving one step, or (n+1, 4, N)
+    for N lanes, giving a list of N steps.  The roots are Python's float
+    ``**`` (libm ``pow``), lane by lane: numpy's vectorised power differs
+    from it in the last bits, and a lane must step as its state alone does.
+    """
     n = coeffs.shape[0] - 1
+    norms = np.abs(coeffs[n - 1:]).max(axis=1).tolist()
+    if coeffs.ndim == 2:
+        return _step(n, norms)
+    return [_step(n, pair) for pair in zip(*norms)]
+
+
+def _step(n: int, norms) -> float:
+    # the step rule for the max-norms of coefficient rows n-1 and n
     h = H_MAX
-    for k in (n - 1, n):
-        norm = float(np.max(np.abs(coeffs[k])))
+    for k, norm in zip((n - 1, n), norms):
         if norm > 0.0:
             h = min(h, (TOL / norm) ** (1.0 / k))
     return max(SAFETY * h, H_MIN)

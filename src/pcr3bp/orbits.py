@@ -26,7 +26,8 @@ test can change one with ``monkeypatch.setattr``.
 * ``PERIODIC_GRID = 256``, ``HOMOCLINIC_GRID = 128``: samples of the
   symmetry segment, ``a`` in [-1, 1], scanned for sign changes of the
   terminal ``x'`` and of the expanding coordinate.  A finer grid separates
-  roots closer than the spacing; each sample costs one flight of the word.
+  roots closer than the spacing; the samples fly the word together, as the
+  lanes of one flight (:func:`pcr3bp.poincare.apply_chain_lanes`).
 * ``A_TOL = 1e-12``: width in ``a`` at which the periodic bisection stops.
   On an h-set of radius 1e-4 that is below the float spacing of ``x``.
 * ``SLACK = 0.05``: how far, in local coordinates, a staged image may lie
@@ -77,6 +78,7 @@ from .poincare import (
     _bisect,
     _grid_brackets,
     apply_chain,
+    apply_chain_lanes,
     lift,
     lyapunov_fixed_point,
     reflect,
@@ -493,7 +495,10 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
             return None
         return img.vx
 
-    brackets = _grid_brackets(terminal_vx, np.linspace(-1.0, 1.0, PERIODIC_GRID))
+    grid = np.linspace(-1.0, 1.0, PERIODIC_GRID).tolist()
+    flown = apply_chain_lanes(params, tags, [seed_at(a) for a in grid])
+    brackets = _grid_brackets(
+        grid, [None if isinstance(f, PCR3BPError) else f[0].vx for f in flown])
     if not brackets:
         raise SearchError(
             f"no terminal x' sign change along Fix(R) in {start.name} "
@@ -632,8 +637,11 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
         local = np.linalg.solve(frame, [img.x - fixed.x, img.vx - fixed.vx])
         return float(local[0])
 
-    grid = np.linspace(-1.0, 1.0, HOMOCLINIC_GRID)
-    base = _grid_brackets(lambda a: expanding_coord(a, 0), grid)
+    grid = np.linspace(-1.0, 1.0, HOMOCLINIC_GRID).tolist()
+    flown = apply_chain_lanes(params, tags, [seed_at(a) for a in grid])
+    for a, f in zip(grid, flown):
+        tails[a] = None if isinstance(f, PCR3BPError) else [f[0]]
+    base = _grid_brackets(grid, [expanding_coord(a, 0) for a in grid])
     if not base:
         raise SearchError(
             f"no sign change of the expanding coordinate along Fix(R) in "
@@ -659,7 +667,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
                 )
                 return (lo, hi, depth)
             probes = [lo + f * (hi - lo) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-            found = _grid_brackets(lambda a: expanding_coord(a, k), probes)
+            found = _grid_brackets(probes, [expanding_coord(a, k) for a in probes])
             if not found:
                 return (lo, hi, depth)
             lo, hi, flo, fhi = found[0]

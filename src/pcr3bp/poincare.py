@@ -46,6 +46,7 @@ from .dynamics import Params
 from .errors import (
     DomainError,
     IntegrationError,
+    PCR3BPError,
     SearchError,
     SingularityError,
     TangencyError,
@@ -68,6 +69,7 @@ __all__ = [
     "reflect",
     "apply_map",
     "apply_chain",
+    "apply_chain_lanes",
     "chain_derivative",
     "RigorousImage",
     "apply_parallelogram_rigorous",
@@ -196,6 +198,28 @@ def reflect(pt: SectionPoint) -> SectionPoint:
 # ----------------------------------------------------------------------
 
 
+def _horizon_error() -> IntegrationError:
+    return IntegrationError(
+        f"no section crossing within the time horizon {integrator.MAX_TIME}")
+
+
+def _landed_sign(state: np.ndarray, expected: int, index: int) -> int:
+    """The vy sign of crossing ``index`` landed on ``state``.
+
+    Raises on a crossing too close to tangency or of the wrong sign.
+    """
+    if abs(state[3]) < integrator.TANGENCY_TOL:
+        raise TangencyError(
+            f"section crossing with |vy|={abs(state[3])} below the guard"
+        )
+    got = 1 if state[3] > 0 else -1
+    if got != expected:
+        raise IntegrationError(
+            f"crossing {index} has vy sign {got}, expected {expected}"
+        )
+    return got
+
+
 def _drive_crossings(flow: PointFlow, signs: Sequence[int]):
     """Flow a point flow forward through successive section crossings.
 
@@ -207,61 +231,56 @@ def _drive_crossings(flow: PointFlow, signs: Sequence[int]):
     prev_y = flow.state[1]
     while len(found_states) < len(signs):
         if flow.t > integrator.MAX_TIME:
-            raise IntegrationError(
-                f"no section crossing within the time horizon {integrator.MAX_TIME}"
-            )
+            raise _horizon_error()
         rec = flow.step()
         y_new = flow.state[1]
         crossed = prev_y * y_new < 0.0 or (y_new == 0.0 and prev_y != 0.0)
         if crossed and flow.t >= integrator.MIN_TIME:
-            tau = _refine_root(rec, prev_y)
+            tau = _refine_root(rec.coeffs[:, :, None], np.array([rec.h]),
+                               np.array([prev_y]))[0]
             flow.rewind_to(rec, tau)
-            s = flow.state
-            if abs(s[3]) < integrator.TANGENCY_TOL:
-                raise TangencyError(
-                    f"section crossing with |vy|={abs(s[3])} below the guard"
-                )
-            expected = signs[len(found_states)]
-            got = 1 if s[3] > 0 else -1
-            if got != expected:
-                raise IntegrationError(
-                    f"crossing {len(found_states)} has vy sign {got}, "
-                    f"expected {expected}"
-                )
-            found_states.append(s.copy())
-            found_times.append(flow.t)
             # arm on the side the flow enters: the landed y is a rounding
             # residue that may keep the sign of the side just left, and
             # armed on it the next step would find this root again
-            prev_y = got
+            prev_y = _landed_sign(flow.state, signs[len(found_states)],
+                                  len(found_states))
+            found_states.append(flow.state.copy())
+            found_times.append(flow.t)
         else:
             prev_y = y_new
     return found_states, found_times
 
 
-def _refine_root(rec, y_start: float) -> float:
-    """Newton root of the y-polynomial of a step, safeguarded by bisection."""
-    lo, hi = 0.0, rec.h
+def _refine_root(coeffs: np.ndarray, h: np.ndarray,
+                 y_start: np.ndarray) -> np.ndarray:
+    """Newton roots of the y-polynomials of steps, safeguarded by bisection.
+
+    Lane-wise: ``coeffs`` (n+1, 4, N) holds the Taylor coefficients of N
+    steps of lengths ``h``, whose y starts with the signs of ``y_start``.
+    Each lane runs the iteration it would run alone, to its own exit, and
+    drops out there.  Returns the N roots.
+    """
+    lo = np.zeros_like(h)
+    hi = h.copy()
     tau = 0.5 * (lo + hi)
+    rows = coeffs[:, 1::2]  # y and vy
+    live = np.arange(h.size)
     for _ in range(80):
-        s = taylor.horner_point(rec.coeffs, tau)
-        y, vy = s[1], s[3]
-        if y == 0.0:
-            return tau
+        t, a, b = tau[live], lo[live], hi[live]
+        y, vy = taylor.horner_lanes(rows[:, :, live], t)
         # keep the bracket: y(lo-side) has the sign of y_start
-        if (y > 0.0) == (y_start > 0.0):
-            lo = tau
-        else:
-            hi = tau
-        if vy != 0.0:
-            cand = tau - y / vy
-            inside = (min(lo, hi) < cand < max(lo, hi))
-        else:
-            inside = False
-        new = cand if inside else 0.5 * (lo + hi)
-        if abs(new - tau) <= 1e-16 * abs(rec.h):
-            return new
-        tau = new
+        same = (y > 0.0) == (y_start[live] > 0.0)
+        a, b = np.where(same, t, a), np.where(same, b, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = t - y / vy
+        inside = (vy != 0.0) & (np.minimum(a, b) < cand) & (cand < np.maximum(a, b))
+        new = np.where(inside, cand, 0.5 * (a + b))
+        root = y == 0.0
+        tau[live] = np.where(root, t, new)
+        lo[live], hi[live] = a, b
+        live = live[~(root | (np.abs(new - t) <= 1e-16 * np.abs(h[live])))]
+        if not live.size:
+            break
     return tau
 
 
@@ -303,6 +322,72 @@ def apply_map(params: Params, tag: MapTag,
               pt: SectionPoint) -> tuple[SectionPoint, float]:
     """Apply one elementary map (see :func:`apply_chain`)."""
     return apply_chain(params, [tag], pt)
+
+
+def apply_chain_lanes(params: Params, tags: Sequence[MapTag],
+                      pts: Sequence[SectionPoint],
+                      ) -> list[tuple[SectionPoint, float] | PCR3BPError]:
+    """Apply a composite map to many section points at once.
+
+    The lane twin of :func:`apply_chain`: entry i of the result is what
+    ``apply_chain(params, tags, pts[i])`` returns, bit for bit, or the
+    :class:`~pcr3bp.errors.PCR3BPError` it raises; other exceptions
+    propagate.  The points fly as the lanes of one (4, N) state
+    (:func:`taylor.lane_coeffs`).  Each lane takes the step of its own
+    coefficients, crossings are refined lane-wise, and a lane drops out
+    once it lands its last crossing or fails.  At one lane the list
+    kernel is several times faster, so single flights stay on
+    :class:`PointFlow`.
+    """
+    out: list = [None] * len(pts)
+    lanes, states = [], []
+    for i, pt in enumerate(pts):
+        try:
+            signs = _chain_to_signs(tags, pt.sign)
+            states.append(lift(params, pt))
+            lanes.append(i)
+        except PCR3BPError as exc:
+            out[i] = exc
+    lanes = np.array(lanes, dtype=int)
+    u = np.array(states).T.reshape(4, -1)
+    t = np.zeros(lanes.size)
+    prev_y = u[1].copy()
+    found = np.zeros(lanes.size, dtype=int)
+    done = np.zeros(lanes.size, dtype=bool)
+    while True:
+        # the horizon, then the guard radius, as a single flight meets them
+        late = ~done & (t > integrator.MAX_TIME)
+        near = ~done & ~late & taylor.lane_guard(u, params.mu)
+        for i in lanes[late]:
+            out[i] = _horizon_error()
+        for i in lanes[near]:
+            out[i] = SingularityError("taylor kernel: state inside primary guard radius")
+        go = ~(done | late | near)
+        lanes, u, t, prev_y, found = lanes[go], u[:, go], t[go], prev_y[go], found[go]
+        if not lanes.size:
+            return out
+        coeffs = taylor.lane_coeffs(u, params.mu, integrator.ORDER)
+        h = np.array(integrator._step_from_coeffs(coeffs))
+        u = taylor.horner_lanes(coeffs, h)
+        t0, t = t, t + h
+        y_start, prev_y = prev_y, u[1].copy()
+        crossed = (y_start * prev_y < 0.0) | ((prev_y == 0.0) & (y_start != 0.0))
+        crossed = np.flatnonzero(crossed & (t >= integrator.MIN_TIME))
+        if crossed.size:
+            tau = _refine_root(coeffs[:, :, crossed], h[crossed], y_start[crossed])
+            u[:, crossed] = taylor.horner_lanes(coeffs[:, :, crossed], tau)
+            t[crossed] = t0[crossed] + tau
+        done = np.zeros(lanes.size, dtype=bool)
+        for j in crossed.tolist():
+            try:
+                prev_y[j] = _landed_sign(u[:, j], signs[found[j]], found[j])
+                found[j] += 1
+                if found[j] == len(signs):
+                    out[lanes[j]] = (project(u[:, j]), t[j])
+                    done[j] = True
+            except PCR3BPError as exc:
+                out[lanes[j]] = exc
+                done[j] = True
 
 
 # ----------------------------------------------------------------------
@@ -510,16 +595,20 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
 # ----------------------------------------------------------------------
 
 
-def _grid_brackets(f: Callable[[float], float | None],
-                   grid: np.ndarray) -> list[tuple[float, float, float, float]]:
-    """Sign-change brackets of ``f`` over ``grid``; failures split the domain."""
+def _grid_brackets(grid, values) -> list[tuple[float, float, float, float]]:
+    """Sign-change brackets of sampled values over a grid.
+
+    ``values`` holds the value at each grid point, or None where the map
+    failed; a failure splits the domain.  The values of a whole grid come
+    from one lane flight (:func:`apply_chain_lanes`).
+    """
     brackets = []
     prev_a = prev_v = None
-    for a in grid:
-        v = f(float(a))
+    for a, v in zip(grid, values):
+        a = float(a)
         if v is not None and prev_v is not None and (v == 0.0 or prev_v * v < 0.0):
-            brackets.append((prev_a, float(a), prev_v, v))
-        prev_a, prev_v = float(a), v
+            brackets.append((prev_a, a, prev_v, v))
+        prev_a, prev_v = a, v
     return brackets
 
 
@@ -595,17 +684,27 @@ def lyapunov_fixed_point(params: Params, index: int) -> LyapunovOrbit:
     x_lib = dynamics.libration_point(params, index)
     x_primary = 1.0 - params.mu
 
-    def defect(xv: float) -> float | None:
-        # the perpendicularity defect, None off the Lyapunov branch
-        try:
-            img, t = apply_map(params, half, SectionPoint(xv, 0.0, sign))
-        except (DomainError, IntegrationError, TangencyError):
+    def on_branch(xv: float, flown) -> float | None:
+        # the perpendicularity defect of a flight's result, None off the
+        # Lyapunov branch
+        if isinstance(flown, (DomainError, IntegrationError, TangencyError)):
             return None
+        if isinstance(flown, PCR3BPError):
+            raise flown
+        img, t = flown
         same_side = (xv - x_primary) * (img.x - x_primary) > 0.0
         return img.vx if abs(t) <= HALF_TIME_CAP and same_side else None
 
-    grid = x_lib + np.linspace(-SCAN_RADIUS, SCAN_RADIUS, SCAN_POINTS)
-    brackets = _grid_brackets(defect, grid)
+    def defect(xv: float) -> float | None:
+        try:
+            flown = apply_map(params, half, SectionPoint(xv, 0.0, sign))
+        except (DomainError, IntegrationError, TangencyError) as exc:
+            flown = exc
+        return on_branch(xv, flown)
+
+    grid = (x_lib + np.linspace(-SCAN_RADIUS, SCAN_RADIUS, SCAN_POINTS)).tolist()
+    flown = apply_chain_lanes(params, [half], [SectionPoint(xv, 0.0, sign) for xv in grid])
+    brackets = _grid_brackets(grid, map(on_branch, grid, flown))
     if not brackets:
         raise SearchError(
             f"no perpendicular Lyapunov crossing found near x={x_lib}"

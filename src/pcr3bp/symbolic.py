@@ -40,8 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .dynamics import Params
-from .errors import RegistryError
+from .errors import PCR3BPError, RegistryError
 from .hset import HSet, MapEnclosure, load_bundled, r_image
 from .intervals import IArray, Interval
 from .poincare import (
@@ -51,7 +53,8 @@ from .poincare import (
     HALF_PLUS,
     MapTag,
     SectionPoint,
-    apply_chain,
+    apply_chain,  # unused here; perfbench's tracer test patches this lookup
+    apply_chain_lanes,
     apply_parallelogram_rigorous,
 )
 
@@ -420,13 +423,22 @@ def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
 
 def section_point_map(params: Params, tags: Sequence[MapTag], source: HSet,
                       target: HSet) -> Callable:
-    """Point-mode counterpart of :func:`section_map` (degraded screens)."""
+    """Point-mode counterpart of :func:`section_map` (degraded screens).
 
-    def point_map(a: float, b: float):
-        pt = source.corner_point(a, b)
-        img, _ = apply_chain(
-            params, tags, SectionPoint(float(pt[0]), float(pt[1]), source.sign))
-        return target.local_coords(img.x, img.vx)
+    Returns the batch map of :func:`~pcr3bp.hset.check_cover_pointwise`:
+    source-local points ``(a, b)``, the rows of an (n, 2) array, fly
+    together as lanes (:func:`~pcr3bp.poincare.apply_chain_lanes`), and
+    each entry of the result is the target-local image ``(a', b')`` of its
+    row or the :class:`~pcr3bp.errors.PCR3BPError` the flight raised.
+    """
+
+    def point_map(points):
+        ab = np.asarray(points, dtype=np.float64)
+        xv = source.corner_point(ab[:, :1], ab[:, 1:])
+        flown = apply_chain_lanes(params, tags, [
+            SectionPoint(x, vx, source.sign) for x, vx in xv.tolist()])
+        return [f if isinstance(f, PCR3BPError) else target.local_coords(f[0].x, f[0].vx)
+                for f in flown]
 
     return point_map
 

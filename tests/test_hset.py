@@ -5,7 +5,6 @@ covering status and clearances are known in closed form, so every verdict
 and margin can be checked against an independent oracle.
 """
 
-import math
 import os
 
 import numpy as np
@@ -402,8 +401,8 @@ def test_cover_through_section_adapter_with_random_frames():
 
 
 def test_pointwise_screen_never_claims_verified():
-    def f(a, b):
-        return 3.0 * a, b / 3.0
+    def f(ab):
+        return [(3.0 * a, b / 3.0) for a, b in ab]
 
     rep = check_cover_pointwise(f, UNIT_N, UNIT_M, samples=500)
     assert rep.outcome == "inconclusive"
@@ -413,10 +412,9 @@ def test_pointwise_screen_never_claims_verified():
 
 def test_pointwise_screen_counts_map_errors():
     # samples where the map raises are skipped, but counted by type
-    def f(a, b):
-        if a > 0.9:
-            raise DomainError("outside the map's domain")
-        return 3.0 * a, b / 3.0
+    def f(ab):
+        return [DomainError("outside the map's domain") if a > 0.9
+                else (3.0 * a, b / 3.0) for a, b in ab]
 
     rep = check_cover_pointwise(f, UNIT_N, UNIT_M, samples=500)
     assert rep.outcome == "inconclusive"
@@ -426,8 +424,8 @@ def test_pointwise_screen_counts_map_errors():
 
 
 def test_pointwise_screen_falsifies_contraction():
-    def f(a, b):
-        return 0.3 * a, 0.2 * b
+    def f(ab):
+        return [(0.3 * a, 0.2 * b) for a, b in ab]
 
     rep = check_cover_pointwise(f, UNIT_N, UNIT_M, samples=500)
     assert rep.outcome == "falsified"
@@ -438,11 +436,33 @@ def test_pointwise_screen_same_side_exits_report_finite_clearance():
     # every image lies beyond a' = 1, so no sample lands in |a'| <= 1 and
     # both exit edges leave on the same side
     v = load_bundled("v_chain")
-    rep = check_cover_pointwise(lambda a, b: (a + 5.0, b), v["V3"], v["V4"],
-                                samples=100)
+    rep = check_cover_pointwise(lambda ab: [(a + 5.0, b) for a, b in ab],
+                                v["V3"], v["V4"], samples=100)
     assert rep.outcome == "falsified"
     assert "do not separate" in rep.message
     assert rep.stable_clearance == 0.0
+
+
+def test_pointwise_screen_report_stops_at_the_first_violation():
+    # the map sees every sample in one call; of the inner samples, every
+    # third fails and the tenth lands in a bar, so the report counts the
+    # samples and the errors before it, as a sample-by-sample loop stops
+    calls = []
+
+    def f(ab):
+        calls.append(len(ab))
+        return [DomainError("outside the map's domain") if i % 3 == 1
+                else (0.0, 2.0) if i == 9 else (3.0 * a, b / 3.0)
+                for i, (a, b) in enumerate(ab)]
+
+    rep = check_cover_pointwise(f, UNIT_N, UNIT_M, samples=500)
+    assert calls == [500]  # 456 inner samples and two exit edges of 22
+    assert rep.outcome == "falsified"
+    assert rep.margin == -1.0
+    assert rep.errors == {"DomainError": 3}  # samples 1, 4 and 7
+    assert rep.cells == 7  # samples 0, 2, 3, 5, 6 and 8, then the tenth
+    a, b = np.random.default_rng(0).uniform(-1.0, 1.0, size=(456, 2))[9]
+    assert f"a={a:.3f} b={b:.3f}" in rep.message
 
 
 # ----------------------------------------------------------------------

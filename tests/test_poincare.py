@@ -6,9 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from pcr3bp import dynamics, hset, poincare as pc
+from pcr3bp import dynamics, hset, integrator, poincare as pc, taylor
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
-from pcr3bp.errors import DomainError
+from pcr3bp.errors import DomainError, PCR3BPError
 from pcr3bp.integrator import PointFlow
 from pcr3bp.intervals import Interval
 
@@ -145,6 +145,51 @@ def test_domain_mismatch_raises():
             Interval(-1.0, 1.0), Interval(-1.0, 1.0), -1)
 
 
+def _single_flight(tags, pt):
+    try:
+        return pc.apply_chain(P, tags, pt)
+    except PCR3BPError as exc:
+        return exc
+
+
+def test_lanes_match_single_flights_lane_by_lane(monkeypatch):
+    # one P+ batch (two crossings per lane) of ordinary lanes and of lanes
+    # that fail: outside the energy level, on the wrong side, inside the
+    # guard radius at the start or on a close pass, and past the horizon;
+    # each lane gives the bits of its single flight or its exception type
+    x_lib = dynamics.libration_point(P, 1)
+    monkeypatch.setattr(integrator, "MAX_TIME", 10.0)  # flights of 12-17 fail
+    monkeypatch.setattr(taylor, "_GUARD_SQ", 1e-12)  # the close pass is 5.4e-8
+    pts = [pc.SectionPoint(x, 0.0, 1) for x in (x_lib + np.linspace(-0.05, 0.05, 11)).tolist()]
+    pts += [
+        pc.SectionPoint(x_lib, 1.0, 1),  # outside the energy level
+        pc.SectionPoint(x_lib, 0.0, -1),  # not the domain of P+
+        pc.SectionPoint(1.0 - P.mu + 1e-13, 0.0, 1),  # at the small primary
+        pc.SectionPoint(0.9351335715115707, 0.0, 1),  # its close pass
+    ]
+    lanes = pc.apply_chain_lanes(P, [pc.FULL_PLUS], pts)
+    kinds = []
+    for pt, lane in zip(pts, lanes):
+        single = _single_flight([pc.FULL_PLUS], pt)
+        if isinstance(single, PCR3BPError):
+            assert type(lane) is type(single) and str(lane) == str(single)
+            kinds.append(type(single).__name__)
+        else:
+            assert lane == single
+            kinds.append("image")
+    assert kinds == (["IntegrationError"] * 4 + ["image"] * 7
+                     + ["DomainError"] * 2 + ["SingularityError"] * 2)
+
+
+def test_lanes_let_other_exceptions_through(monkeypatch):
+    def broken(states, mu, n):
+        raise FloatingPointError("kernel fault")
+
+    monkeypatch.setattr(taylor, "lane_coeffs", broken)
+    with pytest.raises(FloatingPointError):
+        pc.apply_chain_lanes(P, [pc.HALF_PLUS], [BASE])
+
+
 # ----------------------------------------------------------------------
 # sign-change search
 # ----------------------------------------------------------------------
@@ -192,8 +237,8 @@ def test_bisect_reports_a_failure_inside_the_bracket():
 
 def test_grid_brackets_split_at_failures():
     grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    assert pc._grid_brackets(lambda x: None if x == 0.0 else x, grid) == []
-    assert pc._grid_brackets(lambda x: x - 0.25, grid) == [(0.0, 0.5, -0.25, 0.25)]
+    assert pc._grid_brackets(grid, [None if x == 0.0 else x for x in grid]) == []
+    assert pc._grid_brackets(grid, grid - 0.25) == [(0.0, 0.5, -0.25, 0.25)]
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from pcr3bp import integrator, symbolic
 from pcr3bp.dynamics import Params
 from pcr3bp.errors import RegistryError
-from pcr3bp.hset import check_cover, cone_condition, r_image
+from pcr3bp.hset import check_cover, check_cover_pointwise, cone_condition, r_image
 from pcr3bp.intervals import IArray, Interval
 from pcr3bp.poincare import (
     FULL_MINUS,
@@ -24,9 +24,7 @@ from pcr3bp.poincare import (
     chain_derivative,
 )
 from pcr3bp.symbolic import (
-    SYMBOL_SETS,
     SYMBOL_SIDES,
-    SYMBOLS,
     TRANSITIONS,
     Stage,
     is_admissible,
@@ -230,15 +228,41 @@ def test_section_map_encloses_point_images():
     pm = section_point_map(params, [HALF_MINUS], src, dst)
     a, b = Interval(-0.25, 0.0), Interval(0.5, 1.0)
     a_img, b_img = mf(a, b)
-    for aa, bb in [(-0.25, 0.5), (-0.25, 1.0), (0.0, 0.5), (0.0, 1.0),
-                   (-0.125, 0.75)]:
-        ap, bp = pm(aa, bb)
+    corners = [(-0.25, 0.5), (-0.25, 1.0), (0.0, 0.5), (0.0, 1.0), (-0.125, 0.75)]
+    for ap, bp in pm(np.array(corners)):
         assert a_img.lo <= ap <= a_img.hi
         assert b_img.lo <= bp <= b_img.hi
     # and the enclosure is tight enough to be useful: a plain set flight
     # loses the x-vx correlation here and returns a' spans in the hundreds
     assert a_img.width < 5.0
     assert b_img.width < 0.1
+
+
+# The reports of the 200-sample screens the benchmark runs, as the serial
+# loop gave them, one flight per sample: (stable clearance, samples).
+SCREEN_REPORTS = {
+    ("V3", "V4", 7): ("0.9712445593475586", 200),
+    ("G2", "G3", 7): ("0.969952357106666", 200),
+    ("V3", "V4", 3): ("0.9721414864671456", 200),
+    ("G2", "G3", 3): ("0.9758397628833928", 200),
+}
+
+
+@pytest.mark.parametrize("src,dst,seed", list(SCREEN_REPORTS))
+def test_pointwise_screen_reports_are_pinned(src, dst, seed):
+    # the screens fly all their samples as lanes of one flight; every
+    # figure of the report is the one the sample-by-sample loop gave
+    sets = standard_sets(include_constructed=False)
+    tag = HALF_MINUS if sets[src].sign < 0 else HALF_PLUS  # from the set's side
+    pm = section_point_map(Params(), [tag], sets[src], sets[dst])
+    rep = check_cover_pointwise(pm, sets[src], sets[dst], samples=200, seed=seed)
+    stable, count = SCREEN_REPORTS[src, dst, seed]
+    assert (rep.outcome, rep.margin, repr(rep.stable_clearance)) == (
+        "inconclusive", 0.0, stable)
+    assert (rep.cells, rep.grid, rep.errors) == (count, (0, 0), {})
+    assert rep.message == (
+        f"{src} covering {dst}: all {count} samples satisfy the covering "
+        "inequalities (pointwise screen certifies nothing)")
 
 
 def test_local_derivative_contains_point_derivative_and_cones():

@@ -10,7 +10,9 @@ import pytest
 from pcr3bp import dynamics, taylor
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
 from pcr3bp.errors import PCR3BPError, SingularityError
+from pcr3bp.integrator import PointFlow
 from pcr3bp.intervals import IArray
+from pcr3bp.poincare import SectionPoint, lift
 
 P = Params(MU_SUN_JUPITER, JACOBI_OTERMA)
 RNG = np.random.default_rng(1123)
@@ -157,6 +159,40 @@ def test_close_encounter_guard():
         taylor.point_coeffs(at_primary, P.mu, 8)
     with pytest.raises(SingularityError):
         taylor.iv_coeffs(at_primary - 1e-3, at_primary + 1e-3, P.mu, 8)
+    # the lane kernel flags the lane and refuses the batch
+    states = np.column_stack([STATE, at_primary])
+    assert taylor.lane_guard(states, P.mu).tolist() == [False, True]
+    with pytest.raises(SingularityError):
+        taylor.lane_coeffs(states, P.mu, 8)
+
+
+def states_near_the_necks(n, rng):
+    """(4, n) states around the L1 and L2 libration points, alternating."""
+    necks = [dynamics.libration_point(P, i) for i in (1, 2)]
+    x_lib = np.array([necks[k % 2] for k in range(n)])
+    lo = np.column_stack([x_lib - 0.05, np.tile([-0.02, -0.1, -0.1], (n, 1))])
+    hi = np.column_stack([x_lib + 0.05, np.tile([0.02, 0.1, 0.1], (n, 1))])
+    return rng.uniform(lo, hi).T
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+def test_lane_kernel_matches_list_kernel(n):
+    states = states_near_the_necks(n, np.random.default_rng(n))
+    lanes = taylor.lane_coeffs(states, P.mu, ORDER)
+    assert lanes.shape == (ORDER + 1, 4, n)
+    for i in range(n):
+        assert np.array_equal(lanes[:, :, i], taylor.point_coeffs(states[:, i], P.mu, ORDER))
+
+
+def test_lane_kernel_matches_list_kernel_through_a_close_pass():
+    # this Theta_+ point of the L1 Lyapunov scan passes 5.4e-8 from the
+    # small primary at step 76; one lane, the axis the terms are summed
+    # along is contiguous, where a pairwise sum would change the last bits
+    flow = PointFlow(P, lift(P, SectionPoint(0.9351335715115707, 0.0, 1)))
+    for _ in range(100):
+        lane = taylor.lane_coeffs(flow.state[:, None], P.mu, ORDER)[:, :, 0]
+        assert np.array_equal(lane, taylor.point_coeffs(flow.state, P.mu, ORDER))
+        flow.step()
 
 
 # ends of every kind: zero-width points, huge and infinite ends
