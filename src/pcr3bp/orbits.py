@@ -3,7 +3,7 @@
 The searches here implement fixed-set iteration on the reversal symmetry
 line: a segment of ``Fix(R) = {y = 0, x' = 0}`` inside the starting h-set
 of a symbolic word is pushed through the word's chain of section maps, and
-roots are bracketed and bisected along the segment parameter.  For
+roots are bracketed and refined along the segment parameter.  For
 periodic orbits the root condition is ``x' = 0`` at the terminal section
 point (the mirror image of the first half then closes the loop); for
 homoclinic orbits it is the vanishing of the expanding local coordinate
@@ -28,7 +28,8 @@ test can change one with ``monkeypatch.setattr``.
   terminal ``x'`` and of the expanding coordinate.  A finer grid separates
   roots closer than the spacing; the samples fly the word together, as the
   lanes of one flight (:func:`pcr3bp.poincare.apply_chain_lanes`).
-* ``A_TOL = 1e-12``: width in ``a`` at which the periodic bisection stops.
+* ``A_TOL = 1e-12``: width in ``a`` at which the refinement of a periodic
+  bracket (a safeguarded regula falsi) stops.
   On an h-set of radius 1e-4 that is below the float spacing of ``x``.
 * ``SLACK = 0.05``: how far, in local coordinates, a staged image may lie
   outside its registered h-set and still count as landing in it
@@ -74,9 +75,10 @@ from .integrator import PointFlow, flow_point
 from .poincare import (
     FULL_MINUS,
     FULL_PLUS,
+    LyapunovOrbit,
     SectionPoint,
-    _bisect,
     _grid_brackets,
+    _refine_bracket,
     apply_chain,
     apply_chain_lanes,
     lift,
@@ -506,9 +508,9 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
         )
     rejects = []
     for lo, hi, flo, fhi in brackets:
-        refined = _bisect(terminal_vx, lo, hi, flo, fhi, A_TOL)
+        refined = _refine_bracket(terminal_vx, lo, hi, flo, fhi, A_TOL)
         if refined is None:
-            rejects.append((lo, hi, "map failure during bisection"))
+            rejects.append((lo, hi, "map failure while refining the bracket"))
             continue
         seed = seed_at(0.5 * (refined[0] + refined[1]))
         walk = _stage_walk(params, seed, stages, sets)
@@ -558,6 +560,21 @@ def verify_backward_coding(params: Params, seed: SectionPoint,
 # symmetric homoclinic orbits
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _lyapunov_by(solve, params: Params, index: int) -> LyapunovOrbit:
+    """``solve(params, index)``, made once per solver, parameters and index."""
+    return solve(params, index)
+
+
+def _lyapunov(params: Params, index: int) -> LyapunovOrbit:
+    """The Lyapunov fixed point near a neck, solved once per ``(params, index)``.
+
+    The cache is keyed on the solver too, so a solver patched in over
+    :func:`lyapunov_fixed_point` answers only while it is in place.
+    """
+    return _lyapunov_by(lyapunov_fixed_point, params, index)
+
+
 @dataclass(frozen=True, slots=True)
 class SymmetricHomoclinicOrbit:
     """Half of a reversal-symmetric homoclinic excursion, plus its target.
@@ -605,7 +622,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     index = 1 if word[-1] == "L1" else 2
     tail_tag = FULL_PLUS if index == 1 else FULL_MINUS
     terminal_set = resolve_stage_set(stages[-1], sets)
-    orb = lyapunov_fixed_point(params, index)
+    orb = _lyapunov(params, index)
     fixed = orb.point
     lam = float(max(abs(m) for m in orb.multipliers))
     frame = terminal_set.frame
@@ -654,19 +671,23 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
             # sharpen the current bracket enough that the next level's
             # root (a multiplier factor closer) can be re-bracketed
             target_w = max(COLLAPSE_WIDTH, (hi - lo) / lam * 0.25)
-            refined = _bisect(lambda a: expanding_coord(a, depth),
-                              lo, hi, flo, fhi, target_w)
+            refined = _refine_bracket(lambda a: expanding_coord(a, depth),
+                                      lo, hi, flo, fhi, target_w)
             if refined is None:
                 return (lo, hi, depth)
             lo, hi = refined
-            if hi - lo <= COLLAPSE_WIDTH or np.nextafter(lo, hi) >= hi:
+            # the refinement may end far inside the target width; probe
+            # the next level over a window of that width about the root
+            mid, half_w = 0.5 * (lo + hi), 0.5 * max(hi - lo, target_w)
+            w_lo, w_hi = mid - half_w, mid + half_w
+            if w_hi - w_lo <= COLLAPSE_WIDTH or np.nextafter(w_lo, w_hi) >= w_hi:
                 log.warning(
                     "homoclinic bracket for %s collapsed to the double "
                     "precision grid at depth %d (width %.3g)",
-                    word, depth, hi - lo,
+                    word, depth, w_hi - w_lo,
                 )
                 return (lo, hi, depth)
-            probes = [lo + f * (hi - lo) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+            probes = [w_lo + f * (w_hi - w_lo) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
             found = _grid_brackets(probes, [expanding_coord(a, k) for a in probes])
             if not found:
                 return (lo, hi, depth)
@@ -718,10 +739,10 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _lyapunov_radial_band(params: Params, index: int) -> tuple[float, float]:
-    """Range of distances to the heavy primary along a Lyapunov orbit."""
-    orb = lyapunov_fixed_point(params, index)
-    arc = sample_trajectory(params, lift(params, orb.point), orb.period, 2049)
+def _radial_band(params: Params, point: SectionPoint,
+                 period: float) -> tuple[float, float]:
+    """Range of distances to the heavy primary along a periodic orbit."""
+    arc = sample_trajectory(params, lift(params, point), period, 2049)
     r = arc.radii()
     return float(r.min()), float(r.max())
 
@@ -739,7 +760,8 @@ def excursion_trajectory(params: Params,
     half = sample_trajectory(params, lift(params, orbit.seed),
                              orbit.half_time, EXCURSION_SAMPLES)
     r = half.radii()
-    band_lo, band_hi = _lyapunov_radial_band(params, orbit.target_index)
+    lyap = _lyapunov(params, orbit.target_index)
+    band_lo, band_hi = _radial_band(params, lyap.point, lyap.period)
     interior = r[0] < band_lo
     threshold = band_lo - BAND_PAD if interior else band_hi + BAND_PAD
     inside = r >= threshold if interior else r <= threshold

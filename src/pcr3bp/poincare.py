@@ -335,9 +335,9 @@ def apply_chain_lanes(params: Params, tags: Sequence[MapTag],
     propagate.  The points fly as the lanes of one (4, N) state
     (:func:`taylor.lane_coeffs`).  Each lane takes the step of its own
     coefficients, crossings are refined lane-wise, and a lane drops out
-    once it lands its last crossing or fails.  At one lane the list
-    kernel is several times faster, so single flights stay on
-    :class:`PointFlow`.
+    once it lands its last crossing or fails; a lane left alone steps on
+    the list kernel.  Single flights stay on :class:`PointFlow`, which
+    does without the lane bookkeeping.
     """
     out: list = [None] * len(pts)
     lanes, states = [], []
@@ -612,27 +612,73 @@ def _grid_brackets(grid, values) -> list[tuple[float, float, float, float]]:
     return brackets
 
 
-def _bisect(f: Callable[[float], float | None], lo: float, hi: float,
-            flo: float, fhi: float, tol: float,
-            max_iter: int = 100) -> tuple[float, float] | None:
+def _evaluation_budget(lo: float, hi: float, tol: float) -> int:
+    """Most evaluations :func:`_refine_bracket` may take on [lo, hi].
+
+    The safeguard halves the bracket at least once in three evaluations.
+    The bracket is done once it is ``tol`` wide or as wide as the float
+    spacing at its end nearest zero, the finest spacing inside it (the
+    least subnormal if it straddles zero); two halvings more allow for
+    the rounding of midpoints near adjacency.
+    """
+    near = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
+    stop = max(tol, float(np.spacing(near)))
+    halvings = math.ceil(math.log2(max(hi - lo, stop)) - math.log2(stop))
+    return 3 * (halvings + 2)
+
+
+def _refine_bracket(f: Callable[[float], float | None], lo: float, hi: float,
+                    flo: float, fhi: float, tol: float) -> tuple[float, float] | None:
     """Shrink a sign-change bracket; None if the map fails inside it.
 
+    A safeguarded Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
+    Each step evaluates ``f`` at the secant point of the bracket.  When the
+    same end is kept twice in a row, its value is halved, so that the next
+    secant point falls across the root.  A secant point that rounds onto
+    an end moves to the float next to it.  After two steps in a row that
+    failed to halve the bracket, the next step takes the midpoint.
+
     Stops once the bracket is ``tol`` wide or its ends are adjacent floats,
-    before evaluating ``f`` again; ``tol=0.0`` runs to adjacency.
+    before evaluating ``f`` again; ``tol=0.0`` runs to adjacency.  Returns
+    (x, x) on an exact zero.  Raises :class:`SearchError` if the bracket is
+    not done within :func:`_evaluation_budget`.
     """
-    for _ in range(max_iter):
-        if hi - lo <= tol or np.nextafter(lo, hi) >= hi:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm is None:
+    if flo == 0.0 or fhi == 0.0:
+        x = lo if flo == 0.0 else hi
+        return x, x
+    neg_lo = flo < 0.0  # the sign at lo; the halved values keep it
+    budget = _evaluation_budget(lo, hi, tol)
+    stalls = 0
+    kept = 0  # the end kept by the last step: -1 lo, +1 hi
+    while hi - lo > tol and np.nextafter(lo, hi) < hi:
+        if budget == 0:
+            raise SearchError(f"bracket [{lo!r}, {hi!r}] still wider than {tol!r} "
+                              "after its evaluation budget")
+        budget -= 1
+        width = hi - lo
+        x = lo - flo * width / (fhi - flo)
+        bisect = stalls >= 2
+        if bisect:
+            x = 0.5 * (lo + hi)
+        elif not lo < x < hi:
+            # the secant point rounds onto an end: try the float next to it
+            x = float(np.nextafter(lo, hi) if x <= lo else np.nextafter(hi, lo))
+        fx = f(x)
+        if fx is None:
             return None
-        if fm == 0.0:
-            return mid, mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
+        if fx == 0.0:
+            return x, x
+        if (fx < 0.0) == neg_lo:
+            lo, flo = x, fx
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
         else:
-            lo, flo = mid, fm
+            hi, fhi = x, fx
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+        stalls = 0 if bisect or hi - lo <= 0.5 * width else stalls + 1
     return lo, hi
 
 
@@ -675,8 +721,10 @@ def lyapunov_fixed_point(params: Params, index: int) -> LyapunovOrbit:
     defect counts only where the flight (a) sits on the short-flight
     branch (half-map time at most ``HALF_TIME_CAP``) and (b) stays on one
     side of the second primary; elsewhere it is a failure, for the scan
-    and the bisection alike.  The Lyapunov orbit is the root of the
-    bracket closest to the libration point, bisected to adjacent floats.
+    and the bracket refinement alike.  The Lyapunov orbit is the root of
+    the bracket closest to the libration point, refined to adjacent
+    floats by :func:`_refine_bracket` (one flight per evaluation, about
+    ten in all).
     """
     sign = 1 if index == 1 else -1
     half = HALF_PLUS if index == 1 else HALF_MINUS
@@ -710,7 +758,7 @@ def lyapunov_fixed_point(params: Params, index: int) -> LyapunovOrbit:
             f"no perpendicular Lyapunov crossing found near x={x_lib}"
         )
     lo, hi, flo, fhi = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - x_lib))
-    refined = _bisect(defect, lo, hi, flo, fhi, tol=0.0)
+    refined = _refine_bracket(defect, lo, hi, flo, fhi, tol=0.0)
     if refined is None:
         raise SearchError(f"the Lyapunov branch breaks inside [{lo}, {hi}]")
     xstar = 0.5 * (refined[0] + refined[1])

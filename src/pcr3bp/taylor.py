@@ -35,17 +35,21 @@ primitives on ``tolist()`` rows.  No kernel is compiled.
 One state takes the list kernel :func:`point_coeffs`; many independent
 states take its lane twin :func:`lane_coeffs`, which runs the same
 recurrence on numpy rows, one lane per state, and evaluates with
-:func:`horner_lanes`.  At order 20 on a 2-core Xeon, a list call costs
-0.2-0.3 ms, a lane call about 1.7 ms at one lane and about 3 ms at 200
-(0.016 ms per state).  Every lane equals the list kernel's result bit for bit, so a
-flight gives the same image whichever kernel flies it.  Two rounding traps
-would break that:
+:func:`horner_lanes`.  Each lane convolution is one product of the
+operand slices and one reduction along the term axis.  At order 20 on a
+2-core Xeon, a list call costs about 0.3 ms, and a lane call about
+1.2 ms at 8 lanes and 2.2 ms at 200 (0.01 ms per state); a lane call on
+one lane runs the list kernel.  Every lane equals the list kernel's
+result bit for bit, so a flight gives the same image whichever kernel
+flies it.  Two rounding traps would break that:
 
 1. Pairwise summation.  ``np.sum`` and ``np.add.reduce`` along the term
    axis switch to pairwise summation once that axis is contiguous, as it
-   is when one lane is left; the lane convolutions add left to right, as
-   ``sum`` does on the list kernel's floats (Python 3.11; from 3.12 on
-   ``sum`` compensates, and the twins would part in the last bits).
+   is when one lane is left.  The list kernel's ``sum`` adds its floats
+   left to right (Python 3.11; from 3.12 on ``sum`` compensates, and the
+   twins would part in the last bits).  With two lanes or more the term
+   axis is strided, and numpy adds it slice by slice in order; one lane
+   never reaches the lane recurrence.
 2. Vectorised powers.  numpy's float64 ``**`` is not libm's ``pow``, so
    the step rule that reads the coefficients takes its roots with
    Python's ``**`` lane by lane (``integrator._step_from_coeffs``).
@@ -258,14 +262,12 @@ _LANE_ROWS = 10
 def _lane_conv(a, b, k):
     """sum_{i=0..k} a_i b_(k-i) along the term axis 1, for every row and lane.
 
-    A running sum, left to right as :func:`_conv` adds.  ``np.sum`` would
-    switch to pairwise summation once the term axis is contiguous (one
-    lane left), which changes the last bits.
+    One product and one reduction.  Needs two lanes or more: then the term
+    axis is not contiguous, and ``np.add.reduce`` adds its slices in
+    order, left to right as :func:`_conv` does.  With one lane it would
+    sum pairwise.
     """
-    acc = a[:, 0] * b[:, k]
-    for i in range(1, k + 1):
-        acc += a[:, i] * b[:, k - i]
-    return acc
+    return np.add.reduce(a[:, :k + 1] * b[:, k::-1], axis=1)
 
 
 def lane_guard(states, mu):
@@ -286,10 +288,14 @@ def lane_coeffs(states, mu, n):
     per lane, and lane i of the result equals ``point_coeffs(states[:, i],
     mu, n)`` bit for bit.  Each float operation of the list kernel is one
     operation over all lanes, in the same order, and the convolutions add
-    their terms left to right (:func:`_lane_conv`).  Needs ``n >= 1``;
-    raises :class:`SingularityError` if a lane is inside the guard radius.
+    their terms left to right (:func:`_lane_conv`).  One lane is handed to
+    the list kernel, which is faster on it and sums as :func:`_lane_conv`
+    cannot there.  Needs ``n >= 1``; raises :class:`SingularityError` if a
+    lane is inside the guard radius.
     """
     states = np.asarray(states, dtype=np.float64)
+    if states.shape[1] == 1:
+        return point_coeffs(states[:, 0], mu, n)[:, :, None]
     if lane_guard(states, mu).any():
         raise SingularityError("taylor kernel: state inside primary guard radius")
     m1 = 1.0 - mu

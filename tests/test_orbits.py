@@ -204,6 +204,34 @@ def test_excursion_of_the_trivial_homoclinic_is_refused(homoclinic_orbits,
         excursion_trajectory(P, homoclinic_orbits[1])
 
 
+def test_two_searches_on_one_params_solve_the_fixed_point_once(homoclinic_orbits,
+                                                              frame_sets,
+                                                              lyapunov_orbits,
+                                                              monkeypatch):
+    solves = []
+
+    def counted(params, index):
+        solves.append(index)
+        return lyapunov_orbits[index]
+
+    monkeypatch.setattr(orbits, "lyapunov_fixed_point", counted)
+    monkeypatch.setattr(orbits, "HOMOCLINIC_GRID", 16)
+    find_symmetric_homoclinic(P, ("L2", "L2"), sets=frame_sets[2])
+    with pytest.raises(SearchError, match="starts inside the libration band"):
+        excursion_trajectory(P, homoclinic_orbits[2])
+    assert solves == [2]
+
+
+def test_a_patched_solver_does_not_outlive_its_patch(lyapunov_orbits):
+    # the cache is keyed on the solver, so what a patched solver returned
+    # is not served once another one is in place
+    for answer in ("first", "second"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbits, "lyapunov_fixed_point", lambda params, index: answer)
+            assert orbits._lyapunov(P, 1) == answer
+    assert orbits._lyapunov(P, 1).point == lyapunov_orbits[1].point
+
+
 def test_searches_refuse_a_start_set_off_the_symmetry_line(frame_sets):
     h = frame_sets[1]["H1"]
     skew = {"H1": HSet("H1", h.sign, h.center, h.u, 2.0 * h.s)}

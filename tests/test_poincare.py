@@ -8,7 +8,7 @@ import pytest
 
 from pcr3bp import dynamics, hset, integrator, poincare as pc, taylor
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
-from pcr3bp.errors import DomainError, PCR3BPError
+from pcr3bp.errors import DomainError, PCR3BPError, SearchError
 from pcr3bp.integrator import PointFlow
 from pcr3bp.intervals import Interval
 
@@ -206,7 +206,18 @@ def test_point_crossings_do_not_refind_the_root_they_land_on():
         assert times[1] - times[0] > 1.0  # half a turn apart
 
 
-def test_bisect_to_adjacent_floats_stops_evaluating():
+def _bisect_to_adjacency(f, lo, hi, flo):
+    """A plain bisection of a sign-change bracket down to adjacent floats."""
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < 0.0) == (flo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def test_refine_bracket_to_adjacent_floats_stops_evaluating():
     calls = []
 
     def f(x):
@@ -214,25 +225,59 @@ def test_bisect_to_adjacent_floats_stops_evaluating():
         calls.append(x)
         return 1.0 if Fraction(x) > root else -1.0
 
-    # from [0, 1], ends 2^-k apart are adjacent once 2^-k is the spacing of
-    # the floats at the root: 2^-56 in [1/16, 1/8), 2^-54 in [1/4, 1/2)
-    # and 2^-53 in [1/2, 1)
+    # from [0, 1], a bisection reaches adjacent ends after k halvings once
+    # 2^-k is the spacing of the floats at the root: 2^-56 in [1/16, 1/8),
+    # 2^-54 in [1/4, 1/2) and 2^-53 in [1/2, 1); the safeguard spends at
+    # most three evaluations per halving
     expected = {Fraction(1, 10): 56, Fraction(1, 3): 54, Fraction(9, 10): 53}
     for root, halvings in expected.items():
         calls.clear()
-        lo, hi = pc._bisect(f, 0.0, 1.0, -1.0, 1.0, tol=0.0)
+        lo, hi = pc._refine_bracket(f, 0.0, 1.0, -1.0, 1.0, tol=0.0)
         assert lo < root < hi == np.nextafter(lo, np.inf)
-        assert len(calls) == halvings
+        assert len(calls) <= 3 * halvings
         calls.clear()
-        assert pc._bisect(f, lo, hi, -1.0, 1.0, tol=0.0) == (lo, hi)
+        assert pc._refine_bracket(f, lo, hi, -1.0, 1.0, tol=0.0) == (lo, hi)
         assert calls == []
 
 
-def test_bisect_reports_a_failure_inside_the_bracket():
+def test_refine_bracket_converges_fast_on_a_smooth_root():
+    calls = []
+
+    def f(x):
+        # x^3 - 2, correctly rounded: one sign change, at the cube root of 2
+        calls.append(x)
+        return float(Fraction(x) ** 3 - 2)
+
+    lo, hi = 1.255, 1.26
+    flo, fhi = f(lo), f(hi)
+    calls.clear()
+    refined = pc._refine_bracket(f, lo, hi, flo, fhi, tol=0.0)
+    assert len(calls) <= 12
+    assert refined == _bisect_to_adjacency(f, lo, hi, flo)
+    assert refined[1] == np.nextafter(refined[0], np.inf)
+
+
+def test_refine_bracket_reports_a_failure_inside_the_bracket():
     def f(x):
         return None if 0.4 < x < 0.6 else x - 0.5
 
-    assert pc._bisect(f, 0.0, 1.0, -0.5, 0.5, tol=0.0) is None
+    assert pc._refine_bracket(f, 0.0, 1.0, -0.5, 0.5, tol=0.0) is None
+
+
+def test_refine_bracket_stops_on_an_exact_zero():
+    # the secant point of a line is its root; a zero at an end needs no
+    # evaluation at all
+    assert pc._refine_bracket(lambda x: x - 0.5, 0.0, 1.0, -0.5, 0.5, 0.0) == (0.5, 0.5)
+    assert pc._refine_bracket(pytest.fail, 0.0, 1.0, 0.0, 0.5, 0.0) == (0.0, 0.0)
+    assert pc._refine_bracket(pytest.fail, 0.0, 1.0, -0.5, 0.0, 0.0) == (1.0, 1.0)
+
+
+def test_refine_bracket_says_when_its_budget_runs_out(monkeypatch):
+    # a bracket short of adjacency is never returned as if refined
+    monkeypatch.setattr(pc, "_evaluation_budget", lambda lo, hi, tol: 5)
+    with pytest.raises(SearchError, match="evaluation budget"):
+        pc._refine_bracket(lambda x: 1.0 if x > 1 / 3 else -1.0,
+                           0.0, 1.0, -1.0, 1.0, tol=0.0)
 
 
 def test_grid_brackets_split_at_failures():
@@ -399,6 +444,32 @@ def test_lyapunov_eigenvector_symmetry(lyapunov_orbits):
 def test_lyapunov_periods(lyapunov_orbits):
     assert lyapunov_orbits[1].period == pytest.approx(3.082119126392, abs=1e-8)
     assert lyapunov_orbits[2].period == pytest.approx(3.310671457571, abs=1e-8)
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_lyapunov_bracket_takes_few_flights(monkeypatch, lyapunov_orbits, index):
+    # after the lane scan, each evaluation of the perpendicularity defect
+    # is one apply_map flight; a bisection to adjacent floats took 42 (L1)
+    # and 41 (L2), the regula falsi ends on the same adjacent bracket
+    flights, refinements = [], []
+    original_map, original_refine = pc.apply_map, pc._refine_bracket
+
+    def counted(*args):
+        flights.append(args)
+        return original_map(*args)
+
+    def recorded(f, lo, hi, flo, fhi, tol):
+        refined = original_refine(f, lo, hi, flo, fhi, tol)
+        refinements.append((f, lo, hi, flo, refined))
+        return refined
+
+    monkeypatch.setattr(pc, "apply_map", counted)
+    monkeypatch.setattr(pc, "_refine_bracket", recorded)
+    orb = pc.lyapunov_fixed_point(P, index)
+    assert len(flights) <= 12
+    [(defect, lo, hi, flo, refined)] = refinements
+    assert refined == _bisect_to_adjacency(defect, lo, hi, flo)
+    assert orb.point == lyapunov_orbits[index].point
 
 
 def test_lyapunov_polish_stops_when_the_residual_stops_decreasing(monkeypatch):

@@ -186,12 +186,17 @@ def test_lane_kernel_matches_list_kernel(n):
 
 def test_lane_kernel_matches_list_kernel_through_a_close_pass():
     # this Theta_+ point of the L1 Lyapunov scan passes 5.4e-8 from the
-    # small primary at step 76; one lane, the axis the terms are summed
-    # along is contiguous, where a pairwise sum would change the last bits
+    # small primary at step 76; one lane, where the axis the terms are
+    # summed along is contiguous and a pairwise sum would change the last
+    # bits, and two copies of it, which run the lane recurrence
     flow = PointFlow(P, lift(P, SectionPoint(0.9351335715115707, 0.0, 1)))
     for _ in range(100):
-        lane = taylor.lane_coeffs(flow.state[:, None], P.mu, ORDER)[:, :, 0]
-        assert np.array_equal(lane, taylor.point_coeffs(flow.state, P.mu, ORDER))
+        ref = taylor.point_coeffs(flow.state, P.mu, ORDER)
+        for n in (1, 2):
+            lanes = taylor.lane_coeffs(np.repeat(flow.state[:, None], n, axis=1),
+                                       P.mu, ORDER)
+            for i in range(n):
+                assert np.array_equal(lanes[:, :, i], ref)
         flow.step()
 
 
