@@ -116,8 +116,14 @@ class HSet:
         return self.center + a * self.u + b * self.s
 
     def local_coords(self, x: float, vx: float) -> tuple[float, float]:
-        """(a, b) coordinates of a section point."""
-        ab = np.linalg.solve(self.frame, np.array([x, vx]) - self.center)
+        """(a, b) coordinates of a section point.
+
+        Raises :class:`StructureError` if ``u`` and ``s`` are parallel.
+        """
+        try:
+            ab = np.linalg.solve(self.frame, np.array([x, vx]) - self.center)
+        except np.linalg.LinAlgError as exc:
+            raise StructureError(f"h-set {self.name} has a singular frame: {exc}") from None
         return float(ab[0]), float(ab[1])
 
     def local_coords_iv(self, x: Interval, vx: Interval) -> tuple[Interval, Interval]:

@@ -1,13 +1,20 @@
 """Adaptive Taylor integration, point mode and rigorous (Lohner) mode.
 
-Point mode propagates float states (optionally with the variational matrix)
-using the float Taylor kernels of :mod:`pcr3bp.taylor`; the step size
-follows the decay of the last two Taylor coefficients and each accepted
-step keeps its polynomial for dense output.
+Point mode propagates N float states at once, the lanes of one (4, N)
+state (:class:`PointFlow`), on the lane kernel of :mod:`pcr3bp.taylor`;
+a single trajectory is the one-lane case, and a one-lane flow may carry
+the variational matrix.  Each lane's step follows the decay of the last
+two Taylor coefficients of its own series, and each accepted step keeps
+its polynomials for dense output.  :mod:`pcr3bp.poincare` drives the
+lanes through the section crossings.
 
 Rigorous mode propagates a set ``{c + B r}`` with a point center ``c``, a
 near-orthonormal point frame ``B`` and an interval box ``r`` (first-order
-Lohner representation).  Every step:
+Lohner representation), forward in time and only to the section:
+:func:`lohner_section_crossings` is the one driver of
+:class:`LohnerFlow`.  (The proof needs no other flight: a backward
+section image is the reversal of a forward one, see
+:mod:`pcr3bp.poincare`.)  Every step:
 
 1. validates an a-priori enclosure ``W`` of all trajectories over the step
    by Picard iteration, halving the step on failure;
@@ -115,7 +122,6 @@ __all__ = [
     "LohnerSet",
     "LohnerStep",
     "LohnerFlow",
-    "flow_box",
     "CrossingRecord",
     "lohner_section_crossings",
 ]
@@ -166,15 +172,21 @@ def _step(n: int, norms) -> float:
 
 @dataclass(slots=True)
 class PointStep:
-    """One accepted step with its dense Taylor polynomial."""
+    """One accepted step of the lanes of a flow, with its dense polynomials.
 
-    t0: float
-    h: float
+    ``t0`` and ``h`` hold each lane's start time and step, ``coeffs`` the
+    lanes' Taylor coefficients (n+1, 4, N) and ``vcoeffs`` the variational
+    coefficients (n+1, 4, 4) of a one-lane flow that carries them.
+    """
+
+    t0: np.ndarray
+    h: np.ndarray
     coeffs: np.ndarray
     vcoeffs: np.ndarray | None
 
-    def state_at(self, tau: float) -> np.ndarray:
-        return taylor.horner_point(self.coeffs, tau)
+    def state_at(self, tau) -> np.ndarray:
+        """States (4, N) at step times ``tau``, one time or one per lane."""
+        return taylor.horner_lanes(self.coeffs, tau)
 
     def jacobian_at(self, tau: float) -> np.ndarray:
         if self.vcoeffs is None:
@@ -183,64 +195,65 @@ class PointStep:
 
 
 class PointFlow:
-    """Stepper for float trajectories with optional variational matrix.
+    """Stepper for N float trajectories, the lanes of one (4, N) state.
 
-    The variational series of each step is seeded with the accumulated
-    matrix, so ``jacobian_at`` of a step already gives the derivative of the
-    flow from time zero.
+    ``state`` is (4, N) and ``t`` holds the N lane times; a (4,) state
+    makes one lane.  Each lane takes the step of its own coefficients
+    (:func:`taylor.lane_coeffs`), so it flies as it would alone.  A
+    one-lane flow may carry the variational matrix ``v``: its series is
+    seeded with the accumulated matrix, so ``jacobian_at`` of a step
+    already gives the derivative of the flow from time zero.
     """
 
     def __init__(self, params: Params, state, variational: bool = False):
         self.params = params
-        self.state = np.array(state, dtype=np.float64)
-        if self.state.shape != (4,):
-            raise IntegrationError("state must have four components")
+        state = np.array(state, dtype=np.float64)
+        if state.shape[:1] != (4,) or state.ndim > 2:
+            raise IntegrationError("state must have four components per lane")
+        self.state = state.reshape(4, -1)
+        if variational and self.state.shape[1] != 1:
+            raise IntegrationError("only a one-lane flow carries the variational matrix")
         self.v = np.eye(4) if variational else None
-        self.t = 0.0
+        self.t = np.zeros(self.state.shape[1])
 
     def step(self, direction: float = 1.0, h_cap: float | None = None) -> PointStep:
-        """Advance by one step in the given time direction."""
+        """Advance every lane by one step in the given time direction."""
+        mu = self.params.mu
         if self.v is None:
-            coeffs = taylor.point_coeffs(self.state, self.params.mu, ORDER)
+            coeffs = taylor.lane_coeffs(self.state, mu, ORDER)
             vcoeffs = None
         else:
-            coeffs, vcoeffs = taylor.point_var_coeffs(
-                self.state, self.v, self.params.mu, ORDER
-            )
-        h = _step_from_coeffs(coeffs)
+            coeffs, vcoeffs = taylor.point_var_coeffs(self.state[:, 0], self.v, mu, ORDER)
+            coeffs = coeffs[:, :, None]
+        h = np.array(_step_from_coeffs(coeffs))
         if h_cap is not None:
-            h = min(h, h_cap)
-        h = math.copysign(h, direction)
-        rec = PointStep(self.t, h, coeffs, vcoeffs)
-        self._land(rec, h)
+            h = np.minimum(h, h_cap)
+        h = np.copysign(h, direction)
+        rec = PointStep(self.t.copy(), h, coeffs, vcoeffs)
+        self.state = rec.state_at(h)
+        if vcoeffs is not None:
+            self.v = rec.jacobian_at(h[0])
+        self.t += h
         return rec
 
-    def _land(self, rec: PointStep, tau: float) -> None:
-        self.state = rec.state_at(tau)
-        if rec.vcoeffs is not None:
-            self.v = rec.jacobian_at(tau)
-        self.t = rec.t0 + tau
-
-    def rewind_to(self, rec: PointStep, tau: float) -> None:
-        """Re-land on an interior time of the given step (event handling)."""
-        self._land(rec, tau)
+    def keep(self, lanes: np.ndarray) -> None:
+        """Drop every lane but ``lanes`` (a mask or indices)."""
+        self.state, self.t = self.state[:, lanes], self.t[lanes]
 
 
 def flow_point(params: Params, state, t_final: float, variational: bool = False):
-    """Integrate for a signed time ``t_final``; returns ``(state, V)``.
+    """Integrate one state for a signed time ``t_final``; returns ``(state, V)``.
 
     ``V`` is None unless ``variational`` is set.
     """
     flow = PointFlow(params, state, variational=variational)
-    if t_final == 0.0:
-        return flow.state.copy(), flow.v
     direction = math.copysign(1.0, t_final)
     while True:
-        rem = t_final - flow.t
+        rem = t_final - flow.t[0]
         if rem * direction <= 0.0:
             break
         flow.step(direction, h_cap=abs(rem))
-    return flow.state.copy(), flow.v
+    return flow.state[:, 0].copy(), flow.v
 
 
 # ----------------------------------------------------------------------
@@ -365,13 +378,10 @@ class LohnerFlow:
 
     # -- stepping ---------------------------------------------------------
 
-    def attempt_step(self, direction: float, h_cap: float | None = None,
-                     h_force: Interval | None = None) -> LohnerStep:
-        """Validate one candidate step without committing it.
+    def attempt_step(self, h_cap: float | None = None) -> LohnerStep:
+        """Validate one forward step without committing it.
 
-        ``h_force`` requests an exact (interval) step length, used to land on
-        a prescribed final time; Picard failure then raises instead of
-        shrinking.  The ``MAX_STEPS``-th attempt of a flow is its last.
+        The ``MAX_STEPS``-th attempt of a flow is its last.
         """
         self.attempts += 1
         if self.attempts > MAX_STEPS:
@@ -381,17 +391,14 @@ class LohnerFlow:
         lset = self.lset
         hull = lset.hull()
 
-        if h_force is not None:
-            h = h_force.mag
-        else:
-            c_pt = taylor.point_coeffs(lset.c, params.mu, ORDER)
-            h = _step_from_coeffs(c_pt)
-            if h_cap is not None:
-                h = min(h, h_cap)
+        c_pt = taylor.point_coeffs(lset.c, params.mu, ORDER)
+        h = _step_from_coeffs(c_pt)
+        if h_cap is not None:
+            h = min(h, h_cap)
 
         n = ORDER
         while True:
-            span = Interval(0.0, h) if direction > 0 else Interval(-h, 0.0)
+            span = Interval(0.0, h)
             w = self._rough_enclosure(hull, span)
             wv = self._rough_var_enclosure(w, span) if w is not None else None
             if wv is not None:
@@ -405,28 +412,22 @@ class LohnerFlow:
                 vrem_sz = max(abs(vrlo[n + 1]).max(), abs(vrhi[n + 1]).max()) * hn
                 if rem_sz <= REMAINDER_BUDGET and vrem_sz <= REMAINDER_BUDGET:
                     break
-            if h_force is not None:
-                raise EnclosureError(
-                    f"no validated enclosure for the forced step {h_force}"
-                )
             h *= 0.5
             if h < H_MIN:
                 raise EnclosureError("validated step size underflow")
 
-        hs = math.copysign(h, direction)
         c = _wrap(*taylor.iv_coeffs(lset.c, lset.c, params.mu, n))
         _, _, phlo, phhi = taylor.iv_var_coeffs(
             hull.lo, hull.hi, np.eye(4), np.eye(4), params.mu, n
         )
         rec = LohnerStep(
-            t0=self.t, h=hs,
+            t0=self.t, h=h,
             c=c, rem=_wrap(rlo[n + 1], rhi[n + 1]),
             ph=_wrap(phlo, phhi), vrem=_wrap(vrlo[n + 1], vrhi[n + 1]),
             wy=w[1], wvy=w[3],
             set_before=lset, set_after=lset,
         )
-        tau = h_force if h_force is not None else Interval.point(hs)
-        rec.set_after = self._reanchor(rec, tau)
+        rec.set_after = self._reanchor(rec, Interval.point(h))
         return rec
 
     def commit(self, rec: LohnerStep) -> None:
@@ -514,35 +515,6 @@ def _carry(phic: IArray, c_new: np.ndarray, phi: IArray, b: np.ndarray,
     return b_new, inv @ (phic - c_new) + (inv @ m) @ r
 
 
-def flow_box(params: Params, lset: LohnerSet, t_final: float) -> LohnerSet:
-    """Rigorously flow a set for the signed time ``t_final``."""
-    if t_final == 0.0:
-        return lset
-    flow = LohnerFlow(params, lset)
-    direction = math.copysign(1.0, t_final)
-    while True:
-        rem_iv = Interval.point(t_final) - flow.elapsed
-        rem = rem_iv.mid
-        if rem * direction <= 0.0:
-            raise IntegrationError("overshot the requested final time")
-        # land exactly once the proposed step would reach the target
-        probe = taylor.point_coeffs(flow.lset.c, params.mu, ORDER)
-        h_prop = _step_from_coeffs(probe)
-        if h_prop >= abs(rem):
-            try:
-                rec = flow.attempt_step(direction, h_force=rem_iv)
-            except EnclosureError:
-                rec = flow.attempt_step(direction, h_cap=abs(rem) * 0.5)
-                flow.commit(rec)
-                continue
-            flow.commit(rec)
-            return flow.lset
-        rec = flow.attempt_step(direction, h_cap=abs(rem))
-        flow.commit(rec)
-        if abs(flow.t) > MAX_TIME + abs(t_final):
-            raise HorizonError("rigorous flow exceeded its time horizon")
-
-
 # ----------------------------------------------------------------------
 # Section-crossing localization (section {y = 0})
 # ----------------------------------------------------------------------
@@ -602,13 +574,12 @@ def lohner_section_crossings(
         return cap
 
     while True:
-        if abs(flow.t) > MAX_TIME:
+        if flow.t > MAX_TIME:
             raise HorizonError(
                 f"no section crossing within the time horizon {MAX_TIME}"
             )
-        rec = flow.attempt_step(1.0, h_cap=h_cap)
-        t_end = abs(rec.t0 + rec.h)
-        if t_end < MIN_TIME:
+        rec = flow.attempt_step(h_cap)
+        if rec.t0 + rec.h < MIN_TIME:
             flow.commit(rec)
             continue
         y_end = flow.enclosure_at(rec, Interval.point(rec.h))[1]
@@ -616,7 +587,7 @@ def lohner_section_crossings(
         if prev_side is None:
             if side_end is None:
                 h_cap = halve_or_fail(
-                    abs(rec.h),
+                    rec.h,
                     "cannot separate the set from the section at watch start",
                 )
                 continue
@@ -630,7 +601,7 @@ def lohner_section_crossings(
             # over the a-priori enclosure of the whole step.
             if rec.wy.contains_zero() and rec.wvy.contains_zero():
                 h_cap = halve_or_fail(
-                    abs(rec.h), "cannot exclude a hidden crossing pair in a step"
+                    rec.h, "cannot exclude a hidden crossing pair in a step"
                 )
                 continue
             flow.commit(rec)
@@ -638,7 +609,7 @@ def lohner_section_crossings(
             continue
         if side_end is None:
             h_cap = halve_or_fail(
-                abs(rec.h), "section crossing cannot be separated (near-tangency)"
+                rec.h, "section crossing cannot be separated (near-tangency)"
             )
             continue
 
@@ -671,7 +642,7 @@ def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
     point its center box holds."""
     sa, sb = 0.0, 1.0
     for _ in range(90):
-        if (sb - sa) * abs(rec.h) < BRACKET_TOL:
+        if (sb - sa) * rec.h < BRACKET_TOL:
             break
         sm = 0.5 * (sa + sb)
         y_iv = flow.enclosure_at(rec, Interval.point(sm * rec.h), of_center)[1]
@@ -682,8 +653,7 @@ def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
             sb = sm
         else:
             break
-    ta, tb = sa * rec.h, sb * rec.h
-    tau = Interval(min(ta, tb), max(ta, tb))
+    tau = Interval(sa * rec.h, sb * rec.h)
     st = flow.enclosure_at(rec, tau, of_center)
     vy = st[3]
     if vy.mig < TANGENCY_TOL or vy.contains_zero():

@@ -184,15 +184,15 @@ def sample_trajectory(params: Params, state, t_final: float,
     flow = PointFlow(params, state)
     i = 1
     while i < n:
-        rem = t_final - flow.t
+        rem = t_final - flow.t[0]
         if rem * direction <= 0.0:
             break
         rec = flow.step(direction, h_cap=abs(rem))
-        while i < n and (times[i] - flow.t) * direction <= 0.0:
-            out[i] = rec.state_at(times[i] - rec.t0)
+        while i < n and (times[i] - flow.t[0]) * direction <= 0.0:
+            out[i] = rec.state_at(times[i] - rec.t0[0])[:, 0]
             i += 1
     while i < n:  # guard against landing a rounding hair short of t_final
-        out[i] = flow.state
+        out[i] = flow.state[:, 0]
         i += 1
     return Trajectory(times, out, params)
 

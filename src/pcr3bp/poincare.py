@@ -27,7 +27,8 @@ backward image of a point ``q`` under a map is ``R`` of the forward image
 of ``R q`` under its mirror, and no inverse map is needed.
 
 Composite words of these maps are applied either in point mode (float
-states, Newton event refinement on the dense Taylor polynomial) or in
+states flown as the lanes of one :class:`~pcr3bp.integrator.PointFlow`,
+Newton event refinement on the dense Taylor polynomial) or in
 rigorous mode (one Lohner set flown through the entire crossing sequence,
 so no correlations are lost at intermediate sections).
 """
@@ -45,6 +46,7 @@ from . import dynamics, integrator, taylor
 from .dynamics import Params
 from .errors import (
     DomainError,
+    HorizonError,
     IntegrationError,
     PCR3BPError,
     SearchError,
@@ -198,8 +200,8 @@ def reflect(pt: SectionPoint) -> SectionPoint:
 # ----------------------------------------------------------------------
 
 
-def _horizon_error() -> IntegrationError:
-    return IntegrationError(
+def _horizon_error() -> HorizonError:
+    return HorizonError(
         f"no section crossing within the time horizon {integrator.MAX_TIME}")
 
 
@@ -218,37 +220,6 @@ def _landed_sign(state: np.ndarray, expected: int, index: int) -> int:
             f"crossing {index} has vy sign {got}, expected {expected}"
         )
     return got
-
-
-def _drive_crossings(flow: PointFlow, signs: Sequence[int]):
-    """Flow a point flow forward through successive section crossings.
-
-    Returns ``(crossing_states, crossing_times)``; the flow is left
-    standing exactly on the final crossing.
-    """
-    found_states: list[np.ndarray] = []
-    found_times: list[float] = []
-    prev_y = flow.state[1]
-    while len(found_states) < len(signs):
-        if flow.t > integrator.MAX_TIME:
-            raise _horizon_error()
-        rec = flow.step()
-        y_new = flow.state[1]
-        crossed = prev_y * y_new < 0.0 or (y_new == 0.0 and prev_y != 0.0)
-        if crossed and flow.t >= integrator.MIN_TIME:
-            tau = _refine_root(rec.coeffs[:, :, None], np.array([rec.h]),
-                               np.array([prev_y]))[0]
-            flow.rewind_to(rec, tau)
-            # arm on the side the flow enters: the landed y is a rounding
-            # residue that may keep the sign of the side just left, and
-            # armed on it the next step would find this root again
-            prev_y = _landed_sign(flow.state, signs[len(found_states)],
-                                  len(found_states))
-            found_states.append(flow.state.copy())
-            found_times.append(flow.t)
-        else:
-            prev_y = y_new
-    return found_states, found_times
 
 
 def _refine_root(coeffs: np.ndarray, h: np.ndarray,
@@ -310,12 +281,13 @@ def apply_chain(params: Params, tags: Sequence[MapTag],
     """Apply a composition of elementary maps to a section point.
 
     ``tags`` are listed in application order (first applied first).  Returns
-    the image point and the flight time.
+    the image point and the flight time: the one-lane flight of
+    :func:`apply_chain_lanes`.
     """
-    signs = _chain_to_signs(tags, pt.sign)
-    flow = PointFlow(params, lift(params, pt))
-    states, times = _drive_crossings(flow, signs)
-    return project(states[-1]), times[-1]
+    flown, = apply_chain_lanes(params, tags, [pt])
+    if isinstance(flown, PCR3BPError):
+        raise flown
+    return flown
 
 
 def apply_map(params: Params, tag: MapTag,
@@ -329,18 +301,14 @@ def apply_chain_lanes(params: Params, tags: Sequence[MapTag],
                       ) -> list[tuple[SectionPoint, float] | PCR3BPError]:
     """Apply a composite map to many section points at once.
 
-    The lane twin of :func:`apply_chain`: entry i of the result is what
-    ``apply_chain(params, tags, pts[i])`` returns, bit for bit, or the
-    :class:`~pcr3bp.errors.PCR3BPError` it raises; other exceptions
-    propagate.  The points fly as the lanes of one (4, N) state
-    (:func:`taylor.lane_coeffs`).  Each lane takes the step of its own
-    coefficients, crossings are refined lane-wise, and a lane drops out
-    once it lands its last crossing or fails; a lane left alone steps on
-    the list kernel.  Single flights stay on :class:`PointFlow`, which
-    does without the lane bookkeeping.
+    Entry i of the result is the image of ``pts[i]`` and its flight time,
+    or the :class:`~pcr3bp.errors.PCR3BPError` that stopped its flight;
+    other exceptions propagate.  The points fly as the lanes of one
+    :class:`PointFlow` (see :func:`_fly_to_crossings`), and each lane
+    gives the bits of its own one-lane flight, :func:`apply_chain`.
     """
     out: list = [None] * len(pts)
-    lanes, states = [], []
+    lanes, states, signs = [], [], []
     for i, pt in enumerate(pts):
         try:
             signs = _chain_to_signs(tags, pt.sign)
@@ -348,42 +316,65 @@ def apply_chain_lanes(params: Params, tags: Sequence[MapTag],
             lanes.append(i)
         except PCR3BPError as exc:
             out[i] = exc
-    lanes = np.array(lanes, dtype=int)
-    u = np.array(states).T.reshape(4, -1)
-    t = np.zeros(lanes.size)
-    prev_y = u[1].copy()
-    found = np.zeros(lanes.size, dtype=int)
-    done = np.zeros(lanes.size, dtype=bool)
+    flow = PointFlow(params, np.array(states).T.reshape(4, -1))
+    for i, flown in zip(lanes, _fly_to_crossings(flow, signs)):
+        out[i] = flown
+    return out
+
+
+def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
+                      ) -> list[tuple[SectionPoint, float] | PCR3BPError]:
+    """Fly the lanes of a flow forward through successive section crossings.
+
+    ``signs`` lists the vy sign of each awaited crossing.  Entry i of the
+    result is lane i's projected last crossing and its time, or the
+    :class:`~pcr3bp.errors.PCR3BPError` that stopped the lane.  Crossings
+    are refined lane-wise on each step's polynomial, and a lane drops out
+    once it lands its last crossing or fails.  A one-lane flow is left
+    standing on its last crossing, with its variational matrix there.
+    """
+    mu = flow.params.mu
+    n = flow.t.size
+    out: list = [None] * n
+    lanes = np.arange(n)
+    prev_y = flow.state[1].copy()
+    found = np.zeros(n, dtype=int)
+    done = np.zeros(n, dtype=bool)
     while True:
-        # the horizon, then the guard radius, as a single flight meets them
-        late = ~done & (t > integrator.MAX_TIME)
-        near = ~done & ~late & taylor.lane_guard(u, params.mu)
+        # the horizon, then the guard radius, as the kernel would meet them
+        late = ~done & (flow.t > integrator.MAX_TIME)
+        near = ~done & ~late & taylor.lane_guard(flow.state, mu)
         for i in lanes[late]:
             out[i] = _horizon_error()
         for i in lanes[near]:
             out[i] = SingularityError("taylor kernel: state inside primary guard radius")
         go = ~(done | late | near)
-        lanes, u, t, prev_y, found = lanes[go], u[:, go], t[go], prev_y[go], found[go]
-        if not lanes.size:
+        if not go.any():
             return out
-        coeffs = taylor.lane_coeffs(u, params.mu, integrator.ORDER)
-        h = np.array(integrator._step_from_coeffs(coeffs))
-        u = taylor.horner_lanes(coeffs, h)
-        t0, t = t, t + h
-        y_start, prev_y = prev_y, u[1].copy()
+        if not go.all():
+            flow.keep(go)
+            lanes, prev_y, found = lanes[go], prev_y[go], found[go]
+        rec = flow.step()
+        y_start, prev_y = prev_y, flow.state[1].copy()
         crossed = (y_start * prev_y < 0.0) | ((prev_y == 0.0) & (y_start != 0.0))
-        crossed = np.flatnonzero(crossed & (t >= integrator.MIN_TIME))
+        crossed = np.flatnonzero(crossed & (flow.t >= integrator.MIN_TIME))
         if crossed.size:
-            tau = _refine_root(coeffs[:, :, crossed], h[crossed], y_start[crossed])
-            u[:, crossed] = taylor.horner_lanes(coeffs[:, :, crossed], tau)
-            t[crossed] = t0[crossed] + tau
+            # land the crossed lanes on their roots
+            tau = _refine_root(rec.coeffs[:, :, crossed], rec.h[crossed], y_start[crossed])
+            flow.state[:, crossed] = taylor.horner_lanes(rec.coeffs[:, :, crossed], tau)
+            flow.t[crossed] = rec.t0[crossed] + tau
+            if flow.v is not None:
+                flow.v = rec.jacobian_at(tau[0])
         done = np.zeros(lanes.size, dtype=bool)
         for j in crossed.tolist():
+            # arm on the side the lane enters: the landed y is a rounding
+            # residue that may keep the sign of the side just left, and
+            # armed on it the next step would find this root again
             try:
-                prev_y[j] = _landed_sign(u[:, j], signs[found[j]], found[j])
+                prev_y[j] = _landed_sign(flow.state[:, j], signs[found[j]], found[j])
                 found[j] += 1
                 if found[j] == len(signs):
-                    out[lanes[j]] = (project(u[:, j]), t[j])
+                    out[lanes[j]] = (project(flow.state[:, j]), flow.t[j])
                     done[j] = True
             except PCR3BPError as exc:
                 out[lanes[j]] = exc
@@ -430,14 +421,17 @@ def chain_derivative(params: Params, tags: Sequence[MapTag], pt: SectionPoint):
     state = lift(params, pt)
     dt_cols = lift_tangent(params, state)
     flow = PointFlow(params, state, variational=True)
-    states, times = _drive_crossings(flow, signs)
-    q = states[-1]
+    flown, = _fly_to_crossings(flow, signs)
+    if isinstance(flown, PCR3BPError):
+        raise flown
+    image, t = flown
+    q = flow.state[:, 0]
     dphi = flow.v
     f_q = dynamics.vector_field(params, q)
     corr = np.eye(4) - np.outer(f_q, [0.0, 1.0, 0.0, 0.0]) / q[3]
     full = corr @ dphi @ dt_cols
     dp = full[[0, 2], :]
-    return dp, project(q), times[-1]
+    return dp, image, t
 
 
 # ----------------------------------------------------------------------

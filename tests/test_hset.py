@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pcr3bp import taylor
-from pcr3bp.dynamics import MU_SUN_JUPITER
+from pcr3bp.dynamics import MU_SUN_JUPITER, Params
 from pcr3bp.errors import DomainError, StructureError
 from pcr3bp.hset import (
     HSet,
@@ -26,6 +26,8 @@ from pcr3bp.hset import (
     write_hset_file,
 )
 from pcr3bp.intervals import IArray, Interval
+from pcr3bp.poincare import HALF_MINUS
+from pcr3bp.symbolic import section_point_map
 
 UNIT_N = HSet("N", 1, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 UNIT_M = HSet("M", 1, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
@@ -110,6 +112,23 @@ def test_frame_inverse_is_made_once_and_encloses_the_inverse():
         z.frame_inverse
     # a set made from another does not inherit its cached inverse
     assert r_image(h).frame_inverse is not inv
+
+
+def test_degenerate_frame_refuses_point_coords_with_a_typed_error(tmp_path):
+    # u parallel to s: the file format accepts the set, but its point
+    # coordinates refuse as its frame inverse does, so a pointwise screen
+    # into it fails with a StructureError and not numpy's LinAlgError
+    path = tmp_path / "flat.hset"
+    v4 = load_bundled("v_chain")["V4"]
+    u = np.array([2.0 ** -6, 2.0 ** -7])  # exact in the file and the solve
+    write_hset_file(path, [HSet("Z", v4.sign, v4.center, u, 2.0 * u)])
+    flat = read_hset_file(path)["Z"]
+    with pytest.raises(StructureError, match="singular frame"):
+        flat.local_coords(*flat.center)
+    v3 = load_bundled("v_chain")["V3"]
+    point_map = section_point_map(Params(), [HALF_MINUS], v3, flat)
+    with pytest.raises(StructureError):
+        check_cover_pointwise(point_map, v3, flat, samples=16)
 
 
 def test_r_image_involution_and_geometry():

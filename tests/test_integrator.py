@@ -10,7 +10,6 @@ from pcr3bp.integrator import (
     LohnerFlow,
     LohnerSet,
     PointFlow,
-    flow_box,
     flow_point,
     lohner_section_crossings,
 )
@@ -100,61 +99,78 @@ def corners(center, radius):
             yield center + radius * np.array([sx, 0.0, sv, 0.0])
 
 
-def test_flow_box_contains_pointwise_images():
+def point_crossings(state, n):
+    """The first n section crossings ``(t, state)`` of a point flight.
+
+    Each root is bisected on the y of its step's polynomial, a reference
+    apart from the point-mode root finder of :mod:`pcr3bp.poincare`.
+    """
+    flow = PointFlow(P, state)
+    hits = []
+    while len(hits) < n:
+        y0 = flow.state[1, 0]
+        rec = flow.step()
+        if y0 * flow.state[1, 0] < 0 and flow.t[0] > 1e-3:
+            lo, hi = 0.0, rec.h[0]
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if (rec.state_at(mid)[1, 0] > 0) == (y0 > 0):
+                    lo = mid
+                else:
+                    hi = mid
+            tau = 0.5 * (lo + hi)
+            hits.append((rec.t0[0] + tau, rec.state_at(tau)[:, 0]))
+    return hits
+
+
+def assert_crossing_holds(enc, t_pt, s_pt):
+    assert enc.t.lo <= t_pt <= enc.t.hi
+    for i in (0, 2, 3):
+        assert enc.state[i].lo <= s_pt[i] <= enc.state[i].hi
+    assert enc.state[1].lo <= 0.0 <= enc.state[1].hi
+
+
+def test_section_crossing_contains_pointwise_crossings():
+    # the anchor's first section crossing, at t = 10.43 with vy < 0
     box = IArray.from_point(ANCHOR).inflate(1e-8)
-    lset = LohnerSet.from_box(box)
-    out = flow_box(P, lset, 2.0)
-    hull = out.hull()
+    crossings, _ = lohner_section_crossings(P, LohnerSet.from_box(box), [-1])
     for s in [ANCHOR, *corners(ANCHOR, 1e-8)]:
-        end, _ = flow_point(P, s, 2.0)
-        assert np.all(hull.lo <= end) and np.all(end <= hull.hi)
+        assert_crossing_holds(crossings[0], *point_crossings(s, 1)[0])
 
 
-def test_flow_box_backward_contains_pointwise_images():
-    box = IArray.from_point(ANCHOR).inflate(1e-9)
-    out = flow_box(P, LohnerSet.from_box(box), -1.5)
-    hull = out.hull()
-    for s in [ANCHOR, *corners(ANCHOR, 1e-9)]:
-        end, _ = flow_point(P, s, -1.5)
-        assert np.all(hull.lo <= end) and np.all(end <= hull.hi)
-
-
-def test_flow_box_nesting():
+def test_section_crossing_nesting():
     small = IArray.from_point(ANCHOR).inflate(1e-10)
     large = IArray.from_point(ANCHOR).inflate(1e-8)
-    hull_small = flow_box(P, LohnerSet.from_box(small), 1.0).hull()
-    hull_large = flow_box(P, LohnerSet.from_box(large), 1.0).hull()
-    assert hull_small.is_subset(hull_large)
+    (in_small,), _ = lohner_section_crossings(P, LohnerSet.from_box(small), [-1])
+    (in_large,), _ = lohner_section_crossings(P, LohnerSet.from_box(large), [-1])
+    assert in_small.state.is_subset(in_large.state)
+    assert in_large.t.lo <= in_small.t.lo and in_small.t.hi <= in_large.t.hi
 
 
-def test_flow_box_thin_width_growth():
-    out = flow_box(P, LohnerSet.from_box(IArray.from_point(ANCHOR)), 2.0)
-    assert np.max(out.hull().width) < 1e-11
-
-
-def test_rigorous_forward_backward_contains_start():
-    box = IArray.from_point(ANCHOR).inflate(1e-11)
-    fwd = flow_box(P, LohnerSet.from_box(box), 1.0)
-    back = flow_box(P, fwd, -1.0)
-    hull = back.hull()
-    assert np.all(hull.lo <= ANCHOR) and np.all(ANCHOR <= hull.hi)
+def test_section_crossing_thin_width_growth():
+    # a point set crosses with an enclosure of about 1.3e-9 after 10.4
+    # time units, against 1.3e-5 for the box of radius 1e-8
+    (cross,), _ = lohner_section_crossings(
+        P, LohnerSet.from_box(IArray.from_point(ANCHOR)), [-1])
+    assert np.max(cross.state.width) < 1e-8
 
 
 def test_exact_elapsed_time_tracking():
     lset = LohnerSet.from_box(IArray.from_point(ANCHOR).inflate(1e-12))
     flow = LohnerFlow(P, lset)
     while flow.t < 1.0:
-        flow.commit(flow.attempt_step(1.0))
+        flow.commit(flow.attempt_step())
     el = flow.elapsed
     assert el.width <= 4e-16 * max(1.0, abs(flow.t))
 
 
 def test_accumulated_jacobian_contains_point_jacobian():
+    # the derivative accumulated over the whole flight to the second
+    # crossing, through the first
     box = IArray.from_point(ANCHOR).inflate(1e-11)
     lset = LohnerSet.from_box(box, track_jacobian=True)
-    out = flow_box(P, lset, 2.0)
-    jac = out.jacobian()
-    _, v = flow_point(P, ANCHOR, 2.0, variational=True)
+    crossings, jac = lohner_section_crossings(P, lset, [-1, 1], want_jacobian=True)
+    _, v = flow_point(P, ANCHOR, crossings[1].t.mid, variational=True)
     assert np.all(jac.lo <= v) and np.all(v <= jac.hi)
 
 
@@ -165,31 +181,8 @@ def test_section_crossing_encloses_point_crossing():
     lset = LohnerSet.from_box(box)
     crossings, _ = lohner_section_crossings(P, lset, [-1, 1])
     assert [c.vy_sign for c in crossings] == [-1, 1]
-
-    # point-mode reference: bisect y through the same flight
-    flow = PointFlow(P, ANCHOR)
-    hits = []
-    prev = flow.state.copy()
-    while len(hits) < 2:
-        rec = flow.step()
-        if prev[1] * flow.state[1] < 0 and abs(flow.t) > 1e-3:
-            lo, hi = 0.0, rec.h
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                ymid = rec.state_at(mid)[1]
-                if (ymid > 0) == (prev[1] > 0):
-                    lo = mid
-                else:
-                    hi = mid
-            flow.rewind_to(rec, 0.5 * (lo + hi))
-            hits.append((flow.t, flow.state.copy()))
-            flow.step(h_cap=1e-9)  # move past the root before rearming
-        prev = flow.state.copy()
-    for enc, (t_pt, s_pt) in zip(crossings, hits):
-        assert enc.t.lo <= t_pt <= enc.t.hi
-        for i in (0, 2, 3):
-            assert enc.state[i].lo <= s_pt[i] <= enc.state[i].hi
-        assert enc.state[1].lo <= 0.0 <= enc.state[1].hi
+    for enc, hit in zip(crossings, point_crossings(ANCHOR, 2)):
+        assert_crossing_holds(enc, *hit)
 
 
 def test_section_crossing_jacobian_contains_point_jacobian():
@@ -219,8 +212,8 @@ def test_close_encounter_is_refused_rigorously(monkeypatch):
     state = np.array([0.92, 0.0, 0.05, vy])
     box = IArray.from_point(state).inflate(1e-12)
     monkeypatch.setattr(integrator, "H_MIN", 1e-3)
-    with pytest.raises(IntegrationError):
-        flow_box(P, LohnerSet.from_box(box), 1.0)
+    with pytest.raises(EnclosureError):
+        lohner_section_crossings(P, LohnerSet.from_box(box), [-1])
 
 
 def test_remainder_budget_rejects_sloppy_steps():
@@ -228,20 +221,20 @@ def test_remainder_budget_rejects_sloppy_steps():
     # default budget keeps the amplification within a decade of the true
     # derivative norm
     box = IArray.from_point(ANCHOR).inflate(1e-12)
-    out = flow_box(P, LohnerSet.from_box(box), 9.0)
-    width = np.max(out.hull().width)
-    _, v = flow_point(P, ANCHOR, 9.0, variational=True)
+    (cross,), _ = lohner_section_crossings(P, LohnerSet.from_box(box), [-1])
+    width = np.max(cross.state.width)
+    _, v = flow_point(P, ANCHOR, cross.t.mid, variational=True)
     amplification = width / 2e-12
     assert amplification < 30 * np.max(np.abs(v))
 
 
 def test_step_bound_refuses_a_long_flight(monkeypatch):
-    # flying this box for t = 2 takes more than five step attempts; a flow
-    # may not make more than MAX_STEPS
+    # flying this box to its first crossing takes more than five step
+    # attempts; a flow may not make more than MAX_STEPS
     box = IArray.from_point(ANCHOR).inflate(1e-11)
     monkeypatch.setattr(integrator, "MAX_STEPS", 5)
     with pytest.raises(IntegrationError, match="5 step attempts"):
-        flow_box(P, LohnerSet.from_box(box), 2.0)
+        lohner_section_crossings(P, LohnerSet.from_box(box), [-1])
 
 
 @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, np.inf)])
@@ -249,7 +242,7 @@ def test_reanchor_refuses_an_unbounded_center_image(lo, hi):
     # a center image with an infinite end has no finite midpoint ([-inf,
     # inf] has a NaN one); re-anchoring must refuse it, not store it
     flow = LohnerFlow(P, LohnerSet.from_box(IArray.from_point(ANCHOR).inflate(1e-11)))
-    rec = flow.attempt_step(1.0)
+    rec = flow.attempt_step()
     clo, chi = rec.c.lo.copy(), rec.c.hi.copy()
     clo[0, 0], chi[0, 0] = lo, hi
     rec.c = IArray(clo, chi)

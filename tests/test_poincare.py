@@ -9,14 +9,16 @@ import pytest
 from pcr3bp import dynamics, hset, integrator, poincare as pc, taylor
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
 from pcr3bp.errors import DomainError, PCR3BPError, SearchError
-from pcr3bp.integrator import PointFlow
+from pcr3bp.integrator import flow_point
 from pcr3bp.intervals import Interval
+from pcr3bp.orbits import sample_trajectory
 
 P = Params(MU_SUN_JUPITER, JACOBI_OTERMA)
 RNG = np.random.default_rng(7)
 
 # exterior-realm departure used as a well-behaved base point
 BASE = pc.SectionPoint(-1.12327231155833984, 0.0, 1)
+ANCHOR = pc.lift(P, BASE)
 
 
 def section_samples(n, seed=11):
@@ -177,7 +179,7 @@ def test_lanes_match_single_flights_lane_by_lane(monkeypatch):
         else:
             assert lane == single
             kinds.append("image")
-    assert kinds == (["IntegrationError"] * 4 + ["image"] * 7
+    assert kinds == (["HorizonError"] * 4 + ["image"] * 7
                      + ["DomainError"] * 2 + ["SingularityError"] * 2)
 
 
@@ -190,6 +192,47 @@ def test_lanes_let_other_exceptions_through(monkeypatch):
         pc.apply_chain_lanes(P, [pc.HALF_PLUS], [BASE])
 
 
+def test_point_outputs_are_pinned_to_the_bit():
+    # point-mode outputs frozen as exact floats: a reworked flight path that
+    # drifts in the last bits fails here, where the tolerance tests pass
+    got = {}
+    for i in (1, 2):
+        o = pc.lyapunov_fixed_point(P, i)
+        got[f"L{i}"] = [o.point.x, o.point.vx, o.period, *o.multipliers, o.residual]
+    for tag in (pc.HALF_PLUS, pc.FULL_PLUS):
+        dp, img, t = pc.chain_derivative(P, [tag], BASE)
+        got[tag.name] = [*dp.ravel(), img.x, img.vx, img.sign, t]
+    state, v = flow_point(P, ANCHOR, 2.3456789, variational=True)
+    got["flow"] = [*state, *v.ravel()]
+    got["back"] = sample_trajectory(P, ANCHOR, -2.5, 5).states.ravel().tolist()
+    assert {k: [float(x) for x in v] for k, v in got.items()} == {
+        "L1": [0.9208034913207471, -1.4848058623877282e-15, 3.082119126392008,
+               1391.7775433629345, 0.0007185056293792513, 5.770892844227202e-14],
+        "L2": [1.0819294868417904, 3.0621344679964687e-15, 3.3106714575715506,
+               1147.247960036633, 0.0008716511468946919, 3.814275225688063e-14],
+        "Ph+": [-27.573299317810648, -0.7645254222159652, -37.378086303733916,
+                -1.072649916577659, 1.0933378373828957, -0.025100941960990532,
+                -1.0, 10.428050146550534],
+        "P+": [-460.5590176436674, -12.943450017910695, -1627.6732561526574,
+               -45.74594488302017, 1.047131541187202, -0.0010561993176001862,
+               1.0, 12.047542757948378],
+        "flow": [-1.1658288496926716, 0.6263268701685838, 0.12158127039211467,
+                 0.46820122032939365, 2.1245436595688525, 0.6115911753731486,
+                 -0.526033072306341, 1.841834964556228, -7.618264744349805,
+                 1.3801481440167713, -3.249880855678199, -3.3656616279822553,
+                 -3.1340278173821585, 0.6381494659490491, -2.112502877559563,
+                 -1.2039493424448409, -7.277653077228953, 0.017571270384693576,
+                 -1.1766808631343684, -4.599706417998126],
+        "back": [-1.1232723115583398, 0.0, 0.0, 0.11797393804215285,
+                 -1.1404111643473092, -0.082593388792858, 0.05098149135182003,
+                 0.1598831911988046, -1.1776338046085182, -0.21384482426458573,
+                 0.05738029546211282, 0.26794362189556603, -1.1958734723962627,
+                 -0.4216745642939883, -0.013316396731532247, 0.39548005810301773,
+                 -1.1437101636361995, -0.6997875871654721, -0.16567051286030954,
+                 0.4829532197978789],
+    }
+
+
 # ----------------------------------------------------------------------
 # sign-change search
 # ----------------------------------------------------------------------
@@ -200,10 +243,11 @@ def test_point_crossings_do_not_refind_the_root_they_land_on():
     # +8.7e-19, the sign of the side just left; the next step must not
     # take that residue for a second crossing
     for x in (0.9207986617591787, 0.9207696843897678):
-        flow = PointFlow(P, pc.lift(P, pc.SectionPoint(x, 0.0, 1)))
-        states, times = pc._drive_crossings(flow, [-1, 1])
-        assert [int(np.sign(s[3])) for s in states] == [-1, 1]
-        assert times[1] - times[0] > 1.0  # half a turn apart
+        pt = pc.SectionPoint(x, 0.0, 1)
+        (half, t_half), (full, t_full) = (pc.apply_chain(P, [tag], pt)
+                                          for tag in (pc.HALF_PLUS, pc.FULL_PLUS))
+        assert (half.sign, full.sign) == (-1, 1)
+        assert t_full - t_half > 1.0  # half a turn apart
 
 
 def _bisect_to_adjacency(f, lo, hi, flo):

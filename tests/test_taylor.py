@@ -191,10 +191,9 @@ def test_lane_kernel_matches_list_kernel_through_a_close_pass():
     # bits, and two copies of it, which run the lane recurrence
     flow = PointFlow(P, lift(P, SectionPoint(0.9351335715115707, 0.0, 1)))
     for _ in range(100):
-        ref = taylor.point_coeffs(flow.state, P.mu, ORDER)
+        ref = taylor.point_coeffs(flow.state[:, 0], P.mu, ORDER)
         for n in (1, 2):
-            lanes = taylor.lane_coeffs(np.repeat(flow.state[:, None], n, axis=1),
-                                       P.mu, ORDER)
+            lanes = taylor.lane_coeffs(np.repeat(flow.state, n, axis=1), P.mu, ORDER)
             for i in range(n):
                 assert np.array_equal(lanes[:, :, i], ref)
         flow.step()
