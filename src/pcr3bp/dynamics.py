@@ -41,10 +41,8 @@ __all__ = [
     "Params",
     "effective_potential",
     "vector_field",
-    "vector_field_jacobian",
     "jacobi_constant",
     "reversal",
-    "hill_admissible",
     "libration_point",
     "effective_potential_iv",
     "vector_field_iv",
@@ -100,12 +98,6 @@ def vector_field(params: Params, state) -> np.ndarray:
     return np.array(field)
 
 
-def vector_field_jacobian(params: Params, state) -> np.ndarray:
-    """Jacobian of :func:`vector_field` with respect to the state."""
-    _, hessian = taylor.point_field(state, params.mu, True)
-    return _jacobian(hessian)
-
-
 def _jacobian(hessian) -> np.ndarray:
     # state Jacobian from the potential Hessian (Omega_xx, Omega_xy, Omega_yy)
     oxx, oxy, oyy = hessian
@@ -129,11 +121,6 @@ def reversal(state) -> np.ndarray:
     """The reversing symmetry R(x, y, vx, vy) = (x, -y, -vx, vy)."""
     x, y, vx, vy = (float(c) for c in state)
     return np.array([x, -y, -vx, vy])
-
-
-def hill_admissible(params: Params, x: float, y: float) -> bool:
-    """True iff (x, y) lies in the Hill region 2*Omega >= C of the level set."""
-    return 2.0 * effective_potential(params, x, y) - params.jacobi >= 0.0
 
 
 def libration_point(params: Params, index: int) -> float:

@@ -67,6 +67,7 @@ __all__ = [
     "is_r_symmetric",
     "fix_r_segment",
     "CoverReport",
+    "CellImage",
     "MapEnclosure",
     "check_cover",
     "check_cover_pointwise",
@@ -213,14 +214,34 @@ def fix_r_segment(h: HSet) -> Callable[[float], tuple[np.ndarray, float]]:
 # covering verification
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
+class CellImage:
+    """A cell's image enclosure ``(a', b')`` that also encloses its faces.
+
+    It unpacks as the pair ``(a, b)``.  ``face(a_edge)`` encloses, as a
+    pair, the image of the cell's face ``{a = a_edge}``; ``a_edge`` must be
+    an end of the cell's ``a`` range.  The face enclosure may be sharper
+    than the pair, since the face is a part of the cell.
+    """
+
+    a: Interval
+    b: Interval
+    face: Callable[[float], tuple[Interval, Interval]]
+
+    def __iter__(self):
+        return iter((self.a, self.b))
+
+
 # A covering-check map evaluates the composite map on one parallelogram
 # cell of the source h-set, given in the source's local (a, b)
 # coordinates, and returns an enclosure of the image in the *target's
-# local* (a', b') coordinates.  The adapter that wraps the actual section
-# map owns the section-to-local conversion (see HSet.local_coords_iv), so
-# it can exploit whatever structure its image representation has instead
-# of losing correlations to an intermediate bounding box.
-MapEnclosure = Callable[[Interval, Interval], tuple[Interval, Interval]]
+# local* (a', b') coordinates: a pair, or a CellImage, whose faces decide
+# the exit edges without a flight of their own.  The adapter that wraps
+# the actual section map owns the section-to-local conversion (see
+# HSet.local_coords_iv), so it can exploit whatever structure its image
+# representation has instead of losing correlations to an intermediate
+# bounding box.
+MapEnclosure = Callable[[Interval, Interval], tuple[Interval, Interval] | CellImage]
 
 
 @dataclass(slots=True)
@@ -235,6 +256,8 @@ class CoverReport:
     message: str
     #: exceptions the map raised, counted by type name
     errors: dict[str, int] = field(default_factory=dict)
+    #: exit-edge pieces decided from the face of a flown cell, unflown
+    edge_faces: int = 0
 
     @property
     def verified(self) -> bool:
@@ -244,8 +267,8 @@ class CoverReport:
         return (
             f"{self.outcome} (margin {self.margin:.3e}, "
             f"stable clearance {self.stable_clearance:.3e}, "
-            f"grid {self.grid[0]}x{self.grid[1]}, {self.cells} cells): "
-            f"{self.message}"
+            f"grid {self.grid[0]}x{self.grid[1]}, {self.cells} cells, "
+            f"{self.edge_faces} edges from cell faces): {self.message}"
         )
 
 
@@ -262,6 +285,7 @@ class _Tally:
     margin: float = math.inf
     stable: float = math.inf
     cells: int = 0
+    edge_faces: int = 0
     hull_lo: float = math.inf
     hull_hi: float = -math.inf
     outside_min: float = math.inf
@@ -301,71 +325,106 @@ def _eval_cell(map_fn: MapEnclosure, a: Interval, b: Interval, tally: _Tally):
     A cell is certified when its image avoids the closed bars
     ``{|a'| <= 1, |b'| >= 1}``: either ``b'`` lies strictly inside
     ``(-1, 1)`` or ``a'`` lies strictly beyond one unstable edge.
-    Returns ``(verdict, a_img, b_img)`` with verdict ``ok`` or
-    ``undecided``; the images are None when the map evaluation failed,
-    and the failure is counted in ``tally.errors``.
+    Returns ``(verdict, image)`` with verdict ``ok`` or ``undecided`` and
+    the map's return value as the image; it is None when the map
+    evaluation failed, and the failure is counted in ``tally.errors``.
     """
     try:
-        a_img, b_img = map_fn(a, b)
+        image = map_fn(a, b)
     except PCR3BPError as exc:
         tally.errors[type(exc).__name__] += 1
-        return "undecided", None, None
+        return "undecided", None
+    a_img, b_img = image
     strip = min(1.0 - b_img.hi, b_img.lo + 1.0)
     side = max(a_img.lo - 1.0, -1.0 - a_img.hi)
-    if max(strip, side) > 0.0:
-        return "ok", a_img, b_img
-    return "undecided", a_img, b_img
+    return ("ok" if max(strip, side) > 0.0 else "undecided"), image
+
+
+def _edge_side(a_img: Interval) -> tuple[str, float]:
+    """Side of an exit-edge image against the unstable edges.
+
+    Returns ``(side, clearance)`` with side ``minus`` (strictly beyond
+    a' = -1), ``plus`` (strictly beyond a' = +1) or ``undecided``; the
+    stable coordinate is unconstrained on exit edges.
+    """
+    if a_img.hi < -1.0:
+        return "minus", -1.0 - a_img.hi
+    if a_img.lo > 1.0:
+        return "plus", a_img.lo - 1.0
+    # the closer of the two exits, as a (non-positive) clearance
+    return "undecided", max(a_img.lo - 1.0, -1.0 - a_img.hi)
 
 
 def _eval_edge_piece(map_fn: MapEnclosure, a_edge: float, b: Interval,
                      tally: _Tally):
-    """Classify one exit-edge piece against the unstable edges.
+    """Classify one exit-edge piece by a map evaluation of its own.
 
-    Returns ``(side, clearance, a_img, b_img)`` with side ``minus``
-    (strictly beyond a' = -1), ``plus`` (strictly beyond a' = +1) or
-    ``undecided``; the stable coordinate is unconstrained on exit edges.
-    A failed map evaluation is counted in ``tally.errors``.
+    Returns ``(side, clearance, a_img, b_img)`` as :func:`_edge_side`
+    classifies the image.  A failed map evaluation is counted in
+    ``tally.errors``.
     """
     try:
         a_img, b_img = map_fn(Interval.point(a_edge), b)
     except PCR3BPError as exc:
         tally.errors[type(exc).__name__] += 1
         return "undecided", -math.inf, None, None
-    if a_img.hi < -1.0:
-        return "minus", -1.0 - a_img.hi, a_img, b_img
-    if a_img.lo > 1.0:
-        return "plus", a_img.lo - 1.0, a_img, b_img
-    # the closer of the two exits, as a (non-positive) clearance
-    return "undecided", max(a_img.lo - 1.0, -1.0 - a_img.hi), a_img, b_img
+    return (*_edge_side(a_img), a_img, b_img)
 
 
 def _refine_cell(map_fn, a, b, tally, sa, sb):
     """Recursively certify bar-avoidance on one cell.
 
     ``sa``/``sb`` are the remaining per-axis subdivision budgets.
-    Returns True (certified) or None (undecided); every leaf enclosure
-    feeds the falsification certificates either way.
+    Returns ``(result, image)``: result True (certified) or None
+    (undecided), and the map's image of this cell itself (None when the
+    evaluation failed).  Every leaf enclosure feeds the falsification
+    certificates either way.
     """
-    verdict, a_img, b_img = _eval_cell(map_fn, a, b, tally)
+    verdict, image = _eval_cell(map_fn, a, b, tally)
     tally.cells += 1
     if verdict == "ok":
+        a_img, b_img = image
         tally.note_leaf(a_img, b_img)
         if a_img.lo <= 1.0 and a_img.hi >= -1.0:
             # crossing region: certification came from the stable strip
             tally.note_stable(min(1.0 - b_img.hi, b_img.lo + 1.0))
-        return True
+        return True, image
     if sa <= 0 and sb <= 0:
-        if a_img is None:
+        if image is None:
             tally.note_failed()
         else:
-            tally.note_leaf(a_img, b_img)
-        return None
+            tally.note_leaf(*image)
+        return None, image
     result = True
     for aa in _split_interval(a, sa > 0):
         for bb in _split_interval(b, sb > 0):
-            if _refine_cell(map_fn, aa, bb, tally, sa - 1, sb - 1) is None:
+            if _refine_cell(map_fn, aa, bb, tally, sa - 1, sb - 1)[0] is None:
                 result = None
-    return result
+    return result, image
+
+
+def _face_edge(image, a_edge: float, tally: _Tally) -> str | None:
+    """Decide an exit-edge piece from the face of the cell that holds it.
+
+    ``image`` is the map's image of the cell; only a :class:`CellImage`
+    has faces.  Returns ``minus``/``plus`` when the face ``a = a_edge``
+    maps strictly beyond that unstable edge, with the clearance and the
+    leaf noted as for a flown piece, and None when the face does not
+    decide the piece, which then flies on its own.
+    """
+    if not isinstance(image, CellImage):
+        return None
+    try:
+        a_img, b_img = image.face(a_edge)
+    except PCR3BPError:
+        return None
+    side, clearance = _edge_side(a_img)
+    if side == "undecided":
+        return None
+    tally.note_margin(clearance)
+    tally.note_leaf(a_img, b_img)
+    tally.edge_faces += 1
+    return side
 
 
 def _refine_edge(map_fn, a_edge, b, tally, sb):
@@ -422,6 +481,15 @@ def check_cover(map_fn: MapEnclosure, source: HSet, target: HSet,
       an unstable edge of the target, one consistent side per edge and
       opposite sides for the two edges.
 
+    An exit-edge piece of the initial grid is a face of the initial cell
+    that holds it.  When ``map_fn`` returns a :class:`CellImage`, the
+    piece is first decided from that cell's face enclosure (for a
+    mean-value map, the cell's own mean-value form restricted to the
+    face), with no evaluation of its own; only a piece the face leaves
+    undecided is evaluated, and split, as a set of its own.
+    ``CoverReport.edge_faces`` counts the pieces decided from faces, and
+    ``CoverReport.cells`` counts the map evaluations.
+
     Why that suffices: a curve through ``source`` from one exit edge to
     the other maps to a curve that starts and ends strictly beyond
     opposite unstable edges of ``target``; between its last crossing of
@@ -445,16 +513,25 @@ def check_cover(map_fn: MapEnclosure, source: HSet, target: HSet,
     b_pieces = Interval(-1.0, 1.0).split(nb)
 
     cells_undecided = False
-    for a in a_pieces:
+    # the images of the cells that hold the exit edges, by edge
+    edge_cells: dict[float, list] = {-1.0: [], 1.0: []}
+    for i, a in enumerate(a_pieces):
         for b in b_pieces:
-            if _refine_cell(map_fn, a, b, tally, sa, sb) is None:
+            result, image = _refine_cell(map_fn, a, b, tally, sa, sb)
+            if result is None:
                 cells_undecided = True
+            if i == 0:
+                edge_cells[-1.0].append(image)
+            if i == na - 1:
+                edge_cells[1.0].append(image)
 
     edge_sides: dict[float, set] = {-1.0: set(), 1.0: set()}
     edges_undecided = False
     for a_edge in (-1.0, 1.0):
-        for b in b_pieces:
-            side = _refine_edge(map_fn, a_edge, b, tally, sb)
+        for b, image in zip(b_pieces, edge_cells[a_edge]):
+            side = _face_edge(image, a_edge, tally)
+            if side is None:
+                side = _refine_edge(map_fn, a_edge, b, tally, sb)
             if side is None:
                 edges_undecided = True
             else:
@@ -531,6 +608,7 @@ def _report(tally: _Tally, grid, outcome, margin, message) -> CoverReport:
         cells=tally.cells,
         message=message,
         errors=dict(tally.errors),
+        edge_faces=tally.edge_faces,
     )
 
 

@@ -311,11 +311,6 @@ class LohnerSet:
     rc: IArray | None = None
 
     @classmethod
-    def from_box(cls, box: IArray, track_jacobian: bool = False) -> "LohnerSet":
-        c = box.mid
-        return cls.from_frame(c, np.eye(4), box - c, track_jacobian)
-
-    @classmethod
     def from_frame(cls, c, b, r: IArray, track_jacobian: bool = False,
                    center_box: IArray | None = None) -> "LohnerSet":
         """Set ``{c + b r}``; ``center_box`` is the ``rc`` of a point of it

@@ -223,9 +223,6 @@ class Interval:
     def is_subset(self, other: "Interval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
 
-    def is_interior_subset(self, other: "Interval") -> bool:
-        return other.lo < self.lo and self.hi < other.hi
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 

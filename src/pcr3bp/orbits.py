@@ -627,25 +627,39 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     lam = float(max(abs(m) for m in orb.multipliers))
     frame = terminal_set.frame
     tags = [stage.tag for stage in stages]
-    # chain image of each seed, then its return-map images, made once
-    tails: dict[float, list[SectionPoint] | None] = {}
+    # chain image of each seed, then its return-map images, made once; a
+    # tail that ends in None stopped at a failed return map
+    tails: dict[float, list[SectionPoint | None] | None] = {}
+
+    def fly(seeds: Sequence[float], depth: int) -> None:
+        """Extend the tails of ``seeds`` to ``depth`` return maps.
+
+        The seeds new to ``tails`` fly the chain as the lanes of one
+        flight, then each return map is one flight of the tails it
+        extends.  Each lane gives the bits of its own one-lane flight, so
+        the tails are those of the seed-by-seed composition.
+        """
+        seeds = list(dict.fromkeys(seeds))
+        new = [a for a in seeds if a not in tails]
+        if new:
+            flown = apply_chain_lanes(params, tags, [seed_at(a) for a in new])
+            for a, f in zip(new, flown):
+                tails[a] = None if isinstance(f, PCR3BPError) else [f[0]]
+        for level in range(1, depth + 1):
+            short = [tail for tail in (tails[a] for a in seeds)
+                     if tail is not None and len(tail) == level
+                     and tail[-1] is not None]
+            if short:
+                flown = apply_chain_lanes(params, [tail_tag],
+                                          [tail[-1] for tail in short])
+                for tail, f in zip(short, flown):
+                    tail.append(None if isinstance(f, PCR3BPError) else f[0])
 
     def image(a: float, depth: int) -> SectionPoint | None:
         """Chain image of the seed at ``a`` and ``depth`` return maps on."""
-        if a not in tails:
-            try:
-                tails[a] = [apply_chain(params, tags, seed_at(a))[0]]
-            except PCR3BPError:
-                tails[a] = None
+        fly([a], depth)
         tail = tails[a]
-        if tail is None:
-            return None
-        while len(tail) <= depth:
-            try:
-                tail.append(apply_chain(params, [tail_tag], tail[-1])[0])
-            except PCR3BPError:
-                return None
-        return tail[depth]
+        return tail[depth] if tail is not None and depth < len(tail) else None
 
     def expanding_coord(a: float, depth: int) -> float | None:
         img = image(a, depth)
@@ -655,9 +669,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
         return float(local[0])
 
     grid = np.linspace(-1.0, 1.0, HOMOCLINIC_GRID).tolist()
-    flown = apply_chain_lanes(params, tags, [seed_at(a) for a in grid])
-    for a, f in zip(grid, flown):
-        tails[a] = None if isinstance(f, PCR3BPError) else [f[0]]
+    fly(grid, 0)
     base = _grid_brackets(grid, [expanding_coord(a, 0) for a in grid])
     if not base:
         raise SearchError(
@@ -688,6 +700,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
                 )
                 return (lo, hi, depth)
             probes = [w_lo + f * (w_hi - w_lo) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+            fly(probes, k)
             found = _grid_brackets(probes, [expanding_coord(a, k) for a in probes])
             if not found:
                 return (lo, hi, depth)

@@ -74,6 +74,7 @@ __all__ = [
     "apply_chain_lanes",
     "chain_derivative",
     "RigorousImage",
+    "cell_offsets",
     "apply_parallelogram_rigorous",
     "LyapunovOrbit",
     "lyapunov_fixed_point",
@@ -487,6 +488,25 @@ def _center_miss(origin: np.ndarray, d1: np.ndarray, d2: np.ndarray,
             _enclose((u[0] * e[1] - e[0] * u[1]) / det))
 
 
+def cell_offsets(origin: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+                 a: Interval, b: Interval, am: float,
+                 bm: float) -> tuple[Interval, Interval]:
+    """Enclose where ``origin + alpha d1 + beta d2`` lies from a cell's center.
+
+    The offsets of ``alpha in a``, ``beta in b`` are measured along ``d1``
+    and ``d2`` from the float center sum ``origin + am d1 + bm d2`` of the
+    cell with midpoints ``am``, ``bm``, the point its flight lifts.  They
+    are ``a - am`` and ``b - bm`` shifted by the rounding of that sum (see
+    :func:`_center_miss`).  ``a`` and ``b`` may be any part of the cell, a
+    face for instance, so zero need not lie in the offsets.
+    """
+    da, db = a - am, b - bm
+    miss = _center_miss(origin, d1, d2, am, bm, origin + am * d1 + bm * d2)
+    if miss is not None:
+        da, db = da + miss[0], db + miss[1]
+    return da, db
+
+
 def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
                  d2: np.ndarray, a: Interval, b: Interval, sign: int,
                  track_jacobian: bool,
@@ -497,7 +517,7 @@ def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
     lifted as a graph ``c + da T1 + db T2 + res e_vy`` over the lift tangent
     directions at the cell center.  ``da`` and ``db`` are ``a - am`` and
     ``b - bm`` shifted by the rounding of the float center sum (see
-    :func:`_center_miss`), so the set holds the exact cell; ``res`` bounds
+    :func:`cell_offsets`), so the set holds the exact cell; ``res`` bounds
     the curvature of vy by a mean-value form and the rounding of the float
     lift ``c``.  This keeps both the parallelogram geometry and the
     (x, vx) <-> vy correlation; nothing is boxed away.  Zero lies in
@@ -519,11 +539,7 @@ def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
     t2 = np.array([d2[0], 0.0, d2[1], g1 * d2[0] + g2 * d2[1]])
     frame = np.column_stack([t1, t2, [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     zero = Interval.point(0.0)
-    da = a - am
-    db = b - bm
-    miss = _center_miss(origin, d1, d2, am, bm, center2)
-    if miss is not None:
-        da, db = (da + miss[0]).hull(zero), (db + miss[1]).hull(zero)
+    da, db = (o.hull(zero) for o in cell_offsets(origin, d1, d2, a, b, am, bm))
     # mean-value residual: vy(p) - vy(c) - g . (p - c) = (grad vy(xi) - g) . (p - c)
     grad = lift_tangent_iv(params, x_iv, vx_iv, box4[3])
     ex = grad[3, 0] - g1

@@ -44,7 +44,7 @@ import numpy as np
 
 from .dynamics import Params
 from .errors import PCR3BPError, RegistryError
-from .hset import HSet, MapEnclosure, load_bundled, r_image
+from .hset import CellImage, HSet, MapEnclosure, load_bundled, r_image
 from .intervals import IArray, Interval
 from .poincare import (
     FULL_MINUS,
@@ -56,6 +56,7 @@ from .poincare import (
     apply_chain,  # unused here; perfbench's tracer test patches this lookup
     apply_chain_lanes,
     apply_parallelogram_rigorous,
+    cell_offsets,
 )
 
 __all__ = [
@@ -403,20 +404,37 @@ def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
     coordinate correlations that a plain set flight loses to its final
     bounding box; the direct set enclosure comes from the same flight and
     is intersected in.
+
+    The result is a :class:`~pcr3bp.hset.CellImage`: it unpacks as
+    ``(a', b')``, and its ``face(a_edge)`` encloses the image of the face
+    ``a = a_edge`` of the cell by the same mean-value form, with the
+    offset along ``a`` narrowed to ``a_edge - am`` (plus the center's
+    rounding, :func:`~pcr3bp.poincare.cell_offsets`), so that
+    :func:`~pcr3bp.hset.check_cover` decides exit edges without flying
+    them.
     """
 
-    def map_fn(a: Interval, b: Interval):
+    def map_fn(a: Interval, b: Interval) -> CellImage:
         cell = apply_parallelogram_rigorous(
             params, tags, source.center, source.u, source.s, a, b, source.sign,
             want_derivative=True, want_center=True,
         )
         base_a, base_b = target.local_coords_iv(cell.center[0], cell.center[2])
-        da, db = cell.offsets
         lmat = target.frame_inverse @ (cell.dp @ IArray.from_point(source.frame))
-        a_mv = base_a + lmat[0, 0] * da + lmat[0, 1] * db
-        b_mv = base_b + lmat[1, 0] * da + lmat[1, 1] * db
         a_direct, b_direct = target.local_coords_iv(cell.x, cell.vx)
-        return a_mv.intersection(a_direct), b_mv.intersection(b_direct)
+        db = cell.offsets[1]
+
+        def mean_value(da: Interval) -> tuple[Interval, Interval]:
+            a_mv = base_a + lmat[0, 0] * da + lmat[0, 1] * db
+            b_mv = base_b + lmat[1, 0] * da + lmat[1, 1] * db
+            return a_mv.intersection(a_direct), b_mv.intersection(b_direct)
+
+        def face(a_edge: float) -> tuple[Interval, Interval]:
+            da, _ = cell_offsets(source.center, source.u, source.s,
+                                 Interval.point(a_edge), b, a.mid, b.mid)
+            return mean_value(da)
+
+        return CellImage(*mean_value(cell.offsets[0]), face)
 
     return map_fn
 

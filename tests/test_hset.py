@@ -14,6 +14,7 @@ from pcr3bp import taylor
 from pcr3bp.dynamics import MU_SUN_JUPITER, Params
 from pcr3bp.errors import DomainError, StructureError
 from pcr3bp.hset import (
+    CellImage,
     HSet,
     check_cover,
     check_cover_pointwise,
@@ -314,6 +315,74 @@ def test_cover_leaves_kernel_singularity_undecided():
     # report counts both and names them
     assert rep.errors == {"SingularityError": 2}
     assert "SingularityError: 2" in rep.message
+
+
+def counted_faces(face_of):
+    """The map (a, b) -> (3 a, b / 3) as CellImages, with ``face_of(a_edge)``
+    as every cell's face, and the list of the (a, b) it was called on."""
+    calls = []
+
+    def f(a, b):
+        calls.append((a, b))
+        return CellImage(a * 3.0, b * (1.0 / 3.0), face_of)
+
+    return f, calls
+
+
+def test_exit_edges_are_decided_from_the_faces_of_their_cells():
+    # the faces clear a' = +-1 by 1.5, sharper than the cells' own images
+    # (which clear nothing at 1x1); no edge piece is evaluated on its own
+    f, calls = counted_faces(lambda a_edge: (Interval.point(2.5 * a_edge),
+                                             Interval(-0.5, 0.5)))
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(1, 1), max_grid=(1, 1))
+    assert rep.verified, str(rep)
+    assert rep.margin == 1.5
+    assert len(calls) == rep.cells == 1
+    assert rep.edge_faces == 2
+    assert "1 cells, 2 edges from cell faces" in str(rep)
+
+
+def test_an_undecided_face_falls_back_to_flying_the_edge():
+    # every face straddles a' = 1, so each edge piece is evaluated as a set
+    # of its own: one call per cell plus one per edge piece, and the verdict
+    # and margin are the plain map's
+    f, calls = counted_faces(lambda a_edge: (Interval(0.5, 1.5), Interval(-0.5, 0.5)))
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(2, 2), max_grid=(2, 2))
+    plain = check_cover(linear_local_map(3.0, 1 / 3, 0.0, 0.0), UNIT_N, UNIT_M,
+                        grid=(2, 2), max_grid=(2, 2))
+    assert len(calls) == rep.cells == 4 + 2 * 2
+    assert rep.edge_faces == 0
+    assert (rep.outcome, rep.margin) == (plain.outcome, plain.margin)
+    assert rep.verified and rep.margin == pytest.approx(2.0)
+    assert [a for a, _ in calls[4:]] == [Interval.point(-1.0)] * 2 + [Interval.point(1.0)] * 2
+
+
+def test_face_decided_pieces_feed_the_falsification_hull():
+    # the cells' a' stays within +-0.5, so from the cells alone the hull of
+    # a' stops short of both unstable edges; the faces reach beyond them,
+    # and, as flown pieces do, they enter the hull, so nothing is falsified
+    def f(a, b):
+        return CellImage(a * 0.5, b * (1.0 / 3.0),
+                         lambda a_edge: (Interval.point(2.5 * a_edge),
+                                         Interval(-0.5, 0.5)))
+
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(1, 1), max_grid=(1, 1))
+    assert rep.verified, str(rep)
+    assert rep.margin == 1.5
+
+
+def test_face_decided_pieces_on_opposite_sides_are_inconclusive():
+    # the faces of the two cells on one exit edge land beyond opposite
+    # unstable edges: the mixed-side rule sees pieces decided from faces
+    def f(a, b):
+        return CellImage(a * 3.0, b * (1.0 / 3.0),
+                         lambda a_edge: (Interval.point(2.0 if b.lo < 0.0 else -2.0),
+                                         Interval(-0.5, 0.5)))
+
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(1, 2), max_grid=(1, 2))
+    assert rep.outcome == "inconclusive"
+    assert "land beyond opposite edges" in rep.message
+    assert (rep.cells, rep.edge_faces) == (2, 4)
 
 
 def test_adaptive_refinement_rescues_coarse_grid():

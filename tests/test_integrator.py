@@ -22,6 +22,12 @@ RNG = np.random.default_rng(42)
 ANCHOR = np.array([-1.12327231155833984, 0.0, 0.0, 0.11797393804215285])
 
 
+def box_set(box, track_jacobian=False):
+    """The Lohner set of an axis-aligned box: its midpoint plus the box."""
+    c = box.mid
+    return LohnerSet.from_frame(c, np.eye(4), box - c, track_jacobian)
+
+
 def random_states(n, seed=0):
     rng = np.random.default_rng(seed)
     out = []
@@ -133,7 +139,7 @@ def assert_crossing_holds(enc, t_pt, s_pt):
 def test_section_crossing_contains_pointwise_crossings():
     # the anchor's first section crossing, at t = 10.43 with vy < 0
     box = IArray.from_point(ANCHOR).inflate(1e-8)
-    crossings, _ = lohner_section_crossings(P, LohnerSet.from_box(box), [-1])
+    crossings, _ = lohner_section_crossings(P, box_set(box), [-1])
     for s in [ANCHOR, *corners(ANCHOR, 1e-8)]:
         assert_crossing_holds(crossings[0], *point_crossings(s, 1)[0])
 
@@ -141,8 +147,8 @@ def test_section_crossing_contains_pointwise_crossings():
 def test_section_crossing_nesting():
     small = IArray.from_point(ANCHOR).inflate(1e-10)
     large = IArray.from_point(ANCHOR).inflate(1e-8)
-    (in_small,), _ = lohner_section_crossings(P, LohnerSet.from_box(small), [-1])
-    (in_large,), _ = lohner_section_crossings(P, LohnerSet.from_box(large), [-1])
+    (in_small,), _ = lohner_section_crossings(P, box_set(small), [-1])
+    (in_large,), _ = lohner_section_crossings(P, box_set(large), [-1])
     assert in_small.state.is_subset(in_large.state)
     assert in_large.t.lo <= in_small.t.lo and in_small.t.hi <= in_large.t.hi
 
@@ -151,12 +157,12 @@ def test_section_crossing_thin_width_growth():
     # a point set crosses with an enclosure of about 1.3e-9 after 10.4
     # time units, against 1.3e-5 for the box of radius 1e-8
     (cross,), _ = lohner_section_crossings(
-        P, LohnerSet.from_box(IArray.from_point(ANCHOR)), [-1])
+        P, box_set(IArray.from_point(ANCHOR)), [-1])
     assert np.max(cross.state.width) < 1e-8
 
 
 def test_exact_elapsed_time_tracking():
-    lset = LohnerSet.from_box(IArray.from_point(ANCHOR).inflate(1e-12))
+    lset = box_set(IArray.from_point(ANCHOR).inflate(1e-12))
     flow = LohnerFlow(P, lset)
     while flow.t < 1.0:
         flow.commit(flow.attempt_step())
@@ -168,7 +174,7 @@ def test_accumulated_jacobian_contains_point_jacobian():
     # the derivative accumulated over the whole flight to the second
     # crossing, through the first
     box = IArray.from_point(ANCHOR).inflate(1e-11)
-    lset = LohnerSet.from_box(box, track_jacobian=True)
+    lset = box_set(box, track_jacobian=True)
     crossings, jac = lohner_section_crossings(P, lset, [-1, 1], want_jacobian=True)
     _, v = flow_point(P, ANCHOR, crossings[1].t.mid, variational=True)
     assert np.all(jac.lo <= v) and np.all(v <= jac.hi)
@@ -178,7 +184,7 @@ def test_section_crossing_encloses_point_crossing():
     # the anchor departs Theta_+ perpendicular; its first two section hits
     # have vy < 0 then vy > 0
     box = IArray.from_point(ANCHOR).inflate(1e-10)
-    lset = LohnerSet.from_box(box)
+    lset = box_set(box)
     crossings, _ = lohner_section_crossings(P, lset, [-1, 1])
     assert [c.vy_sign for c in crossings] == [-1, 1]
     for enc, hit in zip(crossings, point_crossings(ANCHOR, 2)):
@@ -187,7 +193,7 @@ def test_section_crossing_encloses_point_crossing():
 
 def test_section_crossing_jacobian_contains_point_jacobian():
     box = IArray.from_point(ANCHOR).inflate(1e-11)
-    lset = LohnerSet.from_box(box, track_jacobian=True)
+    lset = box_set(box, track_jacobian=True)
     crossings, jac = lohner_section_crossings(P, lset, [-1], want_jacobian=True)
     t_star = crossings[0].t.mid
     _, v = flow_point(P, ANCHOR, t_star, variational=True)
@@ -199,7 +205,7 @@ def test_section_crossing_jacobian_contains_point_jacobian():
 def test_wrong_sign_request_fails():
     box = IArray.from_point(ANCHOR).inflate(1e-10)
     with pytest.raises(IntegrationError):
-        lohner_section_crossings(P, LohnerSet.from_box(box), [1])
+        lohner_section_crossings(P, box_set(box), [1])
 
 
 def test_close_encounter_is_refused_rigorously(monkeypatch):
@@ -213,7 +219,7 @@ def test_close_encounter_is_refused_rigorously(monkeypatch):
     box = IArray.from_point(state).inflate(1e-12)
     monkeypatch.setattr(integrator, "H_MIN", 1e-3)
     with pytest.raises(EnclosureError):
-        lohner_section_crossings(P, LohnerSet.from_box(box), [-1])
+        lohner_section_crossings(P, box_set(box), [-1])
 
 
 def test_remainder_budget_rejects_sloppy_steps():
@@ -221,7 +227,7 @@ def test_remainder_budget_rejects_sloppy_steps():
     # default budget keeps the amplification within a decade of the true
     # derivative norm
     box = IArray.from_point(ANCHOR).inflate(1e-12)
-    (cross,), _ = lohner_section_crossings(P, LohnerSet.from_box(box), [-1])
+    (cross,), _ = lohner_section_crossings(P, box_set(box), [-1])
     width = np.max(cross.state.width)
     _, v = flow_point(P, ANCHOR, cross.t.mid, variational=True)
     amplification = width / 2e-12
@@ -234,14 +240,14 @@ def test_step_bound_refuses_a_long_flight(monkeypatch):
     box = IArray.from_point(ANCHOR).inflate(1e-11)
     monkeypatch.setattr(integrator, "MAX_STEPS", 5)
     with pytest.raises(IntegrationError, match="5 step attempts"):
-        lohner_section_crossings(P, LohnerSet.from_box(box), [-1])
+        lohner_section_crossings(P, box_set(box), [-1])
 
 
 @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, np.inf)])
 def test_reanchor_refuses_an_unbounded_center_image(lo, hi):
     # a center image with an infinite end has no finite midpoint ([-inf,
     # inf] has a NaN one); re-anchoring must refuse it, not store it
-    flow = LohnerFlow(P, LohnerSet.from_box(IArray.from_point(ANCHOR).inflate(1e-11)))
+    flow = LohnerFlow(P, box_set(IArray.from_point(ANCHOR).inflate(1e-11)))
     rec = flow.attempt_step()
     clo, chi = rec.c.lo.copy(), rec.c.hi.copy()
     clo[0, 0], chi[0, 0] = lo, hi

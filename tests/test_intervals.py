@@ -111,8 +111,6 @@ def test_hull_intersection_subset():
     assert a.hull(b) == Interval(0.0, 2.0)
     assert a.intersection(b) == Interval(0.5, 1.0)
     assert Interval(0.25, 0.75).is_subset(a)
-    assert Interval(0.25, 0.75).is_interior_subset(a)
-    assert not a.is_interior_subset(a)
     with pytest.raises(ValueError):
         Interval(0.0, 0.1).intersection(Interval(0.2, 0.3))
 

@@ -166,6 +166,18 @@ def test_homoclinic_search_converges_onto_the_fixed_points(homoclinic_orbits,
         assert orb.convergence_log and orb.convergence_log[0] < 1e-11
 
 
+def test_homoclinic_search_outputs_are_pinned_to_the_bit(homoclinic_orbits):
+    # the deepening flies each level's probes as the lanes of one flight per
+    # map; each lane gives the bits of its own flight, so the outputs are
+    # those of the probe-by-probe search, frozen here as exact floats
+    got = {i: (o.seed.x, o.seed.vx, o.half_time, o.tail_depth, o.convergence_log)
+           for i, o in homoclinic_orbits.items()}
+    assert got == {
+        1: (0.9208034913207469, 0.0, 3.082119126392543, 3, (6.445791176709548e-13,)),
+        2: (1.0819294868417912, 0.0, 3.310671457572074, 3, (4.507013359055699e-13,)),
+    }
+
+
 def test_backward_coding_holds_only_at_the_symmetric_seed(periodic_orbits,
                                                           frame_sets):
     # off the fixed point the seed's stable part grows by the multiplier

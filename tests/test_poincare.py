@@ -436,6 +436,34 @@ def test_lifted_cells_hold_their_exact_corners():
                     assert Fraction(lset.r[1].lo) <= db <= Fraction(lset.r[1].hi)
 
 
+def test_face_offsets_hold_the_exact_face():
+    # a face a = alpha of a cell, measured from the cell's float center:
+    # the offsets take up the rounding of that center, as the cell's own
+    # do, but need not hold zero, which is what makes a face narrower
+    sets = {**hset.load_bundled("g_chain"), **hset.load_bundled("v_chain")}
+    whole = Interval(-1.0, 1.0)
+    missed = 0
+    for name in ("G0", "V3", "G3"):
+        h = sets[name]
+        o, d1, d2 = ([Fraction(float(v)) for v in w] for w in (h.center, h.u, h.s))
+        det = d1[0] * d2[1] - d2[0] * d1[1]
+        for a in whole.split(16):
+            center2 = h.center + a.mid * h.u + whole.mid * h.s
+            missed += pc._center_miss(h.center, h.u, h.s, a.mid, whole.mid,
+                                      center2) is not None
+            c = [Fraction(float(v)) for v in center2]
+            for alpha in (a.lo, a.hi):
+                da, db = pc.cell_offsets(h.center, h.u, h.s, Interval.point(alpha),
+                                         whole, a.mid, whole.mid)
+                assert not da.contains(0.0)
+                for beta in (whole.lo, whole.hi):
+                    e = [o[i] + Fraction(alpha) * d1[i] + Fraction(beta) * d2[i]
+                         - c[i] for i in range(2)]
+                    assert Fraction(da.lo) <= (e[0] * d2[1] - d2[0] * e[1]) / det <= Fraction(da.hi)
+                    assert Fraction(db.lo) <= (d1[0] * e[1] - e[0] * d1[1]) / det <= Fraction(db.hi)
+    assert missed > 0  # the float center sum rounds somewhere
+
+
 def test_rigorous_composite_word():
     # one flight through P+ then Ph+: three crossings, no re-boxing
     tiny = Interval(-1e-10, 1e-10)

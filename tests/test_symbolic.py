@@ -238,6 +238,27 @@ def test_section_map_encloses_point_images():
     assert b_img.width < 0.1
 
 
+@pytest.mark.parametrize("src,dst,a,b", [
+    ("V3", "V4", Interval(-1.0, 1.0), Interval(-1.0, 1.0)),  # the 1x1 cell
+    ("G3", "G4", Interval(0.5, 1.0), Interval(0.5, 1.0)),  # off the centre
+])
+def test_cell_faces_enclose_the_point_images_of_the_face(src, dst, a, b):
+    # the face a = a.lo or a.hi of a flown cell, by the cell's mean-value
+    # form: it must hold the point images of samples along that face, and
+    # be narrower in a' than the cell, or it could decide no exit edge
+    params = Params()
+    sets = standard_sets(include_constructed=False)
+    img = section_map(params, [HALF_MINUS], sets[src], sets[dst])(a, b)
+    pm = section_point_map(params, [HALF_MINUS], sets[src], sets[dst])
+    b_samples = np.linspace(b.lo, b.hi, 33)
+    for a_edge in (a.lo, a.hi):
+        a_face, b_face = img.face(a_edge)
+        assert a_face.is_subset(img.a) and b_face.is_subset(img.b)
+        assert a_face.width < 0.5 * img.a.width
+        for ap, bp in pm(np.column_stack([np.full(33, a_edge), b_samples])):
+            assert a_face.contains(ap) and b_face.contains(bp)
+
+
 # The reports of the 200-sample screens the benchmark runs, as the serial
 # loop gave them, one flight per sample: (stable clearance, samples).
 SCREEN_REPORTS = {
@@ -297,10 +318,11 @@ def test_step_bound_leaves_a_cover_undecided(monkeypatch):
 
 
 def test_cover_flies_each_cell_once_with_its_center_inside(monkeypatch):
-    # V3 => V4 at 1x1: one cell and two exit edges, one flight each; at
-    # every committed step the center box lies in the hull of the cell set,
-    # which is what lets the cell's a-priori box, remainder and transition
-    # matrix enclose the center's trajectory too
+    # V3 => V4 at 1x1: one cell, flown once; its two exit edges are the
+    # cell's faces, decided from the cell's mean-value form with no flight
+    # of their own.  At every committed step the center box lies in the
+    # hull of the cell set, which is what lets the cell's a-priori box,
+    # remainder and transition matrix enclose the center's trajectory too
     flights = []
     original_flight = symbolic.apply_parallelogram_rigorous
 
@@ -327,10 +349,10 @@ def test_cover_flies_each_cell_once_with_its_center_inside(monkeypatch):
     rep = check_cover(section_map(params, [HALF_MINUS], src, dst), src, dst,
                       grid=(1, 1), max_grid=(4, 1))
     assert rep.outcome == "verified"
-    assert rep.cells == 3
-    assert len(flights) == 3
+    assert (rep.cells, rep.edge_faces) == (1, 2)
+    assert len(flights) == 1
     assert all(kw["want_center"] and kw["want_derivative"] for kw in flights)
-    assert len(checked) > 3 * 10
+    assert len(checked) > 10
 
 
 def test_center_image_matches_a_zero_width_flight():

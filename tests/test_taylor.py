@@ -175,6 +175,14 @@ def states_near_the_necks(n, rng):
     return rng.uniform(lo, hi).T
 
 
+def test_builtin_sum_adds_left_to_right():
+    # the list kernel sums its convolutions with the built-in sum, and the
+    # lane kernel is pinned to its bits by adding the same terms in order;
+    # from Python 3.12 on sum compensates floats (1.0 here, not 0.0), which
+    # breaks those pins, so pyproject.toml supports Python < 3.12 only
+    assert sum([1e16, 1.0, -1e16]) == 0.0
+
+
 @pytest.mark.parametrize("n", [1, 2, 200])
 def test_lane_kernel_matches_list_kernel(n):
     states = states_near_the_necks(n, np.random.default_rng(n))
