@@ -24,7 +24,10 @@ last crossing of one unstable edge and its next crossing of the other,
 runs through M inside the stable strip.
 
 :func:`check_cover` verifies this with interval arithmetic over an
-adaptive grid of parallelogram cells.  Its verdicts are three-valued:
+adaptive grid of parallelogram cells, in one recursion: each cell decides
+the exit-edge pieces it holds from its face ``a = +-1``, and a cell that
+is undecided, or whose face leaves its piece undecided, splits.  Its
+verdicts are three-valued:
 
 ``verified``
     all covering conditions hold with certified clearances;
@@ -236,7 +239,9 @@ class CellImage:
 # cell of the source h-set, given in the source's local (a, b)
 # coordinates, and returns an enclosure of the image in the *target's
 # local* (a', b') coordinates: a pair, or a CellImage, whose faces decide
-# the exit edges without a flight of their own.  The adapter that wraps
+# the exit edges without a flight of their own (a face that leaves its
+# edge undecided refines its cell; a plain pair's cell has its edge pieces
+# evaluated as sets of their own).  The adapter that wraps
 # the actual section map owns the section-to-local conversion (see
 # HSet.local_coords_iv), so it can exploit whatever structure its image
 # representation has instead of losing correlations to an intermediate
@@ -277,9 +282,11 @@ class _Tally:
     """Clearance and certificate aggregation across cells and edge pieces.
 
     Besides the verification clearances, every *leaf* enclosure (cells
-    and edge pieces alike) feeds the falsification certificates: the
-    hull of the image's unstable coordinate and whether every leaf is
-    certified disjoint from the target's closed unit square.
+    and decided edge pieces alike) feeds the falsification certificates:
+    the hull of the image's unstable coordinate and whether every leaf is
+    certified disjoint from the target's closed unit square.  ``sides``
+    holds, per exit edge, the sides its decided pieces land beyond (True
+    for ``a' > 1``), and ``edges_open`` whether a piece stayed undecided.
     """
 
     margin: float = math.inf
@@ -291,14 +298,9 @@ class _Tally:
     outside_min: float = math.inf
     all_outside: bool = True
     hull_ok: bool = True
-    edge_mixed: bool = False
+    edges_open: bool = False
+    sides: dict = field(default_factory=lambda: {-1.0: set(), 1.0: set()})
     errors: Counter = field(default_factory=Counter)
-
-    def note_stable(self, clearance: float) -> None:
-        self.stable = min(self.stable, clearance)
-
-    def note_margin(self, clearance: float) -> None:
-        self.margin = min(self.margin, clearance)
 
     def note_leaf(self, a_img: Interval, b_img: Interval) -> None:
         self.hull_lo = min(self.hull_lo, a_img.lo)
@@ -310,155 +312,91 @@ class _Tally:
         else:
             self.all_outside = False
 
-    def note_failed(self) -> None:
-        self.hull_ok = False
-        self.all_outside = False
-
 
 def _split_interval(iv: Interval, allow: bool) -> list[Interval]:
     return iv.split(2) if allow and iv.width > 0.0 else [iv]
 
 
-def _eval_cell(map_fn: MapEnclosure, a: Interval, b: Interval, tally: _Tally):
-    """Classify one cell against the bar-avoidance condition.
+def _evaluate(fn, tally: _Tally, *args):
+    """``fn(*args)``, or None with the failure counted in ``tally.errors``."""
+    try:
+        return fn(*args)
+    except PCR3BPError as exc:
+        tally.errors[type(exc).__name__] += 1
+        return None
 
-    A cell is certified when its image avoids the closed bars
+
+def _decide_edge(map_fn: MapEnclosure, image, a_edge: float, b: Interval,
+                 tally: _Tally) -> bool:
+    """Decide the exit-edge piece ``{a_edge} x b`` from the face of its cell.
+
+    ``image`` is the map's image of the cell, which has ``a_edge`` as an
+    end of its ``a`` range.  The face is a :class:`CellImage`'s own
+    ``face(a_edge)``; for a map that returns a plain pair, or a cell whose
+    evaluation failed, it is the map evaluated on the piece.  The piece is
+    decided when the face lies strictly beyond one unstable edge (the
+    stable coordinate is unconstrained on exit edges); its clearance, leaf
+    and side are then noted.  Returns whether the piece was decided.
+    """
+    if isinstance(image, CellImage):
+        face = _evaluate(image.face, tally, a_edge)
+    else:
+        tally.cells += 1
+        face = _evaluate(map_fn, tally, Interval.point(a_edge), b)
+    if face is None:
+        return False
+    a_img, b_img = face
+    clearance = max(a_img.lo - 1.0, -1.0 - a_img.hi)
+    if not clearance > 0.0:
+        return False
+    if isinstance(image, CellImage):
+        tally.edge_faces += 1
+    tally.margin = min(tally.margin, clearance)
+    tally.note_leaf(a_img, b_img)
+    tally.sides[a_edge].add(a_img.lo > 1.0)
+    return True
+
+
+def _refine_cell(map_fn: MapEnclosure, a: Interval, b: Interval,
+                 tally: _Tally, sa: int, sb: int, edges: list[float]) -> bool:
+    """Recursively certify one cell and the exit-edge pieces it holds.
+
+    The cell is certified when its image avoids the closed bars
     ``{|a'| <= 1, |b'| >= 1}``: either ``b'`` lies strictly inside
     ``(-1, 1)`` or ``a'`` lies strictly beyond one unstable edge.
-    Returns ``(verdict, image)`` with verdict ``ok`` or ``undecided`` and
-    the map's return value as the image; it is None when the map
-    evaluation failed, and the failure is counted in ``tally.errors``.
+    ``edges`` lists the exit edges ``a = +-1`` whose pieces are still
+    undecided; the cell decides the pieces ``{a_edge} x b`` at the ends of
+    ``a`` from its face (:func:`_decide_edge`).  A cell that is not
+    certified, or that leaves a piece undecided, splits in half per axis
+    while the per-axis budgets ``sa``/``sb`` last, and its children take
+    up the undecided edges.  Every leaf enclosure feeds the falsification
+    certificates.  Returns whether the cell and all its edge pieces were
+    decided.
     """
-    try:
-        image = map_fn(a, b)
-    except PCR3BPError as exc:
-        tally.errors[type(exc).__name__] += 1
-        return "undecided", None
-    a_img, b_img = image
-    strip = min(1.0 - b_img.hi, b_img.lo + 1.0)
-    side = max(a_img.lo - 1.0, -1.0 - a_img.hi)
-    return ("ok" if max(strip, side) > 0.0 else "undecided"), image
-
-
-def _edge_side(a_img: Interval) -> tuple[str, float]:
-    """Side of an exit-edge image against the unstable edges.
-
-    Returns ``(side, clearance)`` with side ``minus`` (strictly beyond
-    a' = -1), ``plus`` (strictly beyond a' = +1) or ``undecided``; the
-    stable coordinate is unconstrained on exit edges.
-    """
-    if a_img.hi < -1.0:
-        return "minus", -1.0 - a_img.hi
-    if a_img.lo > 1.0:
-        return "plus", a_img.lo - 1.0
-    # the closer of the two exits, as a (non-positive) clearance
-    return "undecided", max(a_img.lo - 1.0, -1.0 - a_img.hi)
-
-
-def _eval_edge_piece(map_fn: MapEnclosure, a_edge: float, b: Interval,
-                     tally: _Tally):
-    """Classify one exit-edge piece by a map evaluation of its own.
-
-    Returns ``(side, clearance, a_img, b_img)`` as :func:`_edge_side`
-    classifies the image.  A failed map evaluation is counted in
-    ``tally.errors``.
-    """
-    try:
-        a_img, b_img = map_fn(Interval.point(a_edge), b)
-    except PCR3BPError as exc:
-        tally.errors[type(exc).__name__] += 1
-        return "undecided", -math.inf, None, None
-    return (*_edge_side(a_img), a_img, b_img)
-
-
-def _refine_cell(map_fn, a, b, tally, sa, sb):
-    """Recursively certify bar-avoidance on one cell.
-
-    ``sa``/``sb`` are the remaining per-axis subdivision budgets.
-    Returns ``(result, image)``: result True (certified) or None
-    (undecided), and the map's image of this cell itself (None when the
-    evaluation failed).  Every leaf enclosure feeds the falsification
-    certificates either way.
-    """
-    verdict, image = _eval_cell(map_fn, a, b, tally)
     tally.cells += 1
-    if verdict == "ok":
+    image = _evaluate(map_fn, tally, a, b)
+    edges = [e for e in edges
+             if e in (a.lo, a.hi) and not _decide_edge(map_fn, image, e, b, tally)]
+    ok = False
+    if image is not None:
         a_img, b_img = image
-        tally.note_leaf(a_img, b_img)
-        if a_img.lo <= 1.0 and a_img.hi >= -1.0:
-            # crossing region: certification came from the stable strip
-            tally.note_stable(min(1.0 - b_img.hi, b_img.lo + 1.0))
-        return True, image
-    if sa <= 0 and sb <= 0:
+        strip = min(1.0 - b_img.hi, b_img.lo + 1.0)
+        ok = max(strip, a_img.lo - 1.0, -1.0 - a_img.hi) > 0.0
+    if (ok and not edges) or (sa <= 0 and sb <= 0):
         if image is None:
-            tally.note_failed()
-        else:
-            tally.note_leaf(*image)
-        return None, image
-    result = True
-    for aa in _split_interval(a, sa > 0):
-        for bb in _split_interval(b, sb > 0):
-            if _refine_cell(map_fn, aa, bb, tally, sa - 1, sb - 1)[0] is None:
-                result = None
-    return result, image
-
-
-def _face_edge(image, a_edge: float, tally: _Tally) -> str | None:
-    """Decide an exit-edge piece from the face of the cell that holds it.
-
-    ``image`` is the map's image of the cell; only a :class:`CellImage`
-    has faces.  Returns ``minus``/``plus`` when the face ``a = a_edge``
-    maps strictly beyond that unstable edge, with the clearance and the
-    leaf noted as for a flown piece, and None when the face does not
-    decide the piece, which then flies on its own.
-    """
-    if not isinstance(image, CellImage):
-        return None
-    try:
-        a_img, b_img = image.face(a_edge)
-    except PCR3BPError:
-        return None
-    side, clearance = _edge_side(a_img)
-    if side == "undecided":
-        return None
-    tally.note_margin(clearance)
-    tally.note_leaf(a_img, b_img)
-    tally.edge_faces += 1
-    return side
-
-
-def _refine_edge(map_fn, a_edge, b, tally, sb):
-    """Recursively classify one exit-edge piece.
-
-    Returns "minus"/"plus" (whole piece certified beyond that unstable
-    edge) or None (undecided).  Pieces whose sub-pieces land beyond
-    opposite edges are undecided too — these conditions cannot certify
-    a covering for such a map, but they are no disproof either (the
-    connecting image may legally pass around the target through
-    ``|b'| > 1``).
-    """
-    side, clearance, a_img, b_img = _eval_edge_piece(map_fn, a_edge, b, tally)
-    tally.cells += 1
-    if side in ("minus", "plus"):
-        tally.note_margin(clearance)
-        tally.note_leaf(a_img, b_img)
-        return side
-    if sb <= 0:
-        if a_img is None:
-            tally.note_failed()
+            tally.hull_ok = tally.all_outside = False
         else:
             tally.note_leaf(a_img, b_img)
-        return None
-    sides = {
-        _refine_edge(map_fn, a_edge, bb, tally, sb - 1)
-        for bb in _split_interval(b, True)
-    }
-    if None in sides:
-        return None
-    if len(sides) == 1:
-        return sides.pop()
-    tally.edge_mixed = True
-    return None
+            if ok and a_img.lo <= 1.0 and a_img.hi >= -1.0:
+                # crossing region: certification came from the stable strip
+                tally.stable = min(tally.stable, strip)
+        tally.edges_open |= bool(edges)
+        return ok and not edges
+    decided = True
+    for aa in _split_interval(a, sa > 0):
+        for bb in _split_interval(b, sb > 0):
+            decided &= _refine_cell(map_fn, aa, bb, tally, sa - 1, sb - 1, edges)
+    return decided
 
 
 def check_cover(map_fn: MapEnclosure, source: HSet, target: HSet,
@@ -481,13 +419,15 @@ def check_cover(map_fn: MapEnclosure, source: HSet, target: HSet,
       an unstable edge of the target, one consistent side per edge and
       opposite sides for the two edges.
 
-    An exit-edge piece of the initial grid is a face of the initial cell
-    that holds it.  When ``map_fn`` returns a :class:`CellImage`, the
-    piece is first decided from that cell's face enclosure (for a
-    mean-value map, the cell's own mean-value form restricted to the
-    face), with no evaluation of its own; only a piece the face leaves
-    undecided is evaluated, and split, as a set of its own.
-    ``CoverReport.edge_faces`` counts the pieces decided from faces, and
+    Each exit-edge piece is a face of the cell that holds it, and it is
+    decided inside the one cell recursion, from that face: a
+    :class:`CellImage`'s own ``face(a_edge)`` (for a mean-value map, the
+    cell's mean-value form restricted to the face, with no evaluation of
+    its own), or the map evaluated on the piece when ``map_fn`` returns a
+    plain pair or raised on the cell.  A face that leaves its piece
+    undecided refines its cell, as an undecided cell does, and each child
+    decides the pieces at its own ends.  ``CoverReport.edge_faces`` counts
+    the pieces decided from a :class:`CellImage`'s faces, and
     ``CoverReport.cells`` counts the map evaluations.
 
     Why that suffices: a curve through ``source`` from one exit edge to
@@ -509,33 +449,10 @@ def check_cover(map_fn: MapEnclosure, source: HSet, target: HSet,
     sa = _log2_steps(na, max_grid[0])
     sb = _log2_steps(nb, max_grid[1])
     tally = _Tally()
-    a_pieces = Interval(-1.0, 1.0).split(na)
-    b_pieces = Interval(-1.0, 1.0).split(nb)
-
-    cells_undecided = False
-    # the images of the cells that hold the exit edges, by edge
-    edge_cells: dict[float, list] = {-1.0: [], 1.0: []}
-    for i, a in enumerate(a_pieces):
-        for b in b_pieces:
-            result, image = _refine_cell(map_fn, a, b, tally, sa, sb)
-            if result is None:
-                cells_undecided = True
-            if i == 0:
-                edge_cells[-1.0].append(image)
-            if i == na - 1:
-                edge_cells[1.0].append(image)
-
-    edge_sides: dict[float, set] = {-1.0: set(), 1.0: set()}
-    edges_undecided = False
-    for a_edge in (-1.0, 1.0):
-        for b, image in zip(b_pieces, edge_cells[a_edge]):
-            side = _face_edge(image, a_edge, tally)
-            if side is None:
-                side = _refine_edge(map_fn, a_edge, b, tally, sb)
-            if side is None:
-                edges_undecided = True
-            else:
-                edge_sides[a_edge].add(side)
+    decided = True
+    for a in Interval(-1.0, 1.0).split(na):
+        for b in Interval(-1.0, 1.0).split(nb):
+            decided &= _refine_cell(map_fn, a, b, tally, sa, sb, [-1.0, 1.0])
 
     if tally.all_outside and tally.outside_min < math.inf:
         return _report(
@@ -555,19 +472,21 @@ def check_cover(map_fn: MapEnclosure, source: HSet, target: HSet,
             f"the image of {source.name} certifiably stops short of the "
             f"a' = -1 edge of {target.name} (inf a' >= {tally.hull_lo:.6g})",
         )
-    if tally.edge_mixed or any(len(s) > 1 for s in edge_sides.values()):
+    if any(len(sides) > 1 for sides in tally.sides.values()):
+        # the connecting image may legally pass around the target through
+        # |b'| > 1: no disproof, but these conditions cannot certify it
         return _report(
             tally, grid, "inconclusive", 0.0,
             f"pieces of one exit edge of {source.name} land beyond opposite "
             f"edges of {target.name}; not certifiable in these frames",
         )
-    if not edges_undecided and edge_sides[-1.0] == edge_sides[1.0]:
+    if not tally.edges_open and tally.sides[-1.0] == tally.sides[1.0]:
         return _report(
             tally, grid, "inconclusive", 0.0,
             f"both exit edges of {source.name} map beyond the same unstable "
             f"edge of {target.name}; not certifiable in these frames",
         )
-    if cells_undecided or edges_undecided:
+    if not decided:
         return _report(
             tally, grid, "inconclusive", 0.0,
             f"{source.name} covering {target.name} undecided at the finest grid",

@@ -29,7 +29,8 @@ section image is the reversal of a forward one, see
    of the new frame's inverse (see :func:`pcr3bp.intervals._point_inverse`),
    which the center term and the transported frame share.  The center
    image and the transported frame are the same computation as the dense
-   state enclosure below, and a center image that is not bounded is
+   state enclosure below, and they give the step-end enclosure of the set
+   that the crossing search reads; a center image that is not bounded is
    refused.
 
 Dense output inside a step evaluates the same polynomial + remainder data at
@@ -338,7 +339,8 @@ class LohnerStep:
 
     ``c`` holds the Taylor coefficients of the center, ``ph`` those of the
     transition matrix over the hull, and ``rem``/``vrem`` the order-(N+1)
-    coefficients of their Lagrange remainders.
+    coefficients of their Lagrange remainders.  ``end`` encloses the whole
+    set at the end of the step.
     """
 
     t0: float
@@ -351,6 +353,7 @@ class LohnerStep:
     wvy: Interval
     set_before: LohnerSet
     set_after: LohnerSet
+    end: IArray
 
 
 class LohnerFlow:
@@ -420,9 +423,9 @@ class LohnerFlow:
             c=c, rem=_wrap(rlo[n + 1], rhi[n + 1]),
             ph=_wrap(phlo, phhi), vrem=_wrap(vrlo[n + 1], vrhi[n + 1]),
             wy=w[1], wvy=w[3],
-            set_before=lset, set_after=lset,
+            set_before=lset, set_after=lset, end=hull,
         )
-        rec.set_after = self._reanchor(rec, Interval.point(h))
+        rec.set_after, rec.end = self._reanchor(rec, Interval.point(h))
         return rec
 
     def commit(self, rec: LohnerStep) -> None:
@@ -454,43 +457,33 @@ class LohnerFlow:
         return center, self.phi_at(rec, tau)
 
     def _rough_enclosure(self, hull: IArray, span: Interval) -> IArray | None:
-        params = self.params
+        def image(box: IArray) -> IArray:
+            return hull + dynamics.vector_field_iv(self.params, box).scale(span)
+
         try:
-            guess = hull + dynamics.vector_field_iv(params, hull).scale(span)
-            guess = guess.inflate(0.1 * guess.max_width() + 1e-14)
-            for _ in range(PICARD_ITERATIONS):
-                img = hull + dynamics.vector_field_iv(params, guess).scale(span)
-                if img.is_subset(guess):
-                    # two more Picard passes tighten the enclosure
-                    img = hull + dynamics.vector_field_iv(params, img).scale(span)
-                    return hull + dynamics.vector_field_iv(params, img).scale(span)
-                guess = img.inflate(0.05 * img.max_width() + 1e-14)
+            guess = image(hull)
+            return _picard(image, guess.inflate(0.1 * guess.max_width() + 1e-14))
         except SingularityError:
             return None
-        return None
 
     def _rough_var_enclosure(self, w: IArray, span: Interval) -> IArray | None:
         ident = IArray.identity(4)
         a = dynamics.vector_field_jacobian_iv(self.params, w)
-        guess = ident.inflate(1e-6)
-        for _ in range(PICARD_ITERATIONS):
-            img = ident + (a @ guess).scale(span)
-            if img.is_subset(guess):
-                img = ident + (a @ img).scale(span)
-                return ident + (a @ img).scale(span)
-            guess = img.inflate(0.05 * img.max_width() + 1e-14)
-        return None
+        return _picard(lambda m: ident + (a @ m).scale(span), ident.inflate(1e-6))
 
-    def _reanchor(self, rec: LohnerStep, tau: Interval) -> LohnerSet:
+    def _reanchor(self, rec: LohnerStep, tau: Interval) -> tuple[LohnerSet, IArray]:
+        """The set at ``tau`` re-anchored, and its enclosure there."""
         before = rec.set_before
         phic, phi = self._transport(rec, tau)
         c_new = phic.mid
         if not np.isfinite(c_new).all():
             raise EnclosureError(f"the center image {phic} is not bounded")
-        b_new, r_new = _carry(phic, c_new, phi, before.b, before.r)
+        m = phi @ IArray.from_point(before.b)
+        b_new, r_new = _carry(phic, c_new, m, before.r)
         bc_new = rc_new = None
         if before.rc is not None:
-            bc_new, rc_new = _carry(phic, c_new, phi, before.bc, before.rc)
+            bc_new, rc_new = _carry(phic, c_new, phi @ IArray.from_point(before.bc),
+                                    before.rc)
         bj_new = rj_new = None
         if before.bj is not None:
             mj = phi @ IArray.from_point(before.bj)
@@ -498,13 +491,28 @@ class LohnerFlow:
             radii = 0.5 * np.max(before.rj.hi - before.rj.lo, axis=1)
             bj_new = _stretch_sorted_frame(mj.mid, radii)
             rj_new = (_point_inverse(bj_new) @ mj) @ before.rj
-        return LohnerSet(c_new, b_new, r_new, bj_new, rj_new, bc_new, rc_new)
+        after = LohnerSet(c_new, b_new, r_new, bj_new, rj_new, bc_new, rc_new)
+        return after, phic + m @ before.r
 
 
-def _carry(phic: IArray, c_new: np.ndarray, phi: IArray, b: np.ndarray,
+def _picard(image, guess: IArray) -> IArray | None:
+    """Inflate-and-retry Picard iteration for an a-priori enclosure.
+
+    Returns ``image(image(img))`` for the first ``img = image(guess)``
+    inside its ``guess`` (two more passes tighten it), inflating ``img``
+    into the next guess, or None after ``PICARD_ITERATIONS`` passes.
+    """
+    for _ in range(PICARD_ITERATIONS):
+        img = image(guess)
+        if img.is_subset(guess):
+            return image(image(img))
+        guess = img.inflate(0.05 * img.max_width() + 1e-14)
+    return None
+
+
+def _carry(phic: IArray, c_new: np.ndarray, m: IArray,
            r: IArray) -> tuple[np.ndarray, IArray]:
-    """Frame and box of ``phic + (phi b) r`` about the new center ``c_new``."""
-    m = phi @ IArray.from_point(b)
+    """Frame and box of ``phic + m r`` about the new center ``c_new``."""
     b_new = _stretch_sorted_frame(m.mid, 0.5 * r.width)
     inv = _point_inverse(b_new)
     return b_new, inv @ (phic - c_new) + (inv @ m) @ r
@@ -577,7 +585,7 @@ def lohner_section_crossings(
         if rec.t0 + rec.h < MIN_TIME:
             flow.commit(rec)
             continue
-        y_end = flow.enclosure_at(rec, Interval.point(rec.h))[1]
+        y_end = rec.end[1]
         side_end = _strict_sign(y_end)
         if prev_side is None:
             if side_end is None:

@@ -331,8 +331,10 @@ def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
     result is lane i's projected last crossing and its time, or the
     :class:`~pcr3bp.errors.PCR3BPError` that stopped the lane.  Crossings
     are refined lane-wise on each step's polynomial, and a lane drops out
-    once it lands its last crossing or fails.  A one-lane flow is left
-    standing on its last crossing, with its variational matrix there.
+    once it lands its last crossing or fails; a lane whose state is not
+    finite after a step fails with an :class:`IntegrationError` there.  A
+    one-lane flow is left standing on its last crossing, with its
+    variational matrix there.
     """
     mu = flow.params.mu
     n = flow.t.size
@@ -355,10 +357,13 @@ def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
         if not go.all():
             flow.keep(go)
             lanes, prev_y, found = lanes[go], prev_y[go], found[go]
-        rec = flow.step()
-        y_start, prev_y = prev_y, flow.state[1].copy()
-        crossed = (y_start * prev_y < 0.0) | ((prev_y == 0.0) & (y_start != 0.0))
-        crossed = np.flatnonzero(crossed & (flow.t >= integrator.MIN_TIME))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a lane that blows up overflows here; it is ended below
+            rec = flow.step()
+            y_start, prev_y = prev_y, flow.state[1].copy()
+            crossed = (y_start * prev_y < 0.0) | ((prev_y == 0.0) & (y_start != 0.0))
+        finite = np.isfinite(flow.state).all(axis=0)
+        crossed = np.flatnonzero(crossed & finite & (flow.t >= integrator.MIN_TIME))
         if crossed.size:
             # land the crossed lanes on their roots
             tau = _refine_root(rec.coeffs[:, :, crossed], rec.h[crossed], y_start[crossed])
@@ -366,7 +371,11 @@ def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
             flow.t[crossed] = rec.t0[crossed] + tau
             if flow.v is not None:
                 flow.v = rec.jacobian_at(tau[0])
-        done = np.zeros(lanes.size, dtype=bool)
+        done = ~finite
+        for j in np.flatnonzero(done).tolist():
+            out[lanes[j]] = IntegrationError(
+                f"state {flow.state[:, j]} is not finite after the step to "
+                f"t={flow.t[j]}")
         for j in crossed.tolist():
             # arm on the side the lane enters: the landed y is a rounding
             # residue that may keep the sign of the side just left, and

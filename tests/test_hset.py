@@ -318,22 +318,30 @@ def test_cover_leaves_kernel_singularity_undecided():
 
 
 def counted_faces(face_of):
-    """The map (a, b) -> (3 a, b / 3) as CellImages, with ``face_of(a_edge)``
-    as every cell's face, and the list of the (a, b) it was called on."""
+    """The map (a, b) -> (3 a, b / 3) as CellImages, with ``face_of(a,
+    a_edge)`` as the face of the cell over ``a``, and the list of the
+    (a, b) it was called on."""
     calls = []
 
     def f(a, b):
         calls.append((a, b))
-        return CellImage(a * 3.0, b * (1.0 / 3.0), face_of)
+        return CellImage(a * 3.0, b * (1.0 / 3.0),
+                         lambda a_edge: face_of(a, a_edge))
 
     return f, calls
+
+
+def widening_face(a, a_edge):
+    # a' = 3 a_edge blurred by the cell's a-width: the face of a whole-width
+    # cell touches a' = +-1, the face of a half-width one clears it by 1
+    return Interval.symmetric(a.width) + 3.0 * a_edge, Interval(-0.5, 0.5)
 
 
 def test_exit_edges_are_decided_from_the_faces_of_their_cells():
     # the faces clear a' = +-1 by 1.5, sharper than the cells' own images
     # (which clear nothing at 1x1); no edge piece is evaluated on its own
-    f, calls = counted_faces(lambda a_edge: (Interval.point(2.5 * a_edge),
-                                             Interval(-0.5, 0.5)))
+    f, calls = counted_faces(lambda a, a_edge: (Interval.point(2.5 * a_edge),
+                                                Interval(-0.5, 0.5)))
     rep = check_cover(f, UNIT_N, UNIT_M, grid=(1, 1), max_grid=(1, 1))
     assert rep.verified, str(rep)
     assert rep.margin == 1.5
@@ -342,19 +350,37 @@ def test_exit_edges_are_decided_from_the_faces_of_their_cells():
     assert "1 cells, 2 edges from cell faces" in str(rep)
 
 
-def test_an_undecided_face_falls_back_to_flying_the_edge():
-    # every face straddles a' = 1, so each edge piece is evaluated as a set
-    # of its own: one call per cell plus one per edge piece, and the verdict
-    # and margin are the plain map's
-    f, calls = counted_faces(lambda a_edge: (Interval(0.5, 1.5), Interval(-0.5, 0.5)))
-    rep = check_cover(f, UNIT_N, UNIT_M, grid=(2, 2), max_grid=(2, 2))
-    plain = check_cover(linear_local_map(3.0, 1 / 3, 0.0, 0.0), UNIT_N, UNIT_M,
-                        grid=(2, 2), max_grid=(2, 2))
-    assert len(calls) == rep.cells == 4 + 2 * 2
-    assert rep.edge_faces == 0
-    assert (rep.outcome, rep.margin) == (plain.outcome, plain.margin)
-    assert rep.verified and rep.margin == pytest.approx(2.0)
-    assert [a for a, _ in calls[4:]] == [Interval.point(-1.0)] * 2 + [Interval.point(1.0)] * 2
+def test_an_undecided_face_splits_its_cell_and_the_children_decide_it():
+    # the whole cell is certified, but its faces touch a' = +-1: it splits
+    # in both axes, as an undecided cell does, and each of the four
+    # children decides the one exit-edge piece at its own end from its face
+    f, calls = counted_faces(widening_face)
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(1, 1), max_grid=(2, 2))
+    assert rep.verified, str(rep)
+    assert rep.margin == 1.0
+    assert rep.stable_clearance == pytest.approx(2.0 / 3.0)
+    assert len(calls) == rep.cells == 1 + 4
+    assert rep.edge_faces == 4
+    assert [a for a, _ in calls[1:]] == [Interval(-1.0, 0.0)] * 2 + [Interval(0.0, 1.0)] * 2
+
+
+def test_an_undecided_face_at_the_finest_grid_leaves_the_check_undecided():
+    f, calls = counted_faces(widening_face)
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(1, 1), max_grid=(1, 1))
+    assert rep.outcome == "inconclusive"
+    assert "undecided at the finest grid" in rep.message
+    assert (len(calls), rep.cells, rep.edge_faces) == (1, 1, 0)
+
+
+def test_a_face_that_raises_is_counted_in_the_errors():
+    def face(a, a_edge):
+        raise DomainError("face image off the section")
+
+    f, _ = counted_faces(face)
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(1, 1), max_grid=(1, 1))
+    assert rep.outcome == "inconclusive"
+    assert rep.errors == {"DomainError": 2}
+    assert "DomainError: 2" in rep.message
 
 
 def test_face_decided_pieces_feed_the_falsification_hull():
@@ -383,6 +409,24 @@ def test_face_decided_pieces_on_opposite_sides_are_inconclusive():
     assert rep.outcome == "inconclusive"
     assert "land beyond opposite edges" in rep.message
     assert (rep.cells, rep.edge_faces) == (2, 4)
+
+
+def test_opposite_sides_found_at_depth_are_inconclusive():
+    # the whole cell's faces decide nothing; split along b, the lower half
+    # lands both its edge pieces beyond a' = +1 and the upper half beyond
+    # a' = -1, so each exit edge has pieces on opposite sides
+    def f(a, b):
+        def face(a_edge):
+            if b.width == 2.0:
+                return Interval(-3.0, 3.0), Interval(-0.5, 0.5)
+            return Interval.point(2.0 if b.lo < 0.0 else -2.0), Interval(-0.5, 0.5)
+
+        return CellImage(a * 3.0, b * (1.0 / 3.0), face)
+
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(1, 1), max_grid=(1, 2))
+    assert rep.outcome == "inconclusive"
+    assert "land beyond opposite edges" in rep.message
+    assert (rep.cells, rep.edge_faces) == (3, 4)
 
 
 def test_adaptive_refinement_rescues_coarse_grid():

@@ -1,5 +1,6 @@
 """Section maps: composition, reversibility, derivatives, fixed points."""
 
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,7 +9,7 @@ import pytest
 
 from pcr3bp import dynamics, hset, integrator, poincare as pc, taylor
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
-from pcr3bp.errors import DomainError, PCR3BPError, SearchError
+from pcr3bp.errors import DomainError, IntegrationError, PCR3BPError, SearchError
 from pcr3bp.integrator import flow_point
 from pcr3bp.intervals import Interval
 from pcr3bp.orbits import sample_trajectory
@@ -190,6 +191,29 @@ def test_lanes_let_other_exceptions_through(monkeypatch):
     monkeypatch.setattr(taylor, "lane_coeffs", broken)
     with pytest.raises(FloatingPointError):
         pc.apply_chain_lanes(P, [pc.HALF_PLUS], [BASE])
+
+
+def test_a_lane_that_blows_up_ends_with_an_integration_error():
+    # two points of W^u(L2), 2.53e-5 and 3.39e-6 along the unstable
+    # direction of the L2 Lyapunov fixed point, under (Ph-, Ph+, Ph-, Ph+):
+    # the first passes Jupiter at the step floor and its state overflows to
+    # [-inf, inf, nan, nan] at t = 3.9757; it ends there, with no numpy
+    # warning, where it used to fly on to the time horizon, and the second
+    # lands with the bits of its single flight
+    tags = [pc.HALF_MINUS, pc.HALF_PLUS, pc.HALF_MINUS, pc.HALF_PLUS]
+    blown = pc.SectionPoint(float.fromhex("0x1.14f8aa448ba9ap+0"),
+                            float.fromhex("-0x1.84e297bd3269ap-16"), -1)
+    lands = pc.SectionPoint(float.fromhex("0x1.14f93ddfcf145p+0"),
+                            float.fromhex("-0x1.a09f921cc0436p-19"), -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = _single_flight(tags, blown)
+        image = pc.apply_chain(P, tags, lands)
+        lanes = pc.apply_chain_lanes(P, tags, [lands, blown])
+    assert type(single) is IntegrationError
+    assert str(single).endswith("is not finite after the step to t=3.9757253841881823")
+    assert type(lanes[1]) is type(single) and str(lanes[1]) == str(single)
+    assert lanes[0] == image
 
 
 def test_point_outputs_are_pinned_to_the_bit():

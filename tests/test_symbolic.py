@@ -355,6 +355,29 @@ def test_cover_flies_each_cell_once_with_its_center_inside(monkeypatch):
     assert len(checked) > 10
 
 
+def test_boundary_cell_faces_decide_the_exit_edges_of_v3_v4():
+    # check_cover decides exit edges from the faces of the cells that hold
+    # them and flies no edge of its own while they decide: at the default
+    # 32x2 grid the four boundary cells' faces decide both exit edges, on
+    # opposite sides, and at 1x1 the one cell's faces do, to the same bits
+    params = Params()
+    sets = standard_sets(include_constructed=False)
+    src, dst = sets["V3"], sets["V4"]
+    map_fn = section_map(params, [HALF_MINUS], src, dst)
+    a_pieces = Interval(-1.0, 1.0).split(32)
+    sides = {}
+    for a_edge, a in ((-1.0, a_pieces[0]), (1.0, a_pieces[-1])):
+        for b in Interval(-1.0, 1.0).split(2):
+            a_face, _ = map_fn(a, b).face(a_edge)
+            assert max(a_face.lo - 1.0, -1.0 - a_face.hi) > 0.0
+            sides.setdefault(a_edge, set()).add(a_face.lo > 1.0)
+    assert sides[-1.0] != sides[1.0] and all(len(s) == 1 for s in sides.values())
+    rep = check_cover(map_fn, src, dst, grid=(1, 1), max_grid=(4, 1))
+    assert (rep.outcome, rep.cells, rep.edge_faces) == ("verified", 1, 2)
+    assert rep.margin.hex() == "0x1.ec121bd242f6ep+2"
+    assert rep.stable_clearance.hex() == "0x1.c0621c3f58c3ep-1"
+
+
 def test_center_image_matches_a_zero_width_flight():
     # the center box of the whole V3 under Ph- encloses the point image of
     # the centre, and is about as wide as a separate flight of the centre:
