@@ -33,6 +33,18 @@ section image is the reversal of a forward one, see
    that the crossing search reads; a center image that is not bounded is
    refused.
 
+Steps 1-3 make one interval kernel call.  A step whose Lagrange remainder
+exceeds ``REMAINDER_BUDGET`` is halved like one whose Picard test fails,
+and the first W the Picard test accepts rides in one stacked
+:func:`pcr3bp.taylor.iv_var_coeffs` call at order N+1 with the hull
+(V(0) = I) and the center, whose series of step 2 and 3 are its rows
+0..N.  When the flow's previous attempt missed the budget on its first
+W, the call also carries W(h/2), flown ahead: a miss at h then takes it
+without a call of its own.  A half step flown ahead that fails (in its
+Picard loop, or refused by a guard) is dropped without an error, and
+every later W is one call of its own.  The accepted steps are those of
+one call per W: their kernel rows are the same bits.
+
 Dense output inside a step evaluates the same polynomial + remainder data at
 interval times, which is what the section-crossing localization uses to
 bracket ``y = 0`` and read off sharp crossing states by a mean-value form.
@@ -365,6 +377,8 @@ class LohnerFlow:
         self.t = 0.0
         self._t_comp = 0.0
         self.attempts = 0
+        # the last attempt's first kernel call missed the remainder budget
+        self._pre_fly = False
 
     # -- elapsed time ---------------------------------------------------
 
@@ -395,14 +409,23 @@ class LohnerFlow:
             h = min(h, h_cap)
 
         n = ORDER
+        pre_fly, self._pre_fly = self._pre_fly, False
+        shared = ahead = h_first = None
         while True:
-            span = Interval(0.0, h)
-            w = self._rough_enclosure(hull, span)
-            wv = self._rough_var_enclosure(w, span) if w is not None else None
-            if wv is not None:
-                rlo, rhi, vrlo, vrhi = taylor.iv_var_coeffs(
-                    w.lo, w.hi, wv.lo, wv.hi, params.mu, n + 1
-                )
+            if ahead is not None:
+                # the half step flown ahead: h was halved once since the first call
+                (w, series), ahead = ahead, None
+            else:
+                w, wv = self._a_priori(hull, h)
+                series = None
+                if wv is not None and shared is None:
+                    h_first = h
+                    series, ahead, shared = self._first_call(
+                        hull, w, wv, 0.5 * h if pre_fly else None)
+                elif wv is not None:
+                    series = taylor.iv_var_coeffs(w.lo, w.hi, wv.lo, wv.hi, params.mu, n + 1)
+            if series is not None:
+                rlo, rhi, vrlo, vrhi = series
                 # realized Lagrange terms must stay within budget, otherwise
                 # the wide a-priori box is poisoning the remainder
                 hn = Interval.symmetric(h).pow_int(n + 1).mag
@@ -410,18 +433,17 @@ class LohnerFlow:
                 vrem_sz = max(abs(vrlo[n + 1]).max(), abs(vrhi[n + 1]).max()) * hn
                 if rem_sz <= REMAINDER_BUDGET and vrem_sz <= REMAINDER_BUDGET:
                     break
+                if h == h_first:
+                    self._pre_fly = True
             h *= 0.5
             if h < H_MIN:
                 raise EnclosureError("validated step size underflow")
 
-        c = _wrap(*taylor.iv_coeffs(lset.c, lset.c, params.mu, n))
-        _, _, phlo, phhi = taylor.iv_var_coeffs(
-            hull.lo, hull.hi, np.eye(4), np.eye(4), params.mu, n
-        )
+        ph, c = shared
         rec = LohnerStep(
             t0=self.t, h=h,
             c=c, rem=_wrap(rlo[n + 1], rhi[n + 1]),
-            ph=_wrap(phlo, phhi), vrem=_wrap(vrlo[n + 1], vrhi[n + 1]),
+            ph=ph, vrem=_wrap(vrlo[n + 1], vrhi[n + 1]),
             wy=w[1], wvy=w[3],
             set_before=lset, set_after=lset, end=hull,
         )
@@ -455,6 +477,53 @@ class LohnerFlow:
         lo, hi = taylor.horner_iv(rec.c.lo, rec.c.hi, tau.lo, tau.hi)
         center = _wrap(lo, hi) + rec.rem.scale(tau.pow_int(ORDER + 1))
         return center, self.phi_at(rec, tau)
+
+    def _a_priori(self, hull: IArray, h: float) -> tuple[IArray | None, IArray | None]:
+        """A-priori enclosures (W, WV) over a step of ``h``; None where Picard fails."""
+        span = Interval(0.0, h)
+        w = self._rough_enclosure(hull, span)
+        return w, (self._rough_var_enclosure(w, span) if w is not None else None)
+
+    def _first_call(self, hull: IArray, w: IArray, wv: IArray, h_half: float | None):
+        """The attempt's first kernel call, for W, the hull and the centre at once.
+
+        One stacked :func:`taylor.iv_var_coeffs` call at order ``ORDER + 1``
+        carries W with V(0) in WV; with ``h_half``, the a-priori pair of
+        that half step, flown ahead in case the remainder budget halves the
+        step; the hull with V(0) = I; and the centre.  A half step whose
+        Picard loop fails, or that a guard refuses, is dropped: the step
+        then flies it as it would have without it.  Returns the series of
+        W, (W, series) of the half step or None, and the step's (ph, c)
+        from rows 0..ORDER of the hull and the centre.
+        """
+        pairs = [(w, wv)]
+        if h_half is not None:
+            try:
+                half = self._a_priori(hull, h_half)
+            except SingularityError:  # the Jacobian guard
+                half = (None, None)
+            if half[1] is not None:
+                pairs.append(half)
+        eye = np.eye(4)
+        c = self.lset.c
+        try:
+            clo, chi, vlo, vhi = taylor.iv_var_coeffs(
+                np.array([p.lo for p, _ in pairs] + [hull.lo, c]),
+                np.array([p.hi for p, _ in pairs] + [hull.hi, c]),
+                np.array([v.lo for _, v in pairs] + [eye]),
+                np.array([v.hi for _, v in pairs] + [eye]), self.params.mu, ORDER + 1)
+        except SingularityError:
+            # the hull and the centre lie in W, so only W itself or the
+            # half step can reach the guard radius
+            if len(pairs) == 1:
+                raise
+            return self._first_call(hull, w, wv, None)
+        rows = ORDER + 1
+        series = [(clo[i], chi[i], vlo[i], vhi[i]) for i in range(len(pairs))]
+        ahead = (pairs[1][0], series[1]) if len(pairs) == 2 else None
+        shared = (_wrap(vlo[-1, :rows], vhi[-1, :rows]),
+                  _wrap(clo[-1, :rows], chi[-1, :rows]))
+        return series[0], ahead, shared
 
     def _rough_enclosure(self, hull: IArray, span: Interval) -> IArray | None:
         def image(box: IArray) -> IArray:

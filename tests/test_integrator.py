@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pcr3bp import dynamics, integrator
+from pcr3bp import dynamics, integrator, taylor
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
-from pcr3bp.errors import EnclosureError, IntegrationError
+from pcr3bp.errors import EnclosureError, IntegrationError, SingularityError
+from pcr3bp.hset import check_cover
 from pcr3bp.integrator import (
     LohnerFlow,
     LohnerSet,
@@ -14,6 +15,8 @@ from pcr3bp.integrator import (
     lohner_section_crossings,
 )
 from pcr3bp.intervals import IArray, Interval
+from pcr3bp.poincare import HALF_MINUS, HALF_PLUS, apply_parallelogram_rigorous
+from pcr3bp.symbolic import section_map, standard_sets
 
 P = Params(MU_SUN_JUPITER, JACOBI_OTERMA)
 RNG = np.random.default_rng(42)
@@ -254,3 +257,196 @@ def test_reanchor_refuses_an_unbounded_center_image(lo, hi):
     rec.c = IArray(clo, chi)
     with pytest.raises(EnclosureError, match="not bounded"), np.errstate(invalid="ignore"):
         flow._reanchor(rec, Interval.point(rec.h))
+
+
+# ----------------------------------------------------------------------
+# one kernel call per validated step
+# ----------------------------------------------------------------------
+
+
+def frozen_attempt(flow, h_cap=None):
+    """The validated step with one kernel call per series, as a reference.
+
+    A copy of the attempt loop from before the stacked kernel call: one
+    call for W at every try, then one for the centre and one for the hull,
+    each at its own order.  Returns the step's bits (:func:`step_bits`) and
+    the number of W tries that missed the remainder budget.
+    """
+    params, lset, n = flow.params, flow.lset, integrator.ORDER
+    hull = lset.hull()
+    h = integrator._step_from_coeffs(taylor.point_coeffs(lset.c, params.mu, n))
+    if h_cap is not None:
+        h = min(h, h_cap)
+    misses = 0
+    while True:
+        span = Interval(0.0, h)
+        w = flow._rough_enclosure(hull, span)
+        wv = flow._rough_var_enclosure(w, span) if w is not None else None
+        if wv is not None:
+            rlo, rhi, vrlo, vrhi = taylor.iv_var_coeffs(
+                w.lo, w.hi, wv.lo, wv.hi, params.mu, n + 1)
+            hn = Interval.symmetric(h).pow_int(n + 1).mag
+            rem_sz = max(abs(rlo[n + 1]).max(), abs(rhi[n + 1]).max()) * hn
+            vrem_sz = max(abs(vrlo[n + 1]).max(), abs(vrhi[n + 1]).max()) * hn
+            if max(rem_sz, vrem_sz) <= integrator.REMAINDER_BUDGET:
+                break
+            misses += 1
+        h *= 0.5
+        if h < integrator.H_MIN:
+            raise EnclosureError("validated step size underflow")
+    clo, chi = taylor.iv_coeffs(lset.c, lset.c, params.mu, n)
+    _, _, phlo, phhi = taylor.iv_var_coeffs(hull.lo, hull.hi, np.eye(4), np.eye(4),
+                                            params.mu, n)
+    return step_bits(h, (rlo[n + 1], rhi[n + 1]), (vrlo[n + 1], vrhi[n + 1]),
+                     (phlo, phhi), (clo, chi), w[1], w[3]), misses
+
+
+def step_bits(h, rem, vrem, ph, c, wy, wvy):
+    """The bits of a step's h, rem, vrem, ph, c, wy and wvy."""
+    ends = {"rem": rem, "vrem": vrem, "ph": ph, "c": c}
+    bits = {k: tuple(np.asarray(e).tobytes() for e in v) for k, v in ends.items()}
+    bits.update(h=h.hex(), wy=(wy.lo.hex(), wy.hi.hex()), wvy=(wvy.lo.hex(), wvy.hi.hex()))
+    return bits
+
+
+def record_bits(rec):
+    return step_bits(rec.h, (rec.rem.lo, rec.rem.hi), (rec.vrem.lo, rec.vrem.hi),
+                     (rec.ph.lo, rec.ph.hi), (rec.c.lo, rec.c.hi), rec.wy, rec.wvy)
+
+
+def against_frozen_steps(monkeypatch):
+    """Check every attempt of the flights that follow against the frozen loop.
+
+    Returns the counts of attempts and of budget misses, filled as they fly.
+    """
+    original = LohnerFlow.attempt_step
+    counts = {"attempts": 0, "misses": 0}
+
+    def checked(flow, h_cap=None):
+        ref, misses = frozen_attempt(flow, h_cap)
+        rec = original(flow, h_cap)
+        assert record_bits(rec) == ref
+        counts["attempts"] += 1
+        counts["misses"] += misses
+        return rec
+
+    monkeypatch.setattr(LohnerFlow, "attempt_step", checked)
+    return counts
+
+
+def v3_v4_cell_flight():
+    """The one flight of check_cover of V3 => V4 (Ph-) at 1x1."""
+    sets = standard_sets(include_constructed=False)
+    src, dst = sets["V3"], sets["V4"]
+    rep = check_cover(section_map(Params(), [HALF_MINUS], src, dst), src, dst,
+                      grid=(1, 1), max_grid=(4, 1))
+    assert (rep.outcome, rep.cells) == ("verified", 1)
+
+
+def test_stacked_steps_match_one_call_per_series_on_the_v3_v4_cell(monkeypatch):
+    counts = against_frozen_steps(monkeypatch)
+    v3_v4_cell_flight()
+    assert counts == {"attempts": 23, "misses": 11}
+
+
+def test_stacked_steps_match_one_call_per_series_on_g0_under_ph_plus(monkeypatch):
+    counts = against_frozen_steps(monkeypatch)
+    h = standard_sets(include_constructed=False)["G0"]
+    whole = Interval(-1.0, 1.0)
+    apply_parallelogram_rigorous(Params(), [HALF_PLUS], h.center, h.u, h.s, whole,
+                                 whole, h.sign, want_derivative=True)
+    assert counts["attempts"] > 20 and counts["misses"] > 5
+
+
+def counting_kernels(monkeypatch):
+    calls = {"iv_var_coeffs": 0, "iv_coeffs": 0}
+    for name in calls:
+        original = getattr(taylor, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(taylor, name, counted)
+    return calls
+
+
+def test_the_v3_v4_cell_takes_one_kernel_call_per_attempt(monkeypatch):
+    # 23 attempts: 23 stacked calls, and 3 calls for the W of a budget miss
+    # that no half step flown ahead covered.  With one call per series the
+    # flight took 57 iv_var_coeffs calls (23 hulls, 34 W) and 23 iv_coeffs
+    # calls for the centres.
+    attempts = {"n": 0}
+    original = LohnerFlow.attempt_step
+
+    def counted(flow, h_cap=None):
+        attempts["n"] += 1
+        return original(flow, h_cap)
+
+    monkeypatch.setattr(LohnerFlow, "attempt_step", counted)
+    calls = counting_kernels(monkeypatch)
+    v3_v4_cell_flight()
+    assert attempts["n"] == 23
+    assert calls == {"iv_var_coeffs": 26, "iv_coeffs": 0}
+
+
+def missing_flow():
+    """A flow whose next attempt flies W(h/2) ahead and needs it.
+
+    The 1e-3 box about the anchor: its 9th attempt misses the remainder
+    budget on its first W, and so does its 10th.
+    """
+    flow = LohnerFlow(P, box_set(IArray.from_point(ANCHOR).inflate(1e-3)))
+    for _ in range(9):
+        flow.commit(flow.attempt_step())
+    assert flow._pre_fly
+    return flow
+
+
+def failing_once(method, h, fail, seen):
+    """``method(flow, box, span)`` with its first call over a step of ``h``
+    replaced by ``fail()``, which ``seen`` records."""
+    def patched(flow, box, span):
+        if span.hi == h and not seen:
+            seen.append(h)
+            return fail()
+        return method(flow, box, span)
+
+    return patched
+
+
+def _refuse():
+    raise SingularityError("forced guard refusal")
+
+
+@pytest.mark.parametrize("how", [None, "picard", "jacobian", "kernel"])
+def test_a_failed_half_step_falls_back_to_its_own_call(monkeypatch, how):
+    # the attempt takes the step of one call per series.  It flies the half
+    # step ahead and takes it without a call of its own; when that half
+    # step fails it raises nothing, and flies the half step itself.
+    flow = missing_flow()
+    ref, misses = frozen_attempt(flow)
+    assert misses == 1
+    h_half = float.fromhex(ref["h"])
+    calls = counting_kernels(monkeypatch)
+    seen = []
+    if how == "picard":
+        monkeypatch.setattr(LohnerFlow, "_rough_enclosure", failing_once(
+            LohnerFlow._rough_enclosure, h_half, lambda: None, seen))
+    elif how == "jacobian":
+        monkeypatch.setattr(LohnerFlow, "_rough_var_enclosure", failing_once(
+            LohnerFlow._rough_var_enclosure, h_half, _refuse, seen))
+    elif how == "kernel":
+        stacked = taylor.iv_var_coeffs
+
+        def refuse_the_half(xlo, *rest):
+            if np.ndim(xlo) == 2 and len(xlo) == 4:  # W, W(h/2), hull, centre
+                seen.append(h_half)
+                _refuse()
+            return stacked(xlo, *rest)
+
+        monkeypatch.setattr(taylor, "iv_var_coeffs", refuse_the_half)
+    rec = flow.attempt_step()
+    assert record_bits(rec) == ref
+    assert seen == ([] if how is None else [h_half])
+    assert calls["iv_var_coeffs"] == (1 if how is None else 2)

@@ -1,15 +1,19 @@
 """The package surface: every declared public name exists and star-imports."""
 
 import importlib
+import json
 import pkgutil
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import pcr3bp
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 MODULES = ["pcr3bp"] + [f"pcr3bp.{m.name}" for m in pkgutil.iter_modules(pcr3bp.__path__)]
 
 
@@ -37,3 +41,14 @@ def test_every_function_the_bench_tracer_patches_exists():
         if name not in getattr(holder, "__dict__", {}):
             missing.append(f"{module_name}.{attr}")
     assert not missing, f"the tracer patches missing functions: {missing}"
+
+
+def test_the_bench_setup_probe_runs():
+    # perfbench/run.py times this probe for setup_s; it calls iv_var_coeffs
+    # and point_var_coeffs with one (4,) state at order 21, so both keep
+    # their one-box signatures
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "setup_probe.py"),
+                           str(ROOT / "src")], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    setup_s = json.loads(done.stdout.splitlines()[-1])["setup_s"]
+    assert isinstance(setup_s, float) and setup_s > 0.0

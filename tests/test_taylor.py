@@ -207,6 +207,58 @@ def test_lane_kernel_matches_list_kernel_through_a_close_pass():
         flow.step()
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stacked_boxes_match_their_one_box_calls():
+    # the boxes of a validated step's first kernel call: two a-priori boxes
+    # W with wide initial matrices, the hull with the identity and the
+    # point centre with none (Bv = 3 < B = 4), at order 21.  Each box gets
+    # its own one-box bits; the hull and the centre are read at order 20.
+    # Four boxes sum their order-21 terms pairwise, as one box does, which
+    # a gather that leaves the term axis strided would break (the third
+    # rounding trap of the taylor module docstring).
+    n, eye = ORACLE_ORDER, np.eye(4)
+    hull = (STATE - 1e-7, STATE + 1e-7)
+    ws = [(STATE - 3e-4, STATE + 2e-4), (STATE - 1e-4, STATE + 1.5e-4)]
+    v0 = [(eye - 0.3, eye + 0.2), (eye - 0.1, eye + 0.15), (eye, eye)]
+    xlo = np.array([lo for lo, _ in ws + [hull]] + [STATE])
+    xhi = np.array([hi for _, hi in ws + [hull]] + [STATE])
+    vlo0, vhi0 = np.array([lo for lo, _ in v0]), np.array([hi for _, hi in v0])
+    clo, chi, vlo, vhi = taylor.iv_var_coeffs(xlo, xhi, vlo0, vhi0, P.mu, n)
+    assert clo.shape == (4, n + 1, 4) and vlo.shape == (3, n + 1, 4, 4)
+    for i in range(2):
+        one = taylor.iv_var_coeffs(xlo[i], xhi[i], vlo0[i], vhi0[i], P.mu, n)
+        assert all(map(_same_bits, (clo[i], chi[i], vlo[i], vhi[i]), one))
+    one = taylor.iv_var_coeffs(*hull, eye, eye, P.mu, n - 1)
+    assert all(map(_same_bits, (clo[2, :n], chi[2, :n], vlo[2, :n], vhi[2, :n]), one))
+    one = taylor.iv_coeffs(STATE, STATE, P.mu, n - 1)
+    assert all(map(_same_bits, (clo[3, :n], chi[3, :n]), one))
+    # and the Hessian-free view of the same loop takes a stack too
+    stacked = taylor.iv_coeffs(xlo, xhi, P.mu, n - 1)
+    assert all(map(_same_bits, (stacked[0][3], stacked[1][3]), one))
+
+
+def test_a_stack_without_variational_boxes():
+    # Bv = 0: the state series of every box, and an empty variational stack
+    boxes = [(s - 1e-9, s + 1e-9) for s in random_states(3, np.random.default_rng(9))]
+    xlo, xhi = np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes])
+    none = np.zeros((0, 4, 4))
+    clo, chi, vlo, vhi = taylor.iv_var_coeffs(xlo, xhi, none, none, P.mu, ORDER)
+    assert vlo.shape == vhi.shape == (0, ORDER + 1, 4, 4)
+    for i, (lo, hi) in enumerate(boxes):
+        one = taylor.iv_var_coeffs(lo, hi, np.eye(4), np.eye(4), P.mu, ORDER)
+        assert _same_bits(clo[i], one[0]) and _same_bits(chi[i], one[1])
+
+
+def test_a_stack_is_refused_when_one_box_reaches_a_primary():
+    at_primary = np.array([1.0 - P.mu, 0.0, 0.1, 0.1])
+    xlo = np.array([STATE, at_primary - 1e-3])
+    with pytest.raises(SingularityError):
+        taylor.iv_var_coeffs(xlo, xlo + 2e-3, np.eye(4)[None], np.eye(4)[None], P.mu, 8)
+
+
 # ends of every kind: zero-width points, huge and infinite ends
 _END_POOL = np.array([0.0, 1.0, -1.0, 0.5, 3.0, -2.0, 1e300, -1e300,
                       1.7976931348623157e308, -1.7976931348623157e308,
