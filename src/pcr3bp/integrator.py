@@ -17,7 +17,7 @@ section image is the reversal of a forward one, see
 :mod:`pcr3bp.poincare`.)  Every step:
 
 1. validates an a-priori enclosure ``W`` of all trajectories over the step
-   by Picard iteration, halving the step on failure;
+   by Picard iteration, shortening the step on failure (below);
 2. encloses the center image by the interval Taylor polynomial of the center
    plus a Lagrange remainder built from the order-(N+1) coefficient over W;
 3. encloses the one-step transition matrix by the interval variational
@@ -33,17 +33,21 @@ section image is the reversal of a forward one, see
    that the crossing search reads; a center image that is not bounded is
    refused.
 
-Steps 1-3 make one interval kernel call.  A step whose Lagrange remainder
-exceeds ``REMAINDER_BUDGET`` is halved like one whose Picard test fails,
-and the first W the Picard test accepts rides in one stacked
-:func:`pcr3bp.taylor.iv_var_coeffs` call at order N+1 with the hull
-(V(0) = I) and the center, whose series of step 2 and 3 are its rows
-0..N.  When the flow's previous attempt missed the budget on its first
-W, the call also carries W(h/2), flown ahead: a miss at h then takes it
-without a call of its own.  A half step flown ahead that fails (in its
-Picard loop, or refused by a guard) is dropped without an error, and
-every later W is one call of its own.  The accepted steps are those of
-one call per W: their kernel rows are the same bits.
+Steps 1-3 make one interval kernel call.  The first W the Picard test
+accepts rides in one stacked :func:`pcr3bp.taylor.iv_var_coeffs` call at
+order N+1 with the hull (V(0) = I) and the center, whose series of steps
+2 and 3 are its rows 0..N; every later W of the attempt is one call of
+its own.  The accepted steps are those of one call per W: their kernel
+rows are the same bits.
+
+Steps are sized from the realized remainder, as in validated Taylor
+solvers (Nedialkov, Jackson & Corliss, Appl. Math. Comput. 105, 1999;
+CAPD::DynSys): with ``rem`` the larger Lagrange term (state or
+variational) of the last validated step ``h``, the first try is the least
+of the point rule's step and ``h SAFETY (TOL / rem)^(1/(N+1))`` (the point
+rule alone if ``rem`` is zero), so it validates as a rule.  A Picard miss
+or an infinite ``rem`` halves the try; a ``rem`` over ``REMAINDER_BUDGET``
+cuts it by ``min(1/2, SAFETY (TOL / rem)^(1/(N+1)))``.
 
 Dense output inside a step evaluates the same polynomial + remainder data at
 interval times, which is what the section-crossing localization uses to
@@ -85,7 +89,8 @@ change one with ``monkeypatch.setattr``.
 * ``TOL = 1e-12``, ``SAFETY = 0.9``, ``H_MAX = 0.5``: the step rule of
   Jorba & Zou (Exp. Math. 14, 2005), ``h = SAFETY * min_k (TOL /
   |a_k|)^(1/k)`` over the top two coefficient rows, capped at ``H_MAX``
-  (also the step when both rows vanish).
+  (also the step when both rows vanish).  ``TOL`` is also the target of
+  a rigorous step's Lagrange remainder.
 * ``H_MIN = 1e-9``: the step floor.  The step rule proposes no less; a
   rigorous step that must halve below it, or a crossing that cannot be
   separated above it, is refused with an error instead of continued.
@@ -93,7 +98,7 @@ change one with ``monkeypatch.setattr``.
   a-priori enclosures before the step is halved.
 * ``REMAINDER_BUDGET = 1e-10``: the largest Lagrange remainder (state and
   variational) a rigorous step may keep, 100 times ``TOL``; a larger one
-  means the a-priori box is too wide, so the step is halved.
+  means the a-priori box is too wide, so the step is cut.
 * ``MAX_TIME = 50.0``: time horizon of one section flight.
 * ``MAX_STEPS = 5000``: step attempts one rigorous flight (one
   :class:`LohnerFlow`) may make.  A flight that needs more, such as one
@@ -134,6 +139,7 @@ __all__ = [
     "flow_point",
     "LohnerSet",
     "LohnerStep",
+    "FlowStats",
     "LohnerFlow",
     "CrossingRecord",
     "lohner_section_crossings",
@@ -176,6 +182,11 @@ def _step(n: int, norms) -> float:
         if norm > 0.0:
             h = min(h, (TOL / norm) ** (1.0 / k))
     return max(SAFETY * h, H_MIN)
+
+
+def _resize(rem: float) -> float:
+    # the factor on h that brings a realized remainder rem (~ h^(ORDER+1)) to TOL
+    return SAFETY * (TOL / rem) ** (1.0 / (ORDER + 1))
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +379,17 @@ class LohnerStep:
     end: IArray
 
 
+@dataclass(slots=True)
+class FlowStats:
+    """Step counts of one rigorous flight: attempts, steps taken, and the
+    tries that failed the Picard test or exceeded ``REMAINDER_BUDGET``."""
+
+    attempts: int = 0
+    commits: int = 0
+    picard_misses: int = 0
+    budget_misses: int = 0
+
+
 class LohnerFlow:
     """Rigorous evolution of a :class:`LohnerSet`."""
 
@@ -376,9 +398,8 @@ class LohnerFlow:
         self.lset = lset
         self.t = 0.0
         self._t_comp = 0.0
-        self.attempts = 0
-        # the last attempt's first kernel call missed the remainder budget
-        self._pre_fly = False
+        self.stats = FlowStats()
+        self._h_next: float | None = None  # from the last validated remainder
 
     # -- elapsed time ---------------------------------------------------
 
@@ -393,51 +414,58 @@ class LohnerFlow:
     def attempt_step(self, h_cap: float | None = None) -> LohnerStep:
         """Validate one forward step without committing it.
 
-        The ``MAX_STEPS``-th attempt of a flow is its last.
+        The first try is the least of the point rule's step, ``h_cap`` and
+        the step the last validated attempt asked for.  The
+        ``MAX_STEPS``-th attempt of a flow is its last.
         """
-        self.attempts += 1
-        if self.attempts > MAX_STEPS:
+        stats = self.stats
+        stats.attempts += 1
+        if stats.attempts > MAX_STEPS:
             raise IntegrationError(
                 f"rigorous flight exceeded {MAX_STEPS} step attempts")
         params = self.params
         lset = self.lset
         hull = lset.hull()
 
-        c_pt = taylor.point_coeffs(lset.c, params.mu, ORDER)
-        h = _step_from_coeffs(c_pt)
-        if h_cap is not None:
-            h = min(h, h_cap)
+        h = _step_from_coeffs(taylor.point_coeffs(lset.c, params.mu, ORDER))
+        for cap in (h_cap, self._h_next):
+            if cap is not None:
+                h = min(h, cap)
 
         n = ORDER
-        pre_fly, self._pre_fly = self._pre_fly, False
-        shared = ahead = h_first = None
+        shared = None
         while True:
-            if ahead is not None:
-                # the half step flown ahead: h was halved once since the first call
-                (w, series), ahead = ahead, None
+            w, wv = self._a_priori(hull, h)
+            if wv is None:
+                stats.picard_misses += 1
+                factor = 0.5
             else:
-                w, wv = self._a_priori(hull, h)
-                series = None
-                if wv is not None and shared is None:
-                    h_first = h
-                    series, ahead, shared = self._first_call(
-                        hull, w, wv, 0.5 * h if pre_fly else None)
-                elif wv is not None:
-                    series = taylor.iv_var_coeffs(w.lo, w.hi, wv.lo, wv.hi, params.mu, n + 1)
-            if series is not None:
-                rlo, rhi, vrlo, vrhi = series
-                # realized Lagrange terms must stay within budget, otherwise
-                # the wide a-priori box is poisoning the remainder
-                hn = Interval.symmetric(h).pow_int(n + 1).mag
-                rem_sz = max(abs(rlo[n + 1]).max(), abs(rhi[n + 1]).max()) * hn
-                vrem_sz = max(abs(vrlo[n + 1]).max(), abs(vrhi[n + 1]).max()) * hn
-                if rem_sz <= REMAINDER_BUDGET and vrem_sz <= REMAINDER_BUDGET:
+                if shared is None:
+                    # the first W rides with the hull (V(0) = I) and the
+                    # centre, whose rows 0..n are the step's ph and c
+                    eye = np.eye(4)
+                    clo, chi, vlo, vhi = taylor.iv_var_coeffs(
+                        np.array([w.lo, hull.lo, lset.c]), np.array([w.hi, hull.hi, lset.c]),
+                        np.array([wv.lo, eye]), np.array([wv.hi, eye]), params.mu, n + 1)
+                    rlo, rhi, vrlo, vrhi = clo[0], chi[0], vlo[0], vhi[0]
+                    shared = (_wrap(vlo[1, :n + 1], vhi[1, :n + 1]),
+                              _wrap(clo[2, :n + 1], chi[2, :n + 1]))
+                else:
+                    rlo, rhi, vrlo, vrhi = taylor.iv_var_coeffs(
+                        w.lo, w.hi, wv.lo, wv.hi, params.mu, n + 1)
+                # the realized Lagrange terms, state and variational; over
+                # budget, the wide a-priori box is poisoning the remainder
+                rem = float(max(abs(rlo[n + 1]).max(), abs(rhi[n + 1]).max(),
+                                abs(vrlo[n + 1]).max(), abs(vrhi[n + 1]).max())
+                            * Interval.symmetric(h).pow_int(n + 1).mag)
+                if rem <= REMAINDER_BUDGET:
                     break
-                if h == h_first:
-                    self._pre_fly = True
-            h *= 0.5
+                stats.budget_misses += 1
+                factor = min(0.5, _resize(rem)) if math.isfinite(rem) else 0.5
+            h *= factor
             if h < H_MIN:
                 raise EnclosureError("validated step size underflow")
+        self._h_next = h * _resize(rem) if rem > 0.0 else None
 
         ph, c = shared
         rec = LohnerStep(
@@ -451,79 +479,42 @@ class LohnerFlow:
         return rec
 
     def commit(self, rec: LohnerStep) -> None:
+        self.stats.commits += 1
         self.lset = rec.set_after
         self.t, self._t_comp = _exact_add(self.t, self._t_comp, rec.h)
 
     # -- dense output -----------------------------------------------------
 
-    def phi_at(self, rec: LohnerStep, tau: Interval) -> IArray:
-        """Enclosure of the one-step transition matrix at times in ``tau``."""
-        lo, hi = taylor.horner_var_iv(rec.ph.lo, rec.ph.hi, tau.lo, tau.hi)
-        return _wrap(lo, hi) + rec.vrem.scale(tau.pow_int(ORDER + 1))
+    def phi_at(self, rec: LohnerStep, tau: Interval, rows: slice = slice(None)) -> IArray:
+        """Enclosure of (``rows`` of) the one-step transition matrix at ``tau``."""
+        lo, hi = taylor.horner_var_iv(rec.ph.lo[:, rows], rec.ph.hi[:, rows],
+                                      tau.lo, tau.hi)
+        return _wrap(lo, hi) + rec.vrem[rows].scale(tau.pow_int(ORDER + 1))
 
     def enclosure_at(self, rec: LohnerStep, tau: Interval,
-                     of_center: bool = False) -> IArray:
+                     of_center: bool = False, rows: slice = slice(None)) -> IArray:
         """State enclosure at step times in ``tau`` of the whole set, or
-        with ``of_center`` of the point its center box holds."""
-        center, phi = self._transport(rec, tau)
+        with ``of_center`` of the point its center box holds; ``rows`` of
+        it alone give the same bits."""
+        center, phi = self._transport(rec, tau, rows)
         before = rec.set_before
         b, r = (before.bc, before.rc) if of_center else (before.b, before.r)
         return center + (phi @ IArray.from_point(b)) @ r
 
     # -- internals ----------------------------------------------------------
 
-    def _transport(self, rec: LohnerStep, tau: Interval) -> tuple[IArray, IArray]:
-        """Center image and transition matrix at ``tau``."""
-        lo, hi = taylor.horner_iv(rec.c.lo, rec.c.hi, tau.lo, tau.hi)
-        center = _wrap(lo, hi) + rec.rem.scale(tau.pow_int(ORDER + 1))
-        return center, self.phi_at(rec, tau)
+    def _transport(self, rec: LohnerStep, tau: Interval,
+                   rows: slice = slice(None)) -> tuple[IArray, IArray]:
+        """Center image and transition matrix at ``tau``, or their ``rows``."""
+        lo, hi = taylor.horner_iv(rec.c.lo[:, rows], rec.c.hi[:, rows], tau.lo, tau.hi)
+        center = _wrap(lo, hi) + rec.rem[rows].scale(tau.pow_int(ORDER + 1))
+        return center, self.phi_at(rec, tau, rows)
 
     def _a_priori(self, hull: IArray, h: float) -> tuple[IArray | None, IArray | None]:
         """A-priori enclosures (W, WV) over a step of ``h``; None where Picard fails."""
         span = Interval(0.0, h)
         w = self._rough_enclosure(hull, span)
         return w, (self._rough_var_enclosure(w, span) if w is not None else None)
-
-    def _first_call(self, hull: IArray, w: IArray, wv: IArray, h_half: float | None):
-        """The attempt's first kernel call, for W, the hull and the centre at once.
-
-        One stacked :func:`taylor.iv_var_coeffs` call at order ``ORDER + 1``
-        carries W with V(0) in WV; with ``h_half``, the a-priori pair of
-        that half step, flown ahead in case the remainder budget halves the
-        step; the hull with V(0) = I; and the centre.  A half step whose
-        Picard loop fails, or that a guard refuses, is dropped: the step
-        then flies it as it would have without it.  Returns the series of
-        W, (W, series) of the half step or None, and the step's (ph, c)
-        from rows 0..ORDER of the hull and the centre.
-        """
-        pairs = [(w, wv)]
-        if h_half is not None:
-            try:
-                half = self._a_priori(hull, h_half)
-            except SingularityError:  # the Jacobian guard
-                half = (None, None)
-            if half[1] is not None:
-                pairs.append(half)
-        eye = np.eye(4)
-        c = self.lset.c
-        try:
-            clo, chi, vlo, vhi = taylor.iv_var_coeffs(
-                np.array([p.lo for p, _ in pairs] + [hull.lo, c]),
-                np.array([p.hi for p, _ in pairs] + [hull.hi, c]),
-                np.array([v.lo for _, v in pairs] + [eye]),
-                np.array([v.hi for _, v in pairs] + [eye]), self.params.mu, ORDER + 1)
-        except SingularityError:
-            # the hull and the centre lie in W, so only W itself or the
-            # half step can reach the guard radius
-            if len(pairs) == 1:
-                raise
-            return self._first_call(hull, w, wv, None)
-        rows = ORDER + 1
-        series = [(clo[i], chi[i], vlo[i], vhi[i]) for i in range(len(pairs))]
-        ahead = (pairs[1][0], series[1]) if len(pairs) == 2 else None
-        shared = (_wrap(vlo[-1, :rows], vhi[-1, :rows]),
-                  _wrap(clo[-1, :rows], chi[-1, :rows]))
-        return series[0], ahead, shared
 
     def _rough_enclosure(self, hull: IArray, span: Interval) -> IArray | None:
         def image(box: IArray) -> IArray:
@@ -598,12 +589,14 @@ class CrossingRecord:
 
     ``center`` encloses the crossing state of the point the set's center
     box holds; it is filled at the last crossing of a set that carries one.
+    ``stats`` holds the flow's step counts when the crossing was found.
     """
 
     t: Interval
     state: IArray
     vy_sign: int
     center: IArray | None = None
+    stats: FlowStats | None = None
 
 
 def _strict_sign(iv: Interval) -> int | None:
@@ -695,6 +688,7 @@ def lohner_section_crossings(
                 f"crossing {len(crossings)} has vy sign {crossing.vy_sign}, "
                 f"expected {expected}"
             )
+        crossing.stats = replace(flow.stats)
         crossings.append(crossing)
         if last:
             if rec.set_before.rc is not None:
@@ -717,7 +711,8 @@ def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
         if (sb - sa) * rec.h < BRACKET_TOL:
             break
         sm = 0.5 * (sa + sb)
-        y_iv = flow.enclosure_at(rec, Interval.point(sm * rec.h), of_center)[1]
+        y_iv = flow.enclosure_at(rec, Interval.point(sm * rec.h), of_center,
+                                 slice(1, 2))[0]
         side = _strict_sign(y_iv)
         if side == before_side:
             sa = sm

@@ -53,7 +53,7 @@ from .errors import (
     SingularityError,
     TangencyError,
 )
-from .integrator import LohnerSet, PointFlow, lohner_section_crossings
+from .integrator import FlowStats, LohnerSet, PointFlow, lohner_section_crossings
 from .intervals import IArray, Interval
 
 __all__ = [
@@ -458,6 +458,7 @@ class RigorousImage:
     (``am``, ``bm`` the midpoints of ``a``, ``b``, summed in floats), read
     from the same flight as the cell.  ``offsets`` enclose the cell's
     ``(alpha, beta)`` measured from that point along ``d1`` and ``d2``.
+    ``stats`` holds the step counts of the flight.
     """
 
     x: Interval
@@ -467,6 +468,7 @@ class RigorousImage:
     dp: IArray | None
     offsets: tuple[Interval, Interval]
     center: IArray | None = None
+    stats: FlowStats | None = None
 
 
 def _enclose(q: Fraction) -> Interval:
@@ -606,6 +608,7 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
     return RigorousImage(
         x=final.state[0], vx=final.state[2], state=final.state,
         t=final.t, dp=dp, offsets=(lset.r[0], lset.r[1]), center=final.center,
+        stats=final.stats,
     )
 
 

@@ -539,48 +539,52 @@ def _ends(pairs):
     return np.ascontiguousarray(np.moveaxis(np.array(pairs), -1, 0))
 
 
-def _iv_series(xlo, xhi, mu, n, want_hessian):
+def _iv_series(xlo, xhi, mu, n, bv):
     """Interval Taylor coefficients 0..n of solutions through B boxes.
 
     ``xlo``/``xhi`` are (B, 4); needs ``n >= 1``.  Returns (c, h): c of
     shape (2, B, n+1, 4) holds the lower and upper ends of the state
-    terms, h of shape (2, B, n, 3) those of (Omega_xx, Omega_xy, Omega_yy)
-    at orders 0..n-1, all the variational recurrence reads (None without
-    ``want_hessian``).
+    terms, h of shape (2, bv, n, 3) those of (Omega_xx, Omega_xy, Omega_yy)
+    of the leading ``bv`` boxes at orders 0..n-1, all the variational
+    recurrence reads (None for ``bv = 0``).
 
     Order 0 runs on the scalar primitives, box by box.  Each later order k
     is one batched convolution over all boxes (:func:`_operands`) plus, box
     by box, a fixed number of scalar steps: completing the order-k squares
     and powers, and combining the order-k sums into the Hessian and the
-    order-(k+1) state terms.  A box's terms do not depend on the other
-    boxes of the stack, nor on n.
+    order-(k+1) state terms.  The boxes past ``bv`` skip the Hessian's
+    scalar steps, which no state term reads.  A box's state terms do not
+    depend on the other boxes of the stack, on ``bv``, nor on n.
     """
     masses = _masses(mu)
-    first = [_iv_order0(lo, hi, mu, masses, want_hessian) for lo, hi in zip(xlo, xhi)]
+    hessian = [i < bv for i in range(len(xlo))]
+    first = [_iv_order0(lo, hi, mu, masses, want)
+             for lo, hi, want in zip(xlo, xhi, hessian)]
     t0s = [t0 for t0, _, _ in first]
     z = np.zeros((2, len(first), _ROWS, n + 1))
     z[..., 0] = _ends(t0s)
     states = [[list(zip(lo, hi)), nxt]
               for lo, hi, (_, _, nxt) in zip(xlo.tolist(), xhi.tolist(), first)]
-    hess = [[hk] for _, hk, _ in first]
-    nprod, nsq, npow = (len(p) for p in _layout(want_hessian))
+    hess = [[hk] for _, hk, _ in first[:bv]]
+    nprod, nsq, npow = (len(p) for p in _layout(bv > 0))
     partial = [([_ZERO] * nsq, [_ZERO] * npow)] * len(first)
-    a, b, w = _operands(n, want_hessian)
+    a, b, w = _operands(n, bv > 0)
     for k in range(1, n):
-        tks = [_order_terms(k, state[k], t0, sq, pw, want_hessian)
-               for state, t0, (sq, pw) in zip(states, t0s, partial)]
+        tks = [_order_terms(k, state[k], t0, sq, pw, want)
+               for state, t0, (sq, pw), want in zip(states, t0s, partial, hessian)]
         z[..., k] = _ends(tks)
         sums = _convolve(z, a[:, :k + 1], b[:, k::-1], w[:, :k + 1] - (k + 1.0))
         partial = []
-        for state, hs, tk, (lo, hi) in zip(states, hess, tks, sums):
+        for i, (state, tk, (lo, hi)) in enumerate(zip(states, tks, sums)):
             g = list(zip(lo, hi))
             partial.append((g[nprod:nprod + nsq], g[nprod + nsq:]))
             hk, nxt = _next_terms(k, g[:nprod], tk[_S1], tk[_S2], state[k], mu,
-                                  masses, want_hessian)
+                                  masses, hessian[i])
             state.append(nxt)
-            hs.append(hk)
+            if hk is not None:
+                hess[i].append(hk)
     c = _ends(states)
-    h = _ends(hess) if want_hessian else None
+    h = _ends(hess) if bv else None
     return c, h
 
 
@@ -597,7 +601,7 @@ def iv_coeffs(xlo, xhi, mu, n):
     (B, 4) gives (B, n+1, 4).
     """
     xlo, xhi, one = _boxes(xlo, xhi)
-    c, _ = _iv_series(xlo, xhi, mu, n, False)
+    c, _ = _iv_series(xlo, xhi, mu, n, 0)
     return (c[0, 0], c[1, 0]) if one else (c[0], c[1])
 
 
@@ -632,14 +636,15 @@ def iv_var_coeffs(xlo, xhi, v0lo, v0hi, mu, n):
     summed with one bound per end.
     """
     xlo, xhi, one = _boxes(xlo, xhi)
-    c, h = _iv_series(xlo, xhi, mu, n, True)
     v0lo, v0hi = np.reshape(v0lo, (-1, 4, 4)), np.reshape(v0hi, (-1, 4, 4))
     bv = len(v0lo)
+    c, h = _iv_series(xlo, xhi, mu, n, bv)
     # (V_(k+1))_r+2 = (1/(k+1)) sum_{m=0..k} sum_i coef[r, m, i] (V_(k-m))_i:
     # the Hessian terms on rows 0 and 1, and at m = 0 the Coriolis terms
     # 2 V_3 and -2 V_2 on rows 2 and 3
     coef = np.zeros((2, bv, 2, n, 4))
-    coef[..., :2] = np.moveaxis(h[:, :bv][..., [[0, 1], [1, 2]]], 3, 2)
+    if bv:
+        coef[..., :2] = np.moveaxis(h[..., [[0, 1], [1, 2]]], 3, 2)
     coef[:, :, 0, 0, 3] = 2.0
     coef[:, :, 1, 0, 2] = -2.0
     v = np.zeros((2, bv, n + 1, 4, 4))
@@ -685,8 +690,11 @@ def horner_iv(clo, chi, tlo, thi):
 
 
 def horner_var_iv(vlo, vhi, tlo, thi):
-    """Evaluate interval variational coefficients (n+1, 4, 4) at a time."""
-    n = vlo.shape[0]
-    lo, hi = _horner_iv(vlo.reshape(n, 16).T.tolist(), vhi.reshape(n, 16).T.tolist(),
+    """Evaluate interval variational coefficients (n+1, 4, 4) at a time.
+
+    Any rows (n+1, m, 4) of them evaluate to the same bits as in the whole.
+    """
+    n, shape = vlo.shape[0], vlo.shape[1:]
+    lo, hi = _horner_iv(vlo.reshape(n, -1).T.tolist(), vhi.reshape(n, -1).T.tolist(),
                         float(tlo), float(thi))
-    return np.reshape(lo, (4, 4)), np.reshape(hi, (4, 4))
+    return np.reshape(lo, shape), np.reshape(hi, shape)

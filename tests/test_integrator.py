@@ -1,11 +1,14 @@
 """Adaptive Taylor integration: point mode and validated Lohner mode."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from pcr3bp import dynamics, integrator, taylor
+from pcr3bp import dynamics, integrator, symbolic, taylor
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
-from pcr3bp.errors import EnclosureError, IntegrationError, SingularityError
+from pcr3bp.errors import EnclosureError, IntegrationError
 from pcr3bp.hset import check_cover
 from pcr3bp.integrator import (
     LohnerFlow,
@@ -165,12 +168,18 @@ def test_section_crossing_thin_width_growth():
 
 
 def test_exact_elapsed_time_tracking():
+    # the elapsed time encloses the exact sum of the committed steps, to
+    # within two ulps of t
     lset = box_set(IArray.from_point(ANCHOR).inflate(1e-12))
     flow = LohnerFlow(P, lset)
+    steps = []
     while flow.t < 1.0:
-        flow.commit(flow.attempt_step())
+        rec = flow.attempt_step()
+        flow.commit(rec)
+        steps.append(rec.h)
     el = flow.elapsed
-    assert el.width <= 4e-16 * max(1.0, abs(flow.t))
+    assert el.width <= 2 * math.ulp(flow.t)
+    assert Fraction(el.lo) <= sum(map(Fraction, steps)) <= Fraction(el.hi)
 
 
 def test_accumulated_jacobian_contains_point_jacobian():
@@ -260,38 +269,46 @@ def test_reanchor_refuses_an_unbounded_center_image(lo, hi):
 
 
 # ----------------------------------------------------------------------
-# one kernel call per validated step
+# one kernel call per validated step, sized by the last step's remainder
 # ----------------------------------------------------------------------
 
 
 def frozen_attempt(flow, h_cap=None):
     """The validated step with one kernel call per series, as a reference.
 
-    A copy of the attempt loop from before the stacked kernel call: one
-    call for W at every try, then one for the centre and one for the hull,
-    each at its own order.  Returns the step's bits (:func:`step_bits`) and
-    the number of W tries that missed the remainder budget.
+    A copy of the attempt loop with one call for W at every try, then one
+    for the centre and one for the hull, each at its own order.  The first
+    try is the least of the point rule, ``h_cap`` and the flow's step from
+    its last remainder; a Picard miss halves h, a budget miss multiplies it
+    by min(1/2, SAFETY (TOL / rem)^(1/21)).  Returns the step's bits
+    (:func:`step_bits`) and the number of tries that missed.
     """
     params, lset, n = flow.params, flow.lset, integrator.ORDER
     hull = lset.hull()
     h = integrator._step_from_coeffs(taylor.point_coeffs(lset.c, params.mu, n))
-    if h_cap is not None:
-        h = min(h, h_cap)
+    for cap in (h_cap, flow._h_next):
+        if cap is not None:
+            h = min(h, cap)
     misses = 0
     while True:
         span = Interval(0.0, h)
         w = flow._rough_enclosure(hull, span)
         wv = flow._rough_var_enclosure(w, span) if w is not None else None
+        factor = 0.5
         if wv is not None:
             rlo, rhi, vrlo, vrhi = taylor.iv_var_coeffs(
                 w.lo, w.hi, wv.lo, wv.hi, params.mu, n + 1)
             hn = Interval.symmetric(h).pow_int(n + 1).mag
             rem_sz = max(abs(rlo[n + 1]).max(), abs(rhi[n + 1]).max()) * hn
             vrem_sz = max(abs(vrlo[n + 1]).max(), abs(vrhi[n + 1]).max()) * hn
-            if max(rem_sz, vrem_sz) <= integrator.REMAINDER_BUDGET:
+            rem = float(max(rem_sz, vrem_sz))
+            if rem <= integrator.REMAINDER_BUDGET:
                 break
-            misses += 1
-        h *= 0.5
+            if math.isfinite(rem):
+                factor = min(0.5, integrator.SAFETY
+                             * (integrator.TOL / rem) ** (1.0 / (n + 1)))
+        misses += 1
+        h *= factor
         if h < integrator.H_MIN:
             raise EnclosureError("validated step size underflow")
     clo, chi = taylor.iv_coeffs(lset.c, lset.c, params.mu, n)
@@ -317,7 +334,7 @@ def record_bits(rec):
 def against_frozen_steps(monkeypatch):
     """Check every attempt of the flights that follow against the frozen loop.
 
-    Returns the counts of attempts and of budget misses, filled as they fly.
+    Returns the counts of attempts and of missed tries, filled as they fly.
     """
     original = LohnerFlow.attempt_step
     counts = {"attempts": 0, "misses": 0}
@@ -334,28 +351,42 @@ def against_frozen_steps(monkeypatch):
     return counts
 
 
-def v3_v4_cell_flight():
-    """The one flight of check_cover of V3 => V4 (Ph-) at 1x1."""
+def v3_v4_cell_flight(monkeypatch):
+    """The one flight of check_cover of V3 => V4 (Ph-) at 1x1; returns its image."""
+    images = []
+    original = symbolic.apply_parallelogram_rigorous
+
+    def kept(*args, **kwargs):
+        images.append(original(*args, **kwargs))
+        return images[-1]
+
+    monkeypatch.setattr(symbolic, "apply_parallelogram_rigorous", kept)
     sets = standard_sets(include_constructed=False)
     src, dst = sets["V3"], sets["V4"]
     rep = check_cover(section_map(Params(), [HALF_MINUS], src, dst), src, dst,
                       grid=(1, 1), max_grid=(4, 1))
-    assert (rep.outcome, rep.cells) == ("verified", 1)
+    assert (rep.outcome, rep.cells, len(images)) == ("verified", 1, 1)
+    return images[0]
+
+
+def g0_flight():
+    """The whole G0 under Ph+ with its derivative."""
+    h = standard_sets(include_constructed=False)["G0"]
+    whole = Interval(-1.0, 1.0)
+    return apply_parallelogram_rigorous(Params(), [HALF_PLUS], h.center, h.u, h.s, whole,
+                                        whole, h.sign, want_derivative=True)
 
 
 def test_stacked_steps_match_one_call_per_series_on_the_v3_v4_cell(monkeypatch):
     counts = against_frozen_steps(monkeypatch)
-    v3_v4_cell_flight()
-    assert counts == {"attempts": 23, "misses": 11}
+    v3_v4_cell_flight(monkeypatch)
+    assert counts == {"attempts": 22, "misses": 1}
 
 
 def test_stacked_steps_match_one_call_per_series_on_g0_under_ph_plus(monkeypatch):
     counts = against_frozen_steps(monkeypatch)
-    h = standard_sets(include_constructed=False)["G0"]
-    whole = Interval(-1.0, 1.0)
-    apply_parallelogram_rigorous(Params(), [HALF_PLUS], h.center, h.u, h.s, whole,
-                                 whole, h.sign, want_derivative=True)
-    assert counts["attempts"] > 20 and counts["misses"] > 5
+    g0_flight()
+    assert counts["attempts"] > 20 and counts["misses"] >= 1
 
 
 def counting_kernels(monkeypatch):
@@ -372,81 +403,146 @@ def counting_kernels(monkeypatch):
 
 
 def test_the_v3_v4_cell_takes_one_kernel_call_per_attempt(monkeypatch):
-    # 23 attempts: 23 stacked calls, and 3 calls for the W of a budget miss
-    # that no half step flown ahead covered.  With one call per series the
-    # flight took 57 iv_var_coeffs calls (23 hulls, 34 W) and 23 iv_coeffs
-    # calls for the centres.
-    attempts = {"n": 0}
-    original = LohnerFlow.attempt_step
-
-    def counted(flow, h_cap=None):
-        attempts["n"] += 1
-        return original(flow, h_cap)
-
-    monkeypatch.setattr(LohnerFlow, "attempt_step", counted)
+    # 22 attempts: 22 stacked calls, and 1 call for the W of the one
+    # missed try.  With one call per series the flight took 57
+    # iv_var_coeffs calls (23 hulls, 34 W) and 23 iv_coeffs calls for the
+    # centres; with steps halved from the point rule and W(h/2) flown ahead
+    # it took 26 calls in 23 attempts.
     calls = counting_kernels(monkeypatch)
-    v3_v4_cell_flight()
-    assert attempts["n"] == 23
-    assert calls == {"iv_var_coeffs": 26, "iv_coeffs": 0}
+    img = v3_v4_cell_flight(monkeypatch)
+    assert img.stats.attempts == 22
+    assert calls == {"iv_var_coeffs": 23, "iv_coeffs": 0}
 
 
-def missing_flow():
-    """A flow whose next attempt flies W(h/2) ahead and needs it.
+def first_tries(stats):
+    """Attempts that validated their first try, at the least."""
+    return stats.attempts - stats.picard_misses - stats.budget_misses
 
-    The 1e-3 box about the anchor: its 9th attempt misses the remainder
-    budget on its first W, and so does its 10th.
-    """
-    flow = LohnerFlow(P, box_set(IArray.from_point(ANCHOR).inflate(1e-3)))
-    for _ in range(9):
+
+def test_most_first_tries_validate(monkeypatch):
+    # each step is sized from the last step's remainder, so the first try
+    # validates; halving from the point rule validated none
+    assert first_tries(v3_v4_cell_flight(monkeypatch).stats) >= 20
+    stats = g0_flight().stats
+    assert first_tries(stats) >= 0.8 * stats.attempts
+
+
+def test_the_image_carries_the_step_counts_of_its_flight(monkeypatch):
+    calls = {"attempt_step": 0, "commit": 0}
+    for name in calls:
+        original = getattr(LohnerFlow, name)
+
+        def counted(flow, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(flow, *args)
+
+        monkeypatch.setattr(LohnerFlow, name, counted)
+    stats = g0_flight().stats
+    assert (stats.attempts, stats.commits) == (calls["attempt_step"], calls["commit"])
+    assert stats.commits > 20
+
+
+def remainder_of(rec):
+    """The realized Lagrange remainder of a step, state and variational."""
+    hn = Interval.symmetric(rec.h).pow_int(integrator.ORDER + 1).mag
+    return max(np.abs(np.concatenate([e.lo.ravel(), e.hi.ravel()])).max()
+               for e in (rec.rem, rec.vrem)) * hn
+
+
+@pytest.mark.parametrize("flight", ["v3_v4_cell", "g0"])
+def test_every_accepted_step_keeps_its_remainder_within_budget(monkeypatch, flight):
+    taken = []
+    original = LohnerFlow.commit
+
+    def commit(flow, rec):
+        taken.append(remainder_of(rec))
+        original(flow, rec)
+
+    monkeypatch.setattr(LohnerFlow, "commit", commit)
+    v3_v4_cell_flight(monkeypatch) if flight == "v3_v4_cell" else g0_flight()
+    assert len(taken) > 20
+    assert max(taken) <= integrator.REMAINDER_BUDGET
+
+
+def tries_of(monkeypatch):
+    """The step lengths each W is tried at, in order."""
+    tries = []
+    original = LohnerFlow._a_priori
+
+    def logged(flow, hull, h):
+        tries.append(h)
+        return original(flow, hull, h)
+
+    monkeypatch.setattr(LohnerFlow, "_a_priori", logged)
+    return tries
+
+
+def settled_flow():
+    """A point set about the anchor after two steps, its counts reset: the
+    first try of its next attempt, sized from the last remainder, passes
+    the Picard test."""
+    flow = LohnerFlow(P, box_set(IArray.from_point(ANCHOR).inflate(1e-12)))
+    for _ in range(2):
         flow.commit(flow.attempt_step())
-    assert flow._pre_fly
+    flow.stats = integrator.FlowStats()
     return flow
 
 
-def failing_once(method, h, fail, seen):
-    """``method(flow, box, span)`` with its first call over a step of ``h``
-    replaced by ``fail()``, which ``seen`` records."""
-    def patched(flow, box, span):
-        if span.hi == h and not seen:
-            seen.append(h)
-            return fail()
-        return method(flow, box, span)
+def poisoned_first_call(monkeypatch, value):
+    """Set the order-(N+1) rows of W in the next stacked kernel call to ``value``."""
+    original = taylor.iv_var_coeffs
+    n = integrator.ORDER
 
-    return patched
+    def poisoned(xlo, xhi, vlo, vhi, mu, order):
+        clo, chi, v_lo, v_hi = original(xlo, xhi, vlo, vhi, mu, order)
+        if np.ndim(xlo) == 2:
+            monkeypatch.setattr(taylor, "iv_var_coeffs", original)
+            for ends in (clo, chi, v_lo, v_hi):
+                ends[0, n + 1] = value
+        return clo, chi, v_lo, v_hi
+
+    monkeypatch.setattr(taylor, "iv_var_coeffs", poisoned)
 
 
-def _refuse():
-    raise SingularityError("forced guard refusal")
+def test_a_budget_miss_at_least_halves_the_step(monkeypatch):
+    # a remainder just over the budget halves h
+    flow = settled_flow()
+    tries = tries_of(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(integrator, "REMAINDER_BUDGET", 1e-2 * integrator.TOL)
+        rec = flow.attempt_step()
+    assert tries == [tries[0], 0.5 * tries[0]] and rec.h == tries[1]
+    assert (flow.stats.budget_misses, flow.stats.picard_misses) == (1, 0)
+    # a far larger one cuts it by its own factor SAFETY (TOL / rem)^(1/21)
+    tries.clear()
+    poisoned_first_call(monkeypatch, 1e10)
+    flow.attempt_step()
+    hn = Interval.symmetric(tries[0]).pow_int(integrator.ORDER + 1).mag
+    factor = integrator.SAFETY * (integrator.TOL / (1e10 * hn)) ** (1.0 / 21)
+    assert factor < 0.4 and tries[:2] == [tries[0], tries[0] * factor]
+    assert flow.stats.budget_misses == 2
 
 
-@pytest.mark.parametrize("how", [None, "picard", "jacobian", "kernel"])
-def test_a_failed_half_step_falls_back_to_its_own_call(monkeypatch, how):
-    # the attempt takes the step of one call per series.  It flies the half
-    # step ahead and takes it without a call of its own; when that half
-    # step fails it raises nothing, and flies the half step itself.
-    flow = missing_flow()
-    ref, misses = frozen_attempt(flow)
-    assert misses == 1
-    h_half = float.fromhex(ref["h"])
-    calls = counting_kernels(monkeypatch)
-    seen = []
-    if how == "picard":
-        monkeypatch.setattr(LohnerFlow, "_rough_enclosure", failing_once(
-            LohnerFlow._rough_enclosure, h_half, lambda: None, seen))
-    elif how == "jacobian":
-        monkeypatch.setattr(LohnerFlow, "_rough_var_enclosure", failing_once(
-            LohnerFlow._rough_var_enclosure, h_half, _refuse, seen))
-    elif how == "kernel":
-        stacked = taylor.iv_var_coeffs
-
-        def refuse_the_half(xlo, *rest):
-            if np.ndim(xlo) == 2 and len(xlo) == 4:  # W, W(h/2), hull, centre
-                seen.append(h_half)
-                _refuse()
-            return stacked(xlo, *rest)
-
-        monkeypatch.setattr(taylor, "iv_var_coeffs", refuse_the_half)
+def test_a_non_finite_remainder_halves_the_step(monkeypatch):
+    flow = settled_flow()
+    tries = tries_of(monkeypatch)
+    poisoned_first_call(monkeypatch, np.inf)
     rec = flow.attempt_step()
-    assert record_bits(rec) == ref
-    assert seen == ([] if how is None else [h_half])
-    assert calls["iv_var_coeffs"] == (1 if how is None else 2)
+    assert tries == [tries[0], 0.5 * tries[0]] and rec.h == tries[1]
+    assert (flow.stats.budget_misses, flow.stats.picard_misses) == (1, 0)
+
+
+def test_a_zero_remainder_leaves_the_point_rule_in_charge(monkeypatch):
+    # a step whose remainder vanishes asks for no step of its own: the
+    # next attempt first tries the point rule's step, where the remainder
+    # of a step sized it before
+    sized, flow = settled_flow(), settled_flow()
+    poisoned_first_call(monkeypatch, 0.0)
+    flow.commit(flow.attempt_step())
+    tries = tries_of(monkeypatch)
+    for f, point_rule_first in ((sized, False), (flow, True)):
+        tries.clear()
+        f.attempt_step()
+        point_rule = integrator._step_from_coeffs(
+            taylor.point_coeffs(f.lset.c, P.mu, integrator.ORDER))
+        assert (tries[0] == point_rule) == point_rule_first

@@ -5,6 +5,7 @@ adapter tests fly a few real cells through one elementary map and pin the
 interval enclosures against point-mode images.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -374,15 +375,48 @@ def test_boundary_cell_faces_decide_the_exit_edges_of_v3_v4():
     assert sides[-1.0] != sides[1.0] and all(len(s) == 1 for s in sides.values())
     rep = check_cover(map_fn, src, dst, grid=(1, 1), max_grid=(4, 1))
     assert (rep.outcome, rep.cells, rep.edge_faces) == ("verified", 1, 2)
-    assert rep.margin.hex() == "0x1.ec121bd242f6ep+2"
-    assert rep.stable_clearance.hex() == "0x1.c0621c3f58c3ep-1"
+    assert rep.margin.hex() == "0x1.edde6d24d6bf6p+2"
+    assert rep.stable_clearance.hex() == "0x1.c79df5854615ep-1"
+
+
+def exact_crossing(params, pt, t_guess):
+    """The section crossing (x, vx) of a point near ``t_guess``, at 30 digits.
+
+    The energy lift of ``pt`` is flown by mpmath's ``odefun``, an
+    unrelated Taylor integrator, and the crossing time polished by Newton
+    steps on y.
+    """
+    mu, jacobi = mp.mpf(params.mu), mp.mpf(params.jacobi)
+
+    def field(t, s):
+        x, y, vx, vy = s
+        r1 = mp.sqrt((x + mu) ** 2 + y**2)
+        r2 = mp.sqrt((x - 1 + mu) ** 2 + y**2)
+        ox = x - (1 - mu) * (x + mu) / r1**3 - mu * (x - 1 + mu) / r2**3
+        oy = y - (1 - mu) * y / r1**3 - mu * y / r2**3
+        return [vx, vy, 2 * vy + ox, -2 * vx + oy]
+
+    x, vx = mp.mpf(pt.x), mp.mpf(pt.vx)
+    omega = (x * x / 2 + (1 - mu) / abs(x + mu) + mu / abs(x - 1 + mu)
+             + mu * (1 - mu) / 2)
+    vy = pt.sign * mp.sqrt(2 * omega - vx * vx - jacobi)
+    flight = mp.odefun(field, 0, [x, mp.mpf(0), vx, vy], tol=mp.mpf("1e-25"))
+    t = mp.mpf(t_guess)
+    for _ in range(5):
+        s = flight(t)
+        t -= s[1] / s[3]
+    s = flight(t)
+    return s[0], s[2]
+
+
+def holds(iv, value):
+    return mp.mpf(iv.lo) <= value <= mp.mpf(iv.hi)
 
 
 def test_center_image_matches_a_zero_width_flight():
-    # the center box of the whole V3 under Ph- encloses the point image of
-    # the centre, and is about as wide as a separate flight of the centre:
-    # both enclose one point with the same arithmetic, so a much narrower
-    # box would mean an error term went missing
+    # the center box of the whole V3 under Ph- and a separate flight of the
+    # centre both enclose the exact crossing of the centre, and here the
+    # center box is no wider than the separate flight
     params = Params()
     h = standard_sets(include_constructed=False)["V3"]
     whole, zero = Interval(-1.0, 1.0), Interval.point(0.0)
@@ -391,12 +425,16 @@ def test_center_image_matches_a_zero_width_flight():
         want_derivative=True, want_center=True)
     thin = apply_parallelogram_rigorous(
         params, [HALF_MINUS], h.center, h.u, h.s, zero, zero, h.sign)
-    pt, _ = apply_chain(params, [HALF_MINUS],
-                        SectionPoint(float(h.center[0]), float(h.center[1]), h.sign))
+    centre = SectionPoint(float(h.center[0]), float(h.center[1]), h.sign)
+    pt, t = apply_chain(params, [HALF_MINUS], centre)
+    with mp.workdps(30):
+        x_exact, vx_exact = exact_crossing(params, centre, t)
     x, vx = img.center[0], img.center[2]
     assert x.contains(pt.x) and vx.contains(pt.vx)
     assert thin.x.contains(pt.x) and thin.vx.contains(pt.vx)
-    assert 0.9 * thin.x.width <= x.width <= 1.01 * thin.x.width
-    assert 0.9 * thin.vx.width <= vx.width <= 1.01 * thin.vx.width
+    assert holds(x, x_exact) and holds(vx, vx_exact)
+    assert holds(thin.x, x_exact) and holds(thin.vx, vx_exact)
+    assert x.width <= 1.01 * thin.x.width
+    assert vx.width <= 1.01 * thin.vx.width
     # the cell image holds the center image
     assert x.is_subset(img.x) and vx.is_subset(img.vx)
