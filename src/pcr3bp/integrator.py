@@ -350,11 +350,6 @@ class LohnerSet:
         """Axis-aligned interval enclosure of the set."""
         return IArray.from_point(self.b) @ self.r + self.c
 
-    def jacobian(self) -> IArray:
-        if self.bj is None or self.rj is None:
-            raise IntegrationError("set does not track the accumulated derivative")
-        return IArray.from_point(self.bj) @ self.rj
-
 
 @dataclass(slots=True)
 class LohnerStep:
@@ -485,30 +480,27 @@ class LohnerFlow:
 
     # -- dense output -----------------------------------------------------
 
-    def phi_at(self, rec: LohnerStep, tau: Interval, rows: slice = slice(None)) -> IArray:
-        """Enclosure of (``rows`` of) the one-step transition matrix at ``tau``."""
-        lo, hi = taylor.horner_var_iv(rec.ph.lo[:, rows], rec.ph.hi[:, rows],
-                                      tau.lo, tau.hi)
-        return _wrap(lo, hi) + rec.vrem[rows].scale(tau.pow_int(ORDER + 1))
+    def phi_at(self, rec: LohnerStep, tau: Interval) -> IArray:
+        """Enclosure of the one-step transition matrix at times in ``tau``."""
+        lo, hi = taylor.horner_var_iv(rec.ph.lo, rec.ph.hi, tau.lo, tau.hi)
+        return _wrap(lo, hi) + rec.vrem.scale(tau.pow_int(ORDER + 1))
 
     def enclosure_at(self, rec: LohnerStep, tau: Interval,
-                     of_center: bool = False, rows: slice = slice(None)) -> IArray:
+                     of_center: bool = False) -> IArray:
         """State enclosure at step times in ``tau`` of the whole set, or
-        with ``of_center`` of the point its center box holds; ``rows`` of
-        it alone give the same bits."""
-        center, phi = self._transport(rec, tau, rows)
+        with ``of_center`` of the point its center box holds."""
+        center, phi = self._transport(rec, tau)
         before = rec.set_before
         b, r = (before.bc, before.rc) if of_center else (before.b, before.r)
         return center + (phi @ IArray.from_point(b)) @ r
 
     # -- internals ----------------------------------------------------------
 
-    def _transport(self, rec: LohnerStep, tau: Interval,
-                   rows: slice = slice(None)) -> tuple[IArray, IArray]:
-        """Center image and transition matrix at ``tau``, or their ``rows``."""
-        lo, hi = taylor.horner_iv(rec.c.lo[:, rows], rec.c.hi[:, rows], tau.lo, tau.hi)
-        center = _wrap(lo, hi) + rec.rem[rows].scale(tau.pow_int(ORDER + 1))
-        return center, self.phi_at(rec, tau, rows)
+    def _transport(self, rec: LohnerStep, tau: Interval) -> tuple[IArray, IArray]:
+        """Center image and transition matrix at ``tau``."""
+        lo, hi = taylor.horner_iv(rec.c.lo, rec.c.hi, tau.lo, tau.hi)
+        center = _wrap(lo, hi) + rec.rem.scale(tau.pow_int(ORDER + 1))
+        return center, self.phi_at(rec, tau)
 
     def _a_priori(self, hull: IArray, h: float) -> tuple[IArray | None, IArray | None]:
         """A-priori enclosures (W, WV) over a step of ``h``; None where Picard fails."""
@@ -618,8 +610,14 @@ def lohner_section_crossings(
     ``signs`` lists the required sign of ``vy`` at each awaited crossing, in
     the order they are met.  Returns ``(crossings, jac)`` where ``jac`` (when
     requested) encloses the derivative of the flow-to-final-crossing map,
-    i.e. ``Dphi(t*(p), p)`` for every initial point ``p`` — the caller adds
-    the section projection and lift factors.  When the set carries a center
+    i.e. ``Dphi(t*(p), p)`` for every initial point ``p``, as a pair
+    ``(m, rj)`` of interval matrices whose product encloses it: ``m`` is
+    the transition matrix over the crossing bracket times the accumulated
+    frame ``bj``, and ``rj`` the accumulated box in that frame.  The caller
+    adds the section projection and lift factors, and should apply the
+    projection to ``m`` before it multiplies in ``rj``: the projection then
+    cancels on thin entries, where a 4x4 product would first spread the
+    box's widths over every row.  When the set carries a center
     box, the last crossing also locates the crossing of the center box's
     point, from the same steps.
     """
@@ -711,8 +709,7 @@ def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
         if (sb - sa) * rec.h < BRACKET_TOL:
             break
         sm = 0.5 * (sa + sb)
-        y_iv = flow.enclosure_at(rec, Interval.point(sm * rec.h), of_center,
-                                 slice(1, 2))[0]
+        y_iv = flow.enclosure_at(rec, Interval.point(sm * rec.h), of_center)[1]
         side = _strict_sign(y_iv)
         if side == before_side:
             sa = sm
@@ -742,5 +739,6 @@ def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
 
     jac = None
     if want_jacobian:
-        jac = flow.phi_at(rec, tau) @ rec.set_before.jacobian()
+        before = rec.set_before
+        jac = (flow.phi_at(rec, tau) @ IArray.from_point(before.bj), before.rj)
     return CrossingRecord(t=t_abs, state=state_cross, vy_sign=vy_sign), jac

@@ -581,7 +581,8 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
     Lohner set is flown through the whole crossing sequence, so the
     intermediate sections introduce no re-boxing.  With ``want_derivative``
     the 2x2 interval derivative in section coordinates is included, built
-    as ``pi (I - f e_y^T/vy) Dphi DT`` from the accumulated flow derivative.
+    as ``pi (I - f e_y^T/vy) Dphi DT`` from the accumulated flow derivative
+    ``Dphi = m rj``, with the projection applied to ``m`` before ``rj``.
     With ``want_center`` the set carries the lift of the cell center as its
     center box, and the image includes that point's crossing state.
     """
@@ -604,7 +605,10 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
         fv = -f_q[2] / st[3]
         proj = IArray([[1.0, fx.lo, 0.0, 0.0], [0.0, fv.lo, 1.0, 0.0]],
                        [[1.0, fx.hi, 0.0, 0.0], [0.0, fv.hi, 1.0, 0.0]])
-        dp = (proj @ jac) @ dt_cols
+        # the projection meets the thin factor before the box of the
+        # accumulated derivative (see lohner_section_crossings)
+        m, rj = jac
+        dp = (proj @ m) @ (rj @ dt_cols)
     return RigorousImage(
         x=final.state[0], vx=final.state[2], state=final.state,
         t=final.t, dp=dp, offsets=(lset.r[0], lset.r[1]), center=final.center,

@@ -303,6 +303,26 @@ def test_local_derivative_contains_point_derivative_and_cones():
     assert cone_condition(dp)
 
 
+def test_the_section_projection_meets_the_thin_factor_first():
+    # a finest cell of R(V2) => R(V1) at the default grids lands inside the
+    # stable strip, |b'| < 1, only when the section projection multiplies
+    # the thin factor of the flow derivative before its accumulated box:
+    # the 4x4 product first left b' 2.4 wide and dL'/db 14 wide there
+    params = Params()
+    sets = standard_sets(include_constructed=False)
+    src, dst = r_image(sets["V2"]), r_image(sets["V1"])
+    tag = mirror_tag(HALF_MINUS)
+    a, b = Interval(-1.0 / 64.0, 0.0), Interval(-1.0, -0.75)
+    _, b_img = section_map(params, [tag], src, dst)(a, b)
+    assert -1.0 < b_img.lo and b_img.hi < 1.0
+    dp = local_derivative(params, [tag], src, dst, a, b)
+    assert dp[1, 1].width < 5.0
+    xv = src.center + a.mid * src.u + b.mid * src.s
+    dp_pt, _, _ = chain_derivative(params, [tag], SectionPoint(*map(float, xv), src.sign))
+    point = np.linalg.solve(dst.frame, dp_pt @ src.frame)
+    assert np.all(dp.lo <= point) and np.all(point <= dp.hi)
+
+
 def test_step_bound_leaves_a_cover_undecided(monkeypatch):
     # every flight of V3 => V4 needs more than three step attempts; with the
     # bound patched that low, each map call raises IntegrationError and the
@@ -375,8 +395,8 @@ def test_boundary_cell_faces_decide_the_exit_edges_of_v3_v4():
     assert sides[-1.0] != sides[1.0] and all(len(s) == 1 for s in sides.values())
     rep = check_cover(map_fn, src, dst, grid=(1, 1), max_grid=(4, 1))
     assert (rep.outcome, rep.cells, rep.edge_faces) == ("verified", 1, 2)
-    assert rep.margin.hex() == "0x1.edde6d24d6bf6p+2"
-    assert rep.stable_clearance.hex() == "0x1.c79df5854615ep-1"
+    assert rep.margin.hex() == "0x1.eeceb1cc463a8p+2"
+    assert rep.stable_clearance.hex() == "0x1.cb5f5ffa82f80p-1"
 
 
 def exact_crossing(params, pt, t_guess):
