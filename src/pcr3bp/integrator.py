@@ -43,15 +43,19 @@ rows are the same bits.
 Steps are sized from the realized remainder, as in validated Taylor
 solvers (Nedialkov, Jackson & Corliss, Appl. Math. Comput. 105, 1999;
 CAPD::DynSys): with ``rem`` the larger Lagrange term (state or
-variational) of the last validated step ``h``, the first try is the least
-of the point rule's step and ``h SAFETY (TOL / rem)^(1/(N+1))`` (the point
-rule alone if ``rem`` is zero), so it validates as a rule.  A Picard miss
-or an infinite ``rem`` halves the try; a ``rem`` over ``REMAINDER_BUDGET``
-cuts it by ``min(1/2, SAFETY (TOL / rem)^(1/(N+1)))``.
+variational) of the last validated step ``h``, the first try is
+``h SAFETY (TOL / rem)^(1/(N+1))``, so it validates as a rule; the point
+rule's step is tried only by a flow's first attempt and after a zero
+``rem``.  A Picard miss or an infinite ``rem`` halves the try; a ``rem``
+over ``REMAINDER_BUDGET`` cuts it by ``min(1/2, SAFETY (TOL /
+rem)^(1/(N+1)))``.
 
 Dense output inside a step evaluates the same polynomial + remainder data at
-interval times, which is what the section-crossing localization uses to
-bracket ``y = 0`` and read off sharp crossing states by a mean-value form.
+interval times.  The section-crossing localization reads it to enclose the
+crossing times of a set by interval Newton on ``y``, ``t* in t_m -
+Y(t_m) / VY(tau)`` over step times ``tau`` (Moore 1966; Neumaier 1990), so
+the bracket is as wide as the set's own spread of crossing times, and to
+read off sharp crossing states by a mean-value form.
 
 Center box
 ----------
@@ -90,10 +94,12 @@ change one with ``monkeypatch.setattr``.
   Jorba & Zou (Exp. Math. 14, 2005), ``h = SAFETY * min_k (TOL /
   |a_k|)^(1/k)`` over the top two coefficient rows, capped at ``H_MAX``
   (also the step when both rows vanish).  ``TOL`` is also the target of
-  a rigorous step's Lagrange remainder.
+  a rigorous step's Lagrange remainder, which sizes the later steps of a
+  rigorous flight (above).
 * ``H_MIN = 1e-9``: the step floor.  The step rule proposes no less; a
   rigorous step that must halve below it, or a crossing that cannot be
-  separated above it, is refused with an error instead of continued.
+  separated or is not transversal above it, is refused with an error
+  instead of continued.
 * ``PICARD_ITERATIONS = 18``: inflate-and-retry passes allowed for the
   a-priori enclosures before the step is halved.
 * ``REMAINDER_BUDGET = 1e-10``: the largest Lagrange remainder (state and
@@ -109,8 +115,6 @@ change one with ``monkeypatch.setattr``.
   in one flight.
 * ``MIN_TIME = 1e-3``: sign changes of ``y`` before this time belong to
   the departure from the section and are not crossings.
-* ``BRACKET_TOL = 1e-11``: time width at which the bisection of a rigorous
-  crossing bracket stops.
 * ``TANGENCY_TOL = 1e-8``: least ``|vy|`` accepted at a crossing.
 """
 
@@ -155,7 +159,6 @@ MAX_TIME = 50.0
 MAX_STEPS = 5000
 PICARD_ITERATIONS = 18
 REMAINDER_BUDGET = 1e-10
-BRACKET_TOL = 1e-11
 TANGENCY_TOL = 1e-8
 MIN_TIME = 1e-3
 
@@ -376,13 +379,15 @@ class LohnerStep:
 
 @dataclass(slots=True)
 class FlowStats:
-    """Step counts of one rigorous flight: attempts, steps taken, and the
-    tries that failed the Picard test or exceeded ``REMAINDER_BUDGET``."""
+    """Step counts of one rigorous flight: attempts, steps taken, the
+    tries that failed the Picard test or exceeded ``REMAINDER_BUDGET``, and
+    the steps :func:`lohner_section_crossings` halved."""
 
     attempts: int = 0
     commits: int = 0
     picard_misses: int = 0
     budget_misses: int = 0
+    halvings: int = 0
 
 
 class LohnerFlow:
@@ -409,9 +414,9 @@ class LohnerFlow:
     def attempt_step(self, h_cap: float | None = None) -> LohnerStep:
         """Validate one forward step without committing it.
 
-        The first try is the least of the point rule's step, ``h_cap`` and
-        the step the last validated attempt asked for.  The
-        ``MAX_STEPS``-th attempt of a flow is its last.
+        The first try is the step the last validated attempt asked for,
+        or the point rule's step where it asked for none, capped by
+        ``h_cap``.  The ``MAX_STEPS``-th attempt of a flow is its last.
         """
         stats = self.stats
         stats.attempts += 1
@@ -422,10 +427,11 @@ class LohnerFlow:
         lset = self.lset
         hull = lset.hull()
 
-        h = _step_from_coeffs(taylor.point_coeffs(lset.c, params.mu, ORDER))
-        for cap in (h_cap, self._h_next):
-            if cap is not None:
-                h = min(h, cap)
+        h = self._h_next
+        if h is None:
+            h = _step_from_coeffs(taylor.point_coeffs(lset.c, params.mu, ORDER))
+        if h_cap is not None:
+            h = min(h, h_cap)
 
         n = ORDER
         shared = None
@@ -599,42 +605,35 @@ def _strict_sign(iv: Interval) -> int | None:
     return None
 
 
-def lohner_section_crossings(
-    params: Params,
-    lset: LohnerSet,
-    signs: list[int],
-    want_jacobian: bool = False,
-):
+def lohner_section_crossings(params: Params, lset: LohnerSet, signs: list[int]):
     """Flow a set forward through ``y = 0`` crossings with given vy signs.
 
     ``signs`` lists the required sign of ``vy`` at each awaited crossing, in
-    the order they are met.  Returns ``(crossings, jac)`` where ``jac`` (when
-    requested) encloses the derivative of the flow-to-final-crossing map,
-    i.e. ``Dphi(t*(p), p)`` for every initial point ``p``, as a pair
-    ``(m, rj)`` of interval matrices whose product encloses it: ``m`` is
-    the transition matrix over the crossing bracket times the accumulated
-    frame ``bj``, and ``rj`` the accumulated box in that frame.  The caller
+    the order they are met.  Returns ``(crossings, jac)``.  When the set
+    tracks its derivative (``lset.bj`` is set), ``jac`` encloses the
+    derivative of the flow-to-final-crossing map, i.e. ``Dphi(t*(p), p)``
+    for every initial point ``p``, as a pair ``(m, rj)`` of interval
+    matrices whose product encloses it: ``m`` is the transition matrix over
+    the crossing bracket times the accumulated frame ``bj``, and ``rj`` the
+    accumulated box in that frame; otherwise ``jac`` is None.  The caller
     adds the section projection and lift factors, and should apply the
     projection to ``m`` before it multiplies in ``rj``: the projection then
     cancels on thin entries, where a 4x4 product would first spread the
-    box's widths over every row.  When the set carries a center
-    box, the last crossing also locates the crossing of the center box's
-    point, from the same steps.
+    box's widths over every row.  When the set carries a center box, the
+    last crossing also locates the crossing of the center box's point,
+    from the same steps.
+
+    A step that cannot be decided (the set still on the section at the
+    watch start, a crossing pair that may hide in it, a crossing that is
+    not separated or not transversal) is halved and retried; below
+    ``H_MIN`` the flight is refused with a ``TangencyError``.
     """
     if not signs or any(s not in (-1, 1) for s in signs):
         raise IntegrationError("signs must be a non-empty list of +1/-1")
-    if want_jacobian and lset.bj is None:
-        lset = replace(lset, bj=np.eye(4), rj=IArray.identity(4))
     flow = LohnerFlow(params, lset)
     crossings: list[CrossingRecord] = []
     prev_side: int | None = None
     h_cap: float | None = None
-
-    def halve_or_fail(h: float, why: str) -> float:
-        cap = h * 0.5
-        if cap < H_MIN:
-            raise TangencyError(why)
-        return cap
 
     while True:
         if flow.t > MAX_TIME:
@@ -645,41 +644,43 @@ def lohner_section_crossings(
         if rec.t0 + rec.h < MIN_TIME:
             flow.commit(rec)
             continue
-        y_end = rec.end[1]
-        side_end = _strict_sign(y_end)
-        if prev_side is None:
-            if side_end is None:
-                h_cap = halve_or_fail(
-                    rec.h,
-                    "cannot separate the set from the section at watch start",
-                )
-                continue
+        side_end = _strict_sign(rec.end[1])
+        last = len(crossings) == len(signs) - 1
+        found = None
+        if side_end is None:
+            why = ("cannot separate the set from the section at watch start"
+                   if prev_side is None else
+                   "section crossing cannot be separated (near-tangency)")
+        elif side_end == prev_side and rec.wy.contains_zero() and rec.wvy.contains_zero():
+            # Monotonicity guard: with equal strict sides a crossing pair could
+            # still hide inside the step unless either y or vy is sign-definite
+            # over the a-priori enclosure of the whole step.
+            why = "cannot exclude a hidden crossing pair in a step"
+        elif prev_side in (None, side_end):
+            # the watch starts, or the step stays on one side: take it
             prev_side = side_end
             flow.commit(rec)
             h_cap = None
             continue
-        if side_end == prev_side:
-            # Monotonicity guard: with equal strict sides a crossing pair could
-            # still hide inside the step unless either y or vy is sign-definite
-            # over the a-priori enclosure of the whole step.
-            if rec.wy.contains_zero() and rec.wvy.contains_zero():
-                h_cap = halve_or_fail(
-                    rec.h, "cannot exclude a hidden crossing pair in a step"
-                )
-                continue
-            flow.commit(rec)
-            h_cap = None
+        else:
+            # a guaranteed crossing inside this step
+            why = "vy over the section crossing is not transversal"
+            found = _refine_crossing(flow, rec, Interval(0.0, rec.h))
+            if found is not None and last and rec.set_before.rc is not None:
+                # the center box's point lies in the set, so it crosses
+                # within the set's bracket
+                center = _refine_crossing(flow, rec, found[1], of_center=True)
+                if center is None:
+                    found = None
+                else:
+                    found[0].center = center[0].state
+        if found is None:
+            h_cap = 0.5 * rec.h
+            if h_cap < H_MIN:
+                raise TangencyError(why)
+            flow.stats.halvings += 1
             continue
-        if side_end is None:
-            h_cap = halve_or_fail(
-                rec.h, "section crossing cannot be separated (near-tangency)"
-            )
-            continue
-
-        # a guaranteed crossing inside this step
-        last = len(crossings) == len(signs) - 1
-        crossing, jac = _refine_crossing(flow, rec, prev_side,
-                                         want_jacobian and last)
+        crossing, tau = found
         expected = signs[len(crossings)]
         if crossing.vy_sign != expected:
             raise IntegrationError(
@@ -689,46 +690,43 @@ def lohner_section_crossings(
         crossing.stats = replace(flow.stats)
         crossings.append(crossing)
         if last:
-            if rec.set_before.rc is not None:
-                # the center box's point lies in the set, so it crosses in
-                # this step too
-                crossing.center = _refine_crossing(
-                    flow, rec, prev_side, False, of_center=True)[0].state
+            before, jac = rec.set_before, None
+            if before.bj is not None:
+                jac = (flow.phi_at(rec, tau) @ IArray.from_point(before.bj), before.rj)
             return crossings, jac
         prev_side = side_end
         flow.commit(rec)
         h_cap = None
 
 
-def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
-                     want_jacobian: bool, of_center: bool = False):
-    """Crossing of the set inside the step, or with ``of_center`` of the
-    point its center box holds."""
-    sa, sb = 0.0, 1.0
-    for _ in range(90):
-        if (sb - sa) * rec.h < BRACKET_TOL:
+def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, tau: Interval,
+                     of_center: bool = False):
+    """Crossing inside the step of the set, or with ``of_center`` of the
+    point its center box holds, given step times ``tau`` that hold it.
+
+    Interval Newton on y narrows ``tau``: every crossing time of the set
+    lies in ``t_m - Y(t_m) / VY(tau)``, with ``Y`` the set's y at the
+    midpoint ``t_m`` and ``VY`` its vy over ``tau`` (Moore 1966), and the
+    passes go on while each at least halves ``tau``.  Returns the crossing
+    and its step times, or None where vy over ``tau`` is not transversal.
+    """
+    while True:
+        st = flow.enclosure_at(rec, tau, of_center)
+        vy = st[3]
+        if vy.mig < TANGENCY_TOL or vy.contains_zero():
+            return None
+        tm = tau.mid
+        st_mid = flow.enclosure_at(rec, Interval.point(tm), of_center)
+        newton = (tm - st_mid[1] / vy).intersection(tau)
+        # a point tau narrows no further
+        halved = 2.0 * newton.width <= tau.width and newton.width > 0.0
+        tau = newton
+        if not halved:
             break
-        sm = 0.5 * (sa + sb)
-        y_iv = flow.enclosure_at(rec, Interval.point(sm * rec.h), of_center)[1]
-        side = _strict_sign(y_iv)
-        if side == before_side:
-            sa = sm
-        elif side == -before_side:
-            sb = sm
-        else:
-            break
-    tau = Interval(sa * rec.h, sb * rec.h)
-    st = flow.enclosure_at(rec, tau, of_center)
-    vy = st[3]
-    if vy.mig < TANGENCY_TOL or vy.contains_zero():
-        raise TangencyError(
-            f"vy enclosure {vy} over the crossing bracket is not transversal"
-        )
     vy_sign = 1 if vy.lo > 0.0 else -1
 
-    # mean-value sharpening around the bracket midpoint
-    tm = tau.mid
-    st_mid = flow.enclosure_at(rec, Interval.point(tm), of_center)
+    # mean-value sharpening around the last midpoint; st and st_mid hold
+    # the states over the times from tm to tau
     f_env = dynamics.vector_field_iv(flow.params, st)
     dt = tau - tm
     sharp = [
@@ -736,9 +734,4 @@ def _refine_crossing(flow: LohnerFlow, rec: LohnerStep, before_side: int,
     ]
     state_cross = IArray.from_intervals(sharp)
     t_abs = flow.elapsed + tau
-
-    jac = None
-    if want_jacobian:
-        before = rec.set_before
-        jac = (flow.phi_at(rec, tau) @ IArray.from_point(before.bj), before.rj)
-    return CrossingRecord(t=t_abs, state=state_cross, vy_sign=vy_sign), jac
+    return CrossingRecord(t=t_abs, state=state_cross, vy_sign=vy_sign), tau

@@ -592,9 +592,7 @@ def apply_parallelogram_rigorous(params: Params, tags: Sequence[MapTag],
     signs = _chain_to_signs(tags, sign)
     lset, dt_cols = _lifted_cell(params, origin, d1, d2, a, b, sign,
                                  want_derivative, want_center)
-    crossings, jac = lohner_section_crossings(
-        params, lset, signs, want_jacobian=want_derivative
-    )
+    crossings, jac = lohner_section_crossings(params, lset, signs)
     final = crossings[-1]
     dp = None
     if want_derivative:

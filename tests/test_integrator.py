@@ -8,7 +8,7 @@ import pytest
 
 from pcr3bp import dynamics, integrator, symbolic, taylor
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
-from pcr3bp.errors import EnclosureError, IntegrationError
+from pcr3bp.errors import EnclosureError, IntegrationError, TangencyError
 from pcr3bp.hset import check_cover
 from pcr3bp.integrator import (
     LohnerFlow,
@@ -187,7 +187,7 @@ def test_accumulated_jacobian_contains_point_jacobian():
     # crossing, through the first
     box = IArray.from_point(ANCHOR).inflate(1e-11)
     lset = box_set(box, track_jacobian=True)
-    crossings, (m, rj) = lohner_section_crossings(P, lset, [-1, 1], want_jacobian=True)
+    crossings, (m, rj) = lohner_section_crossings(P, lset, [-1, 1])
     jac = m @ rj
     _, v = flow_point(P, ANCHOR, crossings[1].t.mid, variational=True)
     assert np.all(jac.lo <= v) and np.all(v <= jac.hi)
@@ -207,7 +207,7 @@ def test_section_crossing_encloses_point_crossing():
 def test_section_crossing_jacobian_contains_point_jacobian():
     box = IArray.from_point(ANCHOR).inflate(1e-11)
     lset = box_set(box, track_jacobian=True)
-    crossings, (m, rj) = lohner_section_crossings(P, lset, [-1], want_jacobian=True)
+    crossings, (m, rj) = lohner_section_crossings(P, lset, [-1])
     jac = m @ rj
     t_star = crossings[0].t.mid
     _, v = flow_point(P, ANCHOR, t_star, variational=True)
@@ -220,6 +220,27 @@ def test_wrong_sign_request_fails():
     box = IArray.from_point(ANCHOR).inflate(1e-10)
     with pytest.raises(IntegrationError):
         lohner_section_crossings(P, box_set(box), [1])
+
+
+def test_a_crossing_that_is_not_transversal_is_halved_down_to_the_floor(monkeypatch):
+    # with every |vy| below the tangency bound, each step that holds the
+    # crossing is halved until the next half would fall below H_MIN
+    caps, flows = [], []
+    original = LohnerFlow.attempt_step
+
+    def logged(flow, h_cap=None):
+        caps.append(h_cap)
+        flows.append(flow)
+        return original(flow, h_cap)
+
+    monkeypatch.setattr(LohnerFlow, "attempt_step", logged)
+    monkeypatch.setattr(integrator, "TANGENCY_TOL", 1e3)
+    box = IArray.from_point(ANCHOR).inflate(1e-10)
+    with pytest.raises(TangencyError):
+        lohner_section_crossings(P, box_set(box), [-1])
+    assert min(c for c in caps if c is not None) < 2.0 * integrator.H_MIN
+    # every capped attempt followed one halving; the last half raised
+    assert flows[-1].stats.halvings == sum(c is not None for c in caps)
 
 
 def test_close_encounter_is_refused_rigorously(monkeypatch):
@@ -414,6 +435,23 @@ def test_the_v3_v4_cell_takes_one_kernel_call_per_attempt(monkeypatch):
     img = v3_v4_cell_flight(monkeypatch)
     assert img.stats.attempts == 22
     assert calls == {"iv_var_coeffs": 23, "iv_coeffs": 0}
+
+
+def test_the_v3_v4_cell_encloses_each_crossing_in_few_dense_evaluations(monkeypatch):
+    # interval Newton on y: 6 evaluations for the set and 4 for the
+    # center box's point; the bisection took 15 and 36
+    calls = {False: 0, True: 0}
+    original = LohnerFlow.enclosure_at
+
+    def counted(flow, rec, tau, of_center=False):
+        calls[of_center] += 1
+        return original(flow, rec, tau, of_center)
+
+    monkeypatch.setattr(LohnerFlow, "enclosure_at", counted)
+    img = v3_v4_cell_flight(monkeypatch)
+    # one crossing of the set and one of its center box, refined once each
+    assert img.stats.halvings == 0
+    assert 0 < calls[False] <= 8 and 0 < calls[True] <= 8
 
 
 def first_tries(stats):

@@ -501,6 +501,26 @@ def test_rigorous_composite_word():
     assert rig.state[3].hi < 0.0  # lands on Theta_-
 
 
+def test_crossing_time_of_a_zero_width_cell_scales_with_its_set(lyapunov_orbits):
+    # the cell a = 0, b in [-1, 1] of the L1 eigen-frame set of radius R
+    # under P+: interval Newton brackets its crossing times as closely as
+    # they spread, linearly in R (2.1e-4, 2.1e-5, 2.1e-6 at R = 1e-6, 1e-7,
+    # 1e-8), where a bisection stopped at the first midpoint whose y
+    # straddled zero (1.3e-2, 8.2e-4, 3.2e-6)
+    orb = lyapunov_orbits[1]
+    _, t_centre = pc.apply_map(P, pc.FULL_PLUS, orb.point)
+    widths = []
+    for radius in (1e-6, 1e-7, 1e-8):
+        rig = pc.apply_parallelogram_rigorous(
+            P, [pc.FULL_PLUS], orb.point.as_array(), radius * orb.unstable_dir,
+            radius * orb.stable_dir, Interval.point(0.0), Interval(-1.0, 1.0),
+            orb.point.sign)
+        assert rig.t.lo <= t_centre <= rig.t.hi
+        widths.append(rig.t.width)
+    assert widths[0] < 1e-3
+    assert widths[0] >= 5.0 * widths[1] and widths[1] >= 5.0 * widths[2]
+
+
 # ----------------------------------------------------------------------
 # Lyapunov fixed points
 # ----------------------------------------------------------------------

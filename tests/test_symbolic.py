@@ -395,8 +395,8 @@ def test_boundary_cell_faces_decide_the_exit_edges_of_v3_v4():
     assert sides[-1.0] != sides[1.0] and all(len(s) == 1 for s in sides.values())
     rep = check_cover(map_fn, src, dst, grid=(1, 1), max_grid=(4, 1))
     assert (rep.outcome, rep.cells, rep.edge_faces) == ("verified", 1, 2)
-    assert rep.margin.hex() == "0x1.eeceb1cc463a8p+2"
-    assert rep.stable_clearance.hex() == "0x1.cb5f5ffa82f80p-1"
+    assert rep.margin.hex() == "0x1.eef8023a72600p+2"
+    assert rep.stable_clearance.hex() == "0x1.cc02af395c5dfp-1"
 
 
 def exact_crossing(params, pt, t_guess):
