@@ -33,12 +33,12 @@ section image is the reversal of a forward one, see
    that the crossing search reads; a center image that is not bounded is
    refused.
 
-Steps 1-3 make one interval kernel call.  The first W the Picard test
-accepts rides in one stacked :func:`pcr3bp.taylor.iv_var_coeffs` call at
-order N+1 with the hull (V(0) = I) and the center, whose series of steps
-2 and 3 are its rows 0..N; every later W of the attempt is one call of
-its own.  The accepted steps are those of one call per W: their kernel
-rows are the same bits.
+Steps 1-3 make one interval kernel call per W the Picard test accepts:
+W rides in one stacked :func:`pcr3bp.taylor.iv_var_coeffs` call at order
+N+1 with the hull (V(0) = I) and the center, whose series of steps 2 and
+3 are its rows 0..N.  A W whose remainder misses the budget takes the
+hull and the center with it, and the next W runs them again.  Each box of
+a stack gets the bits of its own call.
 
 Steps are sized from the realized remainder, as in validated Taylor
 solvers (Nedialkov, Jackson & Corliss, Appl. Math. Comput. 105, 1999;
@@ -96,10 +96,10 @@ change one with ``monkeypatch.setattr``.
   (also the step when both rows vanish).  ``TOL`` is also the target of
   a rigorous step's Lagrange remainder, which sizes the later steps of a
   rigorous flight (above).
-* ``H_MIN = 1e-9``: the step floor.  The step rule proposes no less; a
-  rigorous step that must halve below it, or a crossing that cannot be
-  separated or is not transversal above it, is refused with an error
-  instead of continued.
+* ``H_MIN = 1e-9``: the step floor.  A point lane whose step rule asks
+  for less ends with an ``IntegrationError`` (:meth:`PointFlow.step`); a
+  rigorous try below it, or a crossing that cannot be separated or is not
+  transversal above it, is refused with an error instead of continued.
 * ``PICARD_ITERATIONS = 18``: inflate-and-retry passes allowed for the
   a-priori enclosures before the step is halved.
 * ``REMAINDER_BUDGET = 1e-10``: the largest Lagrange remainder (state and
@@ -184,7 +184,7 @@ def _step(n: int, norms) -> float:
     for k, norm in zip((n - 1, n), norms):
         if norm > 0.0:
             h = min(h, (TOL / norm) ** (1.0 / k))
-    return max(SAFETY * h, H_MIN)
+    return SAFETY * h
 
 
 def _resize(rem: float) -> float:
@@ -201,9 +201,10 @@ def _resize(rem: float) -> float:
 class PointStep:
     """One accepted step of the lanes of a flow, with its dense polynomials.
 
-    ``t0`` and ``h`` hold each lane's start time and step, ``coeffs`` the
-    lanes' Taylor coefficients (n+1, 4, N) and ``vcoeffs`` the variational
-    coefficients (n+1, 4, 4) of a one-lane flow that carries them.
+    ``t0`` and ``h`` hold each lane's start time and step, zero for a lane
+    the step floor stopped, ``coeffs`` the lanes' Taylor coefficients
+    (n+1, 4, N) and ``vcoeffs`` the variational coefficients (n+1, 4, 4) of
+    a one-lane flow that carries them.
     """
 
     t0: np.ndarray
@@ -244,7 +245,13 @@ class PointFlow:
         self.t = np.zeros(self.state.shape[1])
 
     def step(self, direction: float = 1.0, h_cap: float | None = None) -> PointStep:
-        """Advance every lane by one step in the given time direction."""
+        """Advance every lane by one step in the given time direction.
+
+        A lane whose step rule asks for less than ``H_MIN`` stays where it
+        is, with a zero step, and its driver ends it with
+        :meth:`floor_error`.  The rule is read before ``h_cap``, which may
+        cut the last step of a flight below the floor.
+        """
         mu = self.params.mu
         if self.v is None:
             coeffs = taylor.lane_coeffs(self.state, mu, ORDER)
@@ -253,6 +260,7 @@ class PointFlow:
             coeffs, vcoeffs = taylor.point_var_coeffs(self.state[:, 0], self.v, mu, ORDER)
             coeffs = coeffs[:, :, None]
         h = np.array(_step_from_coeffs(coeffs))
+        h[h < H_MIN] = 0.0
         if h_cap is not None:
             h = np.minimum(h, h_cap)
         h = np.copysign(h, direction)
@@ -267,11 +275,19 @@ class PointFlow:
         """Drop every lane but ``lanes`` (a mask or indices)."""
         self.state, self.t = self.state[:, lanes], self.t[lanes]
 
+    def floor_error(self, lane: int) -> IntegrationError:
+        """The error that ends a lane the step floor stopped."""
+        return IntegrationError(
+            f"the step rule asks for less than H_MIN={H_MIN} at state "
+            f"{self.state[:, lane]}, t={self.t[lane]}")
+
 
 def flow_point(params: Params, state, t_final: float, variational: bool = False):
     """Integrate one state for a signed time ``t_final``; returns ``(state, V)``.
 
-    ``V`` is None unless ``variational`` is set.
+    ``V`` is None unless ``variational`` is set.  Raises
+    :class:`IntegrationError` where the step rule asks for less than
+    ``H_MIN``.
     """
     flow = PointFlow(params, state, variational=variational)
     direction = math.copysign(1.0, t_final)
@@ -279,7 +295,8 @@ def flow_point(params: Params, state, t_final: float, variational: bool = False)
         rem = t_final - flow.t[0]
         if rem * direction <= 0.0:
             break
-        flow.step(direction, h_cap=abs(rem))
+        if not flow.step(direction, h_cap=abs(rem)).h[0]:
+            raise flow.floor_error(0)
     return flow.state[:, 0].copy(), flow.v
 
 
@@ -302,8 +319,6 @@ def _stretch_sorted_frame(m_mid: np.ndarray, radii: np.ndarray) -> np.ndarray:
     scaled = m_mid * radii[np.newaxis, :]
     order = np.argsort(-np.linalg.norm(scaled, axis=0))
     q, _ = np.linalg.qr(scaled[:, order])
-    if abs(np.linalg.det(q)) < 0.5:  # degenerate transported frame
-        q, _ = np.linalg.qr(m_mid)
     return q
 
 
@@ -358,18 +373,17 @@ class LohnerSet:
 class LohnerStep:
     """One validated step: dense data plus the re-anchored end set.
 
-    ``c`` holds the Taylor coefficients of the center, ``ph`` those of the
-    transition matrix over the hull, and ``rem``/``vrem`` the order-(N+1)
-    coefficients of their Lagrange remainders.  ``end`` encloses the whole
-    set at the end of the step.
+    ``series`` (N+1, 4, 5) holds the Taylor coefficients of the transition
+    matrix over the hull in columns 0-3 and those of the center in column
+    4, and ``rem`` (4, 5) the order-(N+1) coefficients of their Lagrange
+    remainders, the variational and the state ones over W, side by side.
+    ``end`` encloses the whole set at the end of the step.
     """
 
     t0: float
     h: float
-    c: IArray
+    series: IArray
     rem: IArray
-    ph: IArray
-    vrem: IArray
     wy: Interval
     wvy: Interval
     set_before: LohnerSet
@@ -416,7 +430,8 @@ class LohnerFlow:
 
         The first try is the step the last validated attempt asked for,
         or the point rule's step where it asked for none, capped by
-        ``h_cap``.  The ``MAX_STEPS``-th attempt of a flow is its last.
+        ``h_cap``; a try below ``H_MIN`` is refused.  The
+        ``MAX_STEPS``-th attempt of a flow is its last.
         """
         stats = self.stats
         stats.attempts += 1
@@ -434,45 +449,39 @@ class LohnerFlow:
             h = min(h, h_cap)
 
         n = ORDER
-        shared = None
+        eye = np.eye(4)
         while True:
+            if h < H_MIN:
+                raise EnclosureError("validated step size underflow")
             w, wv = self._a_priori(hull, h)
             if wv is None:
                 stats.picard_misses += 1
                 factor = 0.5
             else:
-                if shared is None:
-                    # the first W rides with the hull (V(0) = I) and the
-                    # centre, whose rows 0..n are the step's ph and c
-                    eye = np.eye(4)
-                    clo, chi, vlo, vhi = taylor.iv_var_coeffs(
-                        np.array([w.lo, hull.lo, lset.c]), np.array([w.hi, hull.hi, lset.c]),
-                        np.array([wv.lo, eye]), np.array([wv.hi, eye]), params.mu, n + 1)
-                    rlo, rhi, vrlo, vrhi = clo[0], chi[0], vlo[0], vhi[0]
-                    shared = (_wrap(vlo[1, :n + 1], vhi[1, :n + 1]),
-                              _wrap(clo[2, :n + 1], chi[2, :n + 1]))
-                else:
-                    rlo, rhi, vrlo, vrhi = taylor.iv_var_coeffs(
-                        w.lo, w.hi, wv.lo, wv.hi, params.mu, n + 1)
+                # W rides with the hull (V(0) = I) and the centre.  Put
+                # side by side, the matrix columns then the state column,
+                # W's row n+1 holds the Lagrange terms, and the hull's and
+                # the centre's rows 0..n the step's series
+                clo, chi, vlo, vhi = taylor.iv_var_coeffs(
+                    np.array([w.lo, hull.lo, lset.c]), np.array([w.hi, hull.hi, lset.c]),
+                    np.array([wv.lo, eye]), np.array([wv.hi, eye]), params.mu, n + 1)
+                lo, hi = (np.concatenate([v, c[[0, 2], ..., None]], axis=-1)
+                          for v, c in ((vlo, clo), (vhi, chi)))
                 # the realized Lagrange terms, state and variational; over
                 # budget, the wide a-priori box is poisoning the remainder
-                rem = float(max(abs(rlo[n + 1]).max(), abs(rhi[n + 1]).max(),
-                                abs(vrlo[n + 1]).max(), abs(vrhi[n + 1]).max())
+                rem = float(max(abs(lo[0, n + 1]).max(), abs(hi[0, n + 1]).max())
                             * Interval.symmetric(h).pow_int(n + 1).mag)
                 if rem <= REMAINDER_BUDGET:
                     break
                 stats.budget_misses += 1
                 factor = min(0.5, _resize(rem)) if math.isfinite(rem) else 0.5
             h *= factor
-            if h < H_MIN:
-                raise EnclosureError("validated step size underflow")
         self._h_next = h * _resize(rem) if rem > 0.0 else None
 
-        ph, c = shared
         rec = LohnerStep(
             t0=self.t, h=h,
-            c=c, rem=_wrap(rlo[n + 1], rhi[n + 1]),
-            ph=ph, vrem=_wrap(vrlo[n + 1], vrhi[n + 1]),
+            series=_wrap(lo[1, :n + 1], hi[1, :n + 1]),
+            rem=_wrap(lo[0, n + 1], hi[0, n + 1]),
             wy=w[1], wvy=w[3],
             set_before=lset, set_after=lset, end=hull,
         )
@@ -488,8 +497,7 @@ class LohnerFlow:
 
     def phi_at(self, rec: LohnerStep, tau: Interval) -> IArray:
         """Enclosure of the one-step transition matrix at times in ``tau``."""
-        lo, hi = taylor.horner_var_iv(rec.ph.lo, rec.ph.hi, tau.lo, tau.hi)
-        return _wrap(lo, hi) + rec.vrem.scale(tau.pow_int(ORDER + 1))
+        return self._transport(rec, tau)[1]
 
     def enclosure_at(self, rec: LohnerStep, tau: Interval,
                      of_center: bool = False) -> IArray:
@@ -504,9 +512,9 @@ class LohnerFlow:
 
     def _transport(self, rec: LohnerStep, tau: Interval) -> tuple[IArray, IArray]:
         """Center image and transition matrix at ``tau``."""
-        lo, hi = taylor.horner_iv(rec.c.lo, rec.c.hi, tau.lo, tau.hi)
-        center = _wrap(lo, hi) + rec.rem.scale(tau.pow_int(ORDER + 1))
-        return center, self.phi_at(rec, tau)
+        lo, hi = taylor.horner_iv(rec.series.lo, rec.series.hi, tau.lo, tau.hi)
+        both = _wrap(lo, hi) + rec.rem.scale(tau.pow_int(ORDER + 1))
+        return both[:, 4], both[:, :4]
 
     def _a_priori(self, hull: IArray, h: float) -> tuple[IArray | None, IArray | None]:
         """A-priori enclosures (W, WV) over a step of ``h``; None where Picard fails."""

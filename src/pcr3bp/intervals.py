@@ -9,22 +9,23 @@ An undefined corner (0 * inf, inf / inf) gives the whole line, and an
 overflowed end is the infinity it rounds to.  The scalar primitives
 ``_dn``, ``_up``, ``_iadd``, ``_isub``, ``_imul``, ``_iscale``, ``_idiv``,
 ``_idivn`` and ``_isqrt_pos`` on ``(lo, hi)`` pairs define the policy: the
-order-0 terms, per-order combinations and Horner evaluations of the
-:mod:`pcr3bp.taylor` interval kernels call them, and :class:`Interval`
-mul, div, sqr and sqrt call them.  The one exception: :class:`Interval`
-add and sub are sharpened with an exact residual (TwoSum); when the float
-sum is exact no step is taken, which keeps small-integer arithmetic exact.
+order-0 terms and per-order combinations of the :mod:`pcr3bp.taylor`
+interval kernels call them, and :class:`Interval` mul, div, sqr and sqrt
+call them.  The one exception: :class:`Interval` add and sub are
+sharpened with an exact residual (TwoSum); when the float sum is exact no
+step is taken, which keeps small-integer arithmetic exact.
 
 The array layer applies the same policy to (lo, hi) float64 array pairs,
-and it is the rounding core of the batched interval Taylor kernels as well
-as of :class:`IArray`, the one interval array type (vectors and matrices
-alike, with one ``@`` for both products).  ``_prod_bounds`` is the array
-form of ``_imul``, end for end.  A sum is not rounded per addition:
-``_sum_down``/``_sum_up`` bound the accumulated round-off of a length-``n``
-float sum, in any summation order, by ``n * u * sum|terms|`` plus a tiny
-absolute term for underflow, then step outward once (an a-posteriori bound
-after Rump, "Fast and parallel interval arithmetic", BIT 39, 1999).  That
-bound dominates the classical ``(n-1)u/(1-(n-1)u)`` for every ``n`` used.
+and it is the rounding core of the batched interval Taylor kernels and
+their Horner evaluation as well as of :class:`IArray`, the one interval
+array type (vectors and matrices alike, with one ``@`` for both
+products).  ``_prod_bounds`` is the array form of ``_imul``, end for end.
+A sum is not rounded per addition: ``_sum_down``/``_sum_up`` bound the
+accumulated round-off of a length-``n`` float sum, in any summation
+order, by ``n * u * sum|terms|`` plus a tiny absolute term for underflow,
+then step outward once (an a-posteriori bound after Rump, "Fast and
+parallel interval arithmetic", BIT 39, 1999).  That bound dominates the
+classical ``(n-1)u/(1-(n-1)u)`` for every ``n`` used.
 
 The array layer also does the package's linear solves.  ``_point_inverse``
 encloses the inverse of a point matrix once, from a float inverse and a

@@ -170,7 +170,9 @@ def sample_trajectory(params: Params, state, t_final: float,
 
     ``t_final`` may be negative; output times then run from 0 down to it.
     Sampling reads the dense Taylor polynomial of each accepted step, so
-    ``n`` does not affect the integration accuracy.
+    ``n`` does not affect the integration accuracy.  Raises
+    :class:`~pcr3bp.errors.IntegrationError` where the step rule asks for
+    less than ``integrator.H_MIN``.
     """
     if n < 2:
         raise DomainError("need at least two sample times")
@@ -188,6 +190,8 @@ def sample_trajectory(params: Params, state, t_final: float,
         if rem * direction <= 0.0:
             break
         rec = flow.step(direction, h_cap=abs(rem))
+        if not rec.h[0]:
+            raise flow.floor_error(0)
         while i < n and (times[i] - flow.t[0]) * direction <= 0.0:
             out[i] = rec.state_at(times[i] - rec.t0[0])[:, 0]
             i += 1

@@ -332,9 +332,10 @@ def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
     :class:`~pcr3bp.errors.PCR3BPError` that stopped the lane.  Crossings
     are refined lane-wise on each step's polynomial, and a lane drops out
     once it lands its last crossing or fails; a lane whose state is not
-    finite after a step fails with an :class:`IntegrationError` there.  A
-    one-lane flow is left standing on its last crossing, with its
-    variational matrix there.
+    finite after a step, or whose step rule asks for less than
+    ``H_MIN``, fails with an :class:`IntegrationError` there.  A one-lane
+    flow is left standing on its last crossing, with its variational
+    matrix there.
     """
     mu = flow.params.mu
     n = flow.t.size
@@ -371,9 +372,10 @@ def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
             flow.t[crossed] = rec.t0[crossed] + tau
             if flow.v is not None:
                 flow.v = rec.jacobian_at(tau[0])
-        done = ~finite
+        floored = rec.h == 0.0
+        done = ~finite | floored
         for j in np.flatnonzero(done).tolist():
-            out[lanes[j]] = IntegrationError(
+            out[lanes[j]] = flow.floor_error(j) if floored[j] else IntegrationError(
                 f"state {flow.state[:, j]} is not finite after the step to "
                 f"t={flow.t[j]}")
         for j in crossed.tolist():
@@ -528,14 +530,15 @@ def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
     lifted as a graph ``c + da T1 + db T2 + res e_vy`` over the lift tangent
     directions at the cell center.  ``da`` and ``db`` are ``a - am`` and
     ``b - bm`` shifted by the rounding of the float center sum (see
-    :func:`cell_offsets`), so the set holds the exact cell; ``res`` bounds
-    the curvature of vy by a mean-value form and the rounding of the float
-    lift ``c``.  This keeps both the parallelogram geometry and the
-    (x, vx) <-> vy correlation; nothing is boxed away.  Zero lies in
-    ``da``, ``db`` and ``res``, so ``c`` lies in the set, and so does the
-    energy lift of the cell center, which with
-    ``center_box`` the set also carries as its center box.  Returns the set
-    and the interval lift tangent over the cell's (x, vx) bounds.
+    :func:`cell_offsets`), so the set holds the exact cell; ``res``
+    encloses the curvature of vy by a mean-value form over the cell's
+    (x, vx) bounds, plus the rounding of the float lift ``c``.  This keeps
+    both the parallelogram geometry and the (x, vx) <-> vy correlation;
+    nothing is boxed away.  Zero lies in ``da``, ``db`` and ``res``, so
+    ``c`` lies in the set, and so does the energy lift of the cell center,
+    which with ``center_box`` the set also carries as its center box.
+    Returns the set and the interval lift tangent over the cell's (x, vx)
+    bounds.
     """
     # axis-aligned (x, vx) bounds of the support
     x_iv = origin[0] + a * float(d1[0]) + b * float(d2[0])
@@ -560,10 +563,7 @@ def _lifted_cell(params: Params, origin: np.ndarray, d1: np.ndarray,
     # the float lift misses the on-level vy of the center by a few ulps
     vy_off = lift_iv(params, Interval.point(center[0]), Interval.point(center[2]),
                      sign)[3] - center[3]
-    # direct form as a cross-check, keep the intersection
-    lin = t1[3] * da + t2[3] * db
-    direct = box4[3] - (Interval.point(center[3]) + lin)
-    res = (res + vy_off).intersection(direct).hull(zero)
+    res = (res + vy_off).hull(zero)
     r = IArray.from_intervals([da, db, zero, res])
     rc = IArray.from_intervals([zero, zero, zero, vy_off]) if center_box else None
     return LohnerSet.from_frame(center, frame, r, track_jacobian, rc), grad

@@ -34,19 +34,23 @@ primary.
 The point kernels run on Python floats: each series is a list, and each
 convolution is one ``sum`` of a ``map`` of products, so the series cost
 O(n^2) per call.  The variational step of :func:`point_var_coeffs` is one
-matrix product per order.  The interval Horner evaluations call the scalar
-primitives on ``tolist()`` rows.  No kernel is compiled.
+matrix product per order.  No kernel is compiled.
+
+There is one Horner evaluation per arithmetic, and it takes whole rows of
+any shape: :func:`horner_lanes` in floats, of which :func:`horner_point`
+and :func:`horner_var_point` are views, and :func:`horner_iv` in
+intervals, which is ``_imul`` and ``_iadd`` on the array layer, end for
+end, so an entry gets the same bits alone or in a stack.
 
 One state takes the list kernel :func:`point_coeffs`; many independent
 states take its lane twin :func:`lane_coeffs`, which runs the same
-recurrence on numpy rows, one lane per state, and evaluates with
-:func:`horner_lanes`.  Each lane convolution is one product of the
-operand slices and one reduction along the term axis.  At order 20 on a
-2-core Xeon, a list call costs about 0.3 ms, and a lane call about
-1.2 ms at 8 lanes and 2.2 ms at 200 (0.01 ms per state); a lane call on
-one lane runs the list kernel.  Every lane equals the list kernel's
-result bit for bit, so a flight gives the same image whichever kernel
-flies it.  Two rounding traps would break that:
+recurrence on numpy rows, one lane per state.  Each lane convolution is
+one product of the operand slices and one reduction along the term axis.
+At order 20 on a 2-core Xeon, a list call costs about 0.3 ms, and a lane
+call about 1.2 ms at 8 lanes and 2.2 ms at 200 (0.01 ms per state); a
+lane call on one lane runs the list kernel.  Every lane equals the list
+kernel's result bit for bit, so a flight gives the same image whichever
+kernel flies it.  Two rounding traps would break that:
 
 1. Pairwise summation.  ``np.sum`` and ``np.add.reduce`` along the term
    axis switch to pairwise summation once that axis is contiguous, as it
@@ -242,16 +246,8 @@ def point_var_coeffs(state, v0, mu, n):
 
 
 def horner_point(c, t):
-    """Evaluate a coefficient array (n+1, 4) at time t."""
-    t = float(t)
-    rows = c.tolist()
-    a0, a1, a2, a3 = rows.pop()
-    for r0, r1, r2, r3 in reversed(rows):
-        a0 = a0 * t + r0
-        a1 = a1 * t + r1
-        a2 = a2 * t + r2
-        a3 = a3 * t + r3
-    return np.array([a0, a1, a2, a3])
+    """Evaluate a coefficient array (n+1, 4) at time t: :func:`horner_lanes`."""
+    return horner_lanes(c, t)
 
 
 def horner_var_point(vc, t):
@@ -352,7 +348,8 @@ def horner_lanes(c, t):
 
     ``t`` broadcasts against a row: one time for a variational array
     (n+1, 4, 4), one time per lane for a lane array (n+1, 4, N).  Each
-    entry sees the operations of :func:`horner_point`, in its order.
+    entry sees one product and one sum per order, as a float Horner loop
+    on that entry alone would.
     """
     acc = c[-1].copy()
     for row in c[-2::-1]:
@@ -374,23 +371,16 @@ _ROWS = 14
 _ZERO = (0.0, 0.0)
 
 # Row pairs (a, b) of the convolutions sum_i a_i b_(k-i).  The squares
-# give rows _P1SQ.._P2Y and the powers rows _S1.._W2, in this order; the
-# Hessian-free kernels take the first three squares and the first two powers.
+# give rows _P1SQ.._P2Y and the powers rows _S1.._W2, in this order.
 _SQUARES = [(_P1, _P1), (_P2, _P2), (_Y, _Y), (_P1, _Y), (_P2, _Y)]
 _POWERS = [(_Q1, _S1), (_Q2, _S2), (_Q1, _W1), (_Q2, _W2)]
 _POWER_ALPHA1 = np.array([-0.5, -0.5, -1.5, -1.5])  # alpha + 1 per power row
 _HESSIAN = [(_P1SQ, _W1), (_P2SQ, _W2), (_YSQ, _W1), (_YSQ, _W2), (_P1Y, _W1), (_P2Y, _W2)]
 _ACCELERATIONS = [(_P1, _S1), (_P2, _S2), (_Y, _S1), (_Y, _S2)]
+_PRODUCTS = _HESSIAN + _ACCELERATIONS
 
 
-def _layout(want_hessian):
-    """(Hessian and acceleration pairs, square pairs, power pairs)."""
-    if want_hessian:
-        return _HESSIAN + _ACCELERATIONS, _SQUARES, _POWERS
-    return _ACCELERATIONS, _SQUARES[:3], _POWERS[:2]
-
-
-def _operands(n, want_hessian):
+def _operands(n):
     """Operands of the one batched convolution of each order 1..n-1.
 
     The rows of the order-k batch are the order-k Hessian and acceleration
@@ -407,13 +397,12 @@ def _operands(n, want_hessian):
     read a_0..a_k, the order-(k+1) rows a_1..a_(k+1), whose last term is
     still zero.
     """
-    products, squares, powers = _layout(want_hessian)
-    pairs = products + squares + powers
-    shift = np.array([0] * len(products) + [1] * (len(squares) + len(powers)))
+    pairs = _PRODUCTS + _SQUARES + _POWERS
+    shift = np.array([0] * len(_PRODUCTS) + [1] * (len(_SQUARES) + len(_POWERS)))
     i = np.arange(n)
     a = (np.array([p for p, _ in pairs]) * (n + 1) + shift)[:, None] + i
     b = (np.array([q for _, q in pairs]) * (n + 1))[:, None] + i
-    w = _POWER_ALPHA1[:len(powers), None] * (i + 1.0)
+    w = _POWER_ALPHA1[:, None] * (i + 1.0)
     return a, b, w
 
 
@@ -501,7 +490,7 @@ def _iv_order0(xlo, xhi, mu, masses, want_hessian):
     s2 = _idiv(1.0, 1.0, *_imul(*q2, *_isqrt_pos(*q2)))
     terms = [p1, p2, y, p1sq, p2sq, ysq, _imul(*p1, *y), _imul(*p2, *y), q1, q2,
              s1, s2, _idiv(*s1, *q1), _idiv(*s2, *q2)]
-    products = _layout(want_hessian)[0]
+    products = _PRODUCTS if want_hessian else _ACCELERATIONS
     g = [_imul(*terms[a], *terms[b]) for a, b in products]
     return (terms,) + _next_terms(0, g, s1, s2, x, mu, masses, want_hessian)
 
@@ -566,9 +555,9 @@ def _iv_series(xlo, xhi, mu, n, bv):
     states = [[list(zip(lo, hi)), nxt]
               for lo, hi, (_, _, nxt) in zip(xlo.tolist(), xhi.tolist(), first)]
     hess = [[hk] for _, hk, _ in first[:bv]]
-    nprod, nsq, npow = (len(p) for p in _layout(bv > 0))
-    partial = [([_ZERO] * nsq, [_ZERO] * npow)] * len(first)
-    a, b, w = _operands(n, bv > 0)
+    nprod, nsq = len(_PRODUCTS), len(_SQUARES)
+    partial = [([_ZERO] * nsq, [_ZERO] * len(_POWERS))] * len(first)
+    a, b, w = _operands(n)
     for k in range(1, n):
         tks = [_order_terms(k, state[k], t0, sq, pw, want)
                for state, t0, (sq, pw), want in zip(states, t0s, partial, hessian)]
@@ -597,8 +586,8 @@ def _boxes(xlo, xhi):
 def iv_coeffs(xlo, xhi, mu, n):
     """Interval Taylor coefficients (n+1, 4) over a state box.
 
-    The Hessian-free series of :func:`iv_var_coeffs`; a stack of boxes
-    (B, 4) gives (B, n+1, 4).
+    The state series of :func:`iv_var_coeffs`; a stack of boxes (B, 4)
+    gives (B, n+1, 4).
     """
     xlo, xhi, one = _boxes(xlo, xhi)
     c, _ = _iv_series(xlo, xhi, mu, n, 0)
@@ -667,34 +656,21 @@ def iv_var_coeffs(xlo, xhi, v0lo, v0hi, mu, n):
     return c[0], c[1], v[0], v[1]
 
 
-def _horner_iv(lo, hi, tlo, thi):
-    """Interval Horner evaluation entry by entry.
-
-    ``lo``/``hi`` hold one list per entry, of its coefficient ends by order
-    (the lists are consumed).  Returns the (lo, hi) ends of the values.
-    """
-    out = []
-    for cl, ch in zip(lo, hi):
-        accl, acch = cl.pop(), ch.pop()
-        for bl, bh in zip(reversed(cl), reversed(ch)):
-            accl, acch = _imul(accl, acch, tlo, thi)
-            accl, acch = _iadd(accl, acch, bl, bh)
-        out.append((accl, acch))
-    return zip(*out)
-
-
 def horner_iv(clo, chi, tlo, thi):
-    """Evaluate interval coefficients (n+1, 4) at an interval time."""
-    lo, hi = _horner_iv(clo.T.tolist(), chi.T.tolist(), float(tlo), float(thi))
-    return np.array(lo), np.array(hi)
+    """Evaluate interval coefficients (n+1, ...) at an interval time.
+
+    Each order is ``_imul`` by the time, then ``_iadd`` of the next row,
+    on the array layer: ``_prod_bounds``, then one outward step of each
+    sum.  So every entry gets the bits of its own evaluation, and any rows
+    or columns of an array evaluate as they do in the whole.
+    """
+    lo, hi = clo[-1], chi[-1]
+    for blo, bhi in zip(clo[-2::-1], chi[-2::-1]):
+        lo, hi = intervals._prod_bounds(lo, hi, tlo, thi)
+        lo, hi = intervals._nd_down(lo + blo), intervals._nd_up(hi + bhi)
+    return lo, hi
 
 
 def horner_var_iv(vlo, vhi, tlo, thi):
-    """Evaluate interval variational coefficients (n+1, 4, 4) at a time.
-
-    Any rows (n+1, m, 4) of them evaluate to the same bits as in the whole.
-    """
-    n, shape = vlo.shape[0], vlo.shape[1:]
-    lo, hi = _horner_iv(vlo.reshape(n, -1).T.tolist(), vhi.reshape(n, -1).T.tolist(),
-                        float(tlo), float(thi))
-    return np.reshape(lo, shape), np.reshape(hi, shape)
+    """Evaluate interval variational coefficients (n+1, 4, 4): :func:`horner_iv`."""
+    return horner_iv(vlo, vhi, tlo, thi)

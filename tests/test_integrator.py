@@ -284,9 +284,9 @@ def test_reanchor_refuses_an_unbounded_center_image(lo, hi):
     # inf] has a NaN one); re-anchoring must refuse it, not store it
     flow = LohnerFlow(P, box_set(IArray.from_point(ANCHOR).inflate(1e-11)))
     rec = flow.attempt_step()
-    clo, chi = rec.c.lo.copy(), rec.c.hi.copy()
-    clo[0, 0], chi[0, 0] = lo, hi
-    rec.c = IArray(clo, chi)
+    clo, chi = rec.series.lo.copy(), rec.series.hi.copy()
+    clo[0, 0, 4], chi[0, 0, 4] = lo, hi  # the centre's x at order 0
+    rec.series = IArray(clo, chi)
     with pytest.raises(EnclosureError, match="not bounded"), np.errstate(invalid="ignore"):
         flow._reanchor(rec, Interval.point(rec.h))
 
@@ -350,8 +350,11 @@ def step_bits(h, rem, vrem, ph, c, wy, wvy):
 
 
 def record_bits(rec):
-    return step_bits(rec.h, (rec.rem.lo, rec.rem.hi), (rec.vrem.lo, rec.vrem.hi),
-                     (rec.ph.lo, rec.ph.hi), (rec.c.lo, rec.c.hi), rec.wy, rec.wvy)
+    # the stacked series and remainders: matrix columns 0-3, centre column 4
+    rem, series = rec.rem, rec.series
+    return step_bits(rec.h, (rem.lo[:, 4], rem.hi[:, 4]), (rem.lo[:, :4], rem.hi[:, :4]),
+                     (series.lo[..., :4], series.hi[..., :4]),
+                     (series.lo[..., 4], series.hi[..., 4]), rec.wy, rec.wvy)
 
 
 def against_frozen_steps(monkeypatch):
@@ -485,8 +488,7 @@ def test_the_image_carries_the_step_counts_of_its_flight(monkeypatch):
 def remainder_of(rec):
     """The realized Lagrange remainder of a step, state and variational."""
     hn = Interval.symmetric(rec.h).pow_int(integrator.ORDER + 1).mag
-    return max(np.abs(np.concatenate([e.lo.ravel(), e.hi.ravel()])).max()
-               for e in (rec.rem, rec.vrem)) * hn
+    return np.abs(np.concatenate([rec.rem.lo.ravel(), rec.rem.hi.ravel()])).max() * hn
 
 
 @pytest.mark.parametrize("flight", ["v3_v4_cell", "g0"])

@@ -196,10 +196,11 @@ def test_lanes_let_other_exceptions_through(monkeypatch):
 def test_a_lane_that_blows_up_ends_with_an_integration_error():
     # two points of W^u(L2), 2.53e-5 and 3.39e-6 along the unstable
     # direction of the L2 Lyapunov fixed point, under (Ph-, Ph+, Ph-, Ph+):
-    # the first passes Jupiter at the step floor and its state overflows to
-    # [-inf, inf, nan, nan] at t = 3.9757; it ends there, with no numpy
-    # warning, where it used to fly on to the time horizon, and the second
-    # lands with the bits of its single flight
+    # the first passes Jupiter so close that its step rule asks for less
+    # than the step floor at t = 3.97572538; it ends there, with no numpy
+    # warning, where steps floored at H_MIN took it on until its state
+    # overflowed to [-inf, inf, nan, nan], and the second lands with the
+    # bits of its single flight
     tags = [pc.HALF_MINUS, pc.HALF_PLUS, pc.HALF_MINUS, pc.HALF_PLUS]
     blown = pc.SectionPoint(float.fromhex("0x1.14f8aa448ba9ap+0"),
                             float.fromhex("-0x1.84e297bd3269ap-16"), -1)
@@ -211,9 +212,27 @@ def test_a_lane_that_blows_up_ends_with_an_integration_error():
         image = pc.apply_chain(P, tags, lands)
         lanes = pc.apply_chain_lanes(P, tags, [lands, blown])
     assert type(single) is IntegrationError
-    assert str(single).endswith("is not finite after the step to t=3.9757253841881823")
+    assert str(single).startswith("the step rule asks for less than H_MIN")
+    assert str(single).endswith("t=3.9757253787970512")
     assert type(lanes[1]) is type(single) and str(lanes[1]) == str(single)
     assert lanes[0] == image
+
+
+def test_a_lane_below_the_step_floor_fails_alone():
+    # a point of the L1 Lyapunov scan on Theta_+ closes in on Jupiter under
+    # Ph+ until its step rule asks for less than H_MIN; steps floored at
+    # H_MIN returned it as (0.99904637, -81.04), 6.6e-8 from Jupiter at a
+    # Jacobi constant of 8.435.  It ends with an IntegrationError, alone or
+    # as a lane beside its scan neighbours, which land with their own bits
+    x_lib = dynamics.libration_point(P, 1)
+    grid = (x_lib + np.linspace(-pc.SCAN_RADIUS, pc.SCAN_RADIUS, pc.SCAN_POINTS)).tolist()
+    i = grid.index(0.9351335715115707)
+    pts = [pc.SectionPoint(x, 0.0, 1) for x in grid[i - 1:i + 2]]
+    with pytest.raises(IntegrationError, match="less than H_MIN"):
+        pc.apply_map(P, pc.HALF_PLUS, pts[1])
+    lanes = pc.apply_chain_lanes(P, [pc.HALF_PLUS], pts)
+    assert type(lanes[1]) is IntegrationError
+    assert [lanes[0], lanes[2]] == [pc.apply_map(P, pc.HALF_PLUS, pts[j]) for j in (0, 2)]
 
 
 def test_point_outputs_are_pinned_to_the_bit():
@@ -458,6 +477,41 @@ def test_lifted_cells_hold_their_exact_corners():
                     db = (d1[0] * e[1] - e[0] * d1[1]) / det
                     assert Fraction(lset.r[0].lo) <= da <= Fraction(lset.r[0].hi)
                     assert Fraction(lset.r[1].lo) <= db <= Fraction(lset.r[1].hi)
+
+
+def _mpf(q):
+    """A Fraction as an mpf at 50 digits."""
+    with mp.workdps(50):
+        return mp.mpf(q.numerator) / q.denominator
+
+
+def test_lifted_cells_hold_the_on_level_vy_of_their_exact_corners():
+    # the set's vy over an exact corner of a subdivided cell is
+    # c[3] + t1[3] da + t2[3] db + r[3], at the corner's exact offsets; the
+    # mean-value residual r[3] must take up the exact on-level vy there
+    sets = {**hset.load_bundled("g_chain"), **hset.load_bundled("v_chain")}
+    whole = Interval(-1.0, 1.0)
+    for name in ("G0", "V3", "G3"):
+        h = sets[name]
+        o, d1, d2 = ([Fraction(float(v)) for v in w] for w in (h.center, h.u, h.s))
+        det = d1[0] * d2[1] - d2[0] * d1[1]
+        for a in whole.split(16):
+            lset, _ = pc._lifted_cell(P, h.center, h.u, h.s, a, whole, h.sign,
+                                      False)
+            c = [Fraction(float(v)) for v in lset.c]
+            t1, t2 = Fraction(float(lset.b[3, 0])), Fraction(float(lset.b[3, 1]))
+            res = lset.r[3]
+            for alpha in (a.lo, a.hi):
+                for beta in (whole.lo, whole.hi):
+                    x, vx = (o[i] + Fraction(alpha) * d1[i] + Fraction(beta) * d2[i]
+                             for i in range(2))
+                    e = (x - c[0], vx - c[2])
+                    da = (e[0] * d2[1] - d2[0] * e[1]) / det
+                    db = (d1[0] * e[1] - e[0] * d1[1]) / det
+                    vy = vy_on_level_mp(_mpf(x), _mpf(vx), h.sign)
+                    with mp.workdps(50):
+                        off = vy - _mpf(c[3] + t1 * da + t2 * db)
+                        assert mp.mpf(res.lo) <= off <= mp.mpf(res.hi)
 
 
 def test_face_offsets_hold_the_exact_face():

@@ -7,11 +7,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from pcr3bp import dynamics, taylor
+from pcr3bp import dynamics, integrator, taylor
 from pcr3bp.dynamics import JACOBI_OTERMA, MU_SUN_JUPITER, Params
 from pcr3bp.errors import PCR3BPError, SingularityError
 from pcr3bp.integrator import PointFlow
-from pcr3bp.intervals import IArray
+from pcr3bp.intervals import IArray, _iadd, _imul
 from pcr3bp.poincare import SectionPoint, lift
 
 P = Params(MU_SUN_JUPITER, JACOBI_OTERMA)
@@ -193,18 +193,21 @@ def test_lane_kernel_matches_list_kernel(n):
 
 
 def test_lane_kernel_matches_list_kernel_through_a_close_pass():
-    # this Theta_+ point of the L1 Lyapunov scan passes 5.4e-8 from the
-    # small primary at step 76; one lane, where the axis the terms are
-    # summed along is contiguous and a pairwise sum would change the last
-    # bits, and two copies of it, which run the lane recurrence
+    # this Theta_+ point of the L1 Lyapunov scan closes in on the small
+    # primary until its step rule asks for less than H_MIN; one lane, where
+    # the axis the terms are summed along is contiguous and a pairwise sum
+    # would change the last bits, and two copies of it, which run the lane
+    # recurrence, up to that step
     flow = PointFlow(P, lift(P, SectionPoint(0.9351335715115707, 0.0, 1)))
-    for _ in range(100):
+    for steps in range(100):
         ref = taylor.point_coeffs(flow.state[:, 0], P.mu, ORDER)
         for n in (1, 2):
             lanes = taylor.lane_coeffs(np.repeat(flow.state, n, axis=1), P.mu, ORDER)
             for i in range(n):
                 assert np.array_equal(lanes[:, :, i], ref)
-        flow.step()
+        if not flow.step().h[0]:
+            break
+    assert steps > 50 and integrator._step_from_coeffs(ref) < integrator.H_MIN
 
 
 def _same_bits(a, b):
@@ -400,10 +403,10 @@ def test_interval_kernels_contain_exact_series_at_box_corners():
     _check_kernels_contain(lo, hi, corners)
 
 
-def _check_batch(z, k, want_hessian=True):
+def _check_batch(z, k):
     # the batch's sums must enclose the exact weighted sums of the exact
     # products of its point operands (lo == hi)
-    a, b, w = taylor._operands(z.shape[-1] - 1, want_hessian)
+    a, b, w = taylor._operands(z.shape[-1] - 1)
     ia, ib, weights = a[:, :k + 1], b[:, k::-1], w[:, :k + 1] - (k + 1.0)
     sums = taylor._convolve(z, ia, ib, weights)
     zf = z[0].ravel()
@@ -421,7 +424,6 @@ def test_batched_convolution_exact():
     z = np.array([vals, vals])
     for k in range(1, 8):
         _check_batch(z, k)
-        _check_batch(z, k, want_hessian=False)
     # one unit product and six products just under half an ulp of 1: the
     # float sum rounds every small term away
     eps = 0.9 * 2.0 ** -53
@@ -488,3 +490,84 @@ def test_point_horner_matches_exact_horner():
                 assert _horner_ulps(got[j], c[:, j].tolist(), t) <= 4
                 for i in range(4):
                     assert _horner_ulps(vgot[i, j], vc[:, i, j].tolist(), t) <= 4
+
+
+# ----------------------------------------------------------------------
+# one Horner evaluation per arithmetic
+# ----------------------------------------------------------------------
+
+
+def _scalar_horner_iv(lo, hi, tlo, thi):
+    # the scalar primitives, order by order, on one entry's coefficients
+    acc = lo[-1], hi[-1]
+    for bl, bh in zip(lo[-2::-1], hi[-2::-1]):
+        acc = _iadd(*_imul(*acc, tlo, thi), bl, bh)
+    return acc
+
+
+def test_interval_horner_of_a_stack_gives_each_column_its_own_bits():
+    # a validated step evaluates the transition matrix and the centre side
+    # by side, (n+1, 4, 5): each column, and the matrix columns together,
+    # get the bits of their own evaluation, which are those of the scalar
+    # primitives entry by entry
+    eye = np.eye(4)
+    clo, chi, vlo, vhi = taylor.iv_var_coeffs(STATE - 1e-7, STATE + 1e-7, eye, eye,
+                                              P.mu, ORDER)
+    lo = np.concatenate([vlo, clo[:, :, None]], axis=-1)
+    hi = np.concatenate([vhi, chi[:, :, None]], axis=-1)
+    for tlo, thi in [(0.0, 0.05), (0.03, 0.03), (-0.02, 0.01)]:
+        slo, shi = taylor.horner_iv(lo, hi, tlo, thi)
+        assert slo.shape == shi.shape == (4, 5)
+        for j in range(5):
+            own = taylor.horner_iv(lo[:, :, j], hi[:, :, j], tlo, thi)
+            assert _same_bits(slo[:, j], own[0]) and _same_bits(shi[:, j], own[1])
+            for i in range(4):
+                ref = _scalar_horner_iv(lo[:, i, j].tolist(), hi[:, i, j].tolist(), tlo, thi)
+                assert (slo[i, j], shi[i, j]) == ref
+        matrix = taylor.horner_var_iv(vlo, vhi, tlo, thi)
+        assert _same_bits(slo[:, :4], matrix[0]) and _same_bits(shi[:, :4], matrix[1])
+        centre = taylor.horner_iv(clo, chi, tlo, thi)
+        assert _same_bits(slo[:, 4], centre[0]) and _same_bits(shi[:, 4], centre[1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interval_horner_holds_the_exact_value(seed):
+    # random order-20 series, some entries points and some intervals, at a
+    # point time and over a time interval: the exact values of the
+    # lower-end and the upper-end polynomials at both ends and at the
+    # midpoint of tau lie in the result
+    rng = np.random.default_rng([41, seed])
+    shape = (ORDER + 1, 6)
+    clo = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 4, shape)
+    chi = clo + np.abs(clo) * rng.uniform(0.0, 1e-3, shape) * (rng.random(shape) < 0.5)
+    t0 = float(rng.uniform(-0.5, 0.5))
+    for tlo, thi in [(t0, t0), tuple(sorted(rng.uniform(-0.5, 0.5, 2).tolist()))]:
+        lo, hi = taylor.horner_iv(clo, chi, tlo, thi)
+        for t in (tlo, thi, 0.5 * (tlo + thi)):
+            for ends in (clo, chi):
+                for j in range(shape[1]):
+                    exact = _fraction_horner(ends[:, j].tolist(), t)
+                    assert Fraction(lo[j]) <= exact <= Fraction(hi[j])
+
+
+def _float_horner(coeffs, t):
+    # a Horner loop on Python floats
+    acc = coeffs[-1]
+    for a in coeffs[-2::-1]:
+        acc = acc * t + a
+    return acc
+
+
+def test_point_horner_is_a_float_horner_loop():
+    # horner_point and horner_lanes, one state or lanes with a time each,
+    # give every entry the bits of a float Horner loop on that entry alone
+    rng = np.random.default_rng(42)
+    shape = (ORDER + 1, 4, 20)
+    for _ in range(100):
+        c = rng.normal(size=shape) * 10.0 ** rng.integers(-10, 10, shape)
+        t = rng.uniform(-1.0, 1.0, shape[2])
+        lanes = taylor.horner_lanes(c, t)
+        for k in range(shape[2]):
+            point = taylor.horner_point(c[:, :, k], t[k])
+            ref = np.array([_float_horner(c[:, i, k].tolist(), float(t[k])) for i in range(4)])
+            assert _same_bits(point, ref) and _same_bits(lanes[:, k], ref)
