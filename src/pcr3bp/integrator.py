@@ -57,6 +57,12 @@ Y(t_m) / VY(tau)`` over step times ``tau`` (Moore 1966; Neumaier 1990), so
 the bracket is as wide as the set's own spread of crossing times, and to
 read off sharp crossing states by a mean-value form.
 
+Every flight starts on the section with ``y = 0`` exactly (the lifts of
+:mod:`pcr3bp.poincare`), so its departure is not a sign change of ``y``:
+a point lane counts a crossing only from a nonzero ``y`` at the start of
+a step, and the rigorous watch starts at the end of the first step, where
+the set must lie strictly off the section.
+
 Center box
 ----------
 A set may carry one of its points apart from the rest: a point ``p0`` with
@@ -113,8 +119,6 @@ change one with ``monkeypatch.setattr``.
   the bundled sets take at most 90 attempts between two section
   crossings, and no registered relation makes more than 13 crossings
   in one flight.
-* ``MIN_TIME = 1e-3``: sign changes of ``y`` before this time belong to
-  the departure from the section and are not crossings.
 * ``TANGENCY_TOL = 1e-8``: least ``|vy|`` accepted at a crossing.
 """
 
@@ -160,7 +164,6 @@ MAX_STEPS = 5000
 PICARD_ITERATIONS = 18
 REMAINDER_BUDGET = 1e-10
 TANGENCY_TOL = 1e-8
-MIN_TIME = 1e-3
 
 
 def _step_from_coeffs(coeffs: np.ndarray) -> float | list[float]:
@@ -281,6 +284,17 @@ class PointFlow:
             f"the step rule asks for less than H_MIN={H_MIN} at state "
             f"{self.state[:, lane]}, t={self.t[lane]}")
 
+    def steps_to(self, t_final: float):
+        """Step a one-lane flow to the signed time ``t_final``, yielding
+        each step; the last step is cut to land there.  Raises the
+        :meth:`floor_error` of a step the step floor stopped."""
+        direction = math.copysign(1.0, t_final)
+        while (rem := t_final - self.t[0]) * direction > 0.0:
+            rec = self.step(direction, h_cap=abs(rem))
+            if not rec.h[0]:
+                raise self.floor_error(0)
+            yield rec
+
 
 def flow_point(params: Params, state, t_final: float, variational: bool = False):
     """Integrate one state for a signed time ``t_final``; returns ``(state, V)``.
@@ -290,13 +304,8 @@ def flow_point(params: Params, state, t_final: float, variational: bool = False)
     ``H_MIN``.
     """
     flow = PointFlow(params, state, variational=variational)
-    direction = math.copysign(1.0, t_final)
-    while True:
-        rem = t_final - flow.t[0]
-        if rem * direction <= 0.0:
-            break
-        if not flow.step(direction, h_cap=abs(rem)).h[0]:
-            raise flow.floor_error(0)
+    for _ in flow.steps_to(t_final):
+        pass
     return flow.state[:, 0].copy(), flow.v
 
 
@@ -634,7 +643,9 @@ def lohner_section_crossings(params: Params, lset: LohnerSet, signs: list[int]):
     A step that cannot be decided (the set still on the section at the
     watch start, a crossing pair that may hide in it, a crossing that is
     not separated or not transversal) is halved and retried; below
-    ``H_MIN`` the flight is refused with a ``TangencyError``.
+    ``H_MIN`` the flight is refused with a ``TangencyError``.  The halved
+    cap holds until the crossing is taken, so a refusal is one chain of
+    halvings.
     """
     if not signs or any(s not in (-1, 1) for s in signs):
         raise IntegrationError("signs must be a non-empty list of +1/-1")
@@ -649,9 +660,6 @@ def lohner_section_crossings(params: Params, lset: LohnerSet, signs: list[int]):
                 f"no section crossing within the time horizon {MAX_TIME}"
             )
         rec = flow.attempt_step(h_cap)
-        if rec.t0 + rec.h < MIN_TIME:
-            flow.commit(rec)
-            continue
         side_end = _strict_sign(rec.end[1])
         last = len(crossings) == len(signs) - 1
         found = None
@@ -665,10 +673,10 @@ def lohner_section_crossings(params: Params, lset: LohnerSet, signs: list[int]):
             # over the a-priori enclosure of the whole step.
             why = "cannot exclude a hidden crossing pair in a step"
         elif prev_side in (None, side_end):
-            # the watch starts, or the step stays on one side: take it
+            # the watch starts, or the step stays on one side: take it; a
+            # cap from a halving holds until the crossing is taken
             prev_side = side_end
             flow.commit(rec)
-            h_cap = None
             continue
         else:
             # a guaranteed crossing inside this step

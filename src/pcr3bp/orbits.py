@@ -77,6 +77,7 @@ from .poincare import (
     FULL_PLUS,
     LyapunovOrbit,
     SectionPoint,
+    _fix_r_scan,
     _grid_brackets,
     _refine_bracket,
     apply_chain,
@@ -169,8 +170,9 @@ def sample_trajectory(params: Params, state, t_final: float,
     """Integrate from ``state`` and sample ``n`` equally spaced times.
 
     ``t_final`` may be negative; output times then run from 0 down to it.
-    Sampling reads the dense Taylor polynomial of each accepted step, so
-    ``n`` does not affect the integration accuracy.  Raises
+    The flight is :meth:`~pcr3bp.integrator.PointFlow.steps_to`, and each
+    sample reads the dense Taylor polynomial of the step that holds its
+    time, so ``n`` does not affect the integration accuracy.  Raises
     :class:`~pcr3bp.errors.IntegrationError` where the step rule asks for
     less than ``integrator.H_MIN``.
     """
@@ -179,25 +181,14 @@ def sample_trajectory(params: Params, state, t_final: float,
     times = np.linspace(0.0, float(t_final), n)
     out = np.empty((n, 4))
     out[0] = np.asarray(state, dtype=np.float64)
-    if t_final == 0.0:
-        out[:] = out[0]
-        return Trajectory(times, out, params)
-    direction = math.copysign(1.0, t_final)
     flow = PointFlow(params, state)
     i = 1
-    while i < n:
-        rem = t_final - flow.t[0]
-        if rem * direction <= 0.0:
-            break
-        rec = flow.step(direction, h_cap=abs(rem))
-        if not rec.h[0]:
-            raise flow.floor_error(0)
-        while i < n and (times[i] - flow.t[0]) * direction <= 0.0:
+    for rec in flow.steps_to(t_final):
+        # times and flight share a sign, so |t| orders them
+        while i < n and abs(times[i]) <= abs(flow.t[0]):
             out[i] = rec.state_at(times[i] - rec.t0[0])[:, 0]
             i += 1
-    while i < n:  # guard against landing a rounding hair short of t_final
-        out[i] = flow.state[:, 0]
-        i += 1
+    out[i:] = flow.state[:, 0]  # a zero t_final takes no step
     return Trajectory(times, out, params)
 
 
@@ -492,19 +483,13 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
             f"terminal set {terminal_set.name} is not reversal-symmetric; "
             "the located half cannot be closed by reflection"
         )
-    tags = [stage.tag for stage in stages]
 
-    def terminal_vx(a: float) -> float | None:
-        try:
-            img, _ = apply_chain(params, tags, seed_at(a))
-        except PCR3BPError:
-            return None
-        return img.vx
+    def terminal_vx(a: float, flown) -> float | None:
+        return None if isinstance(flown, PCR3BPError) else flown[0].vx
 
     grid = np.linspace(-1.0, 1.0, PERIODIC_GRID).tolist()
-    flown = apply_chain_lanes(params, tags, [seed_at(a) for a in grid])
-    brackets = _grid_brackets(
-        grid, [None if isinstance(f, PCR3BPError) else f[0].vx for f in flown])
+    brackets, terminal_vx_at = _fix_r_scan(
+        params, [stage.tag for stage in stages], seed_at, grid, terminal_vx)
     if not brackets:
         raise SearchError(
             f"no terminal x' sign change along Fix(R) in {start.name} "
@@ -512,7 +497,7 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
         )
     rejects = []
     for lo, hi, flo, fhi in brackets:
-        refined = _refine_bracket(terminal_vx, lo, hi, flo, fhi, A_TOL)
+        refined = _refine_bracket(terminal_vx_at, lo, hi, flo, fhi, A_TOL)
         if refined is None:
             rejects.append((lo, hi, "map failure while refining the bracket"))
             continue

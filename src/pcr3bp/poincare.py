@@ -329,13 +329,16 @@ def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
 
     ``signs`` lists the vy sign of each awaited crossing.  Entry i of the
     result is lane i's projected last crossing and its time, or the
-    :class:`~pcr3bp.errors.PCR3BPError` that stopped the lane.  Crossings
-    are refined lane-wise on each step's polynomial, and a lane drops out
-    once it lands its last crossing or fails; a lane whose state is not
-    finite after a step, or whose step rule asks for less than
-    ``H_MIN``, fails with an :class:`IntegrationError` there.  A one-lane
-    flow is left standing on its last crossing, with its variational
-    matrix there.
+    :class:`~pcr3bp.errors.PCR3BPError` that stopped the lane.  A step
+    crosses where ``y`` changes sign over it, or lands on zero from a
+    nonzero start; the lanes start on the section with ``y = 0``, so the
+    departure is no crossing, and the first one may come at any time.
+    Crossings are refined lane-wise on each step's polynomial, and a lane
+    drops out once it lands its last crossing or fails; a lane whose
+    state is not finite after a step, or whose step rule asks for less
+    than ``H_MIN``, fails with an :class:`IntegrationError` there.  A
+    one-lane flow is left standing on its last crossing, with its
+    variational matrix there.
     """
     mu = flow.params.mu
     n = flow.t.size
@@ -364,7 +367,7 @@ def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
             y_start, prev_y = prev_y, flow.state[1].copy()
             crossed = (y_start * prev_y < 0.0) | ((prev_y == 0.0) & (y_start != 0.0))
         finite = np.isfinite(flow.state).all(axis=0)
-        crossed = np.flatnonzero(crossed & finite & (flow.t >= integrator.MIN_TIME))
+        crossed = np.flatnonzero(crossed & finite)
         if crossed.size:
             # land the crossed lanes on their roots
             tau = _refine_root(rec.coeffs[:, :, crossed], rec.h[crossed], y_start[crossed])
@@ -636,6 +639,31 @@ def _grid_brackets(grid, values) -> list[tuple[float, float, float, float]]:
     return brackets
 
 
+def _fix_r_scan(params: Params, tags: Sequence[MapTag],
+                seed_at: Callable[[float], SectionPoint], grid: list[float],
+                value: Callable[[float, object], float | None]):
+    """Sign-change brackets of a value of flights from Fix(R) seeds.
+
+    The seed ``seed_at(a)`` of each grid parameter ``a`` flies ``tags``;
+    ``value(a, flown)`` reads the value of the flight's result, an image
+    and its time or the :class:`~pcr3bp.errors.PCR3BPError` that stopped
+    it, and gives None for a failure.  The grid flies as the lanes of one
+    flight.  Returns the brackets (:func:`_grid_brackets`) and the value
+    of one seed's flight, ``f(a)``, for :func:`_refine_bracket`.
+    """
+    flown = apply_chain_lanes(params, tags, [seed_at(a) for a in grid])
+    brackets = _grid_brackets(grid, map(value, grid, flown))
+
+    def f(a: float) -> float | None:
+        try:
+            flown = apply_chain(params, tags, seed_at(a))
+        except PCR3BPError as exc:
+            flown = exc
+        return value(a, flown)
+
+    return brackets, f
+
+
 def _evaluation_budget(lo: float, hi: float, tol: float) -> int:
     """Most evaluations :func:`_refine_bracket` may take on [lo, hi].
 
@@ -735,20 +763,21 @@ def lyapunov_fixed_point(params: Params, index: int) -> LyapunovOrbit:
     """Locate the Lyapunov-orbit fixed point near a collinear neck.
 
     ``index`` 1 uses ``Theta_+``/``P+`` (inner neck), 2 uses
-    ``Theta_-``/``P-`` (outer neck).  The perpendicular crossing is found
-    as a root of ``vx(Ph(x, 0))`` along the symmetry line, then polished
-    as a 2d fixed point of the full-return map: Newton steps run while the
-    residual decreases, and the iterate with the smallest residual is
-    returned with the derivative computed there.
+    ``Theta_-``/``P-`` (outer neck).  The orbit meets Fix(R)
+    perpendicularly, so its point is a root of ``vx(Ph(x, 0))`` along the
+    symmetry line, and the point returned is that root with ``vx = 0.0``
+    exactly, the point a proof by interval Newton on Fix(R) starts from.
+    One derivative flight of the full-return map there gives the period,
+    the multipliers, the eigen-directions and the residual.
 
     Other symmetric families intersect the symmetry line as well, so the
     defect counts only where the flight (a) sits on the short-flight
     branch (half-map time at most ``HALF_TIME_CAP``) and (b) stays on one
     side of the second primary; elsewhere it is a failure, for the scan
-    and the bracket refinement alike.  The Lyapunov orbit is the root of
-    the bracket closest to the libration point, refined to adjacent
-    floats by :func:`_refine_bracket` (one flight per evaluation, about
-    ten in all).
+    and the bracket refinement alike (:func:`_fix_r_scan`).  The Lyapunov
+    orbit is the root of the bracket closest to the libration point,
+    refined to adjacent floats by :func:`_refine_bracket` (one flight per
+    evaluation, about ten in all), whose midpoint is returned.
     """
     sign = 1 if index == 1 else -1
     half = HALF_PLUS if index == 1 else HALF_MINUS
@@ -767,16 +796,9 @@ def lyapunov_fixed_point(params: Params, index: int) -> LyapunovOrbit:
         same_side = (xv - x_primary) * (img.x - x_primary) > 0.0
         return img.vx if abs(t) <= HALF_TIME_CAP and same_side else None
 
-    def defect(xv: float) -> float | None:
-        try:
-            flown = apply_map(params, half, SectionPoint(xv, 0.0, sign))
-        except (DomainError, IntegrationError, TangencyError) as exc:
-            flown = exc
-        return on_branch(xv, flown)
-
     grid = (x_lib + np.linspace(-SCAN_RADIUS, SCAN_RADIUS, SCAN_POINTS)).tolist()
-    flown = apply_chain_lanes(params, [half], [SectionPoint(xv, 0.0, sign) for xv in grid])
-    brackets = _grid_brackets(grid, map(on_branch, grid, flown))
+    brackets, defect = _fix_r_scan(
+        params, [half], lambda xv: SectionPoint(xv, 0.0, sign), grid, on_branch)
     if not brackets:
         raise SearchError(
             f"no perpendicular Lyapunov crossing found near x={x_lib}"
@@ -785,22 +807,9 @@ def lyapunov_fixed_point(params: Params, index: int) -> LyapunovOrbit:
     refined = _refine_bracket(defect, lo, hi, flo, fhi, tol=0.0)
     if refined is None:
         raise SearchError(f"the Lyapunov branch breaks inside [{lo}, {hi}]")
-    xstar = 0.5 * (refined[0] + refined[1])
-
-    # polish as a 2d fixed point of the full-return map, until rounding
-    # (magnified by the unstable multiplier) stops the residual decreasing
-    pt = SectionPoint(xstar, 0.0, sign)
-    best = None
-    for _ in range(30):
-        dp, img, period = chain_derivative(params, [full], pt)
-        res = img.as_array() - pt.as_array()
-        residual = float(np.max(np.abs(res)))
-        if best is not None and residual >= best[0]:
-            break
-        best = (residual, pt, dp, period)
-        delta = np.linalg.solve(dp - np.eye(2), -res)
-        pt = SectionPoint(pt.x + delta[0], pt.vx + delta[1], sign)
-    residual, pt, dp, period = best
+    pt = SectionPoint(0.5 * (refined[0] + refined[1]), 0.0, sign)
+    dp, img, period = chain_derivative(params, [full], pt)
+    residual = float(np.max(np.abs(img.as_array() - pt.as_array())))
     eigvals, eigvecs = np.linalg.eig(dp)
     if np.iscomplexobj(eigvals) and np.max(np.abs(eigvals.imag)) > 1e-9:
         raise SearchError(f"fixed-point multipliers are not real: {eigvals}")

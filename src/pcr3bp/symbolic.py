@@ -353,19 +353,16 @@ def word_recipe(word: Sequence[Symbol], cyclic: bool = False) -> list[MapTag]:
 # ----------------------------------------------------------------------
 
 
-def standard_sets(include_constructed: bool = True) -> dict[str, HSet]:
-    """All h-sets the transition table refers to, keyed by name.
+def standard_sets() -> dict[str, HSet]:
+    """The shipped h-sets, keyed by name.
 
-    Loads the bundled exterior (G) and interior (V) chains, plus the
-    constructed fixed-point and excursion seed sets (H1, H1b, H2, H2b,
-    E0, F0) unless ``include_constructed`` is False.
+    These are the bundled exterior (G0-G4) and interior (V0-V4) chains.
+    The fixed-point and excursion seed sets the transition table also
+    names (H1, H1b, H2, H2b, E0, F0) are not shipped, so a stage pinned
+    to one of them raises a :class:`~pcr3bp.errors.RegistryError` naming
+    it, from :func:`resolve_stage_set`.
     """
-    sets: dict[str, HSet] = {}
-    sets.update(load_bundled("g_chain"))
-    sets.update(load_bundled("v_chain"))
-    if include_constructed:
-        sets.update(load_bundled("constructed_sets"))
-    return sets
+    return {**load_bundled("g_chain"), **load_bundled("v_chain")}
 
 
 def resolve_stage_set(stage: Stage, sets: Mapping[str, HSet]) -> HSet:

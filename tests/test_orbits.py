@@ -173,8 +173,8 @@ def test_homoclinic_search_outputs_are_pinned_to_the_bit(homoclinic_orbits):
     got = {i: (o.seed.x, o.seed.vx, o.half_time, o.tail_depth, o.convergence_log)
            for i, o in homoclinic_orbits.items()}
     assert got == {
-        1: (0.9208034913207469, 0.0, 3.082119126392543, 3, (6.445791176709548e-13,)),
-        2: (1.0819294868417912, 0.0, 3.310671457572074, 3, (4.507013359055699e-13,)),
+        1: (0.9208034913207466, 0.0, 3.0821191263915635, 3, (4.0349619956617424e-13,)),
+        2: (1.081929486841792, 0.0, 3.3106714575712353, 3, (3.3942581275296404e-13,)),
     }
 
 

@@ -249,10 +249,10 @@ def test_point_outputs_are_pinned_to_the_bit():
     got["flow"] = [*state, *v.ravel()]
     got["back"] = sample_trajectory(P, ANCHOR, -2.5, 5).states.ravel().tolist()
     assert {k: [float(x) for x in v] for k, v in got.items()} == {
-        "L1": [0.9208034913207471, -1.4848058623877282e-15, 3.082119126392008,
-               1391.7775433629345, 0.0007185056293792513, 5.770892844227202e-14],
-        "L2": [1.0819294868417904, 3.0621344679964687e-15, 3.3106714575715506,
-               1147.247960036633, 0.0008716511468946919, 3.814275225688063e-14],
+        "L1": [0.9208034913207468, 0.0, 3.082119126392293,
+               1391.7775433661516, 0.0007185056293792513, 3.4779470969859005e-13],
+        "L2": [1.0819294868417915, 0.0, 3.310671457571794,
+               1147.247960038877, 0.0008716511470083788, 1.6694805260453194e-13],
         "Ph+": [-27.573299317810648, -0.7645254222159652, -37.378086303733916,
                 -1.072649916577659, 1.0933378373828957, -0.025100941960990532,
                 -1.0, 10.428050146550534],
@@ -291,6 +291,18 @@ def test_point_crossings_do_not_refind_the_root_they_land_on():
                                           for tag in (pc.HALF_PLUS, pc.FULL_PLUS))
         assert (half.sign, full.sign) == (-1, 1)
         assert t_full - t_half > 1.0  # half a turn apart
+
+
+def test_a_fast_jupiter_orbit_lands_on_its_first_crossing():
+    # at C = 6.175 the point 3e-4 outside Jupiter on Theta_+ circles it
+    # with a Kepler period of 1.057e-3; its first crossing, half a turn on
+    # at t = 5.29e-4, lies on Theta_-, and the flight must land there, not
+    # pass it for the next one (a departure window of 1e-3 did)
+    p = Params(MU_SUN_JUPITER, 6.17506929474883)
+    img, t = pc.apply_map(p, pc.HALF_PLUS, pc.SectionPoint(1.0 - p.mu + 3e-4, 0.0, 1))
+    assert img.sign == -1
+    assert t == pytest.approx(5.292e-4, rel=1e-3)
+    assert img.x - (1.0 - p.mu) == pytest.approx(-3.004e-4, rel=1e-3)
 
 
 def _bisect_to_adjacency(f, lo, hi, flo):
@@ -619,46 +631,55 @@ def test_lyapunov_periods(lyapunov_orbits):
 @pytest.mark.parametrize("index", [1, 2])
 def test_lyapunov_bracket_takes_few_flights(monkeypatch, lyapunov_orbits, index):
     # after the lane scan, each evaluation of the perpendicularity defect
-    # is one apply_map flight; a bisection to adjacent floats took 42 (L1)
+    # is one apply_chain flight; a bisection to adjacent floats took 42 (L1)
     # and 41 (L2), the regula falsi ends on the same adjacent bracket
     flights, refinements = [], []
-    original_map, original_refine = pc.apply_map, pc._refine_bracket
+    original_chain, original_refine = pc.apply_chain, pc._refine_bracket
 
     def counted(*args):
         flights.append(args)
-        return original_map(*args)
+        return original_chain(*args)
 
     def recorded(f, lo, hi, flo, fhi, tol):
         refined = original_refine(f, lo, hi, flo, fhi, tol)
         refinements.append((f, lo, hi, flo, refined))
         return refined
 
-    monkeypatch.setattr(pc, "apply_map", counted)
+    monkeypatch.setattr(pc, "apply_chain", counted)
     monkeypatch.setattr(pc, "_refine_bracket", recorded)
     orb = pc.lyapunov_fixed_point(P, index)
-    assert len(flights) <= 12
+    assert 0 < len(flights) <= 12
     [(defect, lo, hi, flo, refined)] = refinements
     assert refined == _bisect_to_adjacency(defect, lo, hi, flo)
     assert orb.point == lyapunov_orbits[index].point
 
 
-def test_lyapunov_polish_stops_when_the_residual_stops_decreasing(monkeypatch):
-    # rounding, magnified by the unstable multiplier, keeps the Newton
-    # residual near 1e-14..1e-13; the polish must stop there instead of
-    # cycling, and return the best iterate with the derivative made there
-    calls = []
-    original = pc.chain_derivative
+def test_lyapunov_fixed_point_is_the_fix_r_root(monkeypatch):
+    # the point is the midpoint of the refined bracket of vx(Ph(x, 0)), on
+    # Fix(R) exactly, and one derivative flight of the full map there gives
+    # the period, the multipliers and the residual
+    calls, refinements = [], []
+    original, original_refine = pc.chain_derivative, pc._refine_bracket
 
     def counted(*args, **kwargs):
         out = original(*args, **kwargs)
-        calls.append(out)
+        calls.append((args, out))
         return out
 
+    def recorded(*args, **kwargs):
+        refined = original_refine(*args, **kwargs)
+        refinements.append(refined)
+        return refined
+
     monkeypatch.setattr(pc, "chain_derivative", counted)
+    monkeypatch.setattr(pc, "_refine_bracket", recorded)
     orb = pc.lyapunov_fixed_point(P, 1)
-    assert 2 <= len(calls) <= 5
-    dp, img, period = original(P, [pc.FULL_PLUS], orb.point)
-    assert orb.residual == float(np.max(np.abs(img.as_array() - orb.point.as_array())))
+    assert orb.point.vx == 0.0
+    [(lo, hi)] = refinements
+    assert orb.point.x == 0.5 * (lo + hi)
+    [((_, tags, pt), (dp, img, period))] = calls
+    assert tags == [pc.FULL_PLUS] and pt == orb.point
+    assert orb.residual == float(np.max(np.abs(img.as_array() - pt.as_array())))
     assert orb.period == abs(period)
-    lam = np.sort(np.abs(np.linalg.eigvals(dp)))[::-1]
-    assert [abs(m) for m in orb.multipliers] == pytest.approx(lam, rel=1e-12)
+    lam = sorted(np.linalg.eig(dp)[0].real, key=abs, reverse=True)
+    assert orb.multipliers == tuple(float(m) for m in lam)

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from pcr3bp import integrator, symbolic
+from pcr3bp import integrator, orbits, symbolic
 from pcr3bp.dynamics import Params
 from pcr3bp.errors import RegistryError
 from pcr3bp.hset import check_cover, check_cover_pointwise, cone_condition, r_image
@@ -191,13 +191,17 @@ def test_word_stages_rejects_short_and_inadmissible_words():
 
 
 def test_standard_sets_bundled_chains_only():
-    sets = standard_sets(include_constructed=False)
+    # the constructed sets are not shipped: a search whose word needs one
+    # is refused with the name of the missing set
+    sets = standard_sets()
     assert set(sets) == {f"G{i}" for i in range(5)} | \
         {f"V{i}" for i in range(5)}
+    with pytest.raises(RegistryError, match="'H2' not loaded"):
+        orbits.find_symmetric_periodic(Params(), ("E", "L2"))
 
 
 def test_resolve_stage_set_applies_mirror_flag():
-    sets = standard_sets(include_constructed=False)
+    sets = standard_sets()
     plain = resolve_stage_set(Stage(HALF_PLUS, "G1"), sets)
     mirrored = resolve_stage_set(Stage(HALF_PLUS, "G1", mirrored=True), sets)
     assert np.array_equal(plain.center, sets["G1"].center)
@@ -206,7 +210,7 @@ def test_resolve_stage_set_applies_mirror_flag():
 
 
 def test_resolve_stage_set_failures():
-    sets = standard_sets(include_constructed=False)
+    sets = standard_sets()
     with pytest.raises(RegistryError):
         resolve_stage_set(Stage(HALF_PLUS, None), sets)
     with pytest.raises(RegistryError):
@@ -223,7 +227,7 @@ def test_section_map_encloses_point_images():
     # interval enclosure must contain the point images of the cell's
     # corners and midpoint
     params = Params()
-    sets = standard_sets(include_constructed=False)
+    sets = standard_sets()
     src, dst = sets["G3"], sets["G4"]
     mf = section_map(params, [HALF_MINUS], src, dst)
     pm = section_point_map(params, [HALF_MINUS], src, dst)
@@ -248,7 +252,7 @@ def test_cell_faces_enclose_the_point_images_of_the_face(src, dst, a, b):
     # form: it must hold the point images of samples along that face, and
     # be narrower in a' than the cell, or it could decide no exit edge
     params = Params()
-    sets = standard_sets(include_constructed=False)
+    sets = standard_sets()
     img = section_map(params, [HALF_MINUS], sets[src], sets[dst])(a, b)
     pm = section_point_map(params, [HALF_MINUS], sets[src], sets[dst])
     b_samples = np.linspace(b.lo, b.hi, 33)
@@ -274,7 +278,7 @@ SCREEN_REPORTS = {
 def test_pointwise_screen_reports_are_pinned(src, dst, seed):
     # the screens fly all their samples as lanes of one flight; every
     # figure of the report is the one the sample-by-sample loop gave
-    sets = standard_sets(include_constructed=False)
+    sets = standard_sets()
     tag = HALF_MINUS if sets[src].sign < 0 else HALF_PLUS  # from the set's side
     pm = section_point_map(Params(), [tag], sets[src], sets[dst])
     rep = check_cover_pointwise(pm, sets[src], sets[dst], samples=200, seed=seed)
@@ -292,7 +296,7 @@ def test_local_derivative_contains_point_derivative_and_cones():
     # derivative encloses the point derivative at the cell centre, and it
     # is tight enough for the cone condition of the link
     params = Params()
-    sets = standard_sets(include_constructed=False)
+    sets = standard_sets()
     src, dst = sets["V3"], sets["V4"]
     cell = Interval(-1.0 / 64.0, 1.0 / 64.0)
     dp = local_derivative(params, [HALF_MINUS], src, dst, cell, cell)
@@ -309,7 +313,7 @@ def test_the_section_projection_meets_the_thin_factor_first():
     # the thin factor of the flow derivative before its accumulated box:
     # the 4x4 product first left b' 2.4 wide and dL'/db 14 wide there
     params = Params()
-    sets = standard_sets(include_constructed=False)
+    sets = standard_sets()
     src, dst = r_image(sets["V2"]), r_image(sets["V1"])
     tag = mirror_tag(HALF_MINUS)
     a, b = Interval(-1.0 / 64.0, 0.0), Interval(-1.0, -0.75)
@@ -329,7 +333,7 @@ def test_step_bound_leaves_a_cover_undecided(monkeypatch):
     # check reports its cells undecided instead of stalling
     monkeypatch.setattr(integrator, "MAX_STEPS", 3)
     params = Params()
-    sets = standard_sets(include_constructed=False)
+    sets = standard_sets()
     src, dst = sets["V3"], sets["V4"]
     rep = check_cover(section_map(params, [HALF_MINUS], src, dst), src, dst,
                       grid=(1, 1), max_grid=(1, 1))
@@ -365,7 +369,7 @@ def test_cover_flies_each_cell_once_with_its_center_inside(monkeypatch):
     monkeypatch.setattr(symbolic, "apply_parallelogram_rigorous", counted)
     monkeypatch.setattr(integrator.LohnerFlow, "commit", commit)
     params = Params()
-    sets = standard_sets(include_constructed=False)
+    sets = standard_sets()
     src, dst = sets["V3"], sets["V4"]
     rep = check_cover(section_map(params, [HALF_MINUS], src, dst), src, dst,
                       grid=(1, 1), max_grid=(4, 1))
@@ -382,7 +386,7 @@ def test_boundary_cell_faces_decide_the_exit_edges_of_v3_v4():
     # 32x2 grid the four boundary cells' faces decide both exit edges, on
     # opposite sides, and at 1x1 the one cell's faces do, to the same bits
     params = Params()
-    sets = standard_sets(include_constructed=False)
+    sets = standard_sets()
     src, dst = sets["V3"], sets["V4"]
     map_fn = section_map(params, [HALF_MINUS], src, dst)
     a_pieces = Interval(-1.0, 1.0).split(32)
@@ -438,7 +442,7 @@ def test_center_image_matches_a_zero_width_flight():
     # centre both enclose the exact crossing of the centre, and here the
     # center box is no wider than the separate flight
     params = Params()
-    h = standard_sets(include_constructed=False)["V3"]
+    h = standard_sets()["V3"]
     whole, zero = Interval(-1.0, 1.0), Interval.point(0.0)
     img = apply_parallelogram_rigorous(
         params, [HALF_MINUS], h.center, h.u, h.s, whole, whole, h.sign,

@@ -64,7 +64,7 @@ def relations(sets) -> dict[str, tuple]:
 def check(job: tuple[str, tuple, tuple]) -> dict:
     """One row of the table: the relation ``job[0]`` at grid ``job[1]``, max ``job[2]``."""
     name, grid, max_grid = job
-    source, target, tags = relations(standard_sets(include_constructed=False))[name]
+    source, target, tags = relations(standard_sets())[name]
     start = time.process_time()
     rep = check_cover(section_map(Params(), tags, source, target), source, target,
                       grid=grid, max_grid=max_grid)
@@ -81,7 +81,7 @@ def check(job: tuple[str, tuple, tuple]) -> dict:
 
 
 def main() -> None:
-    names = list(relations(standard_sets(include_constructed=False)))
+    names = list(relations(standard_sets()))
     jobs = [(name, grid, max_grid) for grid, max_grid in GRIDS for name in names]
     cores = os.cpu_count() or 1
     start = time.perf_counter()
