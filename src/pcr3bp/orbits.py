@@ -31,7 +31,7 @@ test can change one with ``monkeypatch.setattr``.
 * ``A_TOL = 1e-12``: width in ``a`` at which the refinement of a periodic
   bracket (a safeguarded regula falsi) stops.
   On an h-set of radius 1e-4 that is below the float spacing of ``x``.
-* ``SLACK = 0.05``: how far, in local coordinates, a staged image may lie
+* ``SLACK = 0.05``: how far, in local coordinates, a link's image may lie
   outside its registered h-set and still count as landing in it
   (searches and backward coding alike).  The point searches only screen
   candidates; :func:`rigorous_chain_verdict` gives the certificate.
@@ -87,11 +87,11 @@ from .poincare import (
     reflect,
 )
 from .symbolic import (
-    Stage,
-    resolve_stage_set,
+    Link,
+    resolve_links,
     section_map,
     standard_sets,
-    word_stages,
+    word_links,
 )
 
 __all__ = [
@@ -401,16 +401,15 @@ class SymmetricPeriodicOrbit:
 
 
 def _word_setup(word: Sequence[str], sets: Mapping[str, HSet] | None):
-    """The word, the sets, the word's start set and its stages."""
+    """The word, its start set and its links, each with the set it lands on.
+
+    Every set is resolved here, before anything flies; a missing one
+    raises RegistryError.
+    """
     word = tuple(word)
-    if sets is None:
-        sets = standard_sets()
-    start_name, stages = word_stages(word, cyclic=len(word) == 1)
-    try:
-        start = sets[start_name]
-    except KeyError:
-        raise StructureError(f"start set {start_name!r} is not loaded") from None
-    return word, sets, start, stages
+    links = word_links(word, cyclic=len(word) == 1)
+    start, *targets = resolve_links(links, standard_sets() if sets is None else sets)
+    return word, start, list(zip(links[1:], targets))
 
 
 def _seed_line(start: HSet):
@@ -433,24 +432,23 @@ def _seed_line(start: HSet):
     return seed_at
 
 
-def _stage_walk(params: Params, seed: SectionPoint, stages: Sequence[Stage],
-                sets: Mapping[str, HSet]) -> tuple[list[SectionPoint], float] | str:
-    """Fly a seed stage by stage, checking each registered target.
+def _stage_walk(params: Params, seed: SectionPoint,
+                links: Sequence[tuple[Link, HSet]]) -> tuple[list[SectionPoint], float] | str:
+    """Fly a seed map by map, checking the set at the end of each link.
 
-    Returns the stage points and the total time, or the reason for the
-    rejection: a stage image more than ``SLACK`` outside its h-set, or a
-    failed flight.
+    Returns the point after each map and the total time, or the reason
+    for the rejection: a link's image more than ``SLACK`` outside its
+    h-set, or a failed flight.
     """
     points, pt, total = [], seed, 0.0
     try:
-        for k, stage in enumerate(stages):
-            pt, dt = apply_chain(params, [stage.tag], pt)
-            total += dt
-            points.append(pt)
-            if stage.target is not None:
-                hs = resolve_stage_set(stage, sets)
-                if not hs.contains(pt.x, pt.vx, slack=SLACK):
-                    return f"stage {k} image escapes {hs.name}"
+        for k, (link, target) in enumerate(links):
+            for tag in link.tags:
+                pt, dt = apply_chain(params, [tag], pt)
+                total += dt
+                points.append(pt)
+            if not target.contains(pt.x, pt.vx, slack=SLACK):
+                return f"link {k} image escapes {target.name}"
     except PCR3BPError as exc:
         return f"stage walk failed: {exc}"
     return points, total
@@ -472,12 +470,12 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
     is closed cyclically (the chain returns to the starting set and the
     flight covers a full period); a longer word's chain ends on a mirrored
     set, the reflection of the located half closing the orbit.  Candidate
-    roots are rejected unless every staged image lands in its registered
+    roots are rejected unless every link's image lands in its registered
     h-set (within ``SLACK`` in local coordinates).
     """
-    word, sets, start, stages = _word_setup(word, sets)
+    word, start, links = _word_setup(word, sets)
     seed_at = _seed_line(start)
-    terminal_set = resolve_stage_set(stages[-1], sets)
+    terminal_set = links[-1][1]
     if not is_r_symmetric(terminal_set):
         raise StructureError(
             f"terminal set {terminal_set.name} is not reversal-symmetric; "
@@ -489,7 +487,8 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
 
     grid = np.linspace(-1.0, 1.0, PERIODIC_GRID).tolist()
     brackets, terminal_vx_at = _fix_r_scan(
-        params, [stage.tag for stage in stages], seed_at, grid, terminal_vx)
+        params, [t for link, _ in links for t in link.tags], seed_at, grid,
+        terminal_vx)
     if not brackets:
         raise SearchError(
             f"no terminal x' sign change along Fix(R) in {start.name} "
@@ -502,7 +501,7 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
             rejects.append((lo, hi, "map failure while refining the bracket"))
             continue
         seed = seed_at(0.5 * (refined[0] + refined[1]))
-        walk = _stage_walk(params, seed, stages, sets)
+        walk = _stage_walk(params, seed, links)
         if isinstance(walk, str):
             rejects.append((lo, hi, walk))
             continue
@@ -528,16 +527,17 @@ def verify_backward_coding(params: Params, seed: SectionPoint,
                            sets: Mapping[str, HSet] | None = None) -> bool:
     """Check that the backward orbit of ``seed`` realizes the mirrored word.
 
-    Backward, each stage applies the inverse of its map's mirror and must
+    Backward, each link applies the inverses of its maps' mirrors and must
     land in the reversal image of its target set (within ``SLACK``).  The
     reversal conjugates each section map to the inverse of its mirror,
     ``R P R = P_mirror^{-1}``, so that backward orbit is the reversal of the
-    forward stage walk of ``R(seed)``, and the check is that walk.  Stages
-    without a registered target are flown but not checked.  Returns False
-    on the first escape or failed flight (logged at INFO level).
+    forward stage walk of ``R(seed)``, and the check is that walk.  Returns
+    False on the first escape or failed flight (logged at INFO level).  A
+    set the word needs that ``sets`` lacks raises RegistryError before
+    anything flies.
     """
-    word, sets, _, stages = _word_setup(word, sets)
-    walk = _stage_walk(params, reflect(seed), stages, sets)
+    word, _, links = _word_setup(word, sets)
+    walk = _stage_walk(params, reflect(seed), links)
     if isinstance(walk, str):
         log.info("backward coding of %s, walking the reflected seed: %s",
                  word, walk)
@@ -602,7 +602,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     up to ``N_TAIL``; when a level's bracket collapses to the floating
     point grid the search stops early and reports the achieved depth.
     """
-    word, sets, start, stages = _word_setup(word, sets)
+    word, start, links = _word_setup(word, sets)
     seed_at = _seed_line(start)
     if word[-1] not in ("L1", "L2"):
         raise DomainError(
@@ -610,12 +610,11 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
         )
     index = 1 if word[-1] == "L1" else 2
     tail_tag = FULL_PLUS if index == 1 else FULL_MINUS
-    terminal_set = resolve_stage_set(stages[-1], sets)
     orb = _lyapunov(params, index)
     fixed = orb.point
     lam = float(max(abs(m) for m in orb.multipliers))
-    frame = terminal_set.frame
-    tags = [stage.tag for stage in stages]
+    frame = links[-1][1].frame
+    tags = [t for link, _ in links for t in link.tags]
     # chain image of each seed, then its return-map images, made once; a
     # tail that ends in None stopped at a failed return map
     tails: dict[float, list[SectionPoint | None] | None] = {}
@@ -702,7 +701,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     for lo, hi, flo, fhi in base:
         b_lo, b_hi, depth = deepen(lo, hi, flo, fhi)
         a_hat = 0.5 * (b_lo + b_hi)
-        walk = _stage_walk(params, seed_at(a_hat), stages, sets)
+        walk = _stage_walk(params, seed_at(a_hat), links)
         if isinstance(walk, str):
             rejects.append((lo, hi, walk))
             continue
@@ -833,34 +832,32 @@ def rigorous_chain_verdict(params: Params, word: Sequence[str], *,
                            sets: Mapping[str, HSet] | None = None) -> ChainVerdict:
     """Run the interval covering checks behind a word's symbolic chain.
 
-    Consecutive stages accumulate until a registered target set, giving
-    one covering relation per named link; each is checked with
+    Each link of the word is one covering relation, checked with
     :func:`pcr3bp.hset.check_cover` on the mean-value section-map
     enclosure.  Together with reversal-symmetric endpoint sets, verified
-    relations certify an orbit with the word's itinerary (the symmetric
-    searches locate it; this routine supplies the existence side).
+    relations prove that an orbit with the word's itinerary exists.  They
+    do not locate it, and the point searches need not: the seeds that
+    follow a long chain can fill a window of the Fix(R) segment narrower
+    than the float spacing, and the searches then raise SearchError, as
+    they do on (E, L2) and (I, L1).  Every set is resolved before the
+    first cover, so a word whose set is not loaded raises RegistryError
+    at once.
     Relations spanning many composed maps typically come back
     inconclusive at sane grids — the composite expansion outruns the
     subdivision budget — and are reported individually.
     """
-    word, sets, start, stages = _word_setup(word, sets)
+    word, start, links = _word_setup(word, sets)
     relations = []
-    source_name, source = start.name, start
-    pending: list = []
-    for stage in stages:
-        pending.append(stage.tag)
-        if stage.target is None:
-            continue
-        target = resolve_stage_set(stage, sets)
-        map_fn = section_map(params, pending, source, target)
+    source = start
+    for link, target in links:
+        map_fn = section_map(params, link.tags, source, target)
         report = check_cover(map_fn, source, target,
                              grid=grid, max_grid=max_grid)
         relations.append(RelationVerdict(
-            source=source_name, target=target.name,
-            tags=tuple(str(t) for t in pending), report=report,
+            source=source.name, target=target.name,
+            tags=tuple(str(t) for t in link.tags), report=report,
         ))
-        source_name, source = target.name, target
-        pending = []
+        source = target
     return ChainVerdict(
         word=word, relations=tuple(relations),
         start_symmetric=is_r_symmetric(start),

@@ -1,6 +1,6 @@
-"""Six-symbol transition structure on the section.
+"""Four-symbol transition structure on the section.
 
-Trajectories in the Oterma energy regime are coded by six symbols, each
+Trajectories in the Oterma energy regime are coded by four symbols, each
 anchored to a reference h-set on the section:
 
 ======  =======  ==========  =============================================
@@ -10,20 +10,18 @@ L1      H1       y' > 0      one full turn beside the smaller Lyapunov
                              orbit (inner neck)
 L2      H2       y' < 0      one full turn beside the larger Lyapunov
                              orbit (outer neck)
-S       E0       y' < 0      inner excursion around the Sun (3:2 type)
 I       V0       y' > 0      interior resonant excursion (5:3 type)
 E       G0       y' > 0      exterior resonant excursion (2:3 type)
-X       F0       y' > 0      exterior excursion (1:2 type)
 ======  =======  ==========  =============================================
 
 A word is admissible when every consecutive pair of symbols is one of the
-twelve registered transitions.  Each transition carries a *recipe*: the
-sequence of elementary section maps (in application order) whose
-composition carries the source symbol's h-set to the target symbol's,
-plus the names of the intermediate h-sets where the covering chain is
-pinned down (``None`` where no set is registered).
+eight registered transitions.  Each transition's recipe is its chain of
+covering relations, its *links*: a :class:`Link` holds the elementary
+section maps (in application order) that carry the previous h-set onto
+the link's target set, named in the registry.  The last link of a
+transition lands on the target symbol's h-set.
 
-Only seven transitions are stored explicitly.  The remaining five follow
+Only five transitions are stored explicitly.  The remaining three follow
 from the reversal symmetry: with ``R(x, x') = (x, -x')`` on the section,
 
     P_half_minus o R = R o P_half_plus^{-1},
@@ -31,14 +29,17 @@ from the reversal symmetry: with ``R(x, x') = (x, -x')`` on the section,
 so conjugating a composite by R inverts it and swaps the two half-map
 families while fixing the full-map families.  Consequently the recipe of
 the reversed transition (beta, alpha) is the reversed, half-swapped
-recipe of (alpha, beta), and its intermediate sets are the R-images of
-the original ones in reverse order (see :func:`mirror_recipe`).
+recipe of (alpha, beta), and its sets are the R-images of the original
+ones in reverse order (see :func:`mirror_recipe`).
+
+A word's sets are looked up in one place, :func:`resolve_links`, before
+anything flies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,7 +64,7 @@ __all__ = [
     "SYMBOLS",
     "SYMBOL_SETS",
     "SYMBOL_SIDES",
-    "Stage",
+    "Link",
     "Transition",
     "TRANSITIONS",
     "mirror_tag",
@@ -71,10 +72,10 @@ __all__ = [
     "transition",
     "transition_recipe",
     "is_admissible",
-    "word_stages",
+    "word_links",
     "word_recipe",
     "standard_sets",
-    "resolve_stage_set",
+    "resolve_links",
     "section_map",
     "section_point_map",
     "local_derivative",
@@ -82,14 +83,12 @@ __all__ = [
 
 Symbol = str
 
-SYMBOLS: tuple[Symbol, ...] = ("L1", "L2", "S", "X", "I", "E")
+SYMBOLS: tuple[Symbol, ...] = ("L1", "L2", "I", "E")
 
 #: reference h-set of each symbol
 SYMBOL_SETS: dict[Symbol, str] = {
     "L1": "H1",
     "L2": "H2",
-    "S": "E0",
-    "X": "F0",
     "I": "V0",
     "E": "G0",
 }
@@ -98,38 +97,37 @@ SYMBOL_SETS: dict[Symbol, str] = {
 SYMBOL_SIDES: dict[Symbol, int] = {
     "L1": +1,
     "L2": -1,
-    "S": -1,
-    "X": +1,
     "I": +1,
     "E": +1,
 }
 
 
 @dataclass(frozen=True, slots=True)
-class Stage:
-    """One elementary map of a transition recipe.
+class Link:
+    """One covering relation of a recipe.
 
-    ``target`` names the registered h-set the image is pinned to after
-    this map (``None`` where the chain has no registered set), and
-    ``mirrored`` marks targets that are R-images of the stored set.
+    ``tags`` (application order) carry the previous h-set onto the
+    registered h-set named ``target``, or onto its R-image where
+    ``mirrored``.  A link without maps starts a word's chain on its
+    first set (:func:`word_links`).
     """
 
-    tag: MapTag
-    target: str | None = None
+    tags: tuple[MapTag, ...]
+    target: str
     mirrored: bool = False
 
 
 @dataclass(frozen=True, slots=True)
 class Transition:
-    """A registered symbol transition with its map recipe."""
+    """A registered symbol transition with its covering relations."""
 
     alpha: Symbol
     beta: Symbol
-    stages: tuple[Stage, ...]
+    links: tuple[Link, ...]
 
     @property
     def tags(self) -> tuple[MapTag, ...]:
-        return tuple(s.tag for s in self.stages)
+        return tuple(t for link in self.links for t in link.tags)
 
     def __repr__(self) -> str:
         word = " ".join(t.name for t in self.tags)
@@ -162,95 +160,48 @@ def mirror_recipe(tags: Sequence[MapTag]) -> list[MapTag]:
 
 def _mirror_transition(tr: Transition) -> Transition:
     # sets visited by (alpha, beta): N_0 = Q_alpha, N_1, ..., N_n = Q_beta;
-    # the reversed transition visits their R-images backwards
-    names = [(SYMBOL_SETS[tr.alpha], False)]
-    names += [(s.target, s.mirrored) for s in tr.stages]
-    n = len(tr.stages)
-    stages = []
-    for i in range(1, n + 1):
-        name, flag = names[n - i]
-        stages.append(
-            Stage(
-                tag=mirror_tag(tr.stages[n - i].tag),
-                target=name,
-                mirrored=(not flag) if name is not None else False,
-            )
-        )
-    return Transition(tr.beta, tr.alpha, tuple(stages))
-
-
-def _plain(tags: Iterable[MapTag], final: str) -> tuple[Stage, ...]:
-    tags = list(tags)
-    return tuple(
-        [Stage(t) for t in tags[:-1]] + [Stage(tags[-1], final)]
+    # the reversed transition visits their R-images backwards, the link
+    # onto R(N_{i-1}) mirroring the maps of the link onto N_i
+    sources = [Link((), SYMBOL_SETS[tr.alpha]), *tr.links[:-1]]
+    links = tuple(
+        Link(tuple(mirror_recipe(link.tags)), source.target, not source.mirrored)
+        for link, source in zip(reversed(tr.links), reversed(sources))
     )
+    return Transition(tr.beta, tr.alpha, links)
 
 
-# The seven explicitly registered transitions.  Application order; the
-# final stage of each recipe lands on the target symbol's h-set.
+# The five explicitly registered transitions.  Application order; the
+# final link of each recipe lands on the target symbol's h-set.
 _BASE: tuple[Transition, ...] = (
     # one more turn beside the same Lyapunov orbit
-    Transition("L1", "L1", (Stage(FULL_PLUS, "H1"),)),
-    Transition("L2", "L2", (Stage(FULL_MINUS, "H2"),)),
-    # neck-to-neck passage L1 -> L2 through the Jupiter region
-    Transition(
-        "L1",
-        "L2",
-        _plain(
-            [FULL_PLUS, HALF_PLUS]
-            + [HALF_MINUS, HALF_PLUS] * 4
-            + [FULL_MINUS],
-            "H2",
-        ),
-    ),
-    # inner 3:2 excursion joining onto the L1 orbit
-    Transition(
-        "S",
-        "L1",
-        _plain(
-            [HALF_MINUS, HALF_PLUS, HALF_MINUS, HALF_PLUS, HALF_MINUS,
-             FULL_PLUS],
-            "H1",
-        ),
-    ),
-    # exterior 1:2 excursion joining onto the L2 orbit
-    Transition(
-        "X",
-        "L2",
-        _plain(
-            [HALF_PLUS, HALF_MINUS, HALF_PLUS, HALF_MINUS, HALF_PLUS,
-             FULL_MINUS, FULL_MINUS],
-            "H2",
-        ),
-    ),
-    # exterior 2:3 excursion: the fully registered covering chain
+    Transition("L1", "L1", (Link((FULL_PLUS,), "H1"),)),
+    Transition("L2", "L2", (Link((FULL_MINUS,), "H2"),)),
+    # neck-to-neck passage L1 -> L2 through the Jupiter region, one
+    # relation with no registered set on the way
+    Transition("L1", "L2", (
+        Link((FULL_PLUS, HALF_PLUS, *(HALF_MINUS, HALF_PLUS) * 4, FULL_MINUS),
+             "H2"),
+    )),
+    # exterior 2:3 excursion: the covering chain
     # G0 => G1 => G2 => G3 => G4 => H2b => H2
-    Transition(
-        "E",
-        "L2",
-        (
-            Stage(HALF_PLUS, "G1"),
-            Stage(HALF_MINUS, "G2"),
-            Stage(HALF_PLUS, "G3"),
-            Stage(HALF_MINUS, "G4"),
-            Stage(HALF_PLUS, "H2b"),
-            Stage(FULL_MINUS, "H2"),
-        ),
-    ),
-    # interior 5:3 excursion: the fully registered covering chain
+    Transition("E", "L2", (
+        Link((HALF_PLUS,), "G1"),
+        Link((HALF_MINUS,), "G2"),
+        Link((HALF_PLUS,), "G3"),
+        Link((HALF_MINUS,), "G4"),
+        Link((HALF_PLUS,), "H2b"),
+        Link((FULL_MINUS,), "H2"),
+    )),
+    # interior 5:3 excursion: the covering chain
     # V0 => V1 => V2 => V3 => V4 => H1b => H1
-    Transition(
-        "I",
-        "L1",
-        (
-            Stage(HALF_PLUS, "V1"),
-            Stage(HALF_MINUS, "V2"),
-            Stage(HALF_PLUS, "V3"),
-            Stage(HALF_MINUS, "V4"),
-            Stage(FULL_PLUS, "H1b"),
-            Stage(FULL_PLUS, "H1"),
-        ),
-    ),
+    Transition("I", "L1", (
+        Link((HALF_PLUS,), "V1"),
+        Link((HALF_MINUS,), "V2"),
+        Link((HALF_PLUS,), "V3"),
+        Link((HALF_MINUS,), "V4"),
+        Link((FULL_PLUS,), "H1b"),
+        Link((FULL_PLUS,), "H1"),
+    )),
 )
 
 
@@ -268,13 +219,13 @@ def _build_transitions() -> dict[tuple[Symbol, Symbol], Transition]:
 def _validate_table(table: Mapping[tuple[Symbol, Symbol], Transition]) -> None:
     for (alpha, beta), tr in table.items():
         side = SYMBOL_SIDES[alpha]
-        for stage in tr.stages:
-            if stage.tag.domain_sign != side:
+        for tag in tr.tags:
+            if tag.domain_sign != side:
                 raise RegistryError(
-                    f"transition {alpha}->{beta}: {stage.tag.name} applied "
+                    f"transition {alpha}->{beta}: {tag.name} applied "
                     f"on section side {side}"
                 )
-            side = stage.tag.image_sign
+            side = tag.image_sign
         if side != SYMBOL_SIDES[beta]:
             raise RegistryError(
                 f"transition {alpha}->{beta}: recipe lands on side {side}, "
@@ -318,13 +269,13 @@ def is_admissible(word: Sequence[Symbol], cyclic: bool = False) -> bool:
     return all(p in TRANSITIONS for p in pairs)
 
 
-def word_stages(word: Sequence[Symbol],
-                cyclic: bool = False) -> tuple[str, list[Stage]]:
-    """Concatenated stages of a word, with the starting h-set name.
+def word_links(word: Sequence[Symbol], cyclic: bool = False) -> list[Link]:
+    """The covering relations of a word, after a map-less link onto its start set.
 
-    Raises RegistryError when the word is not admissible.  Consecutive
-    recipes are checked to compose (the image side of each stage matches
-    the domain side of the next).
+    The transitions' links are concatenated in order; every recipe's
+    section sides are pinned when the table is built, so consecutive
+    recipes compose.  Raises RegistryError when the word is not
+    admissible.
     """
     if len(word) < 2 and not (cyclic and len(word) == 1):
         raise RegistryError("a word needs at least two symbols "
@@ -332,20 +283,13 @@ def word_stages(word: Sequence[Symbol],
     pairs = list(zip(word, word[1:]))
     if cyclic:
         pairs.append((word[-1], word[0]))
-    stages: list[Stage] = []
-    for alpha, beta in pairs:
-        tr = transition(alpha, beta)
-        if stages and stages[-1].tag.image_sign != tr.tags[0].domain_sign:
-            raise RegistryError(
-                f"recipes of ...{alpha} and {alpha}->{beta} do not compose"
-            )
-        stages.extend(tr.stages)
-    return SYMBOL_SETS[word[0]], stages
+    links = [link for alpha, beta in pairs for link in transition(alpha, beta).links]
+    return [Link((), SYMBOL_SETS[word[0]]), *links]
 
 
 def word_recipe(word: Sequence[Symbol], cyclic: bool = False) -> list[MapTag]:
     """Elementary maps (application order) realizing a whole word."""
-    return [s.tag for s in word_stages(word, cyclic)[1]]
+    return [t for link in word_links(word, cyclic) for t in link.tags]
 
 
 # ----------------------------------------------------------------------
@@ -357,23 +301,28 @@ def standard_sets() -> dict[str, HSet]:
     """The shipped h-sets, keyed by name.
 
     These are the bundled exterior (G0-G4) and interior (V0-V4) chains.
-    The fixed-point and excursion seed sets the transition table also
-    names (H1, H1b, H2, H2b, E0, F0) are not shipped, so a stage pinned
-    to one of them raises a :class:`~pcr3bp.errors.RegistryError` naming
-    it, from :func:`resolve_stage_set`.
+    The Lyapunov sets the transition table also names (H1, H1b, H2, H2b)
+    are not shipped yet, so a word that needs one is refused by
+    :func:`resolve_links` with a :class:`~pcr3bp.errors.RegistryError`
+    naming every missing set, before anything flies.
     """
     return {**load_bundled("g_chain"), **load_bundled("v_chain")}
 
 
-def resolve_stage_set(stage: Stage, sets: Mapping[str, HSet]) -> HSet:
-    """The concrete h-set a stage's image is pinned to."""
-    if stage.target is None:
-        raise RegistryError("stage has no registered target set")
-    try:
-        h = sets[stage.target]
-    except KeyError:
-        raise RegistryError(f"h-set {stage.target!r} not loaded") from None
-    return r_image(h) if stage.mirrored else h
+def resolve_links(links: Sequence[Link], sets: Mapping[str, HSet]) -> list[HSet]:
+    """The h-set each link lands on: the registered set, or its R-image.
+
+    This is the one lookup of a word's sets; the searches, the verdicts
+    and the relation table all run it before they fly.  One
+    RegistryError names every set of ``links`` that ``sets`` lacks.
+    """
+    missing = list(dict.fromkeys(
+        link.target for link in links if link.target not in sets))
+    if missing:
+        raise RegistryError(
+            f"h-sets {', '.join(map(repr, missing))} not loaded")
+    return [r_image(sets[link.target]) if link.mirrored else sets[link.target]
+            for link in links]
 
 
 # ----------------------------------------------------------------------

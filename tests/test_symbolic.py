@@ -1,15 +1,17 @@
-"""Tests for the six-symbol transition table and its covering adapters.
+"""Tests for the four-symbol transition table and its covering adapters.
 
 The transition registry is pure table logic (checked exhaustively); the
 adapter tests fly a few real cells through one elementary map and pin the
 interval enclosures against point-mode images.
 """
 
+import itertools
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from pcr3bp import integrator, orbits, symbolic
+from pcr3bp import integrator, orbits, poincare, symbolic
 from pcr3bp.dynamics import Params
 from pcr3bp.errors import RegistryError
 from pcr3bp.hset import check_cover, check_cover_pointwise, cone_condition, r_image
@@ -26,27 +28,26 @@ from pcr3bp.poincare import (
 )
 from pcr3bp.symbolic import (
     SYMBOL_SIDES,
+    SYMBOLS,
     TRANSITIONS,
-    Stage,
+    Link,
     is_admissible,
     local_derivative,
     mirror_recipe,
     mirror_tag,
-    resolve_stage_set,
+    resolve_links,
     section_map,
     section_point_map,
     standard_sets,
     transition,
     transition_recipe,
+    word_links,
     word_recipe,
-    word_stages,
 )
 
 ALLOWED_PAIRS = {
     ("L1", "L1"), ("L2", "L2"),
     ("L1", "L2"), ("L2", "L1"),
-    ("S", "L1"), ("L1", "S"),
-    ("X", "L2"), ("L2", "X"),
     ("E", "L2"), ("L2", "E"),
     ("I", "L1"), ("L1", "I"),
 }
@@ -57,7 +58,7 @@ ALLOWED_PAIRS = {
 # ----------------------------------------------------------------------
 
 
-def test_registered_pairs_are_exactly_the_twelve():
+def test_registered_pairs_are_exactly_the_eight():
     assert set(TRANSITIONS) == ALLOWED_PAIRS
 
 
@@ -79,11 +80,13 @@ def test_recipe_operator_counts():
     assert len(tags) == 11
     assert tags[0] == FULL_PLUS and tags[-1] == FULL_MINUS
     assert all(t in (HALF_PLUS, HALF_MINUS) for t in tags[1:-1])
-    # excursions: five half maps and the closing full map(s)
-    assert len(transition_recipe("S", "L1")) == 6
-    assert len(transition_recipe("X", "L2")) == 7
-    assert len(transition_recipe("E", "L2")) == 6
-    assert len(transition_recipe("I", "L1")) == 6
+    # excursions: four half maps and two closing maps, one link each
+    for alpha, beta in [("E", "L2"), ("I", "L1")]:
+        tr = transition(alpha, beta)
+        assert len(tr.tags) == 6
+        assert [len(link.tags) for link in tr.links] == [1] * 6
+    # the neck-to-neck passage is one relation of eleven maps
+    assert [len(link.tags) for link in transition("L1", "L2").links] == [11]
 
 
 def test_half_maps_alternate_along_each_recipe():
@@ -94,8 +97,7 @@ def test_half_maps_alternate_along_each_recipe():
 
 
 def test_mirror_recipe_matches_registered_reversals():
-    for alpha, beta in [("E", "L2"), ("I", "L1"), ("S", "L1"),
-                        ("X", "L2"), ("L1", "L2")]:
+    for alpha, beta in [("E", "L2"), ("I", "L1"), ("L1", "L2")]:
         fwd = transition_recipe(alpha, beta)
         assert transition_recipe(beta, alpha) == mirror_recipe(fwd)
 
@@ -110,12 +112,15 @@ def test_mirrored_transition_visits_r_images_backwards():
     fwd = transition("E", "L2")
     rev = transition("L2", "E")
     # (L2, E) retraces G4, G3, G2, G1 as R-images and ends on G0 itself
-    assert [s.target for s in rev.stages] == \
+    assert [link.target for link in rev.links] == \
         ["H2b", "G4", "G3", "G2", "G1", "G0"]
-    assert all(s.mirrored for s in rev.stages)
-    assert [s.target for s in fwd.stages] == \
+    assert all(link.mirrored for link in rev.links)
+    assert [link.target for link in fwd.links] == \
         ["G1", "G2", "G3", "G4", "H2b", "H2"]
-    assert not any(s.mirrored for s in fwd.stages)
+    assert not any(link.mirrored for link in fwd.links)
+    # each reversed link flies the mirrored maps of its forward twin
+    assert [link.tags for link in rev.links] == \
+        [tuple(mirror_recipe(link.tags)) for link in reversed(fwd.links)]
 
 
 def test_transition_unknown_symbol_raises():
@@ -127,7 +132,7 @@ def test_transition_unknown_symbol_raises():
 
 def test_transition_missing_pair_raises():
     with pytest.raises(RegistryError):
-        transition("S", "L2")
+        transition("E", "L1")
     with pytest.raises(RegistryError):
         transition("E", "I")
 
@@ -139,34 +144,34 @@ def test_transition_missing_pair_raises():
 
 def test_is_admissible_accepts_registered_words():
     assert is_admissible(("L1", "L1"))
-    assert is_admissible(("E", "L2", "L2", "X"))
-    assert is_admissible(("S", "L1", "L1", "I"))
+    assert is_admissible(("E", "L2", "L2", "E"))
+    assert is_admissible(("L2", "L1", "L1", "I"))
     assert is_admissible(("L1", "I"))
 
 
 def test_is_admissible_cyclic_needs_the_closing_pair():
     assert is_admissible(("L1",), cyclic=True)
-    assert is_admissible(("S", "L1"), cyclic=True)  # (L1, S) registered
-    assert is_admissible(("E", "L2", "L2", "X"))
-    assert not is_admissible(("E", "L2", "L2", "X"), cyclic=True)  # no (X, E)
+    assert is_admissible(("I", "L1"), cyclic=True)  # (L1, I) registered
+    assert is_admissible(("E", "L2", "L1", "I"))
+    assert not is_admissible(("E", "L2", "L1", "I"), cyclic=True)  # no (I, E)
     assert not is_admissible(("I", "L1", "L2"), cyclic=True)  # no (L2, I)
 
 
 def test_is_admissible_rejects_junk():
     assert not is_admissible(())
     assert not is_admissible(("Q",), cyclic=True)
-    assert not is_admissible(("S", "L2"))
+    assert not is_admissible(("E", "L1"))
     assert not is_admissible(("L1", "L2", "I"))  # no (L2, I)
 
 
-def test_word_stages_concatenates_and_checks_composition():
-    start, stages = word_stages(("S", "L1", "L1", "I"))
-    assert start == "E0"
-    assert len(stages) == 6 + 1 + 6
-    # stage boundaries land on the symbols' own sets
-    assert stages[5].target == "H1"
-    assert stages[6].target == "H1"
-    assert stages[-1].target == "V0" and stages[-1].mirrored
+def test_word_links_concatenate_the_transitions_after_the_start_set():
+    links = word_links(("L2", "L1", "L1", "I"))
+    assert links[0] == Link((), "H2")
+    assert [len(link.tags) for link in links[1:]] == [11] + [1] * 7
+    # transition boundaries land on the symbols' own sets
+    assert (links[1].target, links[1].mirrored) == ("H1", True)
+    assert (links[2].target, links[2].mirrored) == ("H1", False)
+    assert links[-1].target == "V0" and links[-1].mirrored
 
 
 def test_word_recipe_for_the_seed_word():
@@ -176,13 +181,26 @@ def test_word_recipe_for_the_seed_word():
     ]
 
 
-def test_word_stages_rejects_short_and_inadmissible_words():
+def test_word_links_reject_short_and_inadmissible_words():
     with pytest.raises(RegistryError):
-        word_stages(("L1",))
+        word_links(("L1",))
     with pytest.raises(RegistryError):
-        word_stages(("S", "L2"))
-    start, stages = word_stages(("L1",), cyclic=True)
-    assert start == "H1" and len(stages) == 1
+        word_links(("E", "L1"))
+    assert word_links(("L1",), cyclic=True) == [Link((), "H1"), Link((FULL_PLUS,), "H1")]
+
+
+def test_admissible_words_are_the_words_with_links():
+    # the pair table and the link concatenation agree on every word of
+    # two to four symbols, open or cyclic
+    for n in (2, 3, 4):
+        for word in itertools.product(SYMBOLS, repeat=n):
+            for cyclic in (False, True):
+                try:
+                    word_links(word, cyclic)
+                    linked = True
+                except RegistryError:
+                    linked = False
+                assert is_admissible(word, cyclic) is linked, (word, cyclic)
 
 
 # ----------------------------------------------------------------------
@@ -200,21 +218,58 @@ def test_standard_sets_bundled_chains_only():
         orbits.find_symmetric_periodic(Params(), ("E", "L2"))
 
 
-def test_resolve_stage_set_applies_mirror_flag():
+def test_resolve_links_applies_mirror_flag():
     sets = standard_sets()
-    plain = resolve_stage_set(Stage(HALF_PLUS, "G1"), sets)
-    mirrored = resolve_stage_set(Stage(HALF_PLUS, "G1", mirrored=True), sets)
-    assert np.array_equal(plain.center, sets["G1"].center)
+    plain, mirrored = resolve_links(
+        [Link((HALF_PLUS,), "G1"), Link((HALF_PLUS,), "G1", mirrored=True)], sets)
+    assert plain is sets["G1"]
     assert mirrored.center[1] == -plain.center[1]
     assert np.array_equal(r_image(mirrored).center, plain.center)
 
 
-def test_resolve_stage_set_failures():
+def test_resolve_links_names_every_missing_set():
     sets = standard_sets()
-    with pytest.raises(RegistryError):
-        resolve_stage_set(Stage(HALF_PLUS, None), sets)
-    with pytest.raises(RegistryError):
-        resolve_stage_set(Stage(HALF_PLUS, "H2"), sets)
+    with pytest.raises(RegistryError, match=r"h-sets 'H2b', 'H2' not loaded"):
+        resolve_links(word_links(("E", "L2", "E")), sets)
+    with pytest.raises(RegistryError, match=r"h-sets 'H1' not loaded"):
+        resolve_links(word_links(("L1",), cyclic=True), sets)
+
+
+@pytest.fixture
+def flights(monkeypatch):
+    """The names of the flights and covers called, each of which raises."""
+    called = []
+
+    def refuse(name):
+        def fn(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"{name} called")
+        return fn
+
+    monkeypatch.setattr(poincare, "apply_chain_lanes", refuse("apply_chain_lanes"))
+    for name in ("apply_chain_lanes", "apply_chain", "check_cover"):
+        monkeypatch.setattr(orbits, name, refuse(name))
+    return called
+
+
+@pytest.mark.parametrize("call, missing", [
+    (lambda: orbits.find_symmetric_periodic(Params(), ("E", "L2", "E")),
+     "'H2b', 'H2'"),
+    (lambda: orbits.find_symmetric_periodic(Params(), ("L1",)), "'H1'"),
+    (lambda: orbits.find_symmetric_homoclinic(Params(), ("E", "L2")),
+     "'H2b', 'H2'"),
+    (lambda: orbits.verify_backward_coding(
+        Params(), SectionPoint(*map(float, standard_sets()["G0"].center), 1),
+        ("E", "L2")), "'H2b', 'H2'"),
+    (lambda: orbits.rigorous_chain_verdict(Params(), ("E", "L2")), "'H2b', 'H2'"),
+], ids=["periodic", "periodic_start", "homoclinic", "backward_coding",
+        "chain_verdict"])
+def test_a_word_without_its_sets_is_refused_before_any_flight(flights, call,
+                                                              missing):
+    # one error names every missing set, the start set included
+    with pytest.raises(RegistryError, match=f"h-sets {missing} not loaded"):
+        call()
+    assert flights == []
 
 
 # ----------------------------------------------------------------------

@@ -5,17 +5,17 @@ Usage (from the repository root)::
     python3 tools/compare_tables.py A.json B.json
 
 ``A`` and ``B`` are outputs of ``tools/relation_table.py``.  Rows are
-matched by relation and grids, and compared on outcome, ``margin_hex``,
-``stable_clearance_hex`` and evaluations.  Every row is printed with the
-CPU seconds of both sides, which are not compared; a row that differs, or
-is in one table only, is marked with its differing fields.  The exit
-status is 1 if any row differs.
+matched by relation and grids, and compared on the relation's maps,
+outcome, ``margin_hex``, ``stable_clearance_hex`` and evaluations.  Every
+row is printed with the CPU seconds of both sides, which are not compared;
+a row that differs, or is in one table only, is marked with its differing
+fields.  The exit status is 1 if any row differs.
 """
 
 import json
 import sys
 
-FIELDS = ("outcome", "margin_hex", "stable_clearance_hex", "evaluations")
+FIELDS = ("maps", "outcome", "margin_hex", "stable_clearance_hex", "evaluations")
 
 
 def rows(path: str) -> dict:

@@ -5,15 +5,17 @@ Usage (from the repository root)::
     python3 tools/relation_table.py > table.json
 
 A relation is one link of a transition of :data:`pcr3bp.symbolic.TRANSITIONS`
-whose source and target h-sets are both shipped: the links of the G and V
-chains and of their reversal images, 16 relations.  Each is checked by
-:func:`pcr3bp.hset.check_cover` on :func:`pcr3bp.symbolic.section_map` at
-the Oterma parameters and at two grids: (4, 1) refined up to (512, 16), and
-``rigorous_chain_verdict``'s default (32, 2) up to (128, 8).  The checks
-run in one worker process per core.  Each row gives the verdict, the margin
-and the stable clearance (each also as ``float.hex``, so that two tables
-compare bit for bit), the number of cell evaluations and the CPU seconds of
-the check in its worker.
+whose source and target h-sets both resolve, by
+:func:`pcr3bp.symbolic.resolve_links`, in the shipped sets: the links of
+the G and V chains and of their reversal images, 16 relations of one map
+each.  Each is checked by :func:`pcr3bp.hset.check_cover` on
+:func:`pcr3bp.symbolic.section_map` at the Oterma parameters and at two
+grids: (4, 1) refined up to (512, 16), and ``rigorous_chain_verdict``'s
+default (32, 2) up to (128, 8).  The checks run in one worker process per
+core.  Each row gives the relation's maps, the verdict, the margin and the
+stable clearance (each also as ``float.hex``, so that two tables compare
+bit for bit), the number of cell evaluations and the CPU seconds of the
+check in its worker.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from pcr3bp.dynamics import Params  # noqa: E402
 from pcr3bp.errors import RegistryError  # noqa: E402
 from pcr3bp.hset import check_cover  # noqa: E402
 from pcr3bp.symbolic import (  # noqa: E402
-    SYMBOL_SETS,
     TRANSITIONS,
-    resolve_stage_set,
+    resolve_links,
     section_map,
     standard_sets,
+    word_links,
 )
 
 GRIDS = (((4, 1), (512, 16)), ((32, 2), (128, 8)))
@@ -45,19 +47,14 @@ GRIDS = (((4, 1), (512, 16)), ((32, 2), (128, 8)))
 def relations(sets) -> dict[str, tuple]:
     """``{"S=>T": (source, target, tags)}`` over the links whose sets are in ``sets``."""
     found = {}
-    for tr in TRANSITIONS.values():
-        source, tags = sets.get(SYMBOL_SETS[tr.alpha]), []
-        for stage in tr.stages:
-            tags.append(stage.tag)
-            if stage.target is None:
-                continue
+    for pair in TRANSITIONS:
+        chain = word_links(pair)
+        for source_link, link in zip(chain, chain[1:]):
             try:
-                target = resolve_stage_set(stage, sets)
+                source, target = resolve_links((source_link, link), sets)
             except RegistryError:
-                target = None
-            if source is not None and target is not None:
-                found[f"{source.name}=>{target.name}"] = (source, target, tags)
-            source, tags = target, []
+                continue
+            found[f"{source.name}=>{target.name}"] = (source, target, link.tags)
     return found
 
 
