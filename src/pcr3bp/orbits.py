@@ -11,6 +11,12 @@ near the target libration fixed point, sharpened by appending more and
 more return-map factors (iterative deepening, one hyperbolic contraction
 per level).
 
+A point flight lands after every map of its word
+(:func:`pcr3bp.poincare.chain_landings`), so each search flies a seed
+once per question: the walk that checks where each link lands is one
+flight of the word, and a deepening level's images are one flight of
+the chain and its return maps.
+
 Everything in this module runs in point mode.  Rigorous existence
 certificates for the same words come from :func:`rigorous_chain_verdict`,
 which replays the word's covering relations with the interval engine of
@@ -80,8 +86,8 @@ from .poincare import (
     _fix_r_scan,
     _grid_brackets,
     _refine_bracket,
-    apply_chain,
     apply_chain_lanes,
+    chain_landings,
     lift,
     lyapunov_fixed_point,
     reflect,
@@ -386,14 +392,18 @@ def _principal(angle: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class SymmetricPeriodicOrbit:
-    """A reversal-symmetric periodic orbit located by fixed-set iteration."""
+    """A reversal-symmetric periodic orbit located by fixed-set iteration.
+
+    ``map_points`` holds the seed's landing after each map of the word,
+    ``terminal`` the last of them.
+    """
 
     word: tuple[str, ...]
     seed: SectionPoint
     half_period: float
     closure_residual: float
     terminal: SectionPoint
-    stage_points: tuple[SectionPoint, ...]
+    map_points: tuple[SectionPoint, ...]
 
     @property
     def period(self) -> float:
@@ -432,26 +442,25 @@ def _seed_line(start: HSet):
     return seed_at
 
 
-def _stage_walk(params: Params, seed: SectionPoint,
-                links: Sequence[tuple[Link, HSet]]) -> tuple[list[SectionPoint], float] | str:
-    """Fly a seed map by map, checking the set at the end of each link.
+def _link_walk(params: Params, seed: SectionPoint,
+               links: Sequence[tuple[Link, HSet]]) -> list[tuple[SectionPoint, float]] | str:
+    """Fly a seed through a word's maps in one flight, checking each link's landing.
 
-    Returns the point after each map and the total time, or the reason
-    for the rejection: a link's image more than ``SLACK`` outside its
-    h-set, or a failed flight.
+    Returns the landing after each map with its time, or the reason for
+    the rejection: the first link whose image lies more than ``SLACK``
+    outside its h-set, or a flight that failed before it.
     """
-    points, pt, total = [], seed, 0.0
-    try:
-        for k, (link, target) in enumerate(links):
-            for tag in link.tags:
-                pt, dt = apply_chain(params, [tag], pt)
-                total += dt
-                points.append(pt)
-            if not target.contains(pt.x, pt.vx, slack=SLACK):
-                return f"link {k} image escapes {target.name}"
-    except PCR3BPError as exc:
-        return f"stage walk failed: {exc}"
-    return points, total
+    (marks, error), = chain_landings(
+        params, [t for link, _ in links for t in link.tags], [seed])
+    end = 0
+    for k, (link, target) in enumerate(links):
+        end += len(link.tags)
+        if end > len(marks):
+            return f"link walk failed: {error}"
+        pt, _ = marks[end - 1]
+        if not target.contains(pt.x, pt.vx, slack=SLACK):
+            return f"link {k} image escapes {target.name}"
+    return marks
 
 
 def _rejected(rejects: list[tuple[float, float, str]]) -> SearchError:
@@ -501,19 +510,19 @@ def find_symmetric_periodic(params: Params, word: Sequence[str], *,
             rejects.append((lo, hi, "map failure while refining the bracket"))
             continue
         seed = seed_at(0.5 * (refined[0] + refined[1]))
-        walk = _stage_walk(params, seed, links)
-        if isinstance(walk, str):
-            rejects.append((lo, hi, walk))
+        marks = _link_walk(params, seed, links)
+        if isinstance(marks, str):
+            rejects.append((lo, hi, marks))
             continue
-        points, total = walk
+        total = marks[-1][1]
         half_period = 0.5 * total if len(word) == 1 else total
         state0 = lift(params, seed)
         closed, _ = flow_point(params, state0, 2.0 * half_period)
         residual = float(np.max(np.abs(closed - state0)))
         return SymmetricPeriodicOrbit(
             word=word, seed=seed, half_period=half_period,
-            closure_residual=residual, terminal=points[-1],
-            stage_points=tuple(points),
+            closure_residual=residual, terminal=marks[-1][0],
+            map_points=tuple(pt for pt, _ in marks),
         )
     raise _rejected(rejects)
 
@@ -531,13 +540,13 @@ def verify_backward_coding(params: Params, seed: SectionPoint,
     land in the reversal image of its target set (within ``SLACK``).  The
     reversal conjugates each section map to the inverse of its mirror,
     ``R P R = P_mirror^{-1}``, so that backward orbit is the reversal of the
-    forward stage walk of ``R(seed)``, and the check is that walk.  Returns
-    False on the first escape or failed flight (logged at INFO level).  A
-    set the word needs that ``sets`` lacks raises RegistryError before
-    anything flies.
+    forward link walk of ``R(seed)``, one flight, and the check is that
+    walk.  Returns False on the first escape or failed flight (logged at
+    INFO level).  A set the word needs that ``sets`` lacks raises
+    RegistryError before anything flies.
     """
     word, _, links = _word_setup(word, sets)
-    walk = _stage_walk(params, reflect(seed), links)
+    walk = _link_walk(params, reflect(seed), links)
     if isinstance(walk, str):
         log.info("backward coding of %s, walking the reflected seed: %s",
                  word, walk)
@@ -601,6 +610,9 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     The bracket is deepened by appending return-map factors one at a time
     up to ``N_TAIL``; when a level's bracket collapses to the floating
     point grid the search stops early and reports the achieved depth.
+    The images at depth k, of the deepening and of the convergence log
+    alike, are one lane flight of the chain and k return maps, whose time
+    horizon spans all its maps.
     """
     word, start, links = _word_setup(word, sets)
     seed_at = _seed_line(start)
@@ -615,50 +627,24 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     lam = float(max(abs(m) for m in orb.multipliers))
     frame = links[-1][1].frame
     tags = [t for link, _ in links for t in link.tags]
-    # chain image of each seed, then its return-map images, made once; a
-    # tail that ends in None stopped at a failed return map
-    tails: dict[float, list[SectionPoint | None] | None] = {}
 
-    def fly(seeds: Sequence[float], depth: int) -> None:
-        """Extend the tails of ``seeds`` to ``depth`` return maps.
+    def images(seeds: Sequence[float], depth: int) -> list[SectionPoint | None]:
+        """Each seed's chain image, ``depth`` return maps on; None if its flight failed.
 
-        The seeds new to ``tails`` fly the chain as the lanes of one
-        flight, then each return map is one flight of the tails it
-        extends.  Each lane gives the bits of its own one-lane flight, so
-        the tails are those of the seed-by-seed composition.
+        The seeds fly the chain and the ``depth`` return maps as the lanes
+        of one flight.
         """
-        seeds = list(dict.fromkeys(seeds))
-        new = [a for a in seeds if a not in tails]
-        if new:
-            flown = apply_chain_lanes(params, tags, [seed_at(a) for a in new])
-            for a, f in zip(new, flown):
-                tails[a] = None if isinstance(f, PCR3BPError) else [f[0]]
-        for level in range(1, depth + 1):
-            short = [tail for tail in (tails[a] for a in seeds)
-                     if tail is not None and len(tail) == level
-                     and tail[-1] is not None]
-            if short:
-                flown = apply_chain_lanes(params, [tail_tag],
-                                          [tail[-1] for tail in short])
-                for tail, f in zip(short, flown):
-                    tail.append(None if isinstance(f, PCR3BPError) else f[0])
+        flown = apply_chain_lanes(params, tags + [tail_tag] * depth,
+                                  [seed_at(a) for a in seeds])
+        return [None if isinstance(f, PCR3BPError) else f[0] for f in flown]
 
-    def image(a: float, depth: int) -> SectionPoint | None:
-        """Chain image of the seed at ``a`` and ``depth`` return maps on."""
-        fly([a], depth)
-        tail = tails[a]
-        return tail[depth] if tail is not None and depth < len(tail) else None
-
-    def expanding_coord(a: float, depth: int) -> float | None:
-        img = image(a, depth)
-        if img is None:
-            return None
-        local = np.linalg.solve(frame, [img.x - fixed.x, img.vx - fixed.vx])
-        return float(local[0])
+    def expanding_coords(seeds: Sequence[float], depth: int) -> list[float | None]:
+        return [None if img is None else float(np.linalg.solve(
+            frame, [img.x - fixed.x, img.vx - fixed.vx])[0])
+            for img in images(seeds, depth)]
 
     grid = np.linspace(-1.0, 1.0, HOMOCLINIC_GRID).tolist()
-    fly(grid, 0)
-    base = _grid_brackets(grid, [expanding_coord(a, 0) for a in grid])
+    base = _grid_brackets(grid, expanding_coords(grid, 0))
     if not base:
         raise SearchError(
             f"no sign change of the expanding coordinate along Fix(R) in "
@@ -671,7 +657,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
             # sharpen the current bracket enough that the next level's
             # root (a multiplier factor closer) can be re-bracketed
             target_w = max(COLLAPSE_WIDTH, (hi - lo) / lam * 0.25)
-            refined = _refine_bracket(lambda a: expanding_coord(a, depth),
+            refined = _refine_bracket(lambda a: expanding_coords([a], depth)[0],
                                       lo, hi, flo, fhi, target_w)
             if refined is None:
                 return (lo, hi, depth)
@@ -688,8 +674,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
                 )
                 return (lo, hi, depth)
             probes = [w_lo + f * (w_hi - w_lo) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-            fly(probes, k)
-            found = _grid_brackets(probes, [expanding_coord(a, k) for a in probes])
+            found = _grid_brackets(probes, expanding_coords(probes, k))
             if not found:
                 return (lo, hi, depth)
             lo, hi, flo, fhi = found[0]
@@ -701,12 +686,12 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     for lo, hi, flo, fhi in base:
         b_lo, b_hi, depth = deepen(lo, hi, flo, fhi)
         a_hat = 0.5 * (b_lo + b_hi)
-        walk = _stage_walk(params, seed_at(a_hat), links)
-        if isinstance(walk, str):
-            rejects.append((lo, hi, walk))
+        marks = _link_walk(params, seed_at(a_hat), links)
+        if isinstance(marks, str):
+            rejects.append((lo, hi, marks))
             continue
         if best is None or depth > best[1]:
-            best = (a_hat, depth, walk[1])
+            best = (a_hat, depth, marks[-1][1])
     if best is None:
         raise _rejected(rejects)
     a_hat, depth, half_time = best
@@ -717,15 +702,14 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
         )
 
     distances = []
-    img = image(a_hat, 0)
-    j = 0
-    while img is not None and j <= N_TAIL + 2:
+    for j in range(N_TAIL + 3):
+        img, = images([a_hat], j)
+        if img is None:
+            break
         d = math.hypot(img.x - fixed.x, img.vx - fixed.vx)
         if distances and d >= distances[-1]:
             break
         distances.append(d)
-        j += 1
-        img = image(a_hat, j)
 
     return SymmetricHomoclinicOrbit(
         word=word, seed=seed_at(a_hat), half_time=half_time,

@@ -63,7 +63,6 @@ __all__ = [
     "HALF_MINUS",
     "FULL_PLUS",
     "FULL_MINUS",
-    "MAP_TAGS",
     "section_lift_vy",
     "lift",
     "lift_tangent",
@@ -72,6 +71,7 @@ __all__ = [
     "apply_map",
     "apply_chain",
     "apply_chain_lanes",
+    "chain_landings",
     "chain_derivative",
     "RigorousImage",
     "cell_offsets",
@@ -113,8 +113,6 @@ HALF_PLUS = MapTag("Ph+", +1, (-1,))
 HALF_MINUS = MapTag("Ph-", -1, (+1,))
 FULL_PLUS = MapTag("P+", +1, (-1, +1))
 FULL_MINUS = MapTag("P-", -1, (+1, -1))
-
-MAP_TAGS = {t.name: t for t in (HALF_PLUS, HALF_MINUS, FULL_PLUS, FULL_MINUS)}
 
 
 # ----------------------------------------------------------------------
@@ -304,45 +302,67 @@ def apply_chain_lanes(params: Params, tags: Sequence[MapTag],
 
     Entry i of the result is the image of ``pts[i]`` and its flight time,
     or the :class:`~pcr3bp.errors.PCR3BPError` that stopped its flight;
-    other exceptions propagate.  The points fly as the lanes of one
-    :class:`PointFlow` (see :func:`_fly_to_crossings`), and each lane
-    gives the bits of its own one-lane flight, :func:`apply_chain`.
+    other exceptions propagate.  It is the last landing of
+    :func:`chain_landings`, and each lane gives the bits of its own
+    one-lane flight, :func:`apply_chain`.
+    """
+    return [marks[-1] if error is None else error
+            for marks, error in chain_landings(params, tags, pts)]
+
+
+def chain_landings(params: Params, tags: Sequence[MapTag], pts: Sequence[SectionPoint],
+                   ) -> list[tuple[list[tuple[SectionPoint, float]], PCR3BPError | None]]:
+    """Fly many section points through a composite map, landing after each map.
+
+    Entry i of the result holds where ``pts[i]`` lands at the end of each
+    map it completes, with its flight time there, and the
+    :class:`~pcr3bp.errors.PCR3BPError` that stopped its flight, or None
+    once it has landed after every map; other exceptions propagate.  The
+    points fly as the lanes of one :class:`PointFlow` (see
+    :func:`_fly_to_crossings`), so landing k of a flight has the bits of
+    the one-lane flight of the first k + 1 maps.
     """
     out: list = [None] * len(pts)
-    lanes, states, signs = [], [], []
+    lanes, states = [], []
     for i, pt in enumerate(pts):
         try:
-            signs = _chain_to_signs(tags, pt.sign)
+            _chain_to_signs(tags, pt.sign)
             states.append(lift(params, pt))
             lanes.append(i)
         except PCR3BPError as exc:
-            out[i] = exc
+            out[i] = ([], exc)
     flow = PointFlow(params, np.array(states).T.reshape(4, -1))
-    for i, flown in zip(lanes, _fly_to_crossings(flow, signs)):
+    for i, flown in zip(lanes, _fly_to_crossings(flow, tags)):
         out[i] = flown
     return out
 
 
-def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
-                      ) -> list[tuple[SectionPoint, float] | PCR3BPError]:
-    """Fly the lanes of a flow forward through successive section crossings.
+def _fly_to_crossings(flow: PointFlow, tags: Sequence[MapTag],
+                      ) -> list[tuple[list[tuple[SectionPoint, float]], PCR3BPError | None]]:
+    """Fly the lanes of a flow forward through the crossings of a composite.
 
-    ``signs`` lists the vy sign of each awaited crossing.  Entry i of the
-    result is lane i's projected last crossing and its time, or the
-    :class:`~pcr3bp.errors.PCR3BPError` that stopped the lane.  A step
-    crosses where ``y`` changes sign over it, or lands on zero from a
-    nonzero start; the lanes start on the section with ``y = 0``, so the
-    departure is no crossing, and the first one may come at any time.
-    Crossings are refined lane-wise on each step's polynomial, and a lane
-    drops out once it lands its last crossing or fails; a lane whose
-    state is not finite after a step, or whose step rule asks for less
-    than ``H_MIN``, fails with an :class:`IntegrationError` there.  A
+    ``tags`` are the maps in application order; each awaits the vy signs
+    of its crossings, and its last crossing ends it.  Entry i of the
+    result holds lane i's projected crossing at the end of each map it
+    completed, with its time, and the
+    :class:`~pcr3bp.errors.PCR3BPError` that stopped the lane, or None.
+    A step crosses where ``y`` changes sign over it, or lands on zero
+    from a nonzero start; the lanes start on the section with ``y = 0``,
+    so the departure is no crossing, and the first one may come at any
+    time.  Crossings are refined lane-wise on each step's polynomial, and
+    a lane drops out once it lands its last crossing or fails; a lane
+    whose state is not finite after a step, or whose step rule asks for
+    less than ``H_MIN``, fails with an :class:`IntegrationError` there.  A
     one-lane flow is left standing on its last crossing, with its
     variational matrix there.
     """
+    # the vy sign of each awaited crossing, and whether it ends its map
+    signs = [s for t in tags for s in t.signs]
+    ends = [k == len(t.signs) for t in tags for k in range(1, len(t.signs) + 1)]
     mu = flow.params.mu
     n = flow.t.size
-    out: list = [None] * n
+    marks: list = [[] for _ in range(n)]
+    errors: list = [None] * n
     lanes = np.arange(n)
     prev_y = flow.state[1].copy()
     found = np.zeros(n, dtype=int)
@@ -352,12 +372,12 @@ def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
         late = ~done & (flow.t > integrator.MAX_TIME)
         near = ~done & ~late & taylor.lane_guard(flow.state, mu)
         for i in lanes[late]:
-            out[i] = _horizon_error()
+            errors[i] = _horizon_error()
         for i in lanes[near]:
-            out[i] = SingularityError("taylor kernel: state inside primary guard radius")
+            errors[i] = SingularityError("taylor kernel: state inside primary guard radius")
         go = ~(done | late | near)
         if not go.any():
-            return out
+            return list(zip(marks, errors))
         if not go.all():
             flow.keep(go)
             lanes, prev_y, found = lanes[go], prev_y[go], found[go]
@@ -378,7 +398,7 @@ def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
         floored = rec.h == 0.0
         done = ~finite | floored
         for j in np.flatnonzero(done).tolist():
-            out[lanes[j]] = flow.floor_error(j) if floored[j] else IntegrationError(
+            errors[lanes[j]] = flow.floor_error(j) if floored[j] else IntegrationError(
                 f"state {flow.state[:, j]} is not finite after the step to "
                 f"t={flow.t[j]}")
         for j in crossed.tolist():
@@ -387,12 +407,12 @@ def _fly_to_crossings(flow: PointFlow, signs: Sequence[int],
             # armed on it the next step would find this root again
             try:
                 prev_y[j] = _landed_sign(flow.state[:, j], signs[found[j]], found[j])
+                if ends[found[j]]:
+                    marks[lanes[j]].append((project(flow.state[:, j]), flow.t[j]))
                 found[j] += 1
-                if found[j] == len(signs):
-                    out[lanes[j]] = (project(flow.state[:, j]), flow.t[j])
-                    done[j] = True
+                done[j] = found[j] == len(signs)
             except PCR3BPError as exc:
-                out[lanes[j]] = exc
+                errors[lanes[j]] = exc
                 done[j] = True
 
 
@@ -432,14 +452,14 @@ def chain_derivative(params: Params, tags: Sequence[MapTag], pt: SectionPoint):
     coordinates, computed as ``pi (I - f e_y^T / vy) Dphi DT`` (see the
     derivation above).
     """
-    signs = _chain_to_signs(tags, pt.sign)
+    _chain_to_signs(tags, pt.sign)
     state = lift(params, pt)
     dt_cols = lift_tangent(params, state)
     flow = PointFlow(params, state, variational=True)
-    flown, = _fly_to_crossings(flow, signs)
-    if isinstance(flown, PCR3BPError):
-        raise flown
-    image, t = flown
+    (marks, error), = _fly_to_crossings(flow, tags)
+    if error is not None:
+        raise error
+    image, t = marks[-1]
     q = flow.state[:, 0]
     dphi = flow.v
     f_q = dynamics.vector_field(params, q)

@@ -14,8 +14,9 @@ I       V0       y' > 0      interior resonant excursion (5:3 type)
 E       G0       y' > 0      exterior resonant excursion (2:3 type)
 ======  =======  ==========  =============================================
 
-A word is admissible when every consecutive pair of symbols is one of the
-eight registered transitions.  Each transition's recipe is its chain of
+A word is admissible when it has two symbols or more (one, read
+cyclically) and every consecutive pair of symbols is one of the eight
+registered transitions.  Each transition's recipe is its chain of
 covering relations, its *links*: a :class:`Link` holds the elementary
 section maps (in application order) that carry the previous h-set onto
 the link's target set, named in the registry.  The last link of a
@@ -254,19 +255,18 @@ def transition_recipe(alpha: Symbol, beta: Symbol) -> list[MapTag]:
 
 
 def is_admissible(word: Sequence[Symbol], cyclic: bool = False) -> bool:
-    """Whether every consecutive symbol pair is a registered transition.
+    """Whether the word has links: :func:`word_links` does not refuse it.
 
-    With ``cyclic`` the pair (last, first) is required as well, as for
-    the coding of a periodic orbit.  Unknown symbols are inadmissible.
+    Every consecutive symbol pair must be a registered transition, with
+    ``cyclic`` the pair (last, first) as well, as for the coding of a
+    periodic orbit.  An open word needs two symbols or more, a cyclic
+    word one or more.  Unknown symbols are inadmissible.
     """
-    if len(word) == 0:
+    try:
+        word_links(word, cyclic)
+    except RegistryError:
         return False
-    if any(s not in SYMBOLS for s in word):
-        return False
-    pairs = list(zip(word, word[1:]))
-    if cyclic:
-        pairs.append((word[-1], word[0]))
-    return all(p in TRANSITIONS for p in pairs)
+    return True
 
 
 def word_links(word: Sequence[Symbol], cyclic: bool = False) -> list[Link]:

@@ -12,7 +12,7 @@ constructed ones and the chain verdicts over them are not tested here.
 import numpy as np
 import pytest
 
-from pcr3bp import orbits
+from pcr3bp import orbits, poincare
 from pcr3bp.dynamics import Params
 from pcr3bp.errors import SearchError, StructureError
 from pcr3bp.hset import HSet, fix_r_segment
@@ -147,7 +147,7 @@ def test_periodic_search_finds_the_lyapunov_orbits(periodic_orbits,
         # one cyclic symbol flies a whole period, half of which is reported
         assert abs(orb.period - lyap.period) < 1e-9
         assert orb.closure_residual < 1e-10
-        assert orb.stage_points == (orb.terminal,)
+        assert orb.map_points == (orb.terminal,)
         assert h.contains(orb.terminal.x, orb.terminal.vx)
 
 
@@ -203,6 +203,44 @@ def test_backward_coding_off_the_symmetry_line(frame_sets):
             x, vx = h.corner_point(a, b)
             seed = SectionPoint(float(x), float(vx), h.sign)
             assert verify_backward_coding(P, seed, word, sets=sets) is expected
+
+
+@pytest.fixture
+def flights(monkeypatch):
+    """The maps of each point-mode flight made, one list per flight."""
+    flown = []
+    fly = poincare._fly_to_crossings
+
+    def counted(flow, tags):
+        flown.append([t.name for t in tags])
+        return fly(flow, tags)
+
+    monkeypatch.setattr(poincare, "_fly_to_crossings", counted)
+    return flown
+
+
+def test_backward_coding_walks_a_word_in_one_flight(periodic_orbits, frame_sets,
+                                                    flights):
+    # two links of P+ each: one flight lands after both maps
+    seed = periodic_orbits[1].seed
+    assert verify_backward_coding(P, seed, ("L1", "L1", "L1"), sets=frame_sets[1])
+    assert flights == [["P+", "P+"]]
+
+
+def test_homoclinic_search_flies_each_seed_once_per_level(frame_sets,
+                                                          lyapunov_orbits,
+                                                          monkeypatch, flights):
+    # the images at depth k are one flight of the chain and k return maps;
+    # flying each return map from a cache of the level above took 65
+    monkeypatch.setattr(orbits, "HOMOCLINIC_GRID", 16)
+    monkeypatch.setattr(orbits, "lyapunov_fixed_point",
+                        lambda params, index: lyapunov_orbits[index])
+    find_symmetric_homoclinic(P, ("L1", "L1"), sets=frame_sets[1])
+    assert len(flights) < 65
+    # first the grid; last the walk of the one bracket, and the convergence
+    # log's two levels (its distance grows at depth 1)
+    assert flights[0] == ["P+"]
+    assert flights[-3:] == [["P+"], ["P+"], ["P+", "P+"]]
 
 
 def test_excursion_of_the_trivial_homoclinic_is_refused(homoclinic_orbits,

@@ -218,6 +218,36 @@ def test_a_lane_that_blows_up_ends_with_an_integration_error():
     assert lanes[0] == image
 
 
+# the two W^u(L2) points above, and a 4-map word of six crossings
+W_U_TAGS = [pc.HALF_MINUS, pc.FULL_PLUS, pc.HALF_PLUS, pc.FULL_MINUS]
+W_U_LANDS = pc.SectionPoint(float.fromhex("0x1.14f93ddfcf145p+0"),
+                            float.fromhex("-0x1.a09f921cc0436p-19"), -1)
+W_U_BLOWN = pc.SectionPoint(float.fromhex("0x1.14f8aa448ba9ap+0"),
+                            float.fromhex("-0x1.84e297bd3269ap-16"), -1)
+
+
+def test_every_landing_is_the_flight_of_its_prefix():
+    # one lane flight of the word lands at the end of each map, not at the
+    # middle crossing of a full map, with the bits of the flight of that
+    # prefix of the word
+    pts = [W_U_LANDS, pc.reflect(W_U_LANDS)]
+    for pt, (marks, error) in zip(pts, pc.chain_landings(P, W_U_TAGS, pts)):
+        assert error is None
+        assert marks == [pc.apply_chain(P, W_U_TAGS[:k], pt) for k in (1, 2, 3, 4)]
+
+
+def test_a_lane_that_fails_keeps_its_earlier_landings():
+    # the lane that ends below the step floor after the middle crossing of
+    # P+ keeps the landing of Ph- and reports the error of its flight
+    (marks, error), = pc.chain_landings(P, W_U_TAGS, [W_U_BLOWN])
+    single = _single_flight(W_U_TAGS, W_U_BLOWN)
+    assert marks == [pc.apply_chain(P, W_U_TAGS[:1], W_U_BLOWN)]
+    assert type(error) is IntegrationError and str(error) == str(single)
+    # a point off the word's domain has no landing
+    (marks, error), = pc.chain_landings(P, W_U_TAGS, [BASE])
+    assert marks == [] and type(error) is DomainError
+
+
 def test_a_lane_below_the_step_floor_fails_alone():
     # a point of the L1 Lyapunov scan on Theta_+ closes in on Jupiter under
     # Ph+ until its step rule asks for less than H_MIN; steps floored at

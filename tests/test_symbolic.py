@@ -159,6 +159,7 @@ def test_is_admissible_cyclic_needs_the_closing_pair():
 
 def test_is_admissible_rejects_junk():
     assert not is_admissible(())
+    assert not is_admissible(("L1",))  # one symbol needs the cyclic closing
     assert not is_admissible(("Q",), cyclic=True)
     assert not is_admissible(("E", "L1"))
     assert not is_admissible(("L1", "L2", "I"))  # no (L2, I)
@@ -190,9 +191,9 @@ def test_word_links_reject_short_and_inadmissible_words():
 
 
 def test_admissible_words_are_the_words_with_links():
-    # the pair table and the link concatenation agree on every word of
-    # two to four symbols, open or cyclic
-    for n in (2, 3, 4):
+    # a word is admissible exactly when it has links, on every word of up
+    # to four symbols, open or cyclic: no other error escapes either one
+    for n in (0, 1, 2, 3, 4):
         for word in itertools.product(SYMBOLS, repeat=n):
             for cyclic in (False, True):
                 try:
@@ -246,9 +247,9 @@ def flights(monkeypatch):
             raise AssertionError(f"{name} called")
         return fn
 
-    monkeypatch.setattr(poincare, "apply_chain_lanes", refuse("apply_chain_lanes"))
-    for name in ("apply_chain_lanes", "apply_chain", "check_cover"):
-        monkeypatch.setattr(orbits, name, refuse(name))
+    # every point-mode flight runs the one crossing loop
+    monkeypatch.setattr(poincare, "_fly_to_crossings", refuse("_fly_to_crossings"))
+    monkeypatch.setattr(orbits, "check_cover", refuse("check_cover"))
     return called
 
 

@@ -1,4 +1,5 @@
-"""The relation table's link walk and the table comparison, without flights."""
+"""The relation table's link walk (without flights), the table comparison and the
+code-line count."""
 
 import importlib.util
 import json
@@ -54,3 +55,28 @@ def test_compare_tables_flags_a_row_whose_maps_changed(tmp_path, capsys):
     assert compare.main(paths[0], paths[1]) == 0
     assert compare.main(paths[0], paths[2]) == 1
     assert "DIFFERS  maps: ['Ph+'] | ['Ph+', 'P-']" in capsys.readouterr().out
+
+
+def test_code_lines_leave_out_blank_comment_and_docstring_lines(tmp_path, capsys):
+    source = '''"""Module docstring
+over two lines."""
+
+import os  # a comment after code
+
+
+# a comment line
+def f(x):
+    """Function docstring."""
+    s = """a string,
+not a docstring"""
+    return s
+
+
+class C:
+    """Class docstring."""
+'''
+    (tmp_path / "m.py").write_text(source)
+    assert load("code_lines").main(str(tmp_path)) == 0
+    # import, def, the two lines of s, return and class
+    assert capsys.readouterr().out.splitlines() == [
+        "    16      6  m.py", "    16      6  total (lines, code lines)"]
