@@ -119,16 +119,28 @@ class HSet:
     def corner_point(self, a: float, b: float) -> np.ndarray:
         return self.center + a * self.u + b * self.s
 
-    def local_coords(self, x: float, vx: float) -> tuple[float, float]:
-        """(a, b) coordinates of a section point.
+    def local_coords(self, x, vx):
+        """(a, b) coordinates of a section point, or arrays of them for arrays of points.
+
+        Floats give floats; arrays ``x`` and ``vx`` of one shape give
+        ``a`` and ``b`` of that shape, all points in one solve.  Each point
+        is solved against its own copy of the frame, as one point alone
+        is: solving all of them against one frame, as the columns of one
+        right-hand side, runs a blocked triangular solve and changes the
+        last bits of about two points in five (2 054 of 5 010 sampled over
+        the ten bundled G and V sets).
 
         Raises :class:`StructureError` if ``u`` and ``s`` are parallel.
         """
+        rhs = np.stack(np.broadcast_arrays(x, vx), axis=-1) - self.center
+        frames = np.broadcast_to(self.frame, rhs.shape + (2,))
         try:
-            ab = np.linalg.solve(self.frame, np.array([x, vx]) - self.center)
+            ab = np.linalg.solve(frames, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise StructureError(f"h-set {self.name} has a singular frame: {exc}") from None
-        return float(ab[0]), float(ab[1])
+        if ab.ndim == 1:
+            return float(ab[0]), float(ab[1])
+        return ab[..., 0], ab[..., 1]
 
     def local_coords_iv(self, x: Interval, vx: Interval) -> tuple[Interval, Interval]:
         """Rigorous (a, b) enclosure of a section box."""

@@ -612,7 +612,8 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     point grid the search stops early and reports the achieved depth.
     The images at depth k, of the deepening and of the convergence log
     alike, are one lane flight of the chain and k return maps, whose time
-    horizon spans all its maps.
+    horizon spans all its maps; the log's depth-0 image is the landing of
+    the chosen seed's link walk, which is that flight.
     """
     word, start, links = _word_setup(word, sets)
     seed_at = _seed_line(start)
@@ -691,19 +692,20 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
             rejects.append((lo, hi, marks))
             continue
         if best is None or depth > best[1]:
-            best = (a_hat, depth, marks[-1][1])
+            best = (a_hat, depth, marks[-1])
     if best is None:
         raise _rejected(rejects)
-    a_hat, depth, half_time = best
+    a_hat, depth, (landing, half_time) = best
     if depth < N_TAIL:
         log.warning(
             "homoclinic search for %s reached tail depth %d of %d "
             "(bracket at the double precision floor)", word, depth, N_TAIL,
         )
 
+    # depth 0 is the walk's landing, the same one-lane flight of the chain
     distances = []
     for j in range(N_TAIL + 3):
-        img, = images([a_hat], j)
+        img = images([a_hat], j)[0] if j else landing
         if img is None:
             break
         d = math.hypot(img.x - fixed.x, img.vx - fixed.vx)

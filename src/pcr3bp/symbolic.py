@@ -394,6 +394,7 @@ def section_point_map(params: Params, tags: Sequence[MapTag], source: HSet,
     together as lanes (:func:`~pcr3bp.poincare.apply_chain_lanes`), and
     each entry of the result is the target-local image ``(a', b')`` of its
     row or the :class:`~pcr3bp.errors.PCR3BPError` the flight raised.
+    The landings take their target-local coordinates in one call.
     """
 
     def point_map(points):
@@ -401,8 +402,11 @@ def section_point_map(params: Params, tags: Sequence[MapTag], source: HSet,
         xv = source.corner_point(ab[:, :1], ab[:, 1:])
         flown = apply_chain_lanes(params, tags, [
             SectionPoint(x, vx, source.sign) for x, vx in xv.tolist()])
-        return [f if isinstance(f, PCR3BPError) else target.local_coords(f[0].x, f[0].vx)
-                for f in flown]
+        landed = [f[0] for f in flown if not isinstance(f, PCR3BPError)]
+        a, b = target.local_coords(np.array([p.x for p in landed]),
+                                   np.array([p.vx for p in landed]))
+        images = zip(a.tolist(), b.tolist())
+        return [f if isinstance(f, PCR3BPError) else next(images) for f in flown]
 
     return point_map
 

@@ -45,12 +45,15 @@ end, so an entry gets the same bits alone or in a stack.
 One state takes the list kernel :func:`point_coeffs`; many independent
 states take its lane twin :func:`lane_coeffs`, which runs the same
 recurrence on numpy rows, one lane per state.  Each lane convolution is
-one product of the operand slices and one reduction along the term axis.
-At order 20 on a 2-core Xeon, a list call costs about 0.3 ms, and a lane
-call about 1.2 ms at 8 lanes and 2.2 ms at 200 (0.01 ms per state); a
-lane call on one lane runs the list kernel.  Every lane equals the list
-kernel's result bit for bit, so a flight gives the same image whichever
-kernel flies it.  Two rounding traps would break that:
+one product of the operand views and one reduction along the term axis,
+and each stage of an order is one numpy call over all its rows.  At
+order 20 on a 2-core Xeon, a list call costs about 0.17 ms, and a lane
+call about 0.45 ms at 2 to 10 lanes and 1.0 ms at 200 (0.65 ms and
+1.2 ms with a call per row and stage): most of a lane call is numpy's
+per-call overhead, so the kernel keeps its calls few.  A lane call on
+one lane runs the list kernel.  Every lane equals the list kernel's
+result bit for bit, so a flight gives the same image whichever kernel
+flies it.  Two rounding traps would break that:
 
 1. Pairwise summation.  ``np.sum`` and ``np.add.reduce`` along the term
    axis switch to pairwise summation once that axis is contiguous, as it
@@ -259,27 +262,27 @@ def horner_var_point(vc, t):
 # Float (point) kernels on lanes
 # ----------------------------------------------------------------------
 
-# Rows of the lane series array z of shape (10, n+1, N), each by order and
-# lane: the offsets from the primaries p1 = x + mu and p2 = x - (1 - mu),
-# y twice, the powers s = q^(-3/2) of the squared distances q = p^2 + y^2
-# twice, and q.  From order 1 on, p1, p2 and x share their terms.  The
-# copies make the operands of each batch of convolutions one slice:
-# rows _LSQ by themselves give p1^2, p2^2, y^2, and rows _LACC_A by
-# _LACC_B give the acceleration sums p1 s1, p2 s2, y s1, y s2.
-_LSQ, _LACC_A, _LACC_B = slice(0, 3), slice(0, 4), slice(4, 8)
-_LY, _LS, _LQ = slice(2, 4), slice(4, 6), slice(8, 10)
-_LANE_ROWS = 10
+# Rows of the lane series array z of shape (8, n+1, N), each by order and
+# lane: the offset p1 = x + mu from the first primary, y, the offset p2 =
+# x - (1 - mu) from the second, y again, the powers s = q^(-3/2) of the
+# squared distances q = p^2 + y^2, and q.  From order 1 on, p1, p2 and x
+# share their terms.  The copy of y makes the operands of each batch of
+# convolutions one view: rows _LSQ by themselves give p1^2, y^2, p2^2, and
+# rows _LACC, as a (2, 2) block [[p1, y], [p2, y]] against [[s1], [s2]],
+# give the acceleration sums [[p1 s1, y s1], [p2 s2, y s2]].
+_LSQ, _LACC, _LS, _LQ = slice(0, 3), slice(0, 4), slice(4, 6), slice(6, 8)
+_LANE_ROWS = 8
 
 
 def _lane_conv(a, b, k):
-    """sum_{i=0..k} a_i b_(k-i) along the term axis 1, for every row and lane.
+    """sum_{i=0..k} a_i b_(k-i) along the term axis -2, for every row and lane.
 
     One product and one reduction.  Needs two lanes or more: then the term
     axis is not contiguous, and ``np.add.reduce`` adds its slices in
     order, left to right as :func:`_conv` does.  With one lane it would
     sum pairwise.
     """
-    return np.add.reduce(a[:, :k + 1] * b[:, k::-1], axis=1)
+    return np.add.reduce(a[..., :k + 1, :] * b[..., k::-1, :], axis=-2)
 
 
 def lane_guard(states, mu):
@@ -298,48 +301,56 @@ def lane_coeffs(states, mu, n):
 
     The lane twin of :func:`point_coeffs`: ``states`` is (4, N), one state
     per lane, and lane i of the result equals ``point_coeffs(states[:, i],
-    mu, n)`` bit for bit.  Each float operation of the list kernel is one
-    operation over all lanes, in the same order, and the convolutions add
-    their terms left to right (:func:`_lane_conv`).  One lane is handed to
-    the list kernel, which is faster on it and sums as :func:`_lane_conv`
+    mu, n)`` bit for bit.  Each float operation of the list kernel is made
+    on every lane, in the same order, and each stage of an order is one
+    numpy call over its rows: the squares, the two squared distances, the
+    two powers, the four acceleration sums, both accelerations, and the
+    next state's positions and velocities.  The convolutions add their
+    terms left to right (:func:`_lane_conv`).  One lane is handed to the
+    list kernel, which is faster on it and sums as :func:`_lane_conv`
     cannot there.  Needs ``n >= 1``; raises :class:`SingularityError` if a
     lane is inside the guard radius.
     """
     states = np.asarray(states, dtype=np.float64)
-    if states.shape[1] == 1:
+    lanes = states.shape[1]
+    if lanes == 1:
         return point_coeffs(states[:, 0], mu, n)[:, :, None]
     if lane_guard(states, mu).any():
         raise SingularityError("taylor kernel: state inside primary guard radius")
     m1 = 1.0 - mu
-    c = np.zeros((n + 1, 4, states.shape[1]))
+    # the power weights -j/2 - k of order k in column k, j = 1..k down it,
+    # the Coriolis factors of (vy, vx) in (ax, ay), and the masses of the
+    # acceleration sums of each primary
+    weights = -0.5 * np.arange(1.0, n)[:, None] - np.arange(n)
+    spin = np.array([[2.0], [-2.0]])
+    masses = np.array([m1, mu])[:, None, None]
+    c = np.zeros((n + 1, 4, lanes))
     c[0] = states
-    x, y, vx, vy = (c[:, i] for i in range(4))
-    z = np.zeros((_LANE_ROWS, n + 1, states.shape[1]))
-    z[0, 0] = x[0] + mu
-    z[1, 0] = x[0] - m1
+    z = np.zeros((_LANE_ROWS, n + 1, lanes))
+    z[0, 0] = states[0] + mu
+    z[1, 0] = z[3, 0] = states[1]
+    z[2, 0] = states[0] - m1
+    pairs = z[_LACC].reshape(2, 2, n + 1, lanes)
+    powers = z[_LS, None]
     for k in range(n):
-        z[_LY, k] = y[k]
         # squared distances q = p^2 + y^2 at order k
-        p1sq, p2sq, ysq = _lane_conv(z[_LSQ], z[_LSQ], k)
-        q = z[_LQ, :k + 1]
-        q[:, k] = p1sq + ysq, p2sq + ysq
+        sq = _lane_conv(z[_LSQ], z[_LSQ], k)
+        np.add(sq[::2], sq[1], out=z[_LQ, k])
         # s = q^(-3/2) at order k, by the power recurrence from order 1 on
+        q = z[_LQ, :k + 1]
         if k == 0:
-            sk = 1.0 / (q[:, 0] * np.sqrt(q[:, 0]))
+            np.divide(1.0, q[:, 0] * np.sqrt(q[:, 0]), out=z[_LS, 0])
+            scale = np.arange(n)[:, None, None] * q[:, 0]  # k q_0 of order k
         else:
-            w = (-0.5 * np.arange(1, k + 1) - k)[:, None]
-            sk = _lane_conv(w * q[:, 1:], z[_LS], k - 1) / (k * q[:, 0])
-        z[_LS, k] = z[6:8, k] = sk  # and its copy
-        # accelerations at order k and the next state coefficients
-        g1, g2, h1, h2 = _lane_conv(z[_LACC_A], z[_LACC_B], k)
-        ax = 2.0 * vy[k] + x[k] - m1 * g1 - mu * g2
-        ay = -2.0 * vx[k] + y[k] - m1 * h1 - mu * h2
+            np.divide(_lane_conv(weights[:k, k, None] * q[:, 1:], z[_LS], k - 1),
+                      scale[k], out=z[_LS, k])
+        # accelerations (ax, ay) at order k and the next state coefficients
+        g = masses * _lane_conv(pairs, powers, k)
+        acc = spin * c[k, 3:1:-1] + c[k, :2] - g[0] - g[1]
         inv = 1.0 / (k + 1)
-        x[k + 1] = vx[k] * inv
-        y[k + 1] = vy[k] * inv
-        vx[k + 1] = ax * inv
-        vy[k + 1] = ay * inv
-        z[0, k + 1] = z[1, k + 1] = x[k + 1]
+        np.multiply(c[k, 2:], inv, out=c[k + 1, :2])
+        np.multiply(acc, inv, out=c[k + 1, 2:])
+        pairs[:, :, k + 1] = c[k + 1, :2]
     return c
 
 

@@ -27,7 +27,7 @@ from pcr3bp.hset import (
     write_hset_file,
 )
 from pcr3bp.intervals import IArray, Interval
-from pcr3bp.poincare import HALF_MINUS
+from pcr3bp.poincare import HALF_MINUS, HALF_PLUS, SectionPoint, apply_chain_lanes
 from pcr3bp.symbolic import section_point_map
 
 UNIT_N = HSet("N", 1, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
@@ -130,6 +130,30 @@ def test_degenerate_frame_refuses_point_coords_with_a_typed_error(tmp_path):
     point_map = section_point_map(Params(), [HALF_MINUS], v3, flat)
     with pytest.raises(StructureError):
         check_cover_pointwise(point_map, v3, flat, samples=16)
+
+
+@pytest.mark.parametrize("src, dst, tag", [
+    ("G1", "G2", HALF_MINUS), ("G2", "G3", HALF_PLUS),
+    ("G3", "G4", HALF_MINUS), ("V3", "V4", HALF_MINUS),
+])
+def test_array_coords_give_each_landing_its_own_bits(src, dst, tag):
+    # the landings of the benchmark's four screen links, 200 each: solved
+    # in one call, every point gets the bits it gets alone; solving them
+    # all against one frame, as the columns of one right-hand side, parts
+    # from these in the last bits
+    sets = {**load_bundled("g_chain"), **load_bundled("v_chain")}
+    source, target = sets[src], sets[dst]
+    ab = np.random.default_rng(1).uniform(-1.0, 1.0, (200, 2))
+    xv = source.corner_point(ab[:, :1], ab[:, 1:])
+    flown = apply_chain_lanes(Params(), [tag], [
+        SectionPoint(x, vx, source.sign) for x, vx in xv.tolist()])
+    landed = [f[0] for f in flown]
+    x, vx = np.array([p.x for p in landed]), np.array([p.vx for p in landed])
+    a, b = target.local_coords(x, vx)
+    assert a.shape == b.shape == (200,)
+    alone = [target.local_coords(p.x, p.vx) for p in landed]
+    assert all(type(c) is float for pair in alone for c in pair)
+    assert list(zip(a.tolist(), b.tolist())) == alone
 
 
 def test_r_image_involution_and_geometry():

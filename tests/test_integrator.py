@@ -81,6 +81,26 @@ def test_point_exact_time_landing():
     assert np.max(np.abs(b - end)) < 1e-12
 
 
+def test_the_lane_step_rule_is_the_one_state_rule_lane_by_lane():
+    # five lanes near the necks, then lane 1 with both top rows zero (the
+    # rule's cap), lane 2 with only the top row zero, and lane 3 with top
+    # rows so large that the rule asks for less than H_MIN
+    n = integrator.ORDER
+    rng = np.random.default_rng(3)
+    states = np.array([rng.uniform(0.8, 1.1, 5), rng.uniform(-0.02, 0.02, 5),
+                       rng.uniform(-0.1, 0.1, 5), rng.uniform(-0.1, 0.1, 5)])
+    coeffs = taylor.lane_coeffs(states, P.mu, n)
+    coeffs[n - 1:, :, 1] = 0.0
+    coeffs[n, :, 2] = 0.0
+    coeffs[n - 1:, :, 3] = 1e200
+    steps = integrator._step_from_coeffs(coeffs)
+    norms = np.abs(coeffs[n - 1:]).max(axis=1)
+    assert steps == [integrator._step(n, norms[:, i].tolist()) for i in range(5)]
+    assert steps == [integrator._step_from_coeffs(coeffs[:, :, i]) for i in range(5)]
+    assert steps[1] == integrator.SAFETY * integrator.H_MAX
+    assert steps[3] < integrator.H_MIN < min(steps[:3] + steps[4:])
+
+
 def test_point_variational_cocycle():
     _, v_full = flow_point(P, ANCHOR, 3.0, variational=True)
     mid, v_half = flow_point(P, ANCHOR, 1.5, variational=True)

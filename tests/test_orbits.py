@@ -167,9 +167,10 @@ def test_homoclinic_search_converges_onto_the_fixed_points(homoclinic_orbits,
 
 
 def test_homoclinic_search_outputs_are_pinned_to_the_bit(homoclinic_orbits):
-    # the deepening flies each level's probes as the lanes of one flight per
-    # map; each lane gives the bits of its own flight, so the outputs are
-    # those of the probe-by-probe search, frozen here as exact floats
+    # the deepening flies each level's probes as the lanes of one flight of
+    # the chain and all its return maps; each lane gives the bits of its own
+    # flight, so the outputs are those of the probe-by-probe search, frozen
+    # here as exact floats
     got = {i: (o.seed.x, o.seed.vx, o.half_time, o.tail_depth, o.convergence_log)
            for i, o in homoclinic_orbits.items()}
     assert got == {
@@ -237,10 +238,12 @@ def test_homoclinic_search_flies_each_seed_once_per_level(frame_sets,
                         lambda params, index: lyapunov_orbits[index])
     find_symmetric_homoclinic(P, ("L1", "L1"), sets=frame_sets[1])
     assert len(flights) < 65
-    # first the grid; last the walk of the one bracket, and the convergence
-    # log's two levels (its distance grows at depth 1)
+    # first the grid; last the deepening's probes of depth 4 (the chain and
+    # four return maps, where the search stops at depth 3), the walk of the
+    # one bracket, whose landing is the convergence log's depth 0, and the
+    # log's depth 1 (its distance grows there)
     assert flights[0] == ["P+"]
-    assert flights[-3:] == [["P+"], ["P+"], ["P+", "P+"]]
+    assert flights[-3:] == [["P+"] * 5, ["P+"], ["P+", "P+"]]
 
 
 def test_excursion_of_the_trivial_homoclinic_is_refused(homoclinic_orbits,

@@ -183,7 +183,7 @@ def test_builtin_sum_adds_left_to_right():
     assert sum([1e16, 1.0, -1e16]) == 0.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 200])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 200])
 def test_lane_kernel_matches_list_kernel(n):
     states = states_near_the_necks(n, np.random.default_rng(n))
     lanes = taylor.lane_coeffs(states, P.mu, ORDER)

@@ -1,9 +1,11 @@
-"""The relation table's link walk (without flights), the table comparison and the
-code-line count."""
+"""The relation table's link walk (without flights), the table comparison, the
+code-line count and the summary of benchmark pairs (on made-up runs)."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from pcr3bp import symbolic
 from pcr3bp.symbolic import standard_sets
@@ -80,3 +82,64 @@ class C:
     # import, def, the two lines of s, return and class
     assert capsys.readouterr().out.splitlines() == [
         "    16      6  m.py", "    16      6  total (lines, code lines)"]
+
+
+def _result(**values):
+    return {"correct": True, "attempted": 5, "failed": 0,
+            "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+METRICS = [{"name": "op_s_p50", "better": "lower", "bound": 0.25},
+           {"name": "ops_ok_frac", "better": "higher", "bound": 0.05}]
+
+
+def test_bench_pairs_summary_counts_wins_by_each_metrics_direction():
+    pairs = load("bench_pairs")
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    change = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.9]  # a tie last
+    runs = [{"seed": i + 1, "parent": _result(op_s_p50=p, ops_ok_frac=1.0),
+             "change": _result(op_s_p50=c, ops_ok_frac=0.9 if i < 2 else 1.0)}
+            for i, (p, c) in enumerate(zip(parent, change))]
+    runs.append({"seed": 11, "parent": _result(op_s_p50=9.0, ops_ok_frac=1.0),
+                 "change": {"error": "exit 1: boom"}})
+    got = pairs.summarize(runs, METRICS)
+    op = got["op_s_p50"]
+    assert op["parent"]["median"] == 1.45 and op["change"]["median"] == 0.95
+    assert (op["parent"]["q1"], op["parent"]["q3"]) == pytest.approx((1.175, 1.725))
+    assert op["parent_iqr"] == pytest.approx(0.55)
+    assert (op["change_wins"], op["change_losses"], op["pairs"]) == (9, 0, 10)
+    assert op["relative_worsening"] == pytest.approx(-0.5 / 1.45)
+    assert op["within_bound"] and not op["gain_shown"]  # 0.5 apart, IQR 0.55
+    ok = got["ops_ok_frac"]
+    assert (ok["change_wins"], ok["change_losses"]) == (0, 2)
+    assert ok["relative_worsening"] == 0.0 and ok["within_bound"]
+    # a wider gap shows the gain; one more tie does not
+    for r, c in zip(runs, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]):
+        r["change"]["metrics"]["op_s_p50"]["value"] = c
+    assert pairs.summarize(runs, METRICS)["op_s_p50"]["gain_shown"]
+    runs[0]["change"]["metrics"]["op_s_p50"]["value"] = 1.0
+    assert not pairs.summarize(runs, METRICS)["op_s_p50"]["gain_shown"]
+
+
+def test_bench_pairs_alternate_sides_and_fail_on_a_failed_run(tmp_path, monkeypatch, capsys):
+    pairs = load("bench_pairs")
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 3, "workloads": [{"name": "point"}], "end_to_end": METRICS}))
+    calls = []
+
+    def fake(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        if (checkout.name, seed) == ("change", 10):
+            return {"error": "exit 1: boom"}
+        return _result(op_s_p50=1.0 + seed, ops_ok_frac=1.0)
+
+    monkeypatch.setattr(pairs, "run", fake)
+    assert pairs.main(str(tmp_path / "parent"), str(tmp_path / "change")) == 1
+    assert calls[:4] == [("parent", "point", 1, 3), ("change", "point", 1, 3),
+                         ("change", "point", 2, 3), ("parent", "point", 2, 3)]
+    assert len(calls) == 20
+    doc = json.loads(capsys.readouterr().out)
+    assert [p["first"] for p in doc["pairs"]["point"]][:2] == ["parent", "change"]
+    assert doc["summary"]["point"]["op_s_p50"]["pairs"] == 9
