@@ -119,7 +119,8 @@ class HSet:
     def corner_point(self, a: float, b: float) -> np.ndarray:
         return self.center + a * self.u + b * self.s
 
-    def local_coords(self, x, vx):
+    def local_coords(self, x: float | np.ndarray, vx: float | np.ndarray
+                     ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
         """(a, b) coordinates of a section point, or arrays of them for arrays of points.
 
         Floats give floats; arrays ``x`` and ``vx`` of one shape give
@@ -132,15 +133,16 @@ class HSet:
 
         Raises :class:`StructureError` if ``u`` and ``s`` are parallel.
         """
-        rhs = np.stack(np.broadcast_arrays(x, vx), axis=-1) - self.center
-        frames = np.broadcast_to(self.frame, rhs.shape + (2,))
         try:
-            ab = np.linalg.solve(frames, rhs[..., None])[..., 0]
+            if isinstance(x, np.ndarray):
+                rhs = np.stack([x, vx], axis=-1) - self.center
+                ab = np.linalg.solve(np.broadcast_to(self.frame, rhs.shape + (2,)),
+                                     rhs[..., None])
+                return ab[..., 0, 0], ab[..., 1, 0]
+            ab = np.linalg.solve(self.frame, np.array([x, vx]) - self.center)
         except np.linalg.LinAlgError as exc:
             raise StructureError(f"h-set {self.name} has a singular frame: {exc}") from None
-        if ab.ndim == 1:
-            return float(ab[0]), float(ab[1])
-        return ab[..., 0], ab[..., 1]
+        return float(ab[0]), float(ab[1])
 
     def local_coords_iv(self, x: Interval, vx: Interval) -> tuple[Interval, Interval]:
         """Rigorous (a, b) enclosure of a section box."""

@@ -173,32 +173,21 @@ def _step_from_coeffs(coeffs: np.ndarray) -> float | list[float]:
     for N lanes, giving a list of N steps.  The roots are Python's float
     ``**`` (libm ``pow``), lane by lane: numpy's vectorised power differs
     from it in the last bits, and a lane must step as its state alone does.
-    The lanes run the rule of :func:`_step` in one loop, with its two
-    exponents made once.
+    One state is one lane of the same loop.
     """
     n = coeffs.shape[0] - 1
     norms = np.abs(coeffs[n - 1:]).max(axis=1).tolist()
-    if coeffs.ndim == 2:
-        return _step(n, norms)
     e0, e1 = 1.0 / (n - 1), 1.0 / n
+    lanes = zip(*norms) if coeffs.ndim == 3 else [norms]
     steps = []
-    for a, b in zip(*norms):
+    for a, b in lanes:
         h = H_MAX
         if a > 0.0:
             h = min(h, (TOL / a) ** e0)
         if b > 0.0:
             h = min(h, (TOL / b) ** e1)
         steps.append(SAFETY * h)
-    return steps
-
-
-def _step(n: int, norms) -> float:
-    # the step rule for the max-norms of coefficient rows n-1 and n
-    h = H_MAX
-    for k, norm in zip((n - 1, n), norms):
-        if norm > 0.0:
-            h = min(h, (TOL / norm) ** (1.0 / k))
-    return SAFETY * h
+    return steps if coeffs.ndim == 3 else steps[0]
 
 
 def _resize(rem: float) -> float:

@@ -394,7 +394,6 @@ def section_point_map(params: Params, tags: Sequence[MapTag], source: HSet,
     together as lanes (:func:`~pcr3bp.poincare.apply_chain_lanes`), and
     each entry of the result is the target-local image ``(a', b')`` of its
     row or the :class:`~pcr3bp.errors.PCR3BPError` the flight raised.
-    The landings take their target-local coordinates in one call.
     """
 
     def point_map(points):

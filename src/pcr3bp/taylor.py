@@ -48,12 +48,11 @@ recurrence on numpy rows, one lane per state.  Each lane convolution is
 one product of the operand views and one reduction along the term axis,
 and each stage of an order is one numpy call over all its rows.  At
 order 20 on a 2-core Xeon, a list call costs about 0.17 ms, and a lane
-call about 0.45 ms at 2 to 10 lanes and 1.0 ms at 200 (0.65 ms and
-1.2 ms with a call per row and stage): most of a lane call is numpy's
-per-call overhead, so the kernel keeps its calls few.  A lane call on
-one lane runs the list kernel.  Every lane equals the list kernel's
-result bit for bit, so a flight gives the same image whichever kernel
-flies it.  Two rounding traps would break that:
+call about 0.45 ms at 2 to 10 lanes and 1.0 ms at 200: most of a lane
+call is numpy's per-call overhead, so the kernel keeps its calls few.
+A lane call on one lane runs the list kernel.  Every lane equals the
+list kernel's result bit for bit, so a flight gives the same image
+whichever kernel flies it.  Two rounding traps would break that:
 
 1. Pairwise summation.  ``np.sum`` and ``np.add.reduce`` along the term
    axis switch to pairwise summation once that axis is contiguous, as it

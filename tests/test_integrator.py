@@ -94,8 +94,6 @@ def test_the_lane_step_rule_is_the_one_state_rule_lane_by_lane():
     coeffs[n, :, 2] = 0.0
     coeffs[n - 1:, :, 3] = 1e200
     steps = integrator._step_from_coeffs(coeffs)
-    norms = np.abs(coeffs[n - 1:]).max(axis=1)
-    assert steps == [integrator._step(n, norms[:, i].tolist()) for i in range(5)]
     assert steps == [integrator._step_from_coeffs(coeffs[:, :, i]) for i in range(5)]
     assert steps[1] == integrator.SAFETY * integrator.H_MAX
     assert steps[3] < integrator.H_MIN < min(steps[:3] + steps[4:])

@@ -100,24 +100,47 @@ def test_bench_pairs_summary_counts_wins_by_each_metrics_direction():
     runs = [{"seed": i + 1, "parent": _result(op_s_p50=p, ops_ok_frac=1.0),
              "change": _result(op_s_p50=c, ops_ok_frac=0.9 if i < 2 else 1.0)}
             for i, (p, c) in enumerate(zip(parent, change))]
-    runs.append({"seed": 11, "parent": _result(op_s_p50=9.0, ops_ok_frac=1.0),
-                 "change": {"error": "exit 1: boom"}})
     got = pairs.summarize(runs, METRICS)
     op = got["op_s_p50"]
     assert op["parent"]["median"] == 1.45 and op["change"]["median"] == 0.95
     assert (op["parent"]["q1"], op["parent"]["q3"]) == pytest.approx((1.175, 1.725))
     assert op["parent_iqr"] == pytest.approx(0.55)
-    assert (op["change_wins"], op["change_losses"], op["pairs"]) == (9, 0, 10)
+    assert (op["change_wins"], op["change_losses"], op["pairs"], op["failed_pairs"]) \
+        == (9, 0, 10, 0)
     assert op["relative_worsening"] == pytest.approx(-0.5 / 1.45)
     assert op["within_bound"] and not op["gain_shown"]  # 0.5 apart, IQR 0.55
+    # the parent's IQR is 38 % of its median, wider than the 25 % bound
+    assert op["unresolved"]
     ok = got["ops_ok_frac"]
     assert (ok["change_wins"], ok["change_losses"]) == (0, 2)
     assert ok["relative_worsening"] == 0.0 and ok["within_bound"]
-    # a wider gap shows the gain; one more tie does not
+    assert not ok["unresolved"]
+    # a wider gap shows the gain, unresolved while the tie's run reads no
+    # better than every parent run
     for r, c in zip(runs, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]):
         r["change"]["metrics"]["op_s_p50"]["value"] = c
-    assert pairs.summarize(runs, METRICS)["op_s_p50"]["gain_shown"]
+    op = pairs.summarize(runs, METRICS)["op_s_p50"]
+    assert op["gain_shown"] and op["unresolved"]
+    # a failed pair counts among the pairs run: 9 won of 11 is too few
+    runs.append({"seed": 11, "parent": _result(op_s_p50=9.0, ops_ok_frac=1.0),
+                 "change": {"error": "exit 1: boom"}})
+    op = pairs.summarize(runs, METRICS)["op_s_p50"]
+    assert (op["change_wins"], op["pairs"], op["failed_pairs"]) == (9, 11, 1)
+    assert not op["gain_shown"]
+    runs.pop()
+    runs[-1]["change"]["metrics"]["op_s_p50"]["value"] = 0.95
+    op = pairs.summarize(runs, METRICS)["op_s_p50"]
+    assert op["gain_shown"] and not op["unresolved"]
+    # so does a change that fails more operations than the parent
+    for r in runs[:6]:
+        r["change"]["metrics"]["ops_ok_frac"]["value"] = 0.9
+    assert not pairs.summarize(runs, METRICS)["op_s_p50"]["gain_shown"]
+    # one more tie leaves 9 of 10 won
+    for r in runs[:6]:
+        r["change"]["metrics"]["ops_ok_frac"]["value"] = 1.0
     runs[0]["change"]["metrics"]["op_s_p50"]["value"] = 1.0
+    assert pairs.summarize(runs, METRICS)["op_s_p50"]["gain_shown"]
+    runs[1]["change"]["metrics"]["op_s_p50"]["value"] = 1.1
     assert not pairs.summarize(runs, METRICS)["op_s_p50"]["gain_shown"]
 
 
@@ -142,4 +165,4 @@ def test_bench_pairs_alternate_sides_and_fail_on_a_failed_run(tmp_path, monkeypa
     assert len(calls) == 20
     doc = json.loads(capsys.readouterr().out)
     assert [p["first"] for p in doc["pairs"]["point"]][:2] == ["parent", "change"]
-    assert doc["summary"]["point"]["op_s_p50"]["pairs"] == 9
+    assert doc["summary"]["point"]["op_s_p50"]["failed_pairs"] == 1

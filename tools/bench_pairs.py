@@ -16,13 +16,16 @@ writes one JSON document to standard output: the ``pairs`` of each
 workload, every run's result line, and their ``summary``.  Per workload
 and end-to-end metric the summary gives each side's median and
 quartiles (``statistics.quantiles``), the pairs the change won and lost
-by the metric's ``better`` (ties count for neither), the change's
-``relative_worsening`` of the median against the metric's ``bound``, the
-``parent_iqr``, and ``gain_shown``: at least nine tenths of the pairs
-won, and the medians apart in the change's favour by more than the
-parent's interquartile range.  Progress goes to standard error.  The exit
-status is 1 if any run exits non-zero, prints no result or reports a
-wrong output.
+by the metric's ``better`` (ties count for neither), the pairs run and
+the failed ones, the change's ``relative_worsening`` of the median
+against the metric's ``bound``, the ``parent_iqr``, ``unresolved``: the
+parent's interquartile range, relative to its median, is wider than the
+bound and not every change run reads better than every parent run, and
+``gain_shown``: at least nine tenths of all pairs run won, the medians
+apart in the change's favour by more than the parent's interquartile
+range, and the change's median ``ops_ok_frac`` no lower than the
+parent's.  Progress goes to standard error.  The exit status is 1 if
+any run exits non-zero, prints no result or reports a wrong output.
 """
 
 import json
@@ -60,33 +63,43 @@ def summarize(pairs: list, metrics: list) -> dict:
     """The summary of one workload's pairs for the end-to-end ``metrics``.
 
     ``pairs`` holds dicts with the ``parent`` and ``change`` result of a
-    seed; a pair with a failed side is left out, and fewer than two whole
-    pairs give no summary.  ``metrics`` are the ``end_to_end`` entries of
-    ``BENCHMARK.json``.
+    seed.  Spreads, wins and losses are taken over the pairs whose two
+    sides both ran, and fewer than two of those give no summary; the wins
+    rule counts every pair run, so a failed pair counts against a gain.
+    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``.
     """
     done = [p for p in pairs if "error" not in p["parent"] and "error" not in p["change"]]
-    summary = {}
     if len(done) < 2:
-        return summary
+        return {}
+    got = {m["name"]: {side: [p[side]["metrics"][m["name"]]["value"] for p in done]
+                       for side in ("parent", "change")} for m in metrics}
+    ok = got.get("ops_ok_frac")
+    fails_more = ok is not None and statistics.median(ok["change"]) < statistics.median(ok["parent"])
+    summary = {}
     for m in metrics:
         name, sign = m["name"], (1.0 if m["better"] == "lower" else -1.0)
-        got = {side: [p[side]["metrics"][name]["value"] for p in done]
-               for side in ("parent", "change")}
         # a positive gap is the change doing worse
-        gaps = [sign * (c - p) for p, c in zip(got["parent"], got["change"])]
-        parent, change = _spread(got["parent"]), _spread(got["change"])
+        gaps = [sign * (c - p) for p, c in zip(got[name]["parent"], got[name]["change"])]
+        parent, change = _spread(got[name]["parent"]), _spread(got[name]["change"])
         worse = sign * (change["median"] - parent["median"])
         relative = worse / abs(parent["median"]) if parent["median"] else (
             0.0 if worse == 0.0 else float("inf"))
         parent_iqr = parent["q3"] - parent["q1"]
+        noise = parent_iqr / abs(parent["median"]) if parent["median"] else (
+            0.0 if parent_iqr == 0.0 else float("inf"))
+        beats_every_run = (max(sign * v for v in got[name]["change"])
+                           < min(sign * v for v in got[name]["parent"]))
         wins = sum(g < 0.0 for g in gaps)
         summary[name] = {
             "parent": parent, "change": change,
             "change_wins": wins, "change_losses": sum(g > 0.0 for g in gaps),
-            "pairs": len(gaps), "relative_worsening": relative,
+            "pairs": len(pairs), "failed_pairs": len(pairs) - len(done),
+            "relative_worsening": relative,
             "bound": m["bound"], "within_bound": relative <= m["bound"],
             "parent_iqr": parent_iqr,
-            "gain_shown": wins >= 0.9 * len(gaps) and -worse > parent_iqr,
+            "unresolved": noise > m["bound"] and not beats_every_run,
+            "gain_shown": (wins >= 0.9 * len(pairs) and -worse > parent_iqr
+                           and not fails_more),
         }
     return summary
 
@@ -115,7 +128,8 @@ def main(parent_dir: str, change_dir: str) -> int:
             print(f"{w} {name}: {s['parent']['median']:.4g} -> {s['change']['median']:.4g} "
                   f"({s['change_wins']} won, {s['change_losses']} lost of {s['pairs']}; "
                   f"worse by {s['relative_worsening']:+.1%}, bound {s['bound']:.0%}; "
-                  f"gain shown: {s['gain_shown']})", file=sys.stderr, flush=True)
+                  f"unresolved: {s['unresolved']}; gain shown: {s['gain_shown']})",
+                  file=sys.stderr, flush=True)
     command = "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0"
     json.dump({"command": command, "run_seconds": seconds, "pairs": pairs,
                "summary": summary}, sys.stdout, indent=1)
