@@ -24,10 +24,11 @@ last crossing of one unstable edge and its next crossing of the other,
 runs through M inside the stable strip.
 
 :func:`check_cover` verifies this with interval arithmetic over an
-adaptive grid of parallelogram cells, in one recursion: each cell decides
-the exit-edge pieces it holds from its face ``a = +-1``, and a cell that
-is undecided, or whose face leaves its piece undecided, splits.  Its
-verdicts are three-valued:
+adaptive grid of parallelogram cells, in one recursion.  The map returns
+each cell's image as a :class:`CellImage`, and each cell decides the
+exit-edge pieces it holds from the image of its face ``a = +-1``; a cell
+that is undecided, whose face leaves its piece undecided, or whose
+evaluation raised, splits.  Its verdicts are three-valued:
 
 ``verified``
     all covering conditions hold with certified clearances;
@@ -251,16 +252,14 @@ class CellImage:
 
 # A covering-check map evaluates the composite map on one parallelogram
 # cell of the source h-set, given in the source's local (a, b)
-# coordinates, and returns an enclosure of the image in the *target's
-# local* (a', b') coordinates: a pair, or a CellImage, whose faces decide
-# the exit edges without a flight of their own (a face that leaves its
-# edge undecided refines its cell; a plain pair's cell has its edge pieces
-# evaluated as sets of their own).  The adapter that wraps
+# coordinates, and returns a CellImage: an enclosure of the image in the
+# *target's local* (a', b') coordinates, whose faces are the only thing
+# that decides the exit-edge pieces the cell holds.  The adapter that wraps
 # the actual section map owns the section-to-local conversion (see
 # HSet.local_coords_iv), so it can exploit whatever structure its image
 # representation has instead of losing correlations to an intermediate
 # bounding box.
-MapEnclosure = Callable[[Interval, Interval], tuple[Interval, Interval] | CellImage]
+MapEnclosure = Callable[[Interval, Interval], CellImage]
 
 
 @dataclass(slots=True)
@@ -275,7 +274,7 @@ class CoverReport:
     message: str
     #: exceptions the map raised, counted by type name
     errors: dict[str, int] = field(default_factory=dict)
-    #: exit-edge pieces decided from the face of a flown cell, unflown
+    #: exit-edge pieces decided, each from the face of its cell
     edge_faces: int = 0
 
     @property
@@ -340,31 +339,24 @@ def _evaluate(fn, tally: _Tally, *args):
         return None
 
 
-def _decide_edge(map_fn: MapEnclosure, image, a_edge: float, b: Interval,
-                 tally: _Tally) -> bool:
-    """Decide the exit-edge piece ``{a_edge} x b`` from the face of its cell.
+def _decide_edge(image: CellImage | None, a_edge: float, tally: _Tally) -> bool:
+    """Decide the exit-edge piece at ``a_edge`` from the face of its cell.
 
     ``image`` is the map's image of the cell, which has ``a_edge`` as an
-    end of its ``a`` range.  The face is a :class:`CellImage`'s own
-    ``face(a_edge)``; for a map that returns a plain pair, or a cell whose
-    evaluation failed, it is the map evaluated on the piece.  The piece is
-    decided when the face lies strictly beyond one unstable edge (the
-    stable coordinate is unconstrained on exit edges); its clearance, leaf
-    and side are then noted.  Returns whether the piece was decided.
+    end of its ``a`` range, or None if its evaluation raised; such a cell
+    decides no piece.  The piece is decided when ``image.face(a_edge)``
+    lies strictly beyond one unstable edge (the stable coordinate is
+    unconstrained on exit edges); its clearance, leaf and side are then
+    noted.  Returns whether the piece was decided.
     """
-    if isinstance(image, CellImage):
-        face = _evaluate(image.face, tally, a_edge)
-    else:
-        tally.cells += 1
-        face = _evaluate(map_fn, tally, Interval.point(a_edge), b)
+    face = None if image is None else _evaluate(image.face, tally, a_edge)
     if face is None:
         return False
     a_img, b_img = face
     clearance = max(a_img.lo - 1.0, -1.0 - a_img.hi)
     if not clearance > 0.0:
         return False
-    if isinstance(image, CellImage):
-        tally.edge_faces += 1
+    tally.edge_faces += 1
     tally.margin = min(tally.margin, clearance)
     tally.note_leaf(a_img, b_img)
     tally.sides[a_edge].add(a_img.lo > 1.0)
@@ -380,7 +372,7 @@ def _refine_cell(map_fn: MapEnclosure, a: Interval, b: Interval,
     ``(-1, 1)`` or ``a'`` lies strictly beyond one unstable edge.
     ``edges`` lists the exit edges ``a = +-1`` whose pieces are still
     undecided; the cell decides the pieces ``{a_edge} x b`` at the ends of
-    ``a`` from its face (:func:`_decide_edge`).  A cell that is not
+    ``a`` from its faces (:func:`_decide_edge`).  A cell that is not
     certified, or that leaves a piece undecided, splits in half per axis
     while the per-axis budgets ``sa``/``sb`` last, and its children take
     up the undecided edges.  Every leaf enclosure feeds the falsification
@@ -390,7 +382,7 @@ def _refine_cell(map_fn: MapEnclosure, a: Interval, b: Interval,
     tally.cells += 1
     image = _evaluate(map_fn, tally, a, b)
     edges = [e for e in edges
-             if e in (a.lo, a.hi) and not _decide_edge(map_fn, image, e, b, tally)]
+             if e in (a.lo, a.hi) and not _decide_edge(image, e, tally)]
     ok = False
     if image is not None:
         a_img, b_img = image
@@ -419,10 +411,10 @@ def check_cover(map_fn: MapEnclosure, source: HSet, target: HSet,
     """Verify that ``source`` f-covers ``target``.
 
     ``map_fn`` evaluates the map on cells of ``source`` given in
-    source-local (a, b) coordinates and returns image enclosures in
-    target-local (a', b') coordinates (see :data:`MapEnclosure`).  The
-    grid is refined adaptively (undecided cells split in half per axis)
-    from ``grid`` up to ``max_grid``.
+    source-local (a, b) coordinates and returns each image as a
+    :class:`CellImage` in target-local (a', b') coordinates (see
+    :data:`MapEnclosure`).  The grid is refined adaptively (undecided
+    cells split in half per axis) from ``grid`` up to ``max_grid``.
 
     Certified for a ``verified`` verdict:
 
@@ -434,14 +426,13 @@ def check_cover(map_fn: MapEnclosure, source: HSet, target: HSet,
       opposite sides for the two edges.
 
     Each exit-edge piece is a face of the cell that holds it, and it is
-    decided inside the one cell recursion, from that face: a
-    :class:`CellImage`'s own ``face(a_edge)`` (for a mean-value map, the
-    cell's mean-value form restricted to the face, with no evaluation of
-    its own), or the map evaluated on the piece when ``map_fn`` returns a
-    plain pair or raised on the cell.  A face that leaves its piece
-    undecided refines its cell, as an undecided cell does, and each child
-    decides the pieces at its own ends.  ``CoverReport.edge_faces`` counts
-    the pieces decided from a :class:`CellImage`'s faces, and
+    decided inside the one cell recursion, only from the cell image's
+    ``face(a_edge)`` (for a mean-value map, the cell's mean-value form
+    restricted to the face, with no evaluation of its own).  A face that
+    leaves its piece undecided, or a cell whose evaluation raised, refines
+    its cell, as an undecided cell does, and each child decides the pieces
+    at its own ends; at the finest grid such a piece leaves the check
+    undecided.  ``CoverReport.edge_faces`` counts the decided pieces, and
     ``CoverReport.cells`` counts the map evaluations.
 
     Why that suffices: a curve through ``source`` from one exit edge to

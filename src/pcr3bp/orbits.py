@@ -84,7 +84,6 @@ from .poincare import (
     LyapunovOrbit,
     SectionPoint,
     _fix_r_scan,
-    _grid_brackets,
     _refine_bracket,
     apply_chain_lanes,
     chain_landings,
@@ -610,10 +609,13 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     The bracket is deepened by appending return-map factors one at a time
     up to ``N_TAIL``; when a level's bracket collapses to the floating
     point grid the search stops early and reports the achieved depth.
-    The images at depth k, of the deepening and of the convergence log
-    alike, are one lane flight of the chain and k return maps, whose time
-    horizon spans all its maps; the log's depth-0 image is the landing of
-    the chosen seed's link walk, which is that flight.
+    The seed grid, and the probes of each deepening level, are one Fix(R)
+    scan (:func:`~pcr3bp.poincare._fix_r_scan`), and each level's bracket
+    is refined with that level's evaluator.  The images at depth k, of the
+    deepening and of the convergence log alike, are one lane flight of the
+    chain and k return maps, whose time horizon spans all its maps; the
+    log's depth-0 image is the landing of the chosen seed's link walk,
+    which is that flight.
     """
     word, start, links = _word_setup(word, sets)
     seed_at = _seed_line(start)
@@ -629,23 +631,18 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     frame = links[-1][1].frame
     tags = [t for link, _ in links for t in link.tags]
 
-    def images(seeds: Sequence[float], depth: int) -> list[SectionPoint | None]:
-        """Each seed's chain image, ``depth`` return maps on; None if its flight failed.
+    def expanding(a: float, flown) -> float | None:
+        if isinstance(flown, PCR3BPError):
+            return None
+        img = flown[0]
+        return float(np.linalg.solve(frame, [img.x - fixed.x, img.vx - fixed.vx])[0])
 
-        The seeds fly the chain and the ``depth`` return maps as the lanes
-        of one flight.
-        """
-        flown = apply_chain_lanes(params, tags + [tail_tag] * depth,
-                                  [seed_at(a) for a in seeds])
-        return [None if isinstance(f, PCR3BPError) else f[0] for f in flown]
+    def scan(seeds: list[float], depth: int):
+        """The Fix(R) scan of the expanding coordinate ``depth`` return maps on."""
+        return _fix_r_scan(params, tags + [tail_tag] * depth, seed_at, seeds,
+                           expanding)
 
-    def expanding_coords(seeds: Sequence[float], depth: int) -> list[float | None]:
-        return [None if img is None else float(np.linalg.solve(
-            frame, [img.x - fixed.x, img.vx - fixed.vx])[0])
-            for img in images(seeds, depth)]
-
-    grid = np.linspace(-1.0, 1.0, HOMOCLINIC_GRID).tolist()
-    base = _grid_brackets(grid, expanding_coords(grid, 0))
+    base, expanding_at = scan(np.linspace(-1.0, 1.0, HOMOCLINIC_GRID).tolist(), 0)
     if not base:
         raise SearchError(
             f"no sign change of the expanding coordinate along Fix(R) in "
@@ -653,13 +650,12 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
         )
 
     def deepen(lo, hi, flo, fhi) -> tuple[float, float, int]:
-        depth = 0
+        at, depth = expanding_at, 0
         for k in range(1, N_TAIL + 1):
             # sharpen the current bracket enough that the next level's
             # root (a multiplier factor closer) can be re-bracketed
             target_w = max(COLLAPSE_WIDTH, (hi - lo) / lam * 0.25)
-            refined = _refine_bracket(lambda a: expanding_coords([a], depth)[0],
-                                      lo, hi, flo, fhi, target_w)
+            refined = _refine_bracket(at, lo, hi, flo, fhi, target_w)
             if refined is None:
                 return (lo, hi, depth)
             lo, hi = refined
@@ -675,7 +671,7 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
                 )
                 return (lo, hi, depth)
             probes = [w_lo + f * (w_hi - w_lo) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-            found = _grid_brackets(probes, expanding_coords(probes, k))
+            found, at = scan(probes, k)
             if not found:
                 return (lo, hi, depth)
             lo, hi, flo, fhi = found[0]
@@ -705,9 +701,11 @@ def find_symmetric_homoclinic(params: Params, word: Sequence[str], *,
     # depth 0 is the walk's landing, the same one-lane flight of the chain
     distances = []
     for j in range(N_TAIL + 3):
-        img = images([a_hat], j)[0] if j else landing
-        if img is None:
+        flown = (apply_chain_lanes(params, tags + [tail_tag] * j, [seed_at(a_hat)])[0]
+                 if j else (landing, half_time))
+        if isinstance(flown, PCR3BPError):
             break
+        img = flown[0]
         d = math.hypot(img.x - fixed.x, img.vx - fixed.vx)
         if distances and d >= distances[-1]:
             break

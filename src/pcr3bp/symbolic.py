@@ -355,9 +355,9 @@ def section_map(params: Params, tags: Sequence[MapTag], source: HSet,
     ``(a', b')``, and its ``face(a_edge)`` encloses the image of the face
     ``a = a_edge`` of the cell by the same mean-value form, with the
     offset along ``a`` narrowed to ``a_edge - am`` (plus the center's
-    rounding, :func:`~pcr3bp.poincare.cell_offsets`), so that
-    :func:`~pcr3bp.hset.check_cover` decides exit edges without flying
-    them.
+    rounding, :func:`~pcr3bp.poincare.cell_offsets`).  That face is how
+    :func:`~pcr3bp.hset.check_cover` decides the exit-edge pieces the
+    cell holds.
     """
 
     def map_fn(a: Interval, b: Interval) -> CellImage:

@@ -34,9 +34,22 @@ UNIT_N = HSet("N", 1, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 UNIT_M = HSet("M", 1, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 
+def with_faces(pair_map):
+    """A map of cells to (a', b') pairs as a covering-check map: each
+    CellImage is the pair map on its cell, and each face the pair map on
+    that face."""
+
+    def map_fn(a, b):
+        return CellImage(*pair_map(a, b),
+                         lambda a_edge: pair_map(Interval.point(a_edge), b))
+
+    return map_fn
+
+
 def linear_local_map(la, lb, ta, tb):
     """Map (a, b) -> (la a + ta, lb b + tb) in local coordinates."""
 
+    @with_faces
     def map_fn(a, b):
         return a * la + ta, b * lb + tb
 
@@ -50,6 +63,7 @@ def through_section_adapter(source, target, la, lb, ta, tb):
     fr = target.frame
     cx, cvx = float(target.center[0]), float(target.center[1])
 
+    @with_faces
     def map_fn(a, b):
         ap = a * la + ta
         bp = b * lb + tb
@@ -221,6 +235,7 @@ def test_fix_r_segment_requires_symmetry():
 
 
 def test_toy_hyperbolic_cover_verified_with_exact_margin():
+    @with_faces
     def f(a, b):
         return a * 3.0, b * (1.0 / 3.0)
 
@@ -232,6 +247,7 @@ def test_toy_hyperbolic_cover_verified_with_exact_margin():
 
 def test_toy_contraction_is_falsified():
     # the image provably never reaches either unstable edge (|a'| < 1)
+    @with_faces
     def f(a, b):
         return a * 0.3, b * 0.2
 
@@ -242,6 +258,7 @@ def test_toy_contraction_is_falsified():
 
 def test_toy_displaced_image_is_falsified():
     # the whole image is certified disjoint from the target square
+    @with_faces
     def f(a, b):
         return a * 0.5 + 5.0, b * 0.2
 
@@ -252,6 +269,7 @@ def test_toy_displaced_image_is_falsified():
 
 def test_toy_image_above_target_is_falsified():
     # disjoint from the target square on the stable side
+    @with_faces
     def f(a, b):
         return a * 3.0, b * 0.1 + 7.0
 
@@ -263,6 +281,7 @@ def test_toy_image_above_target_is_falsified():
 def test_weak_cover_with_strip_escape_beyond_exits_is_verified():
     # |b'| exceeds 1 only where |a'| is already far beyond the exit
     # edges; the bars beside the target are avoided, so this covers
+    @with_faces
     def f(a, b):
         return a * 5.0, b * (a * a + 0.05)
 
@@ -278,6 +297,7 @@ def test_same_side_exits_with_interior_sweep_is_inconclusive():
     # both exit edges certify beyond a' = +1, yet the interior image
     # sweeps across the whole target: not certifiable in these frames,
     # but no disproof either (the map may still cover through the fold)
+    @with_faces
     def f(a, b):
         return a * a * 4.0 - 2.5, b * (1.0 / 3.0)
 
@@ -289,6 +309,7 @@ def test_same_side_exits_with_interior_sweep_is_inconclusive():
 def test_bar_hit_is_inconclusive_not_falsified():
     # cells near a = 0 land inside the closed bar {|a'| <= 1, |b'| >= 1},
     # which blocks certification but does not disprove a covering
+    @with_faces
     def f(a, b):
         return b * 3.0, a * 2.0
 
@@ -299,6 +320,7 @@ def test_bar_hit_is_inconclusive_not_falsified():
 
 def test_toy_marginal_map_is_inconclusive():
     # edges land exactly on the unstable edges: never strictly beyond
+    @with_faces
     def f(a, b):
         return a * 1.0, b * 0.5
 
@@ -311,6 +333,7 @@ def test_toy_marginal_map_is_inconclusive():
 def test_margin_positive_iff_verified():
     reports = []
     for la, lb in [(3.0, 1 / 3), (0.3, 0.2), (1.0, 0.5)]:
+        @with_faces
         def f(a, b, la=la, lb=lb):
             return a * la, b * lb
 
@@ -326,6 +349,7 @@ def test_cover_leaves_kernel_singularity_undecided():
     # those cells undecided instead of aborting the check
     at_primary = np.array([1.0 - MU_SUN_JUPITER, 0.0, 0.1, 0.1])
 
+    @with_faces
     def f(a, b):
         if a.hi > 0.5:
             taylor.iv_coeffs(at_primary - 1e-3, at_primary + 1e-3,
@@ -335,10 +359,11 @@ def test_cover_leaves_kernel_singularity_undecided():
     rep = check_cover(f, UNIT_N, UNIT_M, grid=(4, 1), max_grid=(4, 1))
     assert rep.outcome == "inconclusive"
     assert "undecided" in rep.message
-    # the map raised on the cell [1/2, 1] and on the exit edge a = +1; the
-    # report counts both and names them
-    assert rep.errors == {"SingularityError": 2}
-    assert "SingularityError: 2" in rep.message
+    # the map raised on the cell [1/2, 1]; a cell that raised decides no
+    # exit-edge piece, so the edge a = +1 is not evaluated on its own, and
+    # the report counts the one error and names it
+    assert rep.errors == {"SingularityError": 1}
+    assert "SingularityError: 1" in rep.message
 
 
 def counted_faces(face_of):
@@ -407,6 +432,27 @@ def test_a_face_that_raises_is_counted_in_the_errors():
     assert "DomainError: 2" in rep.message
 
 
+def test_a_cell_that_raised_passes_its_edge_pieces_to_its_children():
+    # the map raises on the whole cell but not on its halves: the whole
+    # cell decides no exit-edge piece and flies none, and each half decides
+    # the piece at its own end from its face
+    @with_faces
+    def f(a, b):
+        if a.width == b.width == 2.0:
+            raise DomainError("whole cell off the section")
+        return a * 3.0, b * (1.0 / 3.0)
+
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(1, 1), max_grid=(2, 1))
+    assert rep.verified, str(rep)
+    assert rep.margin == pytest.approx(2.0, abs=1e-12)
+    assert (rep.cells, rep.edge_faces) == (3, 2)
+    assert rep.errors == {"DomainError": 1}
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(1, 1), max_grid=(1, 1))
+    assert rep.outcome == "inconclusive"
+    assert "undecided at the finest grid" in rep.message
+    assert (rep.cells, rep.edge_faces) == (1, 0)
+
+
 def test_face_decided_pieces_feed_the_falsification_hull():
     # the cells' a' stays within +-0.5, so from the cells alone the hull of
     # a' stops short of both unstable edges; the faces reach beyond them,
@@ -457,6 +503,7 @@ def test_adaptive_refinement_rescues_coarse_grid():
     # the b-image is written with an interval dependency problem, so a
     # single coarse cell overestimates it badly; subdivision shrinks the
     # overestimate linearly until the strip condition certifies
+    @with_faces
     def f(a, b):
         ap = a * 3.0
         bp = (a + b) * 0.5 - a * 0.5  # = b/2, but wraps on wide cells

@@ -459,6 +459,20 @@ def test_boundary_cell_faces_decide_the_exit_edges_of_v3_v4():
     assert rep.stable_clearance.hex() == "0x1.cc02af395c5dfp-1"
 
 
+def test_a_refined_relation_is_pinned_to_the_bit():
+    # R(G4) => R(G3) at the grid (4, 1), refined up to (512, 16): its four
+    # cells and their children take twelve evaluations, and the two end
+    # cells decide the two exit edges from their faces.  The verdict, the
+    # margin and the stable clearance are frozen here as exact floats
+    sets = standard_sets()
+    src, dst = r_image(sets["G4"]), r_image(sets["G3"])
+    rep = check_cover(section_map(Params(), [HALF_PLUS], src, dst), src, dst,
+                      grid=(4, 1), max_grid=(512, 16))
+    assert (rep.outcome, rep.cells, rep.edge_faces) == ("verified", 12, 2)
+    assert rep.margin.hex() == "0x1.4589708b06b61p+5"
+    assert rep.stable_clearance.hex() == "0x1.a72190b2a4952p-2"
+
+
 def exact_crossing(params, pt, t_guess):
     """The section crossing (x, vx) of a point near ``t_guess``, at 30 digits.
 

@@ -50,13 +50,17 @@ def test_compare_tables_flags_a_row_whose_maps_changed(tmp_path, capsys):
            "maps": ["Ph+"], "outcome": "verified", "margin_hex": "0x1.0p-1",
            "stable_clearance_hex": "0x1.0p-2", "evaluations": 4, "cpu_s": 1.0}
     paths = []
-    for maps in (["Ph+"], ["Ph+"], ["Ph+", "P-"]):
+    # an older table's row has no errors column and reads as raising nothing
+    for change in ({}, {"errors": {}}, {"maps": ["Ph+", "P-"]},
+                   {"errors": {"DomainError": 1}}):
         path = tmp_path / f"table{len(paths)}.json"
-        path.write_text(json.dumps({"rows": [{**row, "maps": maps}]}))
+        path.write_text(json.dumps({"rows": [{**row, **change}]}))
         paths.append(str(path))
     assert compare.main(paths[0], paths[1]) == 0
     assert compare.main(paths[0], paths[2]) == 1
     assert "DIFFERS  maps: ['Ph+'] | ['Ph+', 'P-']" in capsys.readouterr().out
+    assert compare.main(paths[1], paths[3]) == 1
+    assert "DIFFERS  errors: {} | {'DomainError': 1}" in capsys.readouterr().out
 
 
 def test_code_lines_leave_out_blank_comment_and_docstring_lines(tmp_path, capsys):

@@ -6,7 +6,9 @@ Usage (from the repository root)::
 
 ``A`` and ``B`` are outputs of ``tools/relation_table.py``.  Rows are
 matched by relation and grids, and compared on the relation's maps,
-outcome, ``margin_hex``, ``stable_clearance_hex`` and evaluations.  Every
+outcome, ``margin_hex``, ``stable_clearance_hex``, evaluations and the
+errors the map raised; a row without an ``errors`` column, from an older
+table, reads as one whose map raised nothing.  Every
 row is printed with the CPU seconds of both sides, which are not compared;
 a row that differs, or is in one table only, is marked with its differing
 fields.  The exit status is 1 if any row differs.
@@ -15,13 +17,14 @@ fields.  The exit status is 1 if any row differs.
 import json
 import sys
 
-FIELDS = ("maps", "outcome", "margin_hex", "stable_clearance_hex", "evaluations")
+FIELDS = ("maps", "outcome", "margin_hex", "stable_clearance_hex", "evaluations",
+          "errors")
 
 
 def rows(path: str) -> dict:
     """The rows of a table, keyed by relation and grids."""
     with open(path) as f:
-        return {(r["relation"], tuple(r["grid"]), tuple(r["max_grid"])): r
+        return {(r["relation"], tuple(r["grid"]), tuple(r["max_grid"])): {"errors": {}, **r}
                 for r in json.load(f)["rows"]}
 
 
