@@ -8,24 +8,34 @@ float test such as ``fl(r * r) <= a`` would itself round, so none is used).
 An undefined corner (0 * inf, inf / inf) gives the whole line, and an
 overflowed end is the infinity it rounds to.  The scalar primitives
 ``_dn``, ``_up``, ``_iadd``, ``_isub``, ``_imul``, ``_iscale``, ``_idiv``,
-``_idivn`` and ``_isqrt_pos`` on ``(lo, hi)`` pairs define the policy: the
+``_idivn`` and ``_isqrt_pos`` define the policy.  Each interval operand
+and result is one ``(lo, hi)`` pair, ``_imul(a, b)`` for a product, so a
+chain of steps passes pairs along and builds no argument tuples.  The
 order-0 terms and per-order combinations of the :mod:`pcr3bp.taylor`
 interval kernels call them, and :class:`Interval` mul, div, sqr and sqrt
-call them.  The one exception: :class:`Interval` add and sub are
-sharpened with an exact residual (TwoSum); when the float sum is exact no
-step is taken, which keeps small-integer arithmetic exact.
+call them.  Two exceptions.  :class:`Interval` add and sub are sharpened
+with an exact residual (TwoSum); when the float sum is exact no step is
+taken, which keeps small-integer arithmetic exact.  And a dot product
+rounds once, as a whole (below).
 
 The array layer applies the same policy to (lo, hi) float64 array pairs,
 and it is the rounding core of the batched interval Taylor kernels and
 their Horner evaluation as well as of :class:`IArray`, the one interval
 array type (vectors and matrices alike, with one ``@`` for both
-products).  ``_prod_bounds`` is the array form of ``_imul``, end for end.
-A sum is not rounded per addition: ``_sum_down``/``_sum_up`` bound the
-accumulated round-off of a length-``n`` float sum, in any summation
-order, by ``n * u * sum|terms|`` plus a tiny absolute term for underflow,
-then step outward once (an a-posteriori bound after Rump, "Fast and
-parallel interval arithmetic", BIT 39, 1999).  That bound dominates the
-classical ``(n-1)u/(1-(n-1)u)`` for every ``n`` used.
+products).  ``_prod_bounds`` is the array form of ``_imul``, end for end;
+it serves the products that are not summed (``IArray.scale`` and
+:func:`pcr3bp.taylor.horner_iv`).  A sum is not rounded per addition:
+``_sum_down``/``_sum_up`` bound the accumulated round-off of a
+length-``n`` float sum, in any summation order, by ``(n + 1) * u *
+sum|terms|`` plus a tiny absolute term for underflow, then step outward
+once (an a-posteriori bound after Rump, "Fast and parallel interval
+arithmetic", BIT 39, 1999).  The dot-product rule: the ``n + 1`` covers
+one round-to-nearest rounding per term as well (the ``gamma_n`` of a dot
+product; Ogita, Rump & Oishi, SISC 26, 2005), so the terms of a summed
+product need no outward step of their own.  They are the corner bounds
+of ``_corners``, ``_prod_bounds`` without its step: the least and the
+greatest corner product, rounded to nearest.  ``IArray.__matmul__`` and
+the convolutions of the Taylor kernels are dot products in this sense.
 
 The array layer also does the package's linear solves.  ``_point_inverse``
 encloses the inverse of a point matrix once, from a float inverse and a
@@ -65,77 +75,83 @@ _U = 2.0 ** -53  # unit round-off for binary64
 
 # -- scalar rounding primitives: (lo, hi) endpoint pairs in and out ------
 
+_next = math.nextafter  # looked up once: the kernels call these in their inner loops
+
 
 def _dn(x):
-    return math.nextafter(x, -math.inf)
+    return _next(x, -_INF)
 
 
 def _up(x):
-    return math.nextafter(x, math.inf)
+    return _next(x, _INF)
 
 
-def _iadd(al, ah, bl, bh):
-    return math.nextafter(al + bl, -math.inf), math.nextafter(ah + bh, math.inf)
+def _iadd(a, b):
+    (al, ah), (bl, bh) = a, b
+    return _next(al + bl, -_INF), _next(ah + bh, _INF)
 
 
-def _isub(al, ah, bl, bh):
-    return math.nextafter(al - bh, -math.inf), math.nextafter(ah - bl, math.inf)
+def _isub(a, b):
+    (al, ah), (bl, bh) = a, b
+    return _next(al - bh, -_INF), _next(ah - bl, _INF)
 
 
-def _imul(al, ah, bl, bh):
+def _imul(a, b):
     # the corner products, ordered pairwise by compare-and-swap, which is
     # much cheaper than min()/max() in pure Python; a NaN corner (0 * inf)
     # would slip past the comparisons, so it yields the whole line
+    (al, ah), (bl, bh) = a, b
     p1 = al * bl
     p2 = al * bh
     p3 = ah * bl
     p4 = ah * bh
     if p1 != p1 or p2 != p2 or p3 != p3 or p4 != p4:
-        return -math.inf, math.inf
+        return -_INF, _INF
     if p1 > p2:
         p1, p2 = p2, p1
     if p3 > p4:
         p3, p4 = p4, p3
     lo = p1 if p1 < p3 else p3
     hi = p2 if p2 > p4 else p4
-    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return _next(lo, -_INF), _next(hi, _INF)
 
 
-def _iscale(al, ah, c):
+def _iscale(a, c):
     # multiply by an exact float scalar
-    p1 = al * c
-    p2 = ah * c
+    p1 = a[0] * c
+    p2 = a[1] * c
     if p1 <= p2:
-        return math.nextafter(p1, -math.inf), math.nextafter(p2, math.inf)
-    return math.nextafter(p2, -math.inf), math.nextafter(p1, math.inf)
+        return _next(p1, -_INF), _next(p2, _INF)
+    return _next(p2, -_INF), _next(p1, _INF)
 
 
-def _idiv(al, ah, bl, bh):
+def _idiv(a, b):
     # divide by an interval that excludes zero; corners as in _imul
+    (al, ah), (bl, bh) = a, b
     q1 = al / bl
     q2 = al / bh
     q3 = ah / bl
     q4 = ah / bh
     if q1 != q1 or q2 != q2 or q3 != q3 or q4 != q4:
-        return -math.inf, math.inf
+        return -_INF, _INF
     if q1 > q2:
         q1, q2 = q2, q1
     if q3 > q4:
         q3, q4 = q4, q3
     lo = q1 if q1 < q3 else q3
     hi = q2 if q2 > q4 else q4
-    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return _next(lo, -_INF), _next(hi, _INF)
 
 
-def _idivn(al, ah, n):
+def _idivn(a, n):
     # divide by an exact positive float value
-    return math.nextafter(al / n, -math.inf), math.nextafter(ah / n, math.inf)
+    return _next(a[0] / n, -_INF), _next(a[1] / n, _INF)
 
 
-def _isqrt_pos(al, ah):
-    # square root for 0 <= al <= ah; the lower end is clamped at 0
-    lo = math.nextafter(math.sqrt(al), -math.inf)
-    return max(lo, 0.0), math.nextafter(math.sqrt(ah), math.inf)
+def _isqrt_pos(a):
+    # square root for 0 <= lo <= hi; the lower end is clamped at 0
+    lo = _next(math.sqrt(a[0]), -_INF)
+    return max(lo, 0.0), _next(math.sqrt(a[1]), _INF)
 
 
 # -- TwoSum-sharpened addition (Interval add/sub only) --------------------
@@ -252,7 +268,7 @@ class Interval:
 
     def __mul__(self, other: "Interval | float") -> "Interval":
         o = _coerce(other)
-        return Interval(*_imul(self.lo, self.hi, o.lo, o.hi))
+        return Interval(*_imul((self.lo, self.hi), (o.lo, o.hi)))
 
     __rmul__ = __mul__
 
@@ -260,21 +276,22 @@ class Interval:
         o = _coerce(other)
         if o.contains_zero():
             raise ZeroDivisionError(f"division by interval {o} containing zero")
-        return Interval(*_idiv(self.lo, self.hi, o.lo, o.hi))
+        return Interval(*_idiv((self.lo, self.hi), (o.lo, o.hi)))
 
     def __rtruediv__(self, other: float) -> "Interval":
         return _coerce(other) / self
 
     def sqr(self) -> "Interval":
         """Tight enclosure of x**2 (lower endpoint 0 when 0 is inside)."""
-        lo, hi = _imul(self.lo, self.hi, self.lo, self.hi)
+        x = (self.lo, self.hi)
+        lo, hi = _imul(x, x)
         return Interval(max(lo, 0.0), hi)
 
     def sqrt(self) -> "Interval":
         """Enclosure of the square root; raises below zero."""
         if self.lo < 0.0:
             raise DomainError(f"sqrt of interval {self} below zero")
-        return Interval(*_isqrt_pos(self.lo, self.hi))
+        return Interval(*_isqrt_pos((self.lo, self.hi)))
 
     def pow_int(self, n: int) -> "Interval":
         """Enclosure of x**n for a non-negative integer exponent."""
@@ -340,38 +357,66 @@ def _nd_up(a: np.ndarray) -> np.ndarray:
 
 
 def _sum_down(terms: np.ndarray, axis: int) -> np.ndarray:
-    """Lower bound of the exact sum of ``terms`` along ``axis``.
+    """Lower bound of the exact sum of ``terms`` along ``axis``, or of a dot product.
 
-    The float sum plus the a-posteriori bound ``n * u * sum|terms|`` (plus
-    a tiny absolute term for underflow), stepped outward once.  An
-    overflowed or undefined sum (inf - inf) gives -inf, the lower end of
-    the whole line.
+    The float sum less the a-posteriori bound ``(n + 1) * u * A`` (plus a
+    tiny absolute term for underflow), stepped outward once, where ``A``
+    is the float sum of ``|terms|``.  The terms may be exact, or each the
+    round-to-nearest value of an exact real (:func:`_corners`), with an
+    error of at most ``u |t|``.  The float sum of n terms in any order
+    errs by at most ``gamma_(n-1) S`` with ``S`` the exact sum of ``|t|``
+    (``gamma_m = m u / (1 - m u)``), so the exact sum of the reals lies
+    within ``(gamma_(n-1) + u) S <= gamma_n S`` of the float sum: the
+    ``gamma_n`` of a dot product (Ogita, Rump & Oishi, SISC 26, 2005).
+    ``A`` is itself a float sum, at least ``(1 - gamma_(n-1)) S``, and its
+    product with ``(n + 1) u`` rounds once more, so the bound is at least
+    ``(n + 1) u (1 - u) (1 - gamma_(n-1)) S``, which dominates
+    ``gamma_n S``, and ``(gamma_(n-1) + u (1 + 4u)) S`` too, for every
+    ``n <= 2**25`` (the slack shrinks as n grows; checked in exact
+    rationals at ``n = 2**25``).  The ``4u`` covers a term
+    that is a corner bound scaled once more with an outward step (the
+    weighted power rows of :func:`pcr3bp.taylor._convolve`); the tiny
+    term covers the absolute error of products that underflow.  An
+    overflowed or undefined sum (inf - inf, or a NaN term from a 0 * inf
+    corner) gives -inf, the lower end of the whole line.
     """
-    s = terms.sum(axis=axis)
-    bound = (terms.shape[axis] * _U) * np.abs(terms).sum(axis=axis) + _ABS_TINY
+    s = np.add.reduce(terms, axis)
+    bound = ((terms.shape[axis] + 1) * _U) * np.add.reduce(np.abs(terms), axis) + _ABS_TINY
     return np.fmax(_nd_down(s - bound), -np.inf)
 
 
 def _sum_up(terms: np.ndarray, axis: int) -> np.ndarray:
     """Upper bound of the exact sum, as :func:`_sum_down` (NaN gives +inf)."""
-    s = terms.sum(axis=axis)
-    bound = (terms.shape[axis] * _U) * np.abs(terms).sum(axis=axis) + _ABS_TINY
+    s = np.add.reduce(terms, axis)
+    bound = ((terms.shape[axis] + 1) * _U) * np.add.reduce(np.abs(terms), axis) + _ABS_TINY
     return np.fmin(_nd_up(s + bound), np.inf)
 
 
-def _prod_bounds(alo, ahi, blo, bhi):
-    """Outward (lo, hi) of the products of two interval arrays (broadcast).
+def _corners(alo, ahi, blo, bhi):
+    """Round-to-nearest (lo, hi) of the products of two interval arrays (broadcast).
 
-    The array form of :func:`_imul`: a NaN corner (0 * inf) propagates
-    through minimum/maximum and yields the whole line, and an overflowed
-    corner is already the infinity it rounds to.
+    The least and the greatest of the four corner products, with no
+    outward step and no NaN guard: fit only as terms of a sum by
+    :func:`_sum_down`/:func:`_sum_up`, whose bound covers their rounding
+    and turns a NaN corner (0 * inf) into the whole line.
     """
     p1 = alo * blo
     p2 = alo * bhi
     p3 = ahi * blo
     p4 = ahi * bhi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return (np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
+            np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
+
+
+def _prod_bounds(alo, ahi, blo, bhi):
+    """Outward (lo, hi) of the products of two interval arrays (broadcast).
+
+    The array form of :func:`_imul`: :func:`_corners` stepped outward.  A
+    NaN corner (0 * inf) propagates through minimum/maximum and yields
+    the whole line, and an overflowed corner is already the infinity it
+    rounds to.
+    """
+    lo, hi = _corners(alo, ahi, blo, bhi)
     return np.fmax(_nd_down(lo), -np.inf), np.fmin(_nd_up(hi), np.inf)
 
 
@@ -460,10 +505,10 @@ class IArray:
     __rmul__ = scale
 
     def __matmul__(self, other: "IArray") -> "IArray":
-        # terms[i, j, k] enclose A[i, j] * B[j, k], a vector B being one
-        # column; then a rounded sum over j
+        # terms[i, j, k] bound A[i, j] * B[j, k], a vector B being one
+        # column, rounded to nearest; the summed bound over j covers that
         n = other.shape[0]
-        lo, hi = _prod_bounds(
+        lo, hi = _corners(
             self.lo[:, :, np.newaxis], self.hi[:, :, np.newaxis],
             other.lo.reshape(n, -1), other.hi.reshape(n, -1),
         )

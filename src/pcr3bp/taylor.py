@@ -14,16 +14,22 @@ rounding of :mod:`pcr3bp.intervals`, which states the package's one
 rounding policy; this module defines no arithmetic of its own.  Order 0,
 with its square roots and the guard check, uses the scalar primitives.
 Every later order is batched on the array layer: all its convolution terms
-are one vectorised interval product (``_prod_bounds``), and each sum is the
-float sum widened by one a-posteriori bound on its rounding error
-(``_sum_down``/``_sum_up``, after Rump, BIT 39, 1999) instead of a rounding
-per addition.  The handful of per-order combinations that are not sums use
-the scalar primitives.  The interval kernels take a stack of boxes as
-well as one box, and run one order loop for all of them: one product and
-one sum per order for the convolutions of every box, and the scalar steps
-box by box.  The numpy calls cost mostly their per-call overhead on a
-few hundred floats, so a stack of four boxes costs about 2.4 one-box
-calls (7.3 ms against 3.0 ms at order 21 on a 2-core Xeon).
+are one vectorised product of corner bounds rounded to nearest
+(``_corners``), and each sum is the float sum widened by one a-posteriori
+bound (``_sum_down``/``_sum_up``, after Rump, BIT 39, 1999) that covers the
+rounding of its products as well as of its additions.  So each
+convolution is a dot product, rounded once (the dot-product rule of
+:mod:`pcr3bp.intervals`).  The handful of per-order combinations that are
+not sums use the scalar primitives, on (lo, hi) pairs.  The interval
+kernels take a stack of boxes as well as one box, and run one order loop
+for all of them: one product and one sum per order for the convolutions of
+every box, and the scalar steps box by box.  The numpy calls cost mostly
+their per-call overhead on a few hundred floats, so a stack of four boxes
+costs about 2.1 one-box calls (4.5 ms against 2.1 ms at order 21 on a
+2-core Xeon, best of 150).  A validated step's stack, three boxes of which
+two carry a matrix, costs 3.4 ms at order 22: 0.8 ms of scalar steps,
+0.4 ms of conversions between pairs and arrays, 0.9 ms of convolutions and
+1.2 ms of variational recurrence.
 
 The series' low-order terms are the package's one source for the field
 and the potential Hessian: :func:`point_field` in floats and
@@ -420,16 +426,18 @@ def _convolve(z, ia, ib, weights):
     """Enclosures of the batch's sums, for every box of z at once.
 
     ``z`` is one series array (2, _ROWS, n+1) or a stack (2, B, _ROWS,
-    n+1).  One interval product of the gathered operands and one summed
-    bound per end.  The weights of the last rows are exact and negative,
-    so scaling by them swaps the ends.  Returns ``zip(lo, hi)`` of the
-    nested lists of the sums: (lo, hi) pairs by row for one box, and a
-    (lo row list, hi row list) pair per box for a stack.
+    n+1).  One product of the gathered operands' corner bounds, rounded to
+    nearest, and one summed bound per end, which covers that rounding.
+    The weights of the last rows are exact and negative, so scaling by
+    them swaps the ends; that scaling rounds again, so it steps outward.
+    Returns ``zip(lo, hi)`` of the nested lists of the sums: (lo, hi)
+    pairs by row for one box, and a (lo row list, hi row list) pair per
+    box for a stack.
     """
     zf = z.reshape(*z.shape[:-2], -1)
     a = zf.take(ia, axis=-1)
     b = zf.take(ib, axis=-1)
-    lo, hi = intervals._prod_bounds(a[0], a[1], b[0], b[1])
+    lo, hi = intervals._corners(a[0], a[1], b[0], b[1])
     m = len(weights)
     lo[..., -m:, :], hi[..., -m:, :] = (intervals._nd_down(weights * hi[..., -m:, :]),
                                         intervals._nd_up(weights * lo[..., -m:, :]))
@@ -438,12 +446,12 @@ def _convolve(z, ia, ib, weights):
 
 def _masses(mu):
     # 1 - mu, 3 (1 - mu) and 3 mu are not floats; enclose them
-    m1 = _isub(1.0, 1.0, mu, mu)
-    return m1, _iscale(*m1, 3.0), _iscale(mu, mu, 3.0)
+    m1 = _isub((1.0, 1.0), (mu, mu))
+    return m1, _iscale(m1, 3.0), _iscale((mu, mu), 3.0)
 
 
 def _square(a):
-    lo, hi = _imul(*a, *a)
+    lo, hi = _imul(a, a)
     return max(lo, 0.0), hi
 
 
@@ -457,27 +465,21 @@ def _next_terms(k, g, s1, s2, ck, mu, masses, want_hessian):
     """
     m1, m1x3, mux3 = masses
     g1, g2, h1, h2 = g[-4:]
-    ax = _iadd(*_iscale(*ck[3], 2.0), *ck[0])
-    ax = _isub(*ax, *_imul(*m1, *g1))
-    ax = _isub(*ax, *_iscale(*g2, mu))
-    ay = _iadd(*_iscale(*ck[2], -2.0), *ck[1])
-    ay = _isub(*ay, *_imul(*m1, *h1))
-    ay = _isub(*ay, *_iscale(*h2, mu))
+    # ax = 2 vy + x - (1-mu) g1 - mu g2 and ay = -2 vx + y - (1-mu) h1 - mu h2
+    ax = _isub(_isub(_iadd(_iscale(ck[3], 2.0), ck[0]), _imul(m1, g1)), _iscale(g2, mu))
+    ay = _isub(_isub(_iadd(_iscale(ck[2], -2.0), ck[1]), _imul(m1, h1)), _iscale(h2, mu))
     kp = float(k + 1)
-    nxt = [_idivn(*ck[2], kp), _idivn(*ck[3], kp), _idivn(*ax, kp), _idivn(*ay, kp)]
+    nxt = [_idivn(ck[2], kp), _idivn(ck[3], kp), _idivn(ax, kp), _idivn(ay, kp)]
     if not want_hessian:
         return None, nxt
     # Omega_xx = 1 - (1-mu)(s1 - 3 p1^2 w1) - mu (s2 - 3 p2^2 w2), Omega_yy
     # likewise with y^2, Omega_xy = 3 (1-mu) p1 y w1 + 3 mu p2 y w2; the 1
     # only at order 0
-    unit = 1.0 if k == 0 else 0.0
-    diag = []
-    for ga, gb in ((g[0], g[1]), (g[2], g[3])):
-        t = _imul(*m1, *_isub(*s1, *_iscale(*ga, 3.0)))
-        u = _isub(unit, unit, *t)
-        t = _iscale(*_isub(*s2, *_iscale(*gb, 3.0)), mu)
-        diag.append(_isub(*u, *t))
-    oxy = _iadd(*_imul(*m1x3, *g[4]), *_imul(*mux3, *g[5]))
+    unit = (1.0, 1.0) if k == 0 else _ZERO
+    diag = [_isub(_isub(unit, _imul(m1, _isub(s1, _iscale(ga, 3.0)))),
+                  _iscale(_isub(s2, _iscale(gb, 3.0)), mu))
+            for ga, gb in ((g[0], g[1]), (g[2], g[3]))]
+    oxy = _iadd(_imul(m1x3, g[4]), _imul(mux3, g[5]))
     return (diag[0], oxy, diag[1]), nxt
 
 
@@ -488,20 +490,20 @@ def _iv_order0(xlo, xhi, mu, masses, want_hessian):
     :data:`_ROWS` rows, then the results of :func:`_next_terms` at k = 0.
     """
     x = list(zip(xlo.tolist(), xhi.tolist()))
-    p1 = _iadd(*x[0], mu, mu)
-    p2 = _isub(*x[0], *masses[0])
+    p1 = _iadd(x[0], (mu, mu))
+    p2 = _isub(x[0], masses[0])
     y = x[1]
     p1sq, p2sq, ysq = _square(p1), _square(p2), _square(y)
-    q1 = _iadd(*p1sq, *ysq)
-    q2 = _iadd(*p2sq, *ysq)
+    q1 = _iadd(p1sq, ysq)
+    q2 = _iadd(p2sq, ysq)
     if q1[0] <= _GUARD_SQ or q2[0] <= _GUARD_SQ:
         raise SingularityError("taylor kernel: box reaches primary guard radius")
-    s1 = _idiv(1.0, 1.0, *_imul(*q1, *_isqrt_pos(*q1)))
-    s2 = _idiv(1.0, 1.0, *_imul(*q2, *_isqrt_pos(*q2)))
-    terms = [p1, p2, y, p1sq, p2sq, ysq, _imul(*p1, *y), _imul(*p2, *y), q1, q2,
-             s1, s2, _idiv(*s1, *q1), _idiv(*s2, *q2)]
+    s1 = _idiv((1.0, 1.0), _imul(q1, _isqrt_pos(q1)))
+    s2 = _idiv((1.0, 1.0), _imul(q2, _isqrt_pos(q2)))
+    terms = [p1, p2, y, p1sq, p2sq, ysq, _imul(p1, y), _imul(p2, y), q1, q2,
+             s1, s2, _idiv(s1, q1), _idiv(s2, q2)]
     products = _PRODUCTS if want_hessian else _ACCELERATIONS
-    g = [_imul(*terms[a], *terms[b]) for a, b in products]
+    g = [_imul(terms[a], terms[b]) for a, b in products]
     return (terms,) + _next_terms(0, g, s1, s2, x, mu, masses, want_hessian)
 
 
@@ -514,28 +516,33 @@ def _order_terms(k, ck, t0, sq, pw, want_hessian):
     order-0 terms.
     """
     x, y = ck[0], ck[1]
-    p1sq = _iadd(*sq[0], *_iscale(*_imul(*t0[_P1], *x), 2.0))
-    p2sq = _iadd(*sq[1], *_iscale(*_imul(*t0[_P2], *x), 2.0))
-    ysq = _iadd(*sq[2], *_iscale(*_imul(*t0[_Y], *y), 2.0))
-    q1 = _iadd(*p1sq, *ysq)
-    q2 = _iadd(*p2sq, *ysq)
-    d1 = _iscale(*t0[_Q1], float(k))
-    d2 = _iscale(*t0[_Q2], float(k))
-    s1 = _idiv(*_iadd(*pw[0], *_iscale(*_imul(*q1, *t0[_S1]), -1.5 * k)), *d1)
-    s2 = _idiv(*_iadd(*pw[1], *_iscale(*_imul(*q2, *t0[_S2]), -1.5 * k)), *d2)
+    p1sq = _iadd(sq[0], _iscale(_imul(t0[_P1], x), 2.0))
+    p2sq = _iadd(sq[1], _iscale(_imul(t0[_P2], x), 2.0))
+    ysq = _iadd(sq[2], _iscale(_imul(t0[_Y], y), 2.0))
+    q1 = _iadd(p1sq, ysq)
+    q2 = _iadd(p2sq, ysq)
+    d1 = _iscale(t0[_Q1], float(k))
+    d2 = _iscale(t0[_Q2], float(k))
+    s1 = _idiv(_iadd(pw[0], _iscale(_imul(q1, t0[_S1]), -1.5 * k)), d1)
+    s2 = _idiv(_iadd(pw[1], _iscale(_imul(q2, t0[_S2]), -1.5 * k)), d2)
     if not want_hessian:
         return [x, x, y, p1sq, p2sq, ysq, _ZERO, _ZERO, q1, q2, s1, s2, _ZERO, _ZERO]
-    xy0 = _imul(*x, *t0[_Y])
-    p1y = _iadd(*_iadd(*sq[3], *_imul(*t0[_P1], *y)), *xy0)
-    p2y = _iadd(*_iadd(*sq[4], *_imul(*t0[_P2], *y)), *xy0)
-    w1 = _idiv(*_iadd(*pw[2], *_iscale(*_imul(*q1, *t0[_W1]), -2.5 * k)), *d1)
-    w2 = _idiv(*_iadd(*pw[3], *_iscale(*_imul(*q2, *t0[_W2]), -2.5 * k)), *d2)
+    xy0 = _imul(x, t0[_Y])
+    p1y = _iadd(_iadd(sq[3], _imul(t0[_P1], y)), xy0)
+    p2y = _iadd(_iadd(sq[4], _imul(t0[_P2], y)), xy0)
+    w1 = _idiv(_iadd(pw[2], _iscale(_imul(q1, t0[_W1]), -2.5 * k)), d1)
+    w2 = _idiv(_iadd(pw[3], _iscale(_imul(q2, t0[_W2]), -2.5 * k)), d2)
     return [x, x, y, p1sq, p2sq, ysq, p1y, p2y, q1, q2, s1, s2, w1, w2]
 
 
-def _ends(pairs):
-    """A nested list of (lo, hi) pairs as one (2, ...) endpoint array."""
-    return np.ascontiguousarray(np.moveaxis(np.array(pairs), -1, 0))
+def _ends(boxes):
+    """Per-box lists of (lo, hi) pairs as one (2, B, pairs) endpoint view.
+
+    The ends enter numpy as one flat float list, which costs far less than
+    an array of nested tuples.
+    """
+    flat = np.array([e for box in boxes for pair in box for e in pair])
+    return flat.reshape(len(boxes), -1, 2).transpose(2, 0, 1)
 
 
 def _iv_series(xlo, xhi, mu, n, bv):
@@ -582,8 +589,8 @@ def _iv_series(xlo, xhi, mu, n, bv):
             state.append(nxt)
             if hk is not None:
                 hess[i].append(hk)
-    c = _ends(states)
-    h = _ends(hess) if bv else None
+    c = _ends([[e for ck in state for e in ck] for state in states]).reshape(2, -1, n + 1, 4)
+    h = _ends([[e for hk in hs for e in hk] for hs in hess]).reshape(2, bv, n, 3) if bv else None
     return c, h
 
 
@@ -612,9 +619,7 @@ def iv_field(xlo, xhi, mu, want_hessian):
     (Omega_xx, Omega_xy, Omega_yy) when ``want_hessian`` and zeros otherwise.
     """
     _, hk, nxt = _iv_order0(xlo, xhi, mu, _masses(mu), want_hessian)
-    hk = hk or (_ZERO,) * 3
-    return (np.array([lo for lo, _ in nxt]), np.array([hi for _, hi in nxt]),
-            np.array([lo for lo, _ in hk]), np.array([hi for _, hi in hk]))
+    return (*np.array(nxt).T, *np.array(hk or (_ZERO,) * 3).T)
 
 
 def iv_var_coeffs(xlo, xhi, v0lo, v0hi, mu, n):
@@ -632,7 +637,7 @@ def iv_var_coeffs(xlo, xhi, v0lo, v0hi, mu, n):
     All boxes share one order loop.  Rows 0 and 1 of each order are a
     shift; rows 2 and 3 of all four columns are one batched product of
     (coefficient, V entry) pairs over the whole convolution of every box,
-    summed with one bound per end.
+    rounded to nearest and summed with one bound per end: a dot product.
     """
     xlo, xhi, one = _boxes(xlo, xhi)
     v0lo, v0hi = np.reshape(v0lo, (-1, 4, 4)), np.reshape(v0hi, (-1, 4, 4))
@@ -652,7 +657,7 @@ def iv_var_coeffs(xlo, xhi, v0lo, v0hi, mu, n):
     for k in range(n):
         a = coef[:, :, :, :k + 1, :, None]
         past = v[:, :, None, k::-1]
-        lo, hi = intervals._prod_bounds(a[0], a[1], past[0], past[1])
+        lo, hi = intervals._corners(a[0], a[1], past[0], past[1])
         nxt = v[:, :, k + 1]
         nxt[:, :, :2] = v[:, :, k, 2:]
         terms = (bv, 2, 4 * (k + 1), 4)

@@ -229,9 +229,9 @@ def test_add_sub_mul_primitives_exact(a, b, c, d):
     add = _corners(lambda u, v: u + v, xl, xh, yl, yh)
     sub = _corners(lambda u, v: u - v, xl, xh, yl, yh)
     mul = _corners(lambda u, v: u * v, xl, xh, yl, yh)
-    assert _encloses(*intervals._iadd(xl, xh, yl, yh), add)
-    assert _encloses(*intervals._isub(xl, xh, yl, yh), sub)
-    assert _encloses(*intervals._imul(xl, xh, yl, yh), mul)
+    assert _encloses(*intervals._iadd((xl, xh), (yl, yh)), add)
+    assert _encloses(*intervals._isub((xl, xh), (yl, yh)), sub)
+    assert _encloses(*intervals._imul((xl, xh), (yl, yh)), mul)
     x, y = Interval(xl, xh), Interval(yl, yh)
     assert _encloses((x + y).lo, (x + y).hi, add)
     assert _encloses((x - y).lo, (x - y).hi, sub)
@@ -244,7 +244,7 @@ def test_div_primitive_exact(a, b, c, d, s):
     xl, xh = _pair(a, b)
     yl, yh = _pair(s * c, s * d)
     quo = _corners(lambda u, v: u / v, xl, xh, yl, yh)
-    assert _encloses(*intervals._idiv(xl, xh, yl, yh), quo)
+    assert _encloses(*intervals._idiv((xl, xh), (yl, yh)), quo)
     q = Interval(xl, xh) / Interval(yl, yh)
     assert _encloses(q.lo, q.hi, quo)
 
@@ -254,8 +254,8 @@ def test_div_primitive_exact(a, b, c, d, s):
 def test_scale_and_divn_primitives_exact(a, b, c, n):
     xl, xh = _pair(a, b)
     ends = [Fraction(xl), Fraction(xh)]
-    assert _encloses(*intervals._iscale(xl, xh, c), [e * Fraction(c) for e in ends])
-    assert _encloses(*intervals._idivn(xl, xh, float(n)), [e / n for e in ends])
+    assert _encloses(*intervals._iscale((xl, xh), c), [e * Fraction(c) for e in ends])
+    assert _encloses(*intervals._idivn((xl, xh), float(n)), [e / n for e in ends])
 
 
 @settings(max_examples=300, deadline=None)
@@ -275,7 +275,7 @@ def test_sqr_exact(a, b):
 def test_sqrt_exact(a, b):
     al, ah = _pair(a, b)
     for lo, hi in ((al, ah), (al, al)):
-        assert _sqrt_encloses(*intervals._isqrt_pos(lo, hi), lo, hi)
+        assert _sqrt_encloses(*intervals._isqrt_pos((lo, hi)), lo, hi)
         r = Interval(lo, hi).sqrt()
         assert _sqrt_encloses(r.lo, r.hi, lo, hi)
 
@@ -284,7 +284,7 @@ def test_sqrt_pinned_point_encloses_root():
     r = Interval.point(PINNED_SQRT).sqrt()
     assert r.lo < r.hi
     assert _sqrt_encloses(r.lo, r.hi, PINNED_SQRT, PINNED_SQRT)
-    assert _sqrt_encloses(*intervals._isqrt_pos(PINNED_SQRT, PINNED_SQRT),
+    assert _sqrt_encloses(*intervals._isqrt_pos((PINNED_SQRT, PINNED_SQRT)),
                           PINNED_SQRT, PINNED_SQRT)
 
 
@@ -298,7 +298,7 @@ def test_undefined_corner_gives_whole_line():
 
 
 def test_sqrt_of_zero_clamps_at_zero():
-    assert intervals._isqrt_pos(0.0, 0.0)[0] == 0.0
+    assert intervals._isqrt_pos((0.0, 0.0))[0] == 0.0
     assert Interval(0.0, 4.0).sqrt().lo == 0.0
 
 
@@ -334,7 +334,7 @@ def test_prod_bounds_exact_and_as_scalar(rows):
     for i, (xl, xh, yl, yh) in enumerate(ends):
         mul = _corners(lambda u, v: u * v, xl, xh, yl, yh)
         assert _le(lo[i], min(mul)) and _ge(hi[i], max(mul))
-        assert (lo[i], hi[i]) == intervals._imul(xl, xh, yl, yh)
+        assert (lo[i], hi[i]) == intervals._imul((xl, xh), (yl, yh))
 
 
 @settings(max_examples=300, deadline=None)
@@ -357,6 +357,106 @@ def test_sum_bounds_cover_lost_small_terms():
     exact = 1 + 6 * Fraction(eps)
     assert _ge(float(intervals._sum_up(t, 0)), exact)
     assert _le(float(intervals._sum_down(-t, 0)), -exact)
+
+
+# a finite end, or now and then an infinite one, so that 0 * inf corners
+# turn up beside overflowed corners and subnormal products
+maybe_inf = st.one_of(anyfloat, st.sampled_from([-math.inf, math.inf]))
+
+
+def _interval_ends(a: float, b: float) -> tuple[float, float]:
+    # [inf, inf] and [-inf, -inf] are not intervals; widen them
+    lo, hi = _pair(a, b)
+    return (1.0 if lo == math.inf else lo), (-1.0 if hi == -math.inf else hi)
+
+
+def _exact_product_ends(xl, xh, yl, yh):
+    """Infimum and supremum of x * y over two intervals, ends possibly infinite.
+
+    Exact: a Fraction, or a float infinity; a 0 * inf corner counts as 0.
+    """
+    def mul(u, v):
+        if u == 0.0 or v == 0.0:
+            return Fraction(0)
+        if math.isinf(u) or math.isinf(v):
+            return math.copysign(math.inf, u) * math.copysign(1.0, v)
+        return Fraction(u) * Fraction(v)
+
+    c = [mul(u, v) for u in (xl, xh) for v in (yl, yh)]
+    return min(c), max(c)
+
+
+def _exact_dot(rows):
+    """Exact (lo, hi) of the interval dot product of rows (xl, xh, yl, yh)."""
+    ends = [_exact_product_ends(*row) for row in rows]
+    los, his = [lo for lo, _ in ends], [hi for _, hi in ends]
+    lo = -math.inf if -math.inf in los else sum(los, Fraction(0))
+    hi = math.inf if math.inf in his else sum(his, Fraction(0))
+    return lo, hi
+
+
+def _rounded_dot(rows):
+    """The dot product rule: round-to-nearest corner terms and one summed bound."""
+    alo, ahi, blo, bhi = (np.array(col) for col in zip(*rows))
+    with np.errstate(all="ignore"):
+        lo, hi = intervals._corners(alo, ahi, blo, bhi)
+        return float(intervals._sum_down(lo, 0)), float(intervals._sum_up(hi, 0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(maybe_inf, maybe_inf, maybe_inf, maybe_inf), min_size=1, max_size=8))
+def test_dot_product_of_rounded_corners_encloses_the_exact_one(rows):
+    rows = [(*_interval_ends(a, b), *_interval_ends(c, d)) for a, b, c, d in rows]
+    lo, hi = _rounded_dot(rows)
+    exact_lo, exact_hi = _exact_dot(rows)
+    assert _le(lo, exact_lo) and _ge(hi, exact_hi)
+
+
+# point products: a * b rounds down and c * d rounds up, each by 0.45 to
+# 0.5 ulp, to the same float 1 + j 2**-30 (j = 1..6)
+SAME_WAY_ROWS = [tuple(float.fromhex(h) for h in row) for row in (
+    ("0x1.38723d05efec9p+0", "0x1.a380a7fe32f45p-1",
+     "0x1.9c7b2cfc7131cp+0", "0x1.3dc3cb42134f9p-1"),
+    ("0x1.61776a7412b2bp+0", "0x1.72d19ac8405f6p-1",
+     "0x1.26b6b10414a4cp+0", "0x1.bcbe5b9b24295p-1"),
+    ("0x1.d7d91a67223a8p+0", "0x1.15c8ca52b9048p-1",
+     "0x1.6d2533baaa4fap+0", "0x1.66f55d59b2665p-1"),
+    ("0x1.969fa8a057a48p+0", "0x1.42579fc3b4029p-1",
+     "0x1.1db4f2f009f06p+0", "0x1.cac3938a86b3fp-1"),
+    ("0x1.9a14576ee9266p+0", "0x1.3fa0387dea293p-1",
+     "0x1.770d7f5471f16p+0", "0x1.5d79e83430e20p-1"),
+    ("0x1.b7c2f7e19d3fdp+0", "0x1.2a0d6a60aa6a8p-1",
+     "0x1.5e8ee9dfcc077p+0", "0x1.75e522bfdd277p-1"),
+)]
+
+
+def test_dot_product_covers_terms_that_all_round_the_same_way():
+    # the terms a * b and -(c * d) all lie below their exact products by
+    # nearly half an ulp, and cancel in pairs, so the float sum is exactly
+    # 0 in any order while the exact sum is nearly u * sum|t|: only the
+    # summed bound, not the final outward step, can cover it
+    half_ulp = Fraction(2) ** -53
+    rows = []
+    for j, (a, b, c, d) in enumerate(SAME_WAY_ROWS, 1):
+        assert a * b == c * d == 1 + j * 2.0 ** -30
+        for u, v in ((a, b), (-c, d)):
+            assert 0.9 * half_ulp < Fraction(u) * Fraction(v) - Fraction(u * v) < half_ulp
+            rows.append((u, u, v, v))
+    assert sum(u * v for u, _, v, _ in rows) == 0.0
+    exact_lo, exact_hi = _exact_dot(rows)
+    assert exact_lo == exact_hi > 10 * half_ulp
+    for n in range(1, len(rows) + 1):
+        lo, hi = _rounded_dot(rows[:n])
+        exact_lo, exact_hi = _exact_dot(rows[:n])
+        assert _le(lo, exact_lo) and _ge(hi, exact_hi)
+
+
+def test_one_term_dot_product_encloses_its_rounded_product():
+    # 0.1 * 0.1 and 0.1 * 3.0: one rounding per term, one term per sum
+    for row in [(0.1, 0.1, 0.1, 0.1), (0.1, 0.1, 3.0, 3.0), (-0.1, 0.3, 0.7, 3.0)]:
+        lo, hi = _rounded_dot([row])
+        exact_lo, exact_hi = _exact_dot([row])
+        assert _le(lo, exact_lo) and _ge(hi, exact_hi)
 
 
 def test_array_layer_nan_and_overflow():
@@ -420,6 +520,25 @@ def test_matmul_contains_sampled_products():
         # float rounding in the sample product is far below the 0.01 widths
         assert np.all(prod.lo <= point + 1e-12)
         assert np.all(point - 1e-12 <= prod.hi)
+
+
+def test_matmul_of_point_matrices_encloses_the_exact_product():
+    # point matrices of entries from 1e-300 to 1e300 in magnitude, each
+    # entry of the product checked against the exact rational dot product
+    rng = np.random.default_rng(12)
+    for k in range(60):
+        n, m = (2, 4) if k % 2 else (4, 3)
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-300, 301, size=(n, n))
+        b = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-300, 301, size=(n, m))
+        if k % 3 == 0:  # cancellation: the off-diagonal entries of a inv(a)
+            a = rng.normal(size=(n, n))
+            b = np.linalg.inv(a)
+        with np.errstate(all="ignore"):
+            prod = IArray.from_point(a) @ IArray.from_point(b)
+        for i in range(n):
+            for j in range(b.shape[1]):
+                exact = sum(Fraction(a[i, t]) * Fraction(b[t, j]) for t in range(n))
+                assert _le(float(prod.lo[i, j]), exact) and _ge(float(prod.hi[i, j]), exact)
 
 
 def test_gauss_solve_contains_true_solution():

@@ -501,7 +501,7 @@ def _scalar_horner_iv(lo, hi, tlo, thi):
     # the scalar primitives, order by order, on one entry's coefficients
     acc = lo[-1], hi[-1]
     for bl, bh in zip(lo[-2::-1], hi[-2::-1]):
-        acc = _iadd(*_imul(*acc, tlo, thi), bl, bh)
+        acc = _iadd(_imul(acc, (tlo, thi)), (bl, bh))
     return acc
 
 

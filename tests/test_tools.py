@@ -1,5 +1,6 @@
 """The relation table's link walk (without flights), the table comparison, the
-code-line count and the summary of benchmark pairs (on made-up runs)."""
+code-line count and the summaries of benchmark pairs and of layer pairs (on
+made-up runs)."""
 
 import importlib.util
 import json
@@ -61,6 +62,26 @@ def test_compare_tables_flags_a_row_whose_maps_changed(tmp_path, capsys):
     assert "DIFFERS  maps: ['Ph+'] | ['Ph+', 'P-']" in capsys.readouterr().out
     assert compare.main(paths[1], paths[3]) == 1
     assert "DIFFERS  errors: {} | {'DomainError': 1}" in capsys.readouterr().out
+
+
+def test_compare_tables_shows_how_far_a_margin_moved(tmp_path, capsys):
+    compare = load("compare_tables")
+    row = {"relation": "V3=>V4", "grid": [4, 1], "max_grid": [512, 16],
+           "maps": ["Ph-"], "outcome": "verified", "margin_hex": (8.0).hex(),
+           "stable_clearance_hex": (0.5).hex(), "evaluations": 4, "cpu_s": 1.0}
+    paths = []
+    for change in ({}, {"margin_hex": (7.0).hex()}, {"stable_clearance_hex": (0.625).hex()}):
+        path = tmp_path / f"table{len(paths)}.json"
+        path.write_text(json.dumps({"rows": [{**row, **change}]}))
+        paths.append(str(path))
+    assert compare.main(paths[0], paths[1]) == 1
+    out = capsys.readouterr().out
+    assert "margin moved -1.25e-01" in out and "stable_clearance moved" not in out
+    assert compare.main(paths[0], paths[2]) == 1
+    out = capsys.readouterr().out
+    assert "stable_clearance moved +2.50e-01" in out and "margin moved" not in out
+    assert compare.main(paths[0], paths[0]) == 0
+    assert "moved" not in capsys.readouterr().out
 
 
 def test_code_lines_leave_out_blank_comment_and_docstring_lines(tmp_path, capsys):
@@ -170,3 +191,47 @@ def test_bench_pairs_alternate_sides_and_fail_on_a_failed_run(tmp_path, monkeypa
     doc = json.loads(capsys.readouterr().out)
     assert [p["first"] for p in doc["pairs"]["point"]][:2] == ["parent", "change"]
     assert doc["summary"]["point"]["op_s_p50"]["failed_pairs"] == 1
+
+
+def _probe(kernel, flight, cover, flight_digest="f", cover_digest="c"):
+    return {"kernel_s": kernel, "flight_s": flight, "cover_s": cover,
+            "flight_digest": flight_digest, "cover_digest": cover_digest}
+
+
+def test_layer_pairs_summary_takes_medians_wins_and_digest_agreement():
+    layers = load("layer_pairs")
+    rounds = [{"round": i + 1, "parent": _probe(5.0 + i, 0.5, 0.16),
+               "change": _probe(4.0 + i, 0.4 if i else 0.6, 0.16)} for i in range(4)]
+    got = layers.summarize(rounds)
+    assert (got["rounds"], got["failed_rounds"]) == (4, 0)
+    kernel = got["kernel_s"]
+    assert (kernel["parent"], kernel["change"], kernel["change_wins"]) == (6.5, 5.5, 4)
+    assert kernel["relative_change"] == pytest.approx(-1.0 / 6.5)
+    assert got["flight_s"]["change"] == 0.4 and got["flight_s"]["change_wins"] == 3
+    assert got["cover_s"]["relative_change"] == 0.0 and got["cover_s"]["change_wins"] == 0
+    assert got["flight_digest_same"] and got["cover_digest_same"]
+    # one differing digest on either side breaks the agreement; a failed
+    # round is left out of every figure
+    rounds[2]["change"]["cover_digest"] = "other"
+    rounds.append({"round": 5, "parent": _probe(99.0, 9.0, 9.0, "x", "x"),
+                   "change": {"error": "exit 1: boom"}})
+    got = layers.summarize(rounds)
+    assert (got["rounds"], got["failed_rounds"]) == (5, 1)
+    assert got["kernel_s"]["parent"] == 6.5
+    assert got["flight_digest_same"] and not got["cover_digest_same"]
+
+
+def test_layer_pairs_alternate_sides_in_fresh_probes(monkeypatch, capsys):
+    layers = load("layer_pairs")
+    calls = []
+
+    def fake(checkout):
+        calls.append(checkout.name)
+        return _probe(1.0, 1.0, 1.0)
+
+    monkeypatch.setattr(layers, "run", fake)
+    assert layers.main("parent", "change") == 0
+    assert calls[:4] == ["parent", "change", "change", "parent"]
+    assert len(calls) == 2 * layers.ROUNDS
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"]["kernel_s"]["change_wins"] == 0
