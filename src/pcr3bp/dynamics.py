@@ -20,19 +20,26 @@ Jacobian are read from the low orders of the Taylor kernels
 (:func:`pcr3bp.taylor.point_field` in floats,
 :func:`pcr3bp.taylor.iv_field` in intervals), the one source of the
 derivatives of Omega in each arithmetic.
+
+The package's one refinement of a float root lives here too:
+:func:`_refine_bracket`, a safeguarded Illinois regula falsi, shrinks a
+sign-change bracket to adjacent floats.  It places the collinear points
+(:func:`libration_point`), and :mod:`pcr3bp.poincare` and
+:mod:`pcr3bp.orbits` refine the brackets of their Fix(R) scans with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import taylor
 from .errors import DomainError, SearchError, SingularityError
 from .intervals import IArray, Interval, _wrap
-from .taylor import GUARD_RADIUS
+from .taylor import _GUARD_SQ, GUARD_RADIUS
 
 __all__ = [
     "MU_SUN_JUPITER",
@@ -73,7 +80,7 @@ def _radii(params: Params, x: float, y: float) -> tuple[float, float]:
     dx2 = x - 1.0 + params.mu
     r1sq = dx1 * dx1 + y * y
     r2sq = dx2 * dx2 + y * y
-    if r1sq < GUARD_RADIUS * GUARD_RADIUS or r2sq < GUARD_RADIUS * GUARD_RADIUS:
+    if r1sq <= _GUARD_SQ or r2sq <= _GUARD_SQ:
         raise SingularityError(
             f"state ({x}, {y}) is within {GUARD_RADIUS} of a primary"
         )
@@ -118,17 +125,21 @@ def jacobi_constant(params: Params, state) -> float:
 
 
 def reversal(state) -> np.ndarray:
-    """The reversing symmetry R(x, y, vx, vy) = (x, -y, -vx, vy)."""
-    x, y, vx, vy = (float(c) for c in state)
-    return np.array([x, -y, -vx, vy])
+    """The reversing symmetry R(x, y, vx, vy) = (x, -y, -vx, vy).
+
+    ``state`` may hold many states as the rows of a (..., 4) array; the
+    products by +-1 are exact.
+    """
+    return np.asarray(state, dtype=np.float64) * np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def libration_point(params: Params, index: int) -> float:
     """x-coordinate of the collinear equilibrium L1 or L2.
 
     L1 lies between the primaries, L2 beyond the light one; both are roots
-    of Omega_x(x, 0) = 0, found by bisection on a sign-definite bracket and
-    polished by Newton steps to ~1e-14.
+    of Omega_x(x, 0) = 0.  A sign-definite bracket is refined to adjacent
+    floats by :func:`_refine_bracket`, and of its two ends the one with
+    the smaller ``|Omega_x|`` is returned.
     """
     mu = params.mu
     if index == 1:
@@ -145,26 +156,77 @@ def libration_point(params: Params, index: int) -> float:
     flo, fhi = f(lo), f(hi)
     if flo * fhi > 0.0:
         raise SearchError("libration bracket does not change sign")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if flo * fm < 0.0:
-            hi = mid
+    return min(_refine_bracket(f, lo, hi, flo, fhi, tol=0.0), key=lambda x: abs(f(x)))
+
+
+def _evaluation_budget(lo: float, hi: float, tol: float) -> int:
+    """Most evaluations :func:`_refine_bracket` may take on [lo, hi].
+
+    The safeguard halves the bracket at least once in three evaluations.
+    The bracket is done once it is ``tol`` wide or as wide as the float
+    spacing at its end nearest zero, the finest spacing inside it (the
+    least subnormal if it straddles zero); two halvings more allow for
+    the rounding of midpoints near adjacency.
+    """
+    near = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
+    stop = max(tol, float(np.spacing(near)))
+    halvings = math.ceil(math.log2(max(hi - lo, stop)) - math.log2(stop))
+    return 3 * (halvings + 2)
+
+
+def _refine_bracket(f: Callable[[float], float | None], lo: float, hi: float,
+                    flo: float, fhi: float, tol: float) -> tuple[float, float] | None:
+    """Shrink a sign-change bracket; None if the map fails inside it.
+
+    A safeguarded Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
+    Each step evaluates ``f`` at the secant point of the bracket.  When the
+    same end is kept twice in a row, its value is halved, so that the next
+    secant point falls across the root.  A secant point that rounds onto
+    an end moves to the float next to it.  After two steps in a row that
+    failed to halve the bracket, the next step takes the midpoint.
+
+    Stops once the bracket is ``tol`` wide or its ends are adjacent floats,
+    before evaluating ``f`` again; ``tol=0.0`` runs to adjacency.  Returns
+    (x, x) on an exact zero.  Raises :class:`SearchError` if the bracket is
+    not done within :func:`_evaluation_budget`.
+    """
+    if flo == 0.0 or fhi == 0.0:
+        x = lo if flo == 0.0 else hi
+        return x, x
+    neg_lo = flo < 0.0  # the sign at lo; the halved values keep it
+    budget = _evaluation_budget(lo, hi, tol)
+    stalls = 0
+    kept = 0  # the end kept by the last step: -1 lo, +1 hi
+    while hi - lo > tol and np.nextafter(lo, hi) < hi:
+        if budget == 0:
+            raise SearchError(f"bracket [{lo!r}, {hi!r}] still wider than {tol!r} "
+                              "after its evaluation budget")
+        budget -= 1
+        width = hi - lo
+        x = lo - flo * width / (fhi - flo)
+        bisect = stalls >= 2
+        if bisect:
+            x = 0.5 * (lo + hi)
+        elif not lo < x < hi:
+            # the secant point rounds onto an end: try the float next to it
+            x = float(np.nextafter(lo, hi) if x <= lo else np.nextafter(hi, lo))
+        fx = f(x)
+        if fx is None:
+            return None
+        if fx == 0.0:
+            return x, x
+        if (fx < 0.0) == neg_lo:
+            lo, flo = x, fx
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
         else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-15:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(8):
-        field, hessian = taylor.point_field((x, 0.0, 0.0, 0.0), mu, True)
-        step = field[2] / hessian[0]
-        x -= step
-        if abs(step) < 1e-15:
-            break
-    return x
+            hi, fhi = x, fx
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+        stalls = 0 if bisect or hi - lo <= 0.5 * width else stalls + 1
+    return lo, hi
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +244,7 @@ def _heavy_mass_iv(params: Params) -> Interval:
 def _radii_iv(params: Params, x: Interval, y: Interval) -> tuple[Interval, Interval]:
     r1sq = (x + params.mu).sqr() + y.sqr()
     r2sq = (x - _heavy_mass_iv(params)).sqr() + y.sqr()
-    if r1sq.lo < GUARD_RADIUS * GUARD_RADIUS or r2sq.lo < GUARD_RADIUS * GUARD_RADIUS:
+    if r1sq.lo <= _GUARD_SQ or r2sq.lo <= _GUARD_SQ:
         raise SingularityError("interval state reaches the guard radius of a primary")
     return r1sq.sqrt(), r2sq.sqrt()
 

@@ -125,25 +125,24 @@ class HSet:
         """(a, b) coordinates of a section point, or arrays of them for arrays of points.
 
         Floats give floats; arrays ``x`` and ``vx`` of one shape give
-        ``a`` and ``b`` of that shape, all points in one solve.  Each point
-        is solved against its own copy of the frame, as one point alone
-        is: solving all of them against one frame, as the columns of one
-        right-hand side, runs a blocked triangular solve and changes the
-        last bits of about two points in five (2 054 of 5 010 sampled over
-        the ten bundled G and V sets).
+        ``a`` and ``b`` of that shape.  Either way the points go through
+        one stacked solve, each against its own copy of the frame, so a
+        point has the same bits alone and among others: solving all of
+        them against one frame, as the columns of one right-hand side,
+        runs a blocked triangular solve and changes the last bits of about
+        two points in five (2 054 of 5 010 sampled over the ten bundled G
+        and V sets).
 
         Raises :class:`StructureError` if ``u`` and ``s`` are parallel.
         """
+        rhs = np.stack([x, vx], axis=-1) - self.center
         try:
-            if isinstance(x, np.ndarray):
-                rhs = np.stack([x, vx], axis=-1) - self.center
-                ab = np.linalg.solve(np.broadcast_to(self.frame, rhs.shape + (2,)),
-                                     rhs[..., None])
-                return ab[..., 0, 0], ab[..., 1, 0]
-            ab = np.linalg.solve(self.frame, np.array([x, vx]) - self.center)
+            ab = np.linalg.solve(np.broadcast_to(self.frame, rhs.shape + (2,)),
+                                 rhs[..., None])
         except np.linalg.LinAlgError as exc:
             raise StructureError(f"h-set {self.name} has a singular frame: {exc}") from None
-        return float(ab[0]), float(ab[1])
+        a, b = ab[..., 0, 0], ab[..., 1, 0]
+        return (a, b) if isinstance(x, np.ndarray) else (float(a), float(b))
 
     def local_coords_iv(self, x: Interval, vx: Interval) -> tuple[Interval, Interval]:
         """Rigorous (a, b) enclosure of a section box."""
@@ -182,13 +181,14 @@ def r_image(h: HSet) -> HSet:
     )
 
 
-def is_r_symmetric(h: HSet, rtol: float = 1e-9) -> bool:
+def is_r_symmetric(h: HSet) -> bool:
     """Whether the reversal maps the h-set onto itself, exchanging u and s.
 
-    Requires the center on the symmetry line and ``s = +-R(u)``.  A
-    degenerate direction pair (``u`` parallel to ``s``) is never
-    reversal-symmetric in this structured sense and reports False.
+    Requires the center on the symmetry line and ``s = +-R(u)``, each to a
+    relative 1e-9.  A degenerate direction pair (``u`` parallel to ``s``)
+    is never reversal-symmetric in this structured sense and reports False.
     """
+    rtol = 1e-9
     scale = max(np.max(np.abs(h.u)), np.max(np.abs(h.s)))
     if scale == 0.0:
         return False

@@ -69,7 +69,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import Params
+from .dynamics import Params, _refine_bracket, reversal
 from .errors import (
     DomainError,
     PCR3BPError,
@@ -84,7 +84,6 @@ from .poincare import (
     LyapunovOrbit,
     SectionPoint,
     _fix_r_scan,
-    _refine_bracket,
     apply_chain_lanes,
     chain_landings,
     lift,
@@ -118,9 +117,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-#: Diagonal of the reversal R(x, y, x', y') = (x, -y, -x', y').
-_REVERSAL_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 # Settings (see the module docstring).
 PERIODIC_GRID = 256
@@ -212,7 +208,7 @@ def mirror_double(traj: Trajectory) -> Trajectory:
         raise StructureError(
             "initial state is not on the symmetry set (y and x' must vanish)"
         )
-    back = (traj.states[:0:-1] * _REVERSAL_SIGNS, -traj.t[:0:-1])
+    back = (reversal(traj.states[:0:-1]), -traj.t[:0:-1])
     t = np.concatenate([back[1], traj.t])
     states = np.vstack([back[0], traj.states])
     return Trajectory(t, states, traj.params)

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dynamics, integrator, taylor
-from .dynamics import Params
+from .dynamics import Params, _refine_bracket
 from .errors import (
     DomainError,
     HorizonError,
@@ -180,9 +180,9 @@ def lift_tangent_iv(params: Params, x: Interval, vx: Interval, vy: Interval) -> 
     )
 
 
-def project(state: np.ndarray, tol: float = 1e-9) -> SectionPoint:
-    """Project a state assumed to lie on the section."""
-    if abs(state[1]) > tol:
+def project(state: np.ndarray) -> SectionPoint:
+    """Project a state assumed to lie on the section, to ``|y| <= 1e-9``."""
+    if abs(state[1]) > 1e-9:
         raise DomainError(f"state with y={state[1]} is not on the section")
     if state[3] == 0.0:
         raise TangencyError("state is tangent to the section (vy = 0)")
@@ -682,76 +682,6 @@ def _fix_r_scan(params: Params, tags: Sequence[MapTag],
         return value(a, flown)
 
     return brackets, f
-
-
-def _evaluation_budget(lo: float, hi: float, tol: float) -> int:
-    """Most evaluations :func:`_refine_bracket` may take on [lo, hi].
-
-    The safeguard halves the bracket at least once in three evaluations.
-    The bracket is done once it is ``tol`` wide or as wide as the float
-    spacing at its end nearest zero, the finest spacing inside it (the
-    least subnormal if it straddles zero); two halvings more allow for
-    the rounding of midpoints near adjacency.
-    """
-    near = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
-    stop = max(tol, float(np.spacing(near)))
-    halvings = math.ceil(math.log2(max(hi - lo, stop)) - math.log2(stop))
-    return 3 * (halvings + 2)
-
-
-def _refine_bracket(f: Callable[[float], float | None], lo: float, hi: float,
-                    flo: float, fhi: float, tol: float) -> tuple[float, float] | None:
-    """Shrink a sign-change bracket; None if the map fails inside it.
-
-    A safeguarded Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
-    Each step evaluates ``f`` at the secant point of the bracket.  When the
-    same end is kept twice in a row, its value is halved, so that the next
-    secant point falls across the root.  A secant point that rounds onto
-    an end moves to the float next to it.  After two steps in a row that
-    failed to halve the bracket, the next step takes the midpoint.
-
-    Stops once the bracket is ``tol`` wide or its ends are adjacent floats,
-    before evaluating ``f`` again; ``tol=0.0`` runs to adjacency.  Returns
-    (x, x) on an exact zero.  Raises :class:`SearchError` if the bracket is
-    not done within :func:`_evaluation_budget`.
-    """
-    if flo == 0.0 or fhi == 0.0:
-        x = lo if flo == 0.0 else hi
-        return x, x
-    neg_lo = flo < 0.0  # the sign at lo; the halved values keep it
-    budget = _evaluation_budget(lo, hi, tol)
-    stalls = 0
-    kept = 0  # the end kept by the last step: -1 lo, +1 hi
-    while hi - lo > tol and np.nextafter(lo, hi) < hi:
-        if budget == 0:
-            raise SearchError(f"bracket [{lo!r}, {hi!r}] still wider than {tol!r} "
-                              "after its evaluation budget")
-        budget -= 1
-        width = hi - lo
-        x = lo - flo * width / (fhi - flo)
-        bisect = stalls >= 2
-        if bisect:
-            x = 0.5 * (lo + hi)
-        elif not lo < x < hi:
-            # the secant point rounds onto an end: try the float next to it
-            x = float(np.nextafter(lo, hi) if x <= lo else np.nextafter(hi, lo))
-        fx = f(x)
-        if fx is None:
-            return None
-        if fx == 0.0:
-            return x, x
-        if (fx < 0.0) == neg_lo:
-            lo, flo = x, fx
-            if kept == 1:
-                fhi *= 0.5
-            kept = 1
-        else:
-            hi, fhi = x, fx
-            if kept == -1:
-                flo *= 0.5
-            kept = -1
-        stalls = 0 if bisect or hi - lo <= 0.5 * width else stalls + 1
-    return lo, hi
 
 
 # ----------------------------------------------------------------------

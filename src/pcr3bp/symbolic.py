@@ -45,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .dynamics import Params
-from .errors import PCR3BPError, RegistryError
+from .errors import DomainError, PCR3BPError, RegistryError
 from .hset import CellImage, HSet, MapEnclosure, load_bundled, r_image
 from .intervals import IArray, Interval
 from .poincare import (
@@ -55,6 +55,7 @@ from .poincare import (
     HALF_PLUS,
     MapTag,
     SectionPoint,
+    _chain_to_signs,
     apply_chain,  # unused here; perfbench's tracer test patches this lookup
     apply_chain_lanes,
     apply_parallelogram_rigorous,
@@ -219,14 +220,11 @@ def _build_transitions() -> dict[tuple[Symbol, Symbol], Transition]:
 
 def _validate_table(table: Mapping[tuple[Symbol, Symbol], Transition]) -> None:
     for (alpha, beta), tr in table.items():
-        side = SYMBOL_SIDES[alpha]
-        for tag in tr.tags:
-            if tag.domain_sign != side:
-                raise RegistryError(
-                    f"transition {alpha}->{beta}: {tag.name} applied "
-                    f"on section side {side}"
-                )
-            side = tag.image_sign
+        try:
+            _chain_to_signs(tr.tags, SYMBOL_SIDES[alpha])
+        except DomainError as exc:
+            raise RegistryError(f"transition {alpha}->{beta}: {exc}") from exc
+        side = tr.tags[-1].image_sign
         if side != SYMBOL_SIDES[beta]:
             raise RegistryError(
                 f"transition {alpha}->{beta}: recipe lands on side {side}, "

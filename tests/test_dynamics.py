@@ -199,6 +199,22 @@ def test_singularity_guard():
         dynamics.vector_field(P, np.array([-P.mu, 0.0, 0.1, 0.1]))
 
 
+def test_guard_refuses_at_the_radius_where_the_kernels_do():
+    # at (-mu, 1e-12) r1^2 is the float GUARD_RADIUS^2 exactly: the Taylor
+    # kernels refuse there, and the potential and the Jacobi integral with them
+    x, y = -P.mu, dynamics.GUARD_RADIUS
+    assert (x + P.mu) ** 2 + y * y == dynamics.GUARD_RADIUS * dynamics.GUARD_RADIUS
+    state = np.array([x, y, 0.0, 0.0])
+    for call in (lambda: dynamics.effective_potential(P, x, y),
+                 lambda: dynamics.jacobi_constant(P, state),
+                 lambda: dynamics.vector_field(P, state),
+                 lambda: dynamics.effective_potential_iv(P, Interval.point(x),
+                                                         Interval.point(y)),
+                 lambda: dynamics.vector_field_iv(P, IArray.from_point(state))):
+        with pytest.raises(SingularityError):
+            call()
+
+
 def test_interval_potential_contains_point_values():
     for x, y in SAMPLES:
         xi = Interval(x - 1e-4, x + 1e-4)

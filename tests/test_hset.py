@@ -278,6 +278,18 @@ def test_toy_image_above_target_is_falsified():
     assert rep.margin < 0.0
 
 
+def test_toy_image_short_of_the_minus_edge_is_falsified():
+    # a' runs over [-0.5, 3.5]: beyond the a' = +1 edge, short of a' = -1
+    @with_faces
+    def f(a, b):
+        return a * 2.0 + 1.5, b * 0.2
+
+    rep = check_cover(f, UNIT_N, UNIT_M, grid=(4, 2), max_grid=(8, 4))
+    assert rep.outcome == "falsified"
+    assert rep.margin == pytest.approx(-0.5, abs=1e-12)
+    assert "stops short of the a' = -1 edge" in rep.message
+
+
 def test_weak_cover_with_strip_escape_beyond_exits_is_verified():
     # |b'| exceeds 1 only where |a'| is already far beyond the exit
     # edges; the bars beside the target are avoided, so this covers

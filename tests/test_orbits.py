@@ -87,16 +87,26 @@ def test_trajectory_write_reloads_exactly(tmp_path, lyapunov_half_arc):
 def test_resonance_of_counts_turns_and_radial_extrema():
     # synthetic arcs around the heavy primary, sampled finely enough that
     # no resampling is needed: two turns inside with five radial peaks
-    # (5:3), one turn outside with two radial valleys (2:3)
+    # (5:3), one turn outside with two radial valleys (2:3); the same arcs
+    # with fast wiggles, whose extrema cancel below the prominence
+    # threshold; and closed arcs, whose winding and extrema wrap around
+    # the start (the first has a peak there)
     s = np.linspace(0.0, 1.0, 2049)
-    for turns, r, label in (
-        (2, 0.6 + 0.05 * np.cos(2 * np.pi * (5 * s - 0.5)), (5, 3, 2, 5)),
-        (1, 1.5 - 0.1 * np.cos(2 * np.pi * (2 * s - 0.5)), (2, 3, -1, 2)),
+    inner = 0.6 + 0.05 * np.cos(2 * np.pi * (5 * s - 0.5))
+    outer = 1.5 - 0.1 * np.cos(2 * np.pi * (2 * s - 0.5))
+    for turns, r, periodic, label in (
+        (2, inner, False, (5, 3, 2, 5)),
+        (1, outer, False, (2, 3, -1, 2)),
+        (2, inner + 0.004 * np.cos(2 * np.pi * 37 * s), False, (5, 3, 2, 5)),
+        (1, outer + 0.008 * np.sin(2 * np.pi * 23 * s), False, (2, 3, -1, 2)),
+        (2, 0.6 + 0.05 * np.cos(2 * np.pi * 5 * s), True, (5, 3, 2, 5)),
+        (1, outer, True, (2, 3, -1, 2)),
     ):
         phi = 2 * np.pi * turns * s
         states = np.column_stack([r * np.cos(phi) - P.mu, r * np.sin(phi),
                                   np.zeros_like(s), np.zeros_like(s)])
-        assert resonance_of(Trajectory(s, states, P)) == ResonanceLabel(*label)
+        traj = Trajectory(s, states, P)
+        assert resonance_of(traj, periodic=periodic) == ResonanceLabel(*label)
 
 
 # ----------------------------------------------------------------------

@@ -403,7 +403,7 @@ def test_refine_bracket_stops_on_an_exact_zero():
 
 def test_refine_bracket_says_when_its_budget_runs_out(monkeypatch):
     # a bracket short of adjacency is never returned as if refined
-    monkeypatch.setattr(pc, "_evaluation_budget", lambda lo, hi, tol: 5)
+    monkeypatch.setattr(dynamics, "_evaluation_budget", lambda lo, hi, tol: 5)
     with pytest.raises(SearchError, match="evaluation budget"):
         pc._refine_bracket(lambda x: 1.0 if x > 1 / 3 else -1.0,
                            0.0, 1.0, -1.0, 1.0, tol=0.0)

@@ -137,6 +137,20 @@ def test_transition_missing_pair_raises():
         transition("E", "I")
 
 
+def test_registry_refuses_recipes_off_their_sides():
+    # the shipped table passes; a recipe that does not compose, starts on
+    # the wrong side or lands on the wrong side is refused
+    symbolic._validate_table(TRANSITIONS)
+    for key, tags, message in (
+        (("L1", "L1"), (FULL_PLUS, FULL_MINUS), "do not compose"),
+        (("L2", "L2"), (FULL_PLUS,), "is not the domain"),
+        (("I", "L2"), (FULL_PLUS,), "lands on side 1"),
+    ):
+        table = {key: symbolic.Transition(*key, (Link(tags, "H1"),))}
+        with pytest.raises(RegistryError, match=message):
+            symbolic._validate_table(table)
+
+
 # ----------------------------------------------------------------------
 # words
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The relation table's link walk (without flights), the table comparison, the
-code-line count and the summaries of benchmark pairs and of layer pairs (on
-made-up runs)."""
+code-line count, the summaries of benchmark pairs and of layer pairs (on
+made-up runs) and the unreached-line report (on a toy package)."""
 
+import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,3 +237,33 @@ def test_layer_pairs_alternate_sides_in_fresh_probes(monkeypatch, capsys):
     assert len(calls) == 2 * layers.ROUNDS
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["kernel_s"]["change_wins"] == 0
+
+
+def test_unreached_lines_name_the_lines_a_trace_missed(tmp_path, monkeypatch):
+    tool = load("unreached_lines")
+    package = tmp_path / "toy_unreached"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "def sign(x):\n"
+        "    if x > 0:\n"
+        "        return 1\n"
+        "    if x < 0:\n"
+        "        return -1\n"
+        "    return 0\n"
+        "\n"
+        "\n"
+        "def unused():\n"
+        "    return [y for y in range(3)]\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        with tool.LineTrace(package) as trace:
+            assert importlib.import_module("toy_unreached.mod").sign(2) == 1
+    finally:
+        for name in ("toy_unreached.mod", "toy_unreached"):
+            sys.modules.pop(name, None)
+    # the def lines ran at import; the comprehension's line counts once
+    found = tool.unreached(package, trace.ran)
+    assert found == {"__init__.py": [], "mod.py": [[4, 5, 6], [10]]}
+    assert tool.report(found) == "__init__.py: 0 unreached\nmod.py: 4 unreached: 4-6, 10"
