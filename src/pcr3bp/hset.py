@@ -48,12 +48,17 @@ when verified and the most negative certified clearance otherwise, so
 ``stable_clearance`` is the smallest certified distance from ``|b| = 1``
 over the cells whose image can meet M's unstable range (the crossing
 region).
+
+:func:`check_cover_pointwise` tests the same conditions on sampled
+points, as a screen that certifies nothing.  Both count into one
+:class:`_Tally` (cells or samples, the map's errors, the stable clearance
+and the sides the exit edges land beyond), and both build every
+:class:`CoverReport` through one function, :func:`_report`.
 """
 
 from __future__ import annotations
 
 import configparser
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -300,6 +305,8 @@ class _Tally:
     certified disjoint from the target's closed unit square.  ``sides``
     holds, per exit edge, the sides its decided pieces land beyond (True
     for ``a' > 1``), and ``edges_open`` whether a piece stayed undecided.
+    The pointwise screen counts its samples as ``cells`` and fills only
+    ``cells``, ``errors``, ``stable`` and ``sides``.
     """
 
     margin: float = math.inf
@@ -510,20 +517,19 @@ def _log2_steps(start: int, stop: int) -> int:
     return steps
 
 
-def _errors_note(errors: Counter) -> str:
-    """Message suffix naming the map's exceptions, by type and count."""
-    if not errors:
-        return ""
-    counts = ", ".join(f"{name}: {n}" for name, n in sorted(errors.items()))
-    return f" (the map raised {counts})"
-
-
 def _report(tally: _Tally, grid, outcome, margin, message) -> CoverReport:
+    """The report of a covering check or screen, built from its tally.
+
+    An infinite margin or stable clearance (nothing was certified) reads
+    0.0, and an inconclusive message names the map's exceptions, by type
+    and count.
+    """
     if not math.isfinite(margin):
         margin = 0.0
     stable = tally.stable if tally.stable != math.inf else 0.0
-    if outcome == "inconclusive":
-        message += _errors_note(tally.errors)
+    if outcome == "inconclusive" and tally.errors:
+        counts = ", ".join(f"{name}: {n}" for name, n in sorted(tally.errors.items()))
+        message += f" (the map raised {counts})"
     return CoverReport(
         outcome=outcome,
         margin=margin,
@@ -551,68 +557,56 @@ def check_cover_pointwise(point_map, source: HSet, target: HSet,
     a violated sample still reports ``falsified`` honestly: the sufficient
     conditions provably fail on this pair of frames (the screen makes no
     claim about other frames).  The results are read in sampling order,
-    inner points first, and the report counts the samples and the errors
-    up to the first violated one.  Useful as a fast screen before the
-    interval check.
+    inner points first, then the ``a = -1`` and the ``a = +1`` exit edge.
+    As in :func:`check_cover`, a :class:`_Tally` holds the samples (as
+    ``cells``), the errors, the stable clearance and the sides each exit
+    edge lands beyond, up to the first violated sample, and every outcome
+    is reported through :func:`_report`, with grid ``(0, 0)``.  Useful as
+    a fast screen before the interval check.
     """
     rng = np.random.default_rng(seed)
     n_edge = max(16, int(math.sqrt(samples)))
     n_inner = max(samples - 2 * n_edge, 16)
     inner = rng.uniform(-1.0, 1.0, size=(n_inner, 2))
     edge_b = np.linspace(-1.0, 1.0, n_edge)
-    edges = [np.column_stack([np.full(n_edge, a_edge), edge_b])
-             for a_edge in (-1.0, 1.0)]
-    images = iter(point_map(np.concatenate([inner] + edges)))
-    stable = math.inf
-    sides = {-1.0: set(), 1.0: set()}
-    count = 0
-    errors: Counter = Counter()
-    for (a, b), img in zip(inner, images):
+    edges = [np.column_stack([np.full(n_edge, a_edge), edge_b]) for a_edge in (-1.0, 1.0)]
+    points = np.concatenate([inner] + edges)
+    tally = _Tally()
+    for i, img in enumerate(point_map(points)):
         if isinstance(img, PCR3BPError):
-            errors[type(img).__name__] += 1
+            tally.errors[type(img).__name__] += 1
             continue
         a_img, b_img = img
-        count += 1
-        if abs(a_img) <= 1.0:
-            stable = min(stable, 1.0 - abs(b_img))
-        clearance = max(1.0 - abs(b_img), abs(a_img) - 1.0)
-        if clearance < 0.0:
-            return CoverReport(
-                "falsified", clearance,
-                stable if stable != math.inf else 0.0, (0, 0), count,
-                f"sampled point a={a:.3f} b={b:.3f} maps into a bar beside "
-                f"{target.name} (|a'| <= 1 with |b'| >= 1)", dict(errors),
-            )
-    if stable == math.inf:  # no sampled image landed within |a'| <= 1
-        stable = 0.0
-    for a_edge in (-1.0, 1.0):
-        for img in itertools.islice(images, n_edge):
-            if isinstance(img, PCR3BPError):
-                errors[type(img).__name__] += 1
-                continue
-            a_img, _ = img
-            count += 1
+        tally.cells += 1
+        if i < n_inner:
+            if abs(a_img) <= 1.0:
+                tally.stable = min(tally.stable, 1.0 - abs(b_img))
+            clearance = max(1.0 - abs(b_img), abs(a_img) - 1.0)
+            if clearance < 0.0:
+                a, b = points[i]
+                return _report(
+                    tally, (0, 0), "falsified", clearance,
+                    f"sampled point a={a:.3f} b={b:.3f} maps into a bar beside "
+                    f"{target.name} (|a'| <= 1 with |b'| >= 1)",
+                )
+        else:
             clearance = abs(a_img) - 1.0
             if clearance < 0.0:
-                return CoverReport(
-                    "falsified", clearance, stable, (0, 0), count,
-                    "sampled exit-edge point falls short of the unstable "
-                    "edges", dict(errors),
+                return _report(
+                    tally, (0, 0), "falsified", clearance,
+                    "sampled exit-edge point falls short of the unstable edges",
                 )
-            sides[a_edge].add(1.0 if a_img > 0 else -1.0)
+            tally.sides[-1.0 if i < n_inner + n_edge else 1.0].add(a_img > 0)
+    sides = tally.sides
     if any(len(v) > 1 for v in sides.values()) or (
         sides[-1.0] and sides[-1.0] == sides[1.0]
     ):
-        return CoverReport(
-            "falsified", -0.0, stable, (0, 0), count,
-            "sampled exit edges do not separate consistently", dict(errors),
-        )
-    return CoverReport(
-        "inconclusive", 0.0, stable, (0, 0), count,
-        f"{source.name} covering {target.name}: all {count} samples satisfy "
-        f"the covering inequalities (pointwise screen certifies nothing)"
-        + _errors_note(errors),
-        dict(errors),
+        return _report(tally, (0, 0), "falsified", -0.0,
+                       "sampled exit edges do not separate consistently")
+    return _report(
+        tally, (0, 0), "inconclusive", 0.0,
+        f"{source.name} covering {target.name}: all {tally.cells} samples satisfy "
+        f"the covering inequalities (pointwise screen certifies nothing)",
     )
 
 

@@ -294,13 +294,13 @@ class Interval:
         return Interval(*_isqrt_pos((self.lo, self.hi)))
 
     def pow_int(self, n: int) -> "Interval":
-        """Enclosure of x**n for a non-negative integer exponent."""
-        if n < 0 or n != int(n):
-            raise DomainError(f"pow_int exponent must be a non-negative integer, got {n}")
-        if n == 0:
-            return Interval(1.0, 1.0)
-        if n % 2 == 0:
-            return self.sqr().pow_int(n // 2) if n > 2 else self.sqr()
+        """Enclosure of x**n for a positive odd integer exponent.
+
+        The Lagrange remainder takes h**(ORDER + 1), an odd power; any
+        other exponent raises DomainError.
+        """
+        if n < 1 or n != int(n) or n % 2 == 0:
+            raise DomainError(f"pow_int exponent must be a positive odd integer, got {n}")
         result = self
         base = self.sqr()
         k = (n - 1) // 2
@@ -310,8 +310,6 @@ class Interval:
             base = base.sqr()
             k >>= 1
         return result
-
-    __pow__ = pow_int
 
     # -- set operations ------------------------------------------------
 

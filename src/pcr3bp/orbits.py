@@ -423,11 +423,6 @@ def _seed_line(start: HSet):
     ``a`` in [-1, 1] joins two opposite corners.  A set that is not
     reversal-symmetric has no such segment and raises StructureError.
     """
-    if not is_r_symmetric(start):
-        raise StructureError(
-            f"start set {start.name} is not reversal-symmetric; "
-            "fixed-set iteration has no seed segment"
-        )
     gamma = fix_r_segment(start)
 
     def seed_at(a: float) -> SectionPoint:

@@ -105,6 +105,14 @@ def test_pow_int():
     assert direct.is_subset(manual.inflate(1e-15))
 
 
+@pytest.mark.parametrize("n", (0, 2, 22, -1, 2.5))
+def test_pow_int_refuses_all_but_positive_odd_exponents(n):
+    # the Lagrange remainder takes h**21; an even power would need its own
+    # rule for a range through zero
+    with pytest.raises(DomainError, match="positive odd integer"):
+        Interval(-0.5, 0.25).pow_int(n)
+
+
 def test_hull_intersection_subset():
     a = Interval(0.0, 1.0)
     b = Interval(0.5, 2.0)

@@ -5,8 +5,11 @@ Lyapunov fixed point, the frame the constructed sets are to use: H1 and
 H2 of radius 1e-4, centred on the L1 and L2 fixed points, with the
 unstable and stable directions as ``u`` and ``s``.  Both are
 reversal-symmetric, so their Fix(R) segments seed both searches, and the
-searches must find the Lyapunov orbits again.  The bundled sets, the
-constructed ones and the chain verdicts over them are not tested here.
+searches must find the Lyapunov orbits again.  The same sets at radius
+1e-10 cover themselves under their full return map, as the one-symbol
+words (L1) and (L2), and they meet the cone condition over the whole set
+up to radius 1e-9: the self-cover and the cone of a homoclinic tail.  The
+bundled sets and the chain verdicts over them are not tested here.
 """
 
 import numpy as np
@@ -15,8 +18,9 @@ import pytest
 from pcr3bp import orbits, poincare
 from pcr3bp.dynamics import Params
 from pcr3bp.errors import SearchError, StructureError
-from pcr3bp.hset import HSet, fix_r_segment
+from pcr3bp.hset import HSet, cone_condition, fix_r_segment
 from pcr3bp.integrator import flow_point
+from pcr3bp.intervals import Interval
 from pcr3bp.orbits import (
     ResonanceLabel,
     Trajectory,
@@ -31,6 +35,7 @@ from pcr3bp.orbits import (
     verify_backward_coding,
 )
 from pcr3bp.poincare import SectionPoint, lift
+from pcr3bp.symbolic import FULL_MINUS, FULL_PLUS, local_derivative
 
 P = Params()
 RADIUS = 1e-4  # of the Lyapunov-frame h-sets
@@ -90,10 +95,14 @@ def test_resonance_of_counts_turns_and_radial_extrema():
     # (5:3), one turn outside with two radial valleys (2:3); the same arcs
     # with fast wiggles, whose extrema cancel below the prominence
     # threshold; and closed arcs, whose winding and extrema wrap around
-    # the start (the first has a peak there)
+    # the start (the first has a peak there; in the last, a narrow dip
+    # just after the start leaves a small maximum just before it, a pair
+    # of extrema that straddles the wrap and cancels)
     s = np.linspace(0.0, 1.0, 2049)
     inner = 0.6 + 0.05 * np.cos(2 * np.pi * (5 * s - 0.5))
     outer = 1.5 - 0.1 * np.cos(2 * np.pi * (2 * s - 0.5))
+    d = np.minimum(np.abs(s - 0.001), 1.0 - np.abs(s - 0.001))
+    dip = 0.6 + 0.05 * np.cos(2 * np.pi * 5 * (s - 0.01)) - 0.003 * np.exp(-(d / 0.002) ** 2)
     for turns, r, periodic, label in (
         (2, inner, False, (5, 3, 2, 5)),
         (1, outer, False, (2, 3, -1, 2)),
@@ -101,6 +110,7 @@ def test_resonance_of_counts_turns_and_radial_extrema():
         (1, outer + 0.008 * np.sin(2 * np.pi * 23 * s), False, (2, 3, -1, 2)),
         (2, 0.6 + 0.05 * np.cos(2 * np.pi * 5 * s), True, (5, 3, 2, 5)),
         (1, outer, True, (2, 3, -1, 2)),
+        (2, dip, True, (5, 3, 2, 5)),
     ):
         phi = 2 * np.pi * turns * s
         states = np.column_stack([r * np.cos(phi) - P.mu, r * np.sin(phi),
@@ -114,12 +124,17 @@ def test_resonance_of_counts_turns_and_radial_extrema():
 # ----------------------------------------------------------------------
 
 
+def eigen_set(orb, radius):
+    """The h-set ``H<i>`` of ``radius`` in the eigen-frame of a Lyapunov orbit."""
+    return HSet(f"H{orb.index}", orb.point.sign, [orb.point.x, orb.point.vx],
+                radius * orb.unstable_dir, radius * orb.stable_dir)
+
+
 @pytest.fixture(scope="module")
 def frame_sets(lyapunov_orbits):
     sets = {}
     for i, orb in lyapunov_orbits.items():
-        h = HSet(f"H{i}", orb.point.sign, [orb.point.x, orb.point.vx],
-                 RADIUS * orb.unstable_dir, RADIUS * orb.stable_dir)
+        h = eigen_set(orb, RADIUS)
         sets[i] = {h.name: h}
     return sets
 
@@ -314,3 +329,36 @@ def test_chain_verdict_reports_an_asymmetric_start_set(frame_sets):
     assert verdict.start_symmetric is False
     assert verdict.end_symmetric is False
     assert verdict.verdict != "verified"
+
+
+# ----------------------------------------------------------------------
+# the tail of a homoclinic chain: self-cover and cone on tight sets
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_a_tight_eigen_frame_set_verifies_its_lyapunov_word(lyapunov_orbits, i):
+    # at radius 1e-10 the full return map is near enough its derivative
+    # that the 4x1 grid decides the self-cover, with margins of about
+    # 1.39e3 (L1) and 1.15e3 (L2); no cell splits
+    h = eigen_set(lyapunov_orbits[i], 1e-10)
+    verdict = rigorous_chain_verdict(P, (f"L{i}",), grid=(4, 1), max_grid=(256, 8),
+                                     sets={h.name: h})
+    assert verdict.verified and verdict.verdict == "verified"
+    (relation,) = verdict.relations
+    assert relation.report.cells == 4 and relation.report.margin > 1e3
+    side = "+" if i == 1 else "-"
+    assert str(verdict).startswith(
+        f"word (L{i}): verified\n  H{i} =[P{side}]=> H{i}: verified (margin ")
+    assert str(verdict).endswith("endpoints reversal-symmetric: start=True, end=True")
+
+
+@pytest.mark.parametrize("i", (1, 2))
+def test_the_tail_cone_holds_over_tight_eigen_frame_sets_only(lyapunov_orbits, i):
+    # the cone condition over the whole set, under the set's full return
+    # map: it holds up to radius 1e-9 and fails at 1e-8
+    tag = FULL_PLUS if i == 1 else FULL_MINUS
+    whole = Interval(-1.0, 1.0)
+    for radius, holds in ((1e-10, True), (1e-9, True), (1e-8, False)):
+        h = eigen_set(lyapunov_orbits[i], radius)
+        assert cone_condition(local_derivative(P, [tag], h, h, whole, whole)) == holds

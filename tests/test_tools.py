@@ -195,9 +195,10 @@ def test_bench_pairs_alternate_sides_and_fail_on_a_failed_run(tmp_path, monkeypa
     assert doc["summary"]["point"]["op_s_p50"]["failed_pairs"] == 1
 
 
-def _probe(kernel, flight, cover, flight_digest="f", cover_digest="c"):
+def _probe(kernel, flight, cover, flight_digest="f", cover_digest="c", point_digest="p"):
     return {"kernel_s": kernel, "flight_s": flight, "cover_s": cover,
-            "flight_digest": flight_digest, "cover_digest": cover_digest}
+            "flight_digest": flight_digest, "cover_digest": cover_digest,
+            "point_digest": point_digest}
 
 
 def test_layer_pairs_summary_takes_medians_wins_and_digest_agreement():
@@ -212,15 +213,18 @@ def test_layer_pairs_summary_takes_medians_wins_and_digest_agreement():
     assert got["flight_s"]["change"] == 0.4 and got["flight_s"]["change_wins"] == 3
     assert got["cover_s"]["relative_change"] == 0.0 and got["cover_s"]["change_wins"] == 0
     assert got["flight_digest_same"] and got["cover_digest_same"]
+    assert got["point_digest_same"]
     # one differing digest on either side breaks the agreement; a failed
     # round is left out of every figure
     rounds[2]["change"]["cover_digest"] = "other"
-    rounds.append({"round": 5, "parent": _probe(99.0, 9.0, 9.0, "x", "x"),
+    rounds[0]["parent"]["point_digest"] = "other"
+    rounds.append({"round": 5, "parent": _probe(99.0, 9.0, 9.0, "x", "x", "x"),
                    "change": {"error": "exit 1: boom"}})
     got = layers.summarize(rounds)
     assert (got["rounds"], got["failed_rounds"]) == (5, 1)
     assert got["kernel_s"]["parent"] == 6.5
     assert got["flight_digest_same"] and not got["cover_digest_same"]
+    assert not got["point_digest_same"]
 
 
 def test_layer_pairs_alternate_sides_in_fresh_probes(monkeypatch, capsys):

@@ -19,7 +19,10 @@ centre), and then reports
   benchmark's ``flight`` and ``cover`` operations;
 * ``flight_digest``: a sha256 of the bits of the flight's image and
   derivative enclosures, and ``cover_digest`` one of the covering
-  check's margin and stable clearance.
+  check's margin and stable clearance;
+* ``point_digest``: a sha256 of the bits of the ``point`` operations at
+  seed 1, run once: the Lyapunov orbit (point, period, multipliers,
+  directions and residual) and every field of the screens' reports.
 
 One traced run per side cannot resolve a layer change below about 20 %
 on a shared machine; interleaved best-of-3 times in fresh interpreters
@@ -41,7 +44,7 @@ from pathlib import Path
 ROUNDS = 8
 REPEATS = 3
 TIMES = ("kernel_s", "flight_s", "cover_s")
-DIGESTS = ("flight_digest", "cover_digest")
+DIGESTS = ("flight_digest", "cover_digest", "point_digest")
 
 
 def _best(fn) -> float:
@@ -55,7 +58,18 @@ def _best(fn) -> float:
 
 
 def _digest(values) -> str:
-    return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
+    """A sha256 of ``values``, a float by its bits and anything else by its repr."""
+    return hashlib.sha256(" ".join(v.hex() if isinstance(v, float) else repr(v)
+                                   for v in values).encode()).hexdigest()
+
+
+def _point_bits(result) -> list:
+    """The fields of a ``point`` operation's result: a screen report or a Lyapunov orbit."""
+    if hasattr(result, "outcome"):
+        return [result.outcome, result.margin, result.stable_clearance, result.grid,
+                result.cells, result.message, result.errors, result.edge_faces]
+    return [result.point.x, result.point.vx, result.period, *result.multipliers,
+            *result.unstable_dir, *result.stable_dir, result.residual]
 
 
 def probe(checkout: str) -> dict:
@@ -69,6 +83,8 @@ def probe(checkout: str) -> dict:
     stats = workloads.PassStats()
     ops = {w: workloads.build(w, sets, 1, stats, lambda name, fn: fn)[0]
            for w in ("flight", "cover")}
+    point = [op.call() for op in workloads.build("point", sets, 1, stats,
+                                                 lambda name, fn: fn)]
     kernel = taylor.iv_var_coeffs
     calls = []
 
@@ -90,6 +106,7 @@ def probe(checkout: str) -> dict:
         "cover_s": _best(ops["cover"].call),
         "flight_digest": _digest(ends),
         "cover_digest": _digest([report.margin, report.stable_clearance]),
+        "point_digest": _digest([bit for result in point for bit in _point_bits(result)]),
     }
 
 
